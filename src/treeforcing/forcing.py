@@ -33,8 +33,9 @@ from .separation import (
     decide_rho_separation,
     decide_separation,
     is_consistent,
+    multi_relations,
     one_key_lift,
-    relations_between,
+    relation_index,
 )
 from .treemaps import (
     TreeMap,
@@ -714,22 +715,7 @@ def build_matched_pair(
 
     # extend the oracle: first whatever the copy's own levels demand of pairs
     # involving a fresh index, then the cross-block floor
-    for level in b_tree.heights():
-        nodes = sorted(b_tree.level(level))
-        for idx, u in enumerate(nodes):
-            for v in nodes[idx:]:
-                rels = relations_between(b_family, u, v)
-                for a in range(len(rels)):
-                    for b2 in range(a + 1, len(rels)):
-                        t0, t1 = rels[a][1], rels[b2][1]
-                        if t0 == t1:
-                            continue
-                        if rho.value(t0, t1) < level:
-                            if t0 in shared and t1 in shared:
-                                raise ValueError(
-                                    "shared indices would need rho above the level"
-                                )
-                            rho.set_value(t0, t1, level)
+    _raise_rho_for_copy(pb, frozenset(shared), rho)
     floor = restrict_tree_below(p.tree, alpha).max_height()
     for zeta in petal:
         for tau_fresh in fresh.values():
@@ -756,6 +742,27 @@ def build_matched_pair(
     if report:
         raise ValueError(f"matched pair does not validate: {'; '.join(report)}")
     return mp
+
+
+def _raise_rho_for_copy(pb: Condition, shared: frozenset[int], rho: RhoOracle) -> None:
+    """Raise rho to each level wherever two indices relate one pair on it.
+
+    Pairs of shared indices cannot be raised: the first such demand is an
+    error.  The relation index of each level is read in the order of the
+    pairwise clause of ``decide_rho_separation``.
+    """
+    for level in pb.tree.heights():
+        rel = relation_index(pb.family, pb.tree.level(level))
+        for _, _, rels in multi_relations(rel):
+            for a in range(len(rels)):
+                for b in range(a + 1, len(rels)):
+                    t0, t1 = rels[a][1], rels[b][1]
+                    if t0 == t1:
+                        continue
+                    if rho.value(t0, t1) < level:
+                        if t0 in shared and t1 in shared:
+                            raise ValueError("shared indices would need rho above the level")
+                        rho.set_value(t0, t1, level)
 
 
 def amalgamate(mp: MatchedPair, rho: RhoOracle) -> Condition:

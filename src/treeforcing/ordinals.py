@@ -12,19 +12,24 @@ Coefficients are plain Python ints, so they never overflow.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 
 class OrdinalParseError(ValueError):
     """The string does not match the ordinal grammar."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ordinal:
     """An ordinal below epsilon_0 in Cantor normal form.
 
     ``terms`` lists (exponent, coefficient) pairs with exponents strictly
     decreasing and every coefficient >= 1; ``()`` denotes 0.
+
+    The hash is computed once, on first use, and kept on the instance
+    (hash-consing without the interning table); ``height_split`` memoises
+    its result the same way.  Neither recurses through the exponents again.
+    Most ordinals built in passing are never hashed, so construction does
+    no hashing.
     """
 
     terms: tuple[tuple["Ordinal", int], ...] = ()
@@ -37,6 +42,23 @@ class Ordinal:
             if prev is not None and not exp < prev:
                 raise ValueError("exponents must be strictly decreasing")
             prev = exp
+
+    _hash = None  # filled on first use
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            # the value a generated dataclass hash gives, so set orders stay
+            # put; written past the frozen guard, as functools.cached_property does
+            h = self.__dict__["_hash"] = hash((self.terms,))
+        return h
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not Ordinal:
+            return NotImplemented
+        return self.terms == other.terms
 
     # -- order ---------------------------------------------------------
 
@@ -136,12 +158,19 @@ def is_omega_fixed(a: Ordinal) -> bool:
     return omega_mul(a) == a
 
 
-@lru_cache(maxsize=None)
 def height_split(g: Ordinal) -> tuple[Ordinal, int]:
     """Decompose g = w*h + k with k < w; returns (h, k).
 
     h is the height of the node labelled g and k its offset within the level.
+    The split is memoised on g itself.
     """
+    split = g.__dict__.get("_split")
+    if split is None:
+        split = g.__dict__["_split"] = _height_split(g)
+    return split
+
+
+def _height_split(g: Ordinal) -> tuple[Ordinal, int]:
     offset = 0
     infinite = g.terms
     if infinite and infinite[-1][0] == ZERO:

@@ -15,9 +15,11 @@ two axioms and inequality premises are ever consumed here.
 
 from __future__ import annotations
 
+import heapq
 import random
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .ordinals import ZERO, Ordinal, node_height, parse_ordinal
 from .treemaps import TreeMap, is_standard
@@ -92,9 +94,6 @@ class RhoOracle:
         return RhoOracle(fallback=draw, description=f"seeded {seed}")
 
 
-ZERO_RHO = RhoOracle.zero()
-
-
 def oracle_from_spec(spec: str, seed: int = 0) -> RhoOracle:
     """Build an oracle from a CLI/scenario string: zero | const:<ord> | seed:<n>:<v,...>."""
     if spec == "zero":
@@ -113,16 +112,6 @@ def oracle_from_spec(spec: str, seed: int = 0) -> RhoOracle:
     raise ValueError(f"unknown rho specification {spec!r}")
 
 
-@dataclass(frozen=True)
-class RelationEdge:
-    """One equation f_index^direction(source) = target within a family."""
-
-    source: Ordinal
-    target: Ordinal
-    direction: int
-    index: int
-
-
 def relations_between(fam: Family, x: Ordinal, y: Ordinal) -> list[tuple[int, int]]:
     """All (direction, index) with f_index^direction(x) == y, sorted."""
     out = []
@@ -134,13 +123,32 @@ def relations_between(fam: Family, x: Ordinal, y: Ordinal) -> list[tuple[int, in
     return out
 
 
-def level_edges(fam: Family, X: frozenset[Ordinal]) -> list[RelationEdge]:
-    edges = []
+Relations = dict[Ordinal, dict[Ordinal, list[tuple[int, int]]]]
+
+
+def relation_index(fam: Family, X: frozenset[Ordinal]) -> Relations:
+    """``rel[x][y] == relations_between(fam, x, y)`` for x, y in X, nonempty only.
+
+    Built in one pass over the maps' pairs inside X.  Per index the forward
+    relations go in before the inverse ones, so every list is sorted exactly
+    as ``relations_between`` sorts it.
+    """
+    rel: Relations = {}
     for tau in sorted(fam):
-        for a, b in fam[tau]:
-            if a in X and b in X and a != b:
-                edges.append(RelationEdge(a, b, 1, tau))
-    return edges
+        f = fam[tau]
+        for m, pairs in ((1, f.pairs), (-1, f.inverse_pairs())):
+            for x, y in pairs:
+                if x in X and y in X:
+                    rel.setdefault(x, {}).setdefault(y, []).append((m, tau))
+    return rel
+
+
+def multi_relations(rel: Relations) -> Iterator[tuple[Ordinal, Ordinal, list[tuple[int, int]]]]:
+    """(x, y, relations) for every x <= y related more than once, (x, y) ascending."""
+    for x in sorted(rel):
+        row = rel[x]
+        for y in sorted(y for y in row if x <= y and len(row[y]) > 1):
+            yield x, y, row[y]
 
 
 # -- verdicts ------------------------------------------------------------
@@ -208,14 +216,31 @@ def is_rho_separated_tuple(
     fam: Family, order: Sequence[Ordinal], rho: RhoOracle, alpha: Ordinal
 ) -> bool:
     """Distinct relations to the earlier part must share their target and have rho >= alpha."""
-    for i in range(len(order)):
-        triples = _triples_to_earlier(fam, order, i)
-        for a in range(len(triples)):
-            for b in range(a + 1, len(triples)):
-                (j0, _, t0), (j1, _, t1) = triples[a], triples[b]
-                if j0 != j1 or rho.value(t0, t1) < alpha:
-                    return False
+    return all(
+        _admissible(_triples_to_earlier(fam, order, i), rho, alpha) for i in range(len(order))
+    )
+
+
+def _admissible(triples: Sequence[tuple[int, int, int]], rho: RhoOracle, alpha: Ordinal) -> bool:
+    for a in range(len(triples)):
+        for b in range(a + 1, len(triples)):
+            (j0, _, t0), (j1, _, t1) = triples[a], triples[b]
+            if j0 != j1 or rho.value(t0, t1) < alpha:
+                return False
     return True
+
+
+def _indexed_triples(
+    rel: Relations, pos: Mapping[Ordinal, int], x: Ordinal
+) -> list[tuple[int, int, int]]:
+    """``_triples_to_earlier`` for the listed node x, read off the relation index."""
+    i = pos[x]
+    row = rel.get(x, {})
+    return [
+        (pos[y], m, tau)
+        for y in sorted((y for y in row if pos[y] < i), key=pos.__getitem__)
+        for m, tau in row[y]
+    ]
 
 
 # -- consistency ------------------------------------------------------------
@@ -279,61 +304,68 @@ def decide_rho_separation(
     rho-separated; otherwise the specific obstruction: a PairwiseViolation
     (two relations between one pair with rho below the level) or a Loop (a
     closed relation walk through at least three distinct nodes).
+
+    Every clause reads one relation index of the family inside X, so the
+    work is near-linear in |X| plus the number of map pairs.
     """
     X = frozenset(X)
-    nodes = sorted(X)
+    rel = relation_index(fam, X)
     # clause 1: all multi-relations between a fixed pair need rho >= alpha
-    for idx, x in enumerate(nodes):
-        for y in nodes[idx:]:
-            rels = relations_between(fam, x, y)
-            for a in range(len(rels)):
-                for b in range(a + 1, len(rels)):
-                    (m0, t0), (m1, t1) = rels[a], rels[b]
-                    if rho.value(t0, t1) < alpha:
-                        return PairwiseViolation(x, y, (m0, t0), (m1, t1), alpha)
+    for x, y, rels in multi_relations(rel):
+        for a in range(len(rels)):
+            for b in range(a + 1, len(rels)):
+                (m0, t0), (m1, t1) = rels[a], rels[b]
+                if rho.value(t0, t1) < alpha:
+                    return PairwiseViolation(x, y, (m0, t0), (m1, t1), alpha)
     # clause 2: no loops; scan deduplicated relation edges with union-find
-    adjacency: dict[Ordinal, list[Ordinal]] = {x: [] for x in nodes}
-    seen_pairs: set[tuple[Ordinal, Ordinal]] = set()
+    adjacency: dict[Ordinal, list[Ordinal]] = {x: [] for x in X}
     uf = _UnionFind()
     edges = sorted(
-        {(min(e.source, e.target), max(e.source, e.target)) for e in level_edges(fam, X)}
+        {
+            (min(x, y), max(x, y))
+            for x, row in rel.items()
+            for y, rels in row.items()
+            if x != y and any(m == 1 for m, _ in rels)
+        }
     )
     for x, y in edges:
-        if (x, y) in seen_pairs:
-            continue
-        seen_pairs.add((x, y))
         if uf.find(x) == uf.find(y):
             path = _shortest_path(adjacency, x, y)
             return Loop(tuple(path) + (x,))
         uf.union(x, y)
         adjacency[x].append(y)
         adjacency[y].append(x)
-    # separated: build the witness order by segments
+    # separated: build the witness order by segments.  A segment opens with
+    # the least unlisted node and grows by the least unlisted node related to
+    # one of its members, taken from a min-heap frontier.
+    into: dict[Ordinal, list[Ordinal]] = {}
+    for x, row in rel.items():
+        for y in row:
+            into.setdefault(y, []).append(x)
     order: list[Ordinal] = []
-    remaining = list(nodes)
-    while remaining:
-        segment = [remaining.pop(0)]
-        grew = True
-        while grew:
-            grew = False
-            for cand in list(remaining):
-                if any(relations_between(fam, cand, member) for member in segment):
-                    segment.append(cand)
-                    remaining.remove(cand)
-                    grew = True
-                    break
-        order.extend(segment)
-    witness = WitnessOrder(tuple(order))
-    if not is_rho_separated_tuple(fam, witness.order, rho, alpha):
+    listed: set[Ordinal] = set()
+    for start in sorted(X):
+        frontier = [start]
+        while frontier:
+            x = heapq.heappop(frontier)
+            if x in listed:
+                continue
+            listed.add(x)
+            order.append(x)
+            for cand in into.get(x, ()):
+                if cand not in listed:
+                    heapq.heappush(frontier, cand)
+    pos = {x: i for i, x in enumerate(order)}
+    if not all(_admissible(_indexed_triples(rel, pos, x), rho, alpha) for x in order):
         raise RuntimeError("witness order fails its own check; decision logic is broken")
-    return witness
+    return WitnessOrder(tuple(order))
 
 
 def _shortest_path(adjacency: dict, x: Ordinal, y: Ordinal) -> list[Ordinal]:
     prev: dict[Ordinal, Ordinal] = {x: x}
-    queue = [x]
+    queue = deque([x])
     while queue:
-        cur = queue.pop(0)
+        cur = queue.popleft()
         if cur == y:
             break
         for nxt in adjacency[cur]:
@@ -363,7 +395,7 @@ def decide_separation(fam: Family, X: Iterable[Ordinal]) -> SeparationVerdict:
     (alpha,) = levels
     if alpha == ZERO:
         return WitnessOrder(tuple(sorted(X)))
-    return decide_rho_separation(fam, X, ZERO_RHO, alpha)
+    return decide_rho_separation(fam, X, RhoOracle.zero(), alpha)
 
 
 # -- the one-key lifting construction ------------------------------------------
@@ -412,12 +444,14 @@ def one_key_lift(
     order = verdict.order
     n = len(order)
     nbar = order.index(t.restrict(b, alpha))
+    rel = relation_index(fam, X)
+    pos = {x: i for i, x in enumerate(order)}
 
     # descending relation chain from the anchor's base point
     chain: list[tuple[int, int, int]] = [(nbar, 0, 0)]  # (position, direction, index)
     while True:
         i_k = chain[-1][0]
-        triples = _triples_to_earlier(fam, order, i_k)
+        triples = _indexed_triples(rel, pos, order[i_k])
         if not triples:
             break
         if len(triples) > 1:
@@ -434,12 +468,12 @@ def one_key_lift(
 
     lifted: list[Ordinal] = []
     for i in range(n):
-        triples = _triples_to_earlier(fam, order, i)
+        triples = _indexed_triples(rel, pos, order[i])
         if not triples:
             if i in chain_pos:
                 lifted.append(chain_values[chain_pos[i]])
             else:
-                lifted.append(min(y for y in t.successors(order[i]) if node_height(y) == beta))
+                lifted.append(min(t.successors_at(order[i], beta)))
         else:
             (j, m, sigma) = triples[0]
             up = fam[sigma].apply_signed(-m, lifted[j])

@@ -63,6 +63,10 @@ class TreeMap:
         xs = self._rev.get(y, ())
         return xs[0] if len(xs) == 1 else None
 
+    def inverse_pairs(self) -> Iterator[Pair]:
+        """(y, x) for every image point y with the unique preimage x."""
+        return ((y, xs[0]) for y, xs in self._rev.items() if len(xs) == 1)
+
     def apply_signed(self, m: int, x: Ordinal) -> Ordinal | None:
         """f(x) for m == 1, the preimage of x for m == -1."""
         if m == 1:
@@ -124,11 +128,17 @@ def classify_map(t: StandardTree, pairs: Iterable[Pair]) -> MapFlags:
     functional = len(set(sources)) == len(ps)
     injective = len(set(targets)) == len(ps)
     level_preserving = all(node_height(x) == node_height(y) for x, y in ps)
+    # pairs (a0, b0), (a1, b1) with a0 below a1 need b0 below b1; walk each
+    # source's ancestors instead of trying every pair of pairs
+    targets_of: dict[Ordinal, list[Ordinal]] = {}
+    for x, y in ps:
+        targets_of.setdefault(x, []).append(y)
     strictly_increasing = all(
         t.is_below(b0, b1)
-        for a0, b0 in ps
         for a1, b1 in ps
-        if t.is_below(a0, a1)
+        for a0 in t.chain_down(a1)[1:]
+        if a0 in targets_of and node_height(a0) < node_height(a1)
+        for b0 in targets_of[a0]
     )
     pair_set = set(ps)
     downwards_closed = True

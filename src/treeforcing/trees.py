@@ -9,51 +9,140 @@ their own postconditions.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .ordinals import ZERO, Ordinal, is_limit, node_at, node_height
 
 
+class MalformedTreeError(ValueError):
+    """Parent links that cycle or break off before the root; order queries need them whole."""
+
+
+class _TreeIndex:
+    """Structure derived once from a tree's nodes and parent links.
+
+    The level part (node heights, occupied heights, levels) exists for any
+    node set.  The order part numbers a depth-first walk down from the root
+    (``enter``/``exit``: a node's subtree is the preorder interval between
+    them), so ancestor tests are O(1) and a node's successors on one level
+    are a bisected slice of that level.  Building it is the only walk along
+    parent links; a cycle or a missing link leaves ``fault`` set instead.
+    """
+
+    __slots__ = ("heights", "levels", "enter", "exit", "preorder", "by_level", "fault")
+
+    def __init__(self, t: "StandardTree"):
+        levels: dict[Ordinal, list[Ordinal]] = {}
+        for x in t.nodes:
+            levels.setdefault(node_height(x), []).append(x)
+        self.heights = tuple(sorted(h for h in levels if h != ZERO))
+        self.levels = {h: frozenset(xs) for h, xs in levels.items()}
+        children: dict[Ordinal, list[Ordinal]] = {}
+        for c, p in t.parent.items():
+            if c != ZERO:  # chains stop at the root, whatever link it carries
+                children.setdefault(p, []).append(c)
+        preorder: list[Ordinal] = []
+        stack = [ZERO]
+        while stack:
+            x = stack.pop()
+            preorder.append(x)
+            stack.extend(children.get(x, ()))
+        enter = {x: i for i, x in enumerate(preorder)}
+        size = dict.fromkeys(preorder, 1)
+        for x in reversed(preorder[1:]):
+            size[t.parent[x]] += size[x]
+        self.preorder = preorder
+        self.enter = enter
+        self.exit = {x: enter[x] + size[x] - 1 for x in preorder}
+        self.fault = None
+        lost = [x for x in t.nodes if x not in enter]
+        if lost:
+            self.fault = _link_fault(t, min(lost))
+        self.by_level = {}
+        for h, xs in levels.items():
+            ranked = sorted((enter[x], x) for x in xs if x in enter)
+            self.by_level[h] = ([e for e, _ in ranked], [x for _, x in ranked])
+
+
+def _link_fault(t: "StandardTree", x: Ordinal) -> str:
+    """Why the parent links from x never reach the root."""
+    seen = set()
+    cur = x
+    while cur not in seen:
+        seen.add(cur)
+        if cur not in t.parent:
+            return f"node {cur} has no parent link"
+        cur = t.parent[cur]
+    return f"parent links cycle at {cur}"
+
+
 @dataclass(frozen=True)
 class StandardTree:
+    """A tree by its node set and parent links; both are read-only.
+
+    ``parent`` is a private read-only copy of the mapping passed in, so
+    derived structure, built once on first use, stays true for the tree.
+    """
+
     nodes: frozenset[Ordinal]
     parent: Mapping[Ordinal, Ordinal]
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "parent", MappingProxyType(dict(self.parent)))
+
     @staticmethod
     def make(nodes: Iterable[Ordinal], parent: Mapping[Ordinal, Ordinal]) -> "StandardTree":
-        return StandardTree(frozenset(nodes), dict(parent))
+        return StandardTree(frozenset(nodes), parent)
 
     @staticmethod
     def root_only() -> "StandardTree":
         return StandardTree(frozenset({ZERO}), {})
 
+    @cached_property
+    def _index(self) -> _TreeIndex:
+        return _TreeIndex(self)
+
+    def _order(self) -> _TreeIndex:
+        """The index, once parent links are known to lead every node to the root."""
+        index = self._index
+        if index.fault is not None:
+            raise MalformedTreeError(index.fault)
+        return index
+
     # -- level structure -------------------------------------------------
 
     def heights(self) -> tuple[Ordinal, ...]:
         """Occupied nonzero heights, ascending."""
-        return tuple(sorted({node_height(x) for x in self.nodes} - {ZERO}))
+        return self._index.heights
 
     def max_height(self) -> Ordinal:
-        hs = self.heights()
+        hs = self._index.heights
         return hs[-1] if hs else ZERO
 
     def level(self, h: Ordinal) -> frozenset[Ordinal]:
-        return frozenset(x for x in self.nodes if node_height(x) == h)
+        return self._index.levels.get(h, frozenset())
 
     def level_below(self, h: Ordinal) -> Ordinal:
         """Predecessor of h in the occupied heights plus the root level."""
-        below = [g for g in self.heights() if g < h]
-        return below[-1] if below else ZERO
+        hs = self._index.heights
+        k = bisect_left(hs, h)
+        return hs[k - 1] if k else ZERO
 
     def level_above(self, h: Ordinal) -> Ordinal | None:
-        above = [g for g in self.heights() if g > h]
-        return above[0] if above else None
+        hs = self._index.heights
+        k = bisect_right(hs, h)
+        return hs[k] if k < len(hs) else None
 
     # -- derived order ----------------------------------------------------
 
     def chain_down(self, x: Ordinal) -> list[Ordinal]:
         """x and its ancestors, from x down to the root."""
+        if x not in self._order().enter:
+            raise MalformedTreeError(f"node {x} is not in the tree")
         out = [x]
         while out[-1] != ZERO:
             out.append(self.parent[out[-1]])
@@ -63,16 +152,25 @@ class StandardTree:
         """x strictly below y."""
         if not node_height(x) < node_height(y):
             return False
-        return x in self.chain_down(y)[1:]
+        index = self._order()
+        ey = index.enter.get(y)
+        if ey is None:
+            raise MalformedTreeError(f"node {y} is not in the tree")
+        ex = index.enter.get(x)
+        return ex is not None and ex < ey <= index.exit[x]
 
     def is_below_eq(self, x: Ordinal, y: Ordinal) -> bool:
         return x == y or self.is_below(x, y)
 
     def order_pairs(self) -> frozenset[tuple[Ordinal, Ordinal]]:
         """All pairs (x, y) with x strictly below y."""
+        self._order()
+        parent = self.parent
         pairs = set()
         for y in self.nodes:
-            for x in self.chain_down(y)[1:]:
+            x = y
+            while x != ZERO:
+                x = parent[x]
                 pairs.add((x, y))
         return frozenset(pairs)
 
@@ -80,12 +178,15 @@ class StandardTree:
         """Drop-down: the unique ancestor of x at occupied level b <= ht(x)."""
         if x not in self.nodes:
             raise ValueError(f"node {x} not in tree")
-        if b != ZERO and b not in self.heights():
+        if b != ZERO and b not in self._index.levels:
             raise ValueError(f"level {b} is not occupied")
         if node_height(x) < b:
             raise ValueError(f"level {b} is above node {x}")
+        self._order()
         cur = x
         while node_height(cur) != b:
+            if cur == ZERO:
+                raise MalformedTreeError(f"node {x} has no ancestor at level {b}")
             cur = self.parent[cur]
         return cur
 
@@ -99,13 +200,31 @@ class StandardTree:
         return a
 
     def successors(self, x: Ordinal) -> frozenset[Ordinal]:
-        return frozenset(y for y in self.nodes if self.is_below(x, y))
+        index = self._order()
+        ex = index.enter.get(x)
+        if ex is None:
+            return frozenset()
+        hx = node_height(x)
+        return frozenset(
+            y
+            for y in index.preorder[ex + 1 : index.exit[x] + 1]
+            if y in self.nodes and hx < node_height(y)
+        )
+
+    def successors_at(self, x: Ordinal, h: Ordinal) -> frozenset[Ordinal]:
+        """The successors of x on level h."""
+        index = self._order()
+        ex = index.enter.get(x)
+        if ex is None or not node_height(x) < h or h not in index.by_level:
+            return frozenset()
+        keys, members = index.by_level[h]
+        return frozenset(members[bisect_right(keys, ex) : bisect_right(keys, index.exit[x])])
 
     def immediate_successors(self, x: Ordinal) -> frozenset[Ordinal]:
         nxt = self.level_above(node_height(x))
         if nxt is None:
             return frozenset()
-        return frozenset(y for y in self.level(nxt) if self.is_below(x, y))
+        return self.successors_at(x, nxt)
 
 
 def validate_tree(t: StandardTree) -> list[str]:
@@ -113,45 +232,47 @@ def validate_tree(t: StandardTree) -> list[str]:
     out = []
     if ZERO not in t.nodes:
         out.append("clause 1: the root 0 is missing")
-    for x in sorted(t.nodes):
-        if x != ZERO and node_height(x) == ZERO:
-            out.append(f"clause 1: node {x} is nonzero with height 0")
+    for x in sorted(x for x in t.nodes if x != ZERO and node_height(x) == ZERO):
+        out.append(f"clause 1: node {x} is nonzero with height 0")
     roots = t.nodes - set(t.parent)
     if roots - {ZERO}:
         out.append(f"clause 2: non-root nodes without a parent link: {_names(roots - {ZERO})}")
-    for x, p in sorted(t.parent.items()):
+    for x, p in sorted(
+        (x, p) for x, p in t.parent.items() if x == ZERO or x not in t.nodes or p not in t.nodes
+    ):
         if x not in t.nodes or p not in t.nodes:
             out.append(f"clause 2: link {x} -> {p} leaves the node set")
-        elif x == ZERO:
+        else:
             out.append("clause 2: the root has a parent link")
     if out:
         return out
-    heights = t.heights()
-    for x, p in sorted(t.parent.items()):
+    bad = []
+    for x, p in t.parent.items():
         hx, hp = node_height(x), node_height(p)
         if not hp < hx:
-            out.append(f"clause 3: parent {p} of {x} is not lower")
+            bad.append((x, f"clause 3: parent {p} of {x} is not lower"))
             continue
-        expected = max([g for g in heights if g < hx], default=ZERO)
+        expected = t.level_below(hx)
         if hp != expected:
-            out.append(
-                f"clause 3: parent of {x} sits at {hp}, expected the previous level {expected}"
+            bad.append(
+                (x, f"clause 3: parent of {x} sits at {hp}, expected the previous level {expected}")
             )
-    if out:
-        return out
-    # ancestors at every occupied lower level; guards against parent cycles too
-    for x in sorted(t.nodes):
-        seen = {x}
-        cur = x
-        while cur != ZERO:
-            cur = t.parent[cur]
-            if cur in seen:
-                return out + [f"clause 2: parent links cycle at {cur}"]
-            seen.add(cur)
-        hit = {node_height(y) for y in seen}
+    if bad:
+        return [line for _, line in sorted(bad, key=lambda item: item[0])]
+    # ancestors at every occupied lower level.  Heights fall strictly along
+    # links (clause 3), so links cannot cycle and the ancestors' heights are
+    # distinct: all lower levels are hit iff a node has as many ancestors as
+    # there are levels below it.
+    index = t._order()
+    depth = {ZERO: 0}
+    for x in index.preorder[1:]:
+        depth[x] = depth[t.parent[x]] + 1
+    heights = index.heights
+    short = [x for x in t.nodes if depth[x] != bisect_left(heights, node_height(x)) + (x != ZERO)]
+    for x in sorted(short):
+        hit = {node_height(y) for y in t.chain_down(x)}
         want = {g for g in heights if g < node_height(x)} | {ZERO}
-        if not want <= hit:
-            out.append(f"clause 4: node {x} misses ancestors at {_names(want - hit)}")
+        out.append(f"clause 4: node {x} misses ancestors at {_names(want - hit)}")
     return out
 
 
@@ -261,9 +382,9 @@ def is_normal(t: StandardTree) -> bool:
     """Every node has successors at every higher occupied level."""
     heights = t.heights()
     for x in t.nodes:
-        above = {node_height(y) for y in t.successors(x)}
-        if any(g > node_height(x) and g not in above for g in heights):
-            return False
+        for g in heights[bisect_right(heights, node_height(x)) :]:
+            if not t.successors_at(x, g):
+                return False
     return True
 
 
@@ -286,9 +407,9 @@ def normalize(t: StandardTree) -> StandardTree:
     added = False
     levels = [ZERO] + list(heights)
     for lo, hi in zip(levels, levels[1:]):
+        fathers = {parent.get(y) for y in nodes if node_height(y) == hi}
         for x in sorted(n for n in nodes if node_height(n) == lo):
-            has_succ = any(parent.get(y) == x for y in nodes if node_height(y) == hi)
-            if not has_succ:
+            if x not in fathers:
                 z = _fresh_node(hi, used)
                 nodes.add(z)
                 parent[z] = x

@@ -1,0 +1,255 @@
+"""Reference copies of the all-pairs algorithms the library replaced.
+
+The differential tests require the library to give byte-identical verdicts,
+flags, validation reports and oracle tables to these.  Tree order queries
+here walk the parent links directly, so the references do not lean on the
+library's tree index.
+"""
+
+from __future__ import annotations
+
+from treeforcing.ordinals import ZERO, node_height
+from treeforcing.separation import (
+    Loop,
+    PairwiseViolation,
+    WitnessOrder,
+    is_rho_separated_tuple,
+    relations_between,
+)
+from treeforcing.treemaps import MapFlags
+
+
+# -- separation: every clause scans all node pairs -------------------------
+
+
+class _UnionFind:
+    def __init__(self):
+        self.parent = {}
+
+    def find(self, x):
+        self.parent.setdefault(x, x)
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, x, y):
+        self.parent[self.find(x)] = self.find(y)
+
+
+def _shortest_path(adjacency, x, y):
+    prev = {x: x}
+    queue = [x]
+    while queue:
+        cur = queue.pop(0)
+        if cur == y:
+            break
+        for nxt in adjacency[cur]:
+            if nxt not in prev:
+                prev[nxt] = cur
+                queue.append(nxt)
+    path = [y]
+    while path[-1] != x:
+        path.append(prev[path[-1]])
+    path.reverse()
+    return path
+
+
+def decide_rho_separation(fam, X, rho, alpha):
+    X = frozenset(X)
+    nodes = sorted(X)
+    # clause 1: all multi-relations between a fixed pair need rho >= alpha
+    for idx, x in enumerate(nodes):
+        for y in nodes[idx:]:
+            rels = relations_between(fam, x, y)
+            for a in range(len(rels)):
+                for b in range(a + 1, len(rels)):
+                    (m0, t0), (m1, t1) = rels[a], rels[b]
+                    if rho.value(t0, t1) < alpha:
+                        return PairwiseViolation(x, y, (m0, t0), (m1, t1), alpha)
+    # clause 2: no loops; scan deduplicated relation edges with union-find
+    adjacency = {x: [] for x in nodes}
+    seen_pairs = set()
+    uf = _UnionFind()
+    edges = sorted(
+        {
+            (min(a, b), max(a, b))
+            for tau in sorted(fam)
+            for a, b in fam[tau]
+            if a in X and b in X and a != b
+        }
+    )
+    for x, y in edges:
+        if (x, y) in seen_pairs:
+            continue
+        seen_pairs.add((x, y))
+        if uf.find(x) == uf.find(y):
+            path = _shortest_path(adjacency, x, y)
+            return Loop(tuple(path) + (x,))
+        uf.union(x, y)
+        adjacency[x].append(y)
+        adjacency[y].append(x)
+    # separated: build the witness order by segments
+    order = []
+    remaining = list(nodes)
+    while remaining:
+        segment = [remaining.pop(0)]
+        grew = True
+        while grew:
+            grew = False
+            for cand in list(remaining):
+                if any(relations_between(fam, cand, member) for member in segment):
+                    segment.append(cand)
+                    remaining.remove(cand)
+                    grew = True
+                    break
+        order.extend(segment)
+    witness = WitnessOrder(tuple(order))
+    if not is_rho_separated_tuple(fam, witness.order, rho, alpha):
+        raise RuntimeError("witness order fails its own check; decision logic is broken")
+    return witness
+
+
+# -- map classification: the strictly-increasing clause over all pair pairs --
+
+
+def _chain_down(t, x):
+    out = [x]
+    while out[-1] != ZERO:
+        out.append(t.parent[out[-1]])
+    return out
+
+
+def _is_below(t, x, y):
+    return node_height(x) < node_height(y) and x in _chain_down(t, y)[1:]
+
+
+def _restrict(t, x, b):
+    cur = x
+    while node_height(cur) != b:
+        cur = t.parent[cur]
+    return cur
+
+
+def classify_map(t, pairs):
+    ps = sorted(set(pairs))
+    for x, y in ps:
+        if x not in t.nodes or y not in t.nodes:
+            raise ValueError(f"pair ({x}, {y}) leaves the tree")
+    sources = [x for x, _ in ps]
+    targets = [y for _, y in ps]
+    heights = sorted({node_height(x) for x in t.nodes} - {ZERO})
+    pair_set = set(ps)
+    downwards_closed = True
+    for x, y in ps:
+        h = min(node_height(x), node_height(y))
+        for b in [ZERO] + [g for g in heights if g < h]:
+            if (_restrict(t, x, b), _restrict(t, y, b)) not in pair_set:
+                downwards_closed = False
+    return MapFlags(
+        functional=len(set(sources)) == len(ps),
+        strictly_increasing=all(
+            _is_below(t, b0, b1)
+            for a0, b0 in ps
+            for a1, b1 in ps
+            if _is_below(t, a0, a1)
+        ),
+        injective=len(set(targets)) == len(ps),
+        level_preserving=all(node_height(x) == node_height(y) for x, y in ps),
+        downwards_closed=downwards_closed,
+        fixed_point_free_off_root=all(x == ZERO for x, y in ps if x == y),
+    )
+
+
+# -- matched pairs: the copy's oracle demands, found by scanning all pairs ---
+
+
+def raise_rho_for_copy(pb, shared, rho):
+    b_tree, b_family = pb.tree, pb.family
+    for level in b_tree.heights():
+        nodes = sorted(b_tree.level(level))
+        for idx, u in enumerate(nodes):
+            for v in nodes[idx:]:
+                rels = relations_between(b_family, u, v)
+                for a in range(len(rels)):
+                    for b2 in range(a + 1, len(rels)):
+                        t0, t1 = rels[a][1], rels[b2][1]
+                        if t0 == t1:
+                            continue
+                        if rho.value(t0, t1) < level:
+                            if t0 in shared and t1 in shared:
+                                raise ValueError(
+                                    "shared indices would need rho above the level"
+                                )
+                            rho.set_value(t0, t1, level)
+
+
+# -- trees: every order query walks the parent links ------------------------
+
+
+def _names(items):
+    return ", ".join(str(i) for i in sorted(items))
+
+
+def validate_tree(t):
+    out = []
+    if ZERO not in t.nodes:
+        out.append("clause 1: the root 0 is missing")
+    for x in sorted(t.nodes):
+        if x != ZERO and node_height(x) == ZERO:
+            out.append(f"clause 1: node {x} is nonzero with height 0")
+    roots = t.nodes - set(t.parent)
+    if roots - {ZERO}:
+        out.append(f"clause 2: non-root nodes without a parent link: {_names(roots - {ZERO})}")
+    for x, p in sorted(t.parent.items()):
+        if x not in t.nodes or p not in t.nodes:
+            out.append(f"clause 2: link {x} -> {p} leaves the node set")
+        elif x == ZERO:
+            out.append("clause 2: the root has a parent link")
+    if out:
+        return out
+    heights = sorted({node_height(x) for x in t.nodes} - {ZERO})
+    for x, p in sorted(t.parent.items()):
+        hx, hp = node_height(x), node_height(p)
+        if not hp < hx:
+            out.append(f"clause 3: parent {p} of {x} is not lower")
+            continue
+        expected = max([g for g in heights if g < hx], default=ZERO)
+        if hp != expected:
+            out.append(
+                f"clause 3: parent of {x} sits at {hp}, expected the previous level {expected}"
+            )
+    if out:
+        return out
+    for x in sorted(t.nodes):
+        seen = {x}
+        cur = x
+        while cur != ZERO:
+            cur = t.parent[cur]
+            if cur in seen:
+                return out + [f"clause 2: parent links cycle at {cur}"]
+            seen.add(cur)
+        hit = {node_height(y) for y in seen}
+        want = {g for g in heights if g < node_height(x)} | {ZERO}
+        if not want <= hit:
+            out.append(f"clause 4: node {x} misses ancestors at {_names(want - hit)}")
+    return out
+
+
+def successors(t, x):
+    return frozenset(y for y in t.nodes if _is_below(t, x, y))
+
+
+def is_normal(t):
+    heights = sorted({node_height(x) for x in t.nodes} - {ZERO})
+    for x in t.nodes:
+        above = {node_height(y) for y in successors(t, x)}
+        if any(g > node_height(x) and g not in above for g in heights):
+            return False
+    return True
+
+
+def order_pairs(t):
+    return frozenset((x, y) for y in t.nodes for x in _chain_down(t, y)[1:])

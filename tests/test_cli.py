@@ -1,8 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import time
 
 import pytest
+
+import treeforcing
 
 from treeforcing.cli import main
 from treeforcing.codec import decode_condition, encode_condition
@@ -183,3 +189,30 @@ def test_run_scenario_cli(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "step 0 add_index: ok" in out
     assert "containment" in out
+
+
+@pytest.mark.parametrize(
+    "parents, message",
+    [
+        ([["w", "w+1"], ["w+1", "w"]], "parent links cycle at w"),
+        ([["w+1", "0"]], "node w has no parent link"),
+    ],
+    ids=["cycle", "missing-link"],
+)
+def test_leq_on_malformed_links_exits_2(tmp_path, parents, message):
+    path = tmp_path / "links.json"
+    doc = {"nodes": ["0", "w", "w+1"], "parents": parents, "indices": [], "maps": {}}
+    path.write_text(json.dumps(doc))
+    src = os.path.dirname(os.path.dirname(treeforcing.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    start = time.monotonic()
+    done = subprocess.run(
+        [sys.executable, "-m", "treeforcing.cli", "leq", str(path), str(path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert time.monotonic() - start < 30
+    assert done.returncode == 2
+    assert done.stderr == f"error: {message}\n"

@@ -1,0 +1,260 @@
+"""Differential tests: the indexed hot layers against the all-pairs references.
+
+Separation verdicts must be byte-identical to the reference decision, and
+the oracle must be left holding exactly the entries the reference consults,
+because consulted values are written into output files.  Map flags must
+equal the quadratic classification, and the matched-pair oracle extension
+must leave the same table as the reference loop.
+"""
+
+from __future__ import annotations
+
+import importlib
+import random
+from collections import Counter
+
+import treeforcing
+from treeforcing import forcing
+from treeforcing.cli import main
+from treeforcing.codec import encode_condition
+from treeforcing.forcing import Condition, build_matched_pair, validate_condition
+from treeforcing.generate import GenBounds, gen_condition
+from treeforcing.ordinals import ZERO, node_at, node_height
+from treeforcing.separation import (
+    RhoOracle,
+    decide_rho_separation,
+    decide_separation,
+    relation_index,
+    relations_between,
+)
+from treeforcing.treemaps import TreeMap, classify_map
+from treeforcing.trees import StandardTree
+
+import seed_reference as ref
+from instances import O, ONE, level_tree, random_level_family
+from test_acceptance import _matched_pair_instance
+
+W = O("w")
+LIBRARY_MODULES = (
+    "ordinals", "trees", "treemaps", "separation", "forcing", "codec", "generate", "scenario", "cli"
+)
+
+
+def logged(rho: RhoOracle) -> tuple[RhoOracle, list]:
+    """The oracle, recording every pair it is asked for."""
+    calls = []
+    value = rho.value
+
+    def record(i, j):
+        calls.append((i, j))
+        return value(i, j)
+
+    rho.value = record
+    return rho, calls
+
+
+def same_decision(fam, X, make_rho, alpha=ONE) -> str:
+    """Decide with the library and the reference on twin oracles; return the verdict.
+
+    The oracles must be asked the same pairs in the same order, the witness
+    self-check included, and end with the same table.
+    """
+    (rho, calls), (rho_ref, calls_ref) = logged(make_rho()), logged(make_rho())
+    got = str(decide_rho_separation(fam, X, rho, alpha))
+    want = str(ref.decide_rho_separation(fam, X, rho_ref, alpha))
+    assert got == want
+    assert calls == calls_ref
+    assert rho.entries() == rho_ref.entries()
+    return got
+
+
+def test_relation_index_matches_relations_between():
+    for seed in range(300):
+        rng = random.Random(seed)
+        _, fam, X = random_level_family(rng, rng.randint(1, 7), 4)
+        rel = relation_index(fam, X)
+        for x in X:
+            for y in X:
+                assert rel.get(x, {}).get(y, []) == relations_between(fam, x, y)
+
+
+def test_decide_matches_seed_on_random_level_families():
+    kinds = Counter()
+    for seed in range(3000):
+        rng = random.Random(seed)
+        _, fam, X = random_level_family(rng, rng.randint(1, 9), 4)
+        verdict = same_decision(fam, X, lambda: RhoOracle.seeded(seed, [ZERO, ONE]))
+        kinds[verdict.split(":")[0]] += 1
+    # the instance set is fixed; these are the reference's own verdict counts
+    assert kinds == {"witness-order": 1699, "pairwise-violation": 955, "loop": 346}
+
+
+def test_fixed_point_gives_both_directions_on_one_pair():
+    t = level_tree(3)
+    a, b, c = sorted(t.level(ONE))
+    fam = {4: TreeMap([(ZERO, ZERO), (a, a), (b, c)])}
+    assert relations_between(fam, a, a) == [(1, 4), (-1, 4)]
+    verdict = same_decision(fam, t.level(ONE), RhoOracle.zero)
+    assert verdict.startswith("pairwise-violation: w and w related by (m=1, index=4)")
+    # a second index on the same fixed point, with rho at the level, still
+    # fails on the diagonal pair of one index
+    fam[6] = TreeMap([(ZERO, ZERO), (a, a)])
+    same_decision(fam, t.level(ONE), lambda: RhoOracle.from_entries([(4, 6, ONE)]))
+
+
+def test_non_injective_map_has_no_inverse_relation():
+    t = level_tree(3)
+    a, b, c = sorted(t.level(ONE))
+    # f sends a and b to c, so c has no unique preimage; g sends c back to a
+    fam = {1: TreeMap([(ZERO, ZERO), (a, c), (b, c)]), 2: TreeMap([(ZERO, ZERO), (c, a)])}
+    assert relations_between(fam, c, a) == [(1, 2)]
+    assert relations_between(fam, a, c) == [(1, 1), (-1, 2)]
+    for rho in (RhoOracle.zero, lambda: RhoOracle.from_entries([(1, 2, ONE)])):
+        same_decision(fam, t.level(ONE), rho)
+
+
+def test_check_sep_on_unvalidated_non_injective_file(tmp_path, capsys):
+    t = level_tree(4)
+    a, b, c, d = sorted(t.level(ONE))
+    fam = {
+        1: TreeMap([(ZERO, ZERO), (a, c), (b, c)]),
+        2: TreeMap([(ZERO, ZERO), (c, a), (d, b)]),
+    }
+    p = Condition(t, fam)
+    assert validate_condition(p, RhoOracle.zero())  # not a condition: f is not injective
+    for entries in ([], [(1, 2, ONE)]):
+        path = tmp_path / f"noninj-{len(entries)}.json"
+        path.write_text(encode_condition(p, RhoOracle.from_entries(entries)))
+        want = ref.decide_rho_separation(fam, t.level(ONE), RhoOracle.from_entries(entries), ONE)
+        code = main(["check-sep", str(path), "--level", "1"])
+        assert capsys.readouterr().out == f"{want}\n"
+        assert code == (0 if str(want).startswith("witness-order") else 1)
+
+
+def test_untouched_nodes_in_the_level_set():
+    t = level_tree(7)
+    xs = sorted(t.level(ONE))
+    fam = {
+        1: TreeMap([(ZERO, ZERO), (xs[5], xs[1])]),
+        2: TreeMap([(ZERO, ZERO), (xs[1], xs[3])]),
+    }
+    verdict = same_decision(fam, t.level(ONE), RhoOracle.zero)
+    listed = (xs[0], xs[1], xs[3], xs[5], xs[2], xs[4], xs[6])
+    assert verdict == "witness-order: " + ", ".join(str(x) for x in listed)
+    # a subset that leaves out the middle of the chain
+    same_decision(fam, frozenset(xs[2:]), RhoOracle.zero)
+
+
+def _random_pairs(rng: random.Random, t, fam) -> list:
+    nodes = sorted(t.nodes)
+    pairs = [pair for f in fam.values() for pair in f.pairs if rng.random() < 0.7]
+    for _ in range(rng.randint(0, 6)):
+        x = rng.choice(nodes)
+        same_level = sorted(t.level(node_height(x)))
+        pairs.append((x, rng.choice(same_level if rng.random() < 0.7 else nodes)))
+    return pairs
+
+
+def test_classify_matches_quadratic_form():
+    functional = non_functional = 0
+    for seed in range(400):
+        rng = random.Random(seed)
+        bounds = GenBounds(max_heights=rng.randint(1, 4), max_level_width=6, max_indices=3)
+        p, _ = gen_condition(seed, bounds)
+        for _ in range(3):
+            pairs = _random_pairs(rng, p.tree, p.family)
+            flags = classify_map(p.tree, pairs)
+            assert flags == ref.classify_map(p.tree, pairs)
+            functional += flags.functional
+            non_functional += not flags.functional
+    assert functional > 100 and non_functional > 100
+
+
+def test_classify_rejects_pairs_off_the_tree_like_the_reference():
+    t = level_tree(2)
+    pairs = [(ZERO, ZERO), (node_at(ONE, 0), node_at(W, 0))]
+    messages = []
+    for classify in (classify_map, ref.classify_map):
+        try:
+            classify(t, pairs)
+        except ValueError as exc:
+            messages.append(str(exc))
+    assert messages == ["pair (w, w^2) leaves the tree"] * 2
+
+
+def _petal_twins(width: int, k: int):
+    """Indices 0..k all relate the first two level-1 nodes and their successors.
+
+    rho is at alpha on every pair, so index 0 is the only shared one and the
+    copy's fresh indices demand new rho values on every level of the copy.
+    """
+    alpha, beta = O("w^w"), O("w^w*2")
+    low = [node_at(ONE, i) for i in range(width)]
+    high = [node_at(alpha, i) for i in range(width)]
+    links = {**{x: ZERO for x in low}, **dict(zip(high, low))}
+    tree = StandardTree.make([ZERO] + low + high, links)
+    pairs = [(ZERO, ZERO), (low[0], low[1]), (high[0], high[1])]
+    p = Condition(tree, {i: TreeMap(pairs) for i in range(k + 1)})
+    entries = [(i, j, alpha) for i in range(k + 1) for j in range(i + 1, k + 1)]
+    assert not validate_condition(p, RhoOracle.from_entries(entries))
+    return p, alpha, beta, high[0], lambda: RhoOracle.from_entries(entries)
+
+
+def _matched_pair_cases():
+    for seed in range(1, 201):
+        p, alpha, beta, x, _ = _matched_pair_instance(seed)
+        yield p, alpha, beta, x, lambda seed=seed: _matched_pair_instance(seed)[4]
+    for width in (2, 3, 4):
+        for k in (1, 2, 3):
+            yield _petal_twins(width, k)
+
+
+def test_matched_pair_oracle_extension_matches_reference_loop(monkeypatch):
+    changed = []
+
+    def reference(pb, shared, rho):
+        before = rho.entries()
+        ref.raise_rho_for_copy(pb, shared, rho)
+        changed.append(rho.entries() != before)
+
+    runs = 0
+    for p, alpha, beta, x, make_rho in _matched_pair_cases():
+        outcomes = []
+        for helper in (forcing._raise_rho_for_copy, reference):
+            monkeypatch.setattr(forcing, "_raise_rho_for_copy", helper)
+            rho = make_rho()
+            try:
+                build_matched_pair(p, alpha, beta, x, 500, rho)
+                outcomes.append(rho.entries())
+            except ValueError as exc:
+                outcomes.append(str(exc))
+            monkeypatch.undo()
+        assert outcomes[0] == outcomes[1]
+        runs += 1
+    # the criterion-6 copies demand nothing new; the petal twins all do
+    assert runs == 209 and sum(changed) >= 9
+
+
+def _module_sizes() -> dict[str, int]:
+    """Sizes of every container or oracle table bound at module level in the library."""
+    sizes = {}
+    for name in LIBRARY_MODULES:
+        module = importlib.import_module(f"treeforcing.{name}")
+        for attr, value in vars(module).items():
+            if isinstance(value, RhoOracle):
+                sizes[f"{name}.{attr}.table"] = len(value.table)
+            elif isinstance(value, (dict, list, set)) and not attr.startswith("__"):
+                sizes[f"{name}.{attr}"] = len(value)
+            elif hasattr(value, "cache_info"):
+                sizes[f"{name}.{attr}.cache"] = value.cache_info().currsize
+    return sizes
+
+
+def test_decide_separation_leaves_no_module_state():
+    before = _module_sizes()
+    rng = random.Random(5)
+    for _ in range(1000):
+        _, fam, X = random_level_family(rng, rng.randint(1, 6), 3)
+        decide_separation(fam, X)
+    assert _module_sizes() == before
+    assert not hasattr(treeforcing.ordinals.height_split, "cache_info")

@@ -6,6 +6,7 @@ import pytest
 
 from treeforcing.ordinals import ZERO, node_at, node_height, parse_ordinal
 from treeforcing.trees import (
+    MalformedTreeError,
     StandardTree,
     downward_closure,
     fan_out,
@@ -18,6 +19,8 @@ from treeforcing.trees import (
     unique_dropdowns,
     validate_tree,
 )
+
+import seed_reference as ref
 
 O = parse_ordinal
 
@@ -282,3 +285,71 @@ def test_restrict_monotone_and_closure_idempotent():
         c = downward_closure(t, Y)
         assert downward_closure(t, c) == c
         assert c <= downward_closure(t, t.nodes)
+
+
+def test_parent_links_are_read_only():
+    links = {O("w"): ZERO, O("w+1"): ZERO}
+    t = StandardTree(frozenset([ZERO, O("w"), O("w+1")]), links)
+    with pytest.raises(TypeError):
+        t.parent[O("w+1")] = O("w")
+    links[O("w+1")] = O("w")  # the tree keeps its own copy
+    assert t.parent[O("w+1")] == ZERO
+    assert t == StandardTree(frozenset(t.nodes), dict(t.parent))
+    assert t == StandardTree.make(t.nodes, {O("w+1"): ZERO, O("w"): ZERO})
+    assert t != t1()
+
+
+def test_cyclic_links_are_reported_not_followed():
+    w, w1 = O("w"), O("w+1")
+    t = StandardTree.make([ZERO, w, w1], {w: w1, w1: w})
+    assert validate_tree(t) == ref.validate_tree(t)
+    assert validate_tree(t)[0].startswith("clause 3")
+    for query in (t.order_pairs, lambda: t.chain_down(w), lambda: t.successors(ZERO)):
+        with pytest.raises(MalformedTreeError, match="parent links cycle at w"):
+            query()
+
+
+def test_missing_link_is_a_named_error():
+    t = StandardTree.make([ZERO, O("w"), O("w*2")], {O("w*2"): O("w")})
+    assert validate_tree(t) == ["clause 2: non-root nodes without a parent link: w"]
+    with pytest.raises(MalformedTreeError, match="node w has no parent link"):
+        t.is_below(ZERO, O("w*2"))
+    assert t.heights() == (O("1"), O("2"))  # the level structure needs no links
+
+
+def _corrupt(rng: random.Random, t: StandardTree) -> StandardTree:
+    nodes = set(t.nodes)
+    parent = dict(t.parent)
+    kind = rng.randrange(5)
+    victim = rng.choice(sorted(nodes - {ZERO}) or [ZERO])
+    if kind == 0 and victim in parent:
+        del parent[victim]
+    elif kind == 1 and victim != ZERO:
+        parent[victim] = rng.choice(sorted(nodes))
+    elif kind == 2:
+        parent[ZERO] = victim
+    elif kind == 3:
+        nodes.discard(rng.choice(sorted(nodes)))
+    else:
+        nodes.add(node_at(node_height(victim) + O("1"), 7))
+    return StandardTree(frozenset(nodes), parent)
+
+
+def test_tree_queries_match_parent_walks():
+    rng = random.Random(11)
+    for seed in range(150):
+        t = random_tree(seed, levels=rng.randint(1, 5), width=rng.randint(1, 4))
+        assert validate_tree(t) == []
+        nodes = sorted(t.nodes)
+        for x in nodes:
+            assert t.successors(x) == ref.successors(t, x)
+            nxt = t.level_above(node_height(x))
+            want = frozenset(y for y in ref.successors(t, x) if node_height(y) == nxt)
+            assert t.immediate_successors(x) == want
+            for y in nodes:
+                assert t.is_below(x, y) == ref._is_below(t, x, y)
+        assert t.order_pairs() == ref.order_pairs(t)
+        assert is_normal(t) == ref.is_normal(t)
+        for _ in range(4):
+            bad = _corrupt(rng, t)
+            assert validate_tree(bad) == ref.validate_tree(bad)
