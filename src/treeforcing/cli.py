@@ -176,7 +176,11 @@ def _dispatch(args: argparse.Namespace) -> int:
         X = frozenset(_ordinals(args.nodes)) if args.nodes else p.tree.level(level)
         fam = dict(p.family)
         if args.indices:
-            fam = {t: fam[t] for t in _naturals(args.indices)}
+            wanted = _naturals(args.indices)
+            missing = [t for t in wanted if t not in fam]
+            if missing:
+                raise ValueError(f"indices not in the condition: {', '.join(map(str, missing))}")
+            fam = {t: fam[t] for t in wanted}
         if args.plain:
             verdict = decide_separation(fam, X)
         else:

@@ -515,17 +515,23 @@ def lift_with_support(
 def strong_ad_containment(trace: Sequence[Condition], g: int, t: int) -> bool:
     """Agreements of two maps in the last condition stay under the first ones.
 
-    ``trace`` must be descending in the poset order.  Taking the first
-    condition carrying both indices, every non-root agreement pair of the
-    two maps in the last condition must lie in the downward closure (in the
-    last tree) of the agreement pairs of the first.  The root pair is
-    disregarded; it is structural.
+    ``trace`` must be descending in the poset order; this is checked first.
+    Taking the first condition carrying both indices, every non-root
+    agreement pair of the two maps in the last condition must lie in the
+    downward closure (in the last tree) of the agreement pairs of the first.
+    The root pair is disregarded; it is structural.
     """
     if g == t:
         raise ValueError("indices must be distinct")
     for later, earlier in zip(trace[1:], trace):
         if not leq(later, earlier):
             raise ValueError("trace is not descending")
+    return agreement_containment(trace, g, t)
+
+
+def agreement_containment(trace: Sequence[Condition], g: int, t: int) -> bool:
+    """The containment test of ``strong_ad_containment`` on a trace already
+    known to descend, so one descent check can serve every index pair."""
     first = next(
         (p for p in trace if g in p.family and t in p.family),
         None,

@@ -11,73 +11,56 @@ Coefficients are plain Python ints, so they never overflow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import itemgetter
 
 
 class OrdinalParseError(ValueError):
     """The string does not match the ordinal grammar."""
 
 
-@dataclass(frozen=True, eq=False)
-class Ordinal:
+class Ordinal(tuple):
     """An ordinal below epsilon_0 in Cantor normal form.
 
     ``terms`` lists (exponent, coefficient) pairs with exponents strictly
     decreasing and every coefficient >= 1; ``()`` denotes 0.
 
-    The hash is computed once, on first use, and kept on the instance
-    (hash-consing without the interning table); ``height_split`` memoises
-    its result the same way.  Neither recurses through the exponents again.
-    Most ordinals built in passing are never hashed, so construction does
-    no hashing.
+    The value is a tuple holding exactly ``(terms,)``.  Tuple order on it is
+    the Cantor-normal-form order: the first differing term decides, its
+    exponent before its coefficient, and a proper prefix is smaller.  So
+    hashing, equality and comparison are tuple's own C slots, recursing
+    through the exponents without a Python frame, and the hash equals the
+    one a frozen dataclass with the single field ``terms`` gives, so set
+    orders do not depend on the representation.  ``height_split`` memoises
+    its result on the instance.  Being a tuple, an ordinal also compares
+    equal to the plain tuple ``(terms,)``; the library never mixes the two.
     """
 
-    terms: tuple[tuple["Ordinal", int], ...] = ()
+    terms = property(itemgetter(0), doc="The (exponent, coefficient) pairs, highest first.")
 
-    def __post_init__(self) -> None:
+    def __new__(cls, terms: tuple[tuple["Ordinal", int], ...] = ()) -> "Ordinal":
         prev = None
-        for exp, coeff in self.terms:
+        for exp, coeff in terms:
             if not isinstance(coeff, int) or coeff < 1:
                 raise ValueError(f"coefficient must be a positive int, got {coeff!r}")
             if prev is not None and not exp < prev:
                 raise ValueError("exponents must be strictly decreasing")
             prev = exp
+        return tuple.__new__(cls, (terms,))
 
-    _hash = None  # filled on first use
+    def __getnewargs__(self) -> tuple:
+        return (self[0],)
 
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            # the value a generated dataclass hash gives, so set orders stay
-            # put; written past the frozen guard, as functools.cached_property does
-            h = self.__dict__["_hash"] = hash((self.terms,))
-        return h
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Ordinal is immutable; cannot assign {name!r}")
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not Ordinal:
-            return NotImplemented
-        return self.terms == other.terms
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"Ordinal is immutable; cannot delete {name!r}")
 
-    # -- order ---------------------------------------------------------
-
-    def __lt__(self, other: "Ordinal") -> bool:
-        for (ea, ca), (eb, cb) in zip(self.terms, other.terms):
-            if ea != eb:
-                return ea < eb
-            if ca != cb:
-                return ca < cb
-        return len(self.terms) < len(other.terms)
-
-    def __le__(self, other: "Ordinal") -> bool:
-        return self == other or self < other
-
-    def __gt__(self, other: "Ordinal") -> bool:
-        return other < self
-
-    def __ge__(self, other: "Ordinal") -> bool:
-        return other <= self
+    # named in the class body so that they are the class's own attributes;
+    # CPython still fills the type slots with tuple's C functions
+    __hash__ = tuple.__hash__
+    __eq__ = tuple.__eq__
+    __lt__ = tuple.__lt__
 
     # -- arithmetic ----------------------------------------------------
 
@@ -221,6 +204,12 @@ def left_subtract(a: Ordinal, b: Ordinal) -> Ordinal:
 # term    := nat | "w" | "w*" nat | "w^" atom | "w^" atom "*" nat
 # atom    := nat | "w" | "(" ordinal ")"
 # nat     := [1-9][0-9]*
+#
+# Parentheses may nest at most MAX_NESTING deep.  The library's own labels
+# nest a few levels; the bound keeps the recursive descent (and printing,
+# which recurses the same way) far from the interpreter's recursion limit.
+
+MAX_NESTING = 100
 
 
 def parse_ordinal(text: str) -> Ordinal:
@@ -235,6 +224,7 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def fail(self, why: str) -> OrdinalParseError:
         return OrdinalParseError(f"{why} at position {self.pos}: {self.text!r}")
@@ -277,11 +267,15 @@ class _Parser:
             self.pos += 1
             return OMEGA
         if ch == "(":
+            if self.depth == MAX_NESTING:
+                raise self.fail(f"parentheses nest deeper than {MAX_NESTING}")
             self.pos += 1
+            self.depth += 1
             inner = self.parse_ordinal()
             if self.peek() != ")":
                 raise self.fail("expected ')'")
             self.pos += 1
+            self.depth -= 1
             return inner
         return Ordinal.from_int(self.parse_nat())
 

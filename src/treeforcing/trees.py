@@ -302,14 +302,43 @@ def is_extension(t: StandardTree, u: StandardTree) -> bool:
     When the containment holds, the order of u restricted to t must equal
     the order of t (extensions are automatically end-extensions); a failure
     of that equality means an input was not a valid tree.
+
+    Linear in the two trees: the order containment reads u's DFS intervals
+    and the end-extension compares ancestor counts.  Neither relies on the
+    heights along the links, so trees that fail validation get the answer
+    of the pairwise comparison of ``order_pairs``.
     """
     if not t.nodes <= u.nodes:
         return False
-    pt, pu = t.order_pairs(), u.order_pairs()
-    if not pt <= pu:
-        return False
-    restricted = {(x, y) for (x, y) in pu if x in t.nodes and y in t.nodes}
-    if restricted != pt:
+    it, iu = t._order(), u._order()
+    nodes, enter, exit_ = t.nodes, iu.enter, iu.exit
+    # every t-ancestor x of a node y of t must be a u-ancestor of y: the
+    # nodes of t under each link c -> x span the u-preorder keys lo..hi,
+    # and x's u-interval must hold them all
+    span: dict[Ordinal, tuple[int, int]] = {}
+    empty = (len(iu.preorder), -1)
+    for c in reversed(it.preorder[1:]):
+        lo, hi = span.get(c, empty)
+        if c in nodes:
+            lo, hi = min(lo, enter[c]), max(hi, enter[c])
+        if hi < 0:
+            continue
+        x = t.parent[c]
+        if x not in enter or not enter[x] < lo or exit_[x] < hi:
+            return False
+        xlo, xhi = span.get(x, empty)
+        span[x] = min(xlo, lo), max(xhi, hi)
+    # end-extension: y's t-ancestors all lie in t and are exactly its
+    # u-ancestors inside t, which, given the containment, is a count
+    depth = {ZERO: 0}
+    for c in it.preorder[1:]:
+        x = t.parent[c]
+        depth[c] = depth[x] + 1 if x in nodes and depth[x] >= 0 else -1
+    inside = {ZERO: 0}
+    for c in iu.preorder[1:]:
+        x = u.parent[c]
+        inside[c] = inside[x] + (x in nodes)
+    if any(depth[y] != inside[y] for y in nodes):
         raise RuntimeError("extension is not an end-extension; inputs are not standard trees")
     return True
 

@@ -1,12 +1,15 @@
-"""Reference copies of the all-pairs algorithms the library replaced.
+"""Reference copies of the algorithms the library replaced.
 
 The differential tests require the library to give byte-identical verdicts,
 flags, validation reports and oracle tables to these.  Tree order queries
 here walk the parent links directly, so the references do not lean on the
-library's tree index.
+library's tree index.  ``SeedOrdinal`` is the dataclass ordinal whose
+comparisons recurse through Python methods.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 from treeforcing.ordinals import ZERO, node_height
 from treeforcing.separation import (
@@ -17,6 +20,39 @@ from treeforcing.separation import (
     relations_between,
 )
 from treeforcing.treemaps import MapFlags
+
+
+# -- ordinals: a frozen dataclass with recursive comparisons -----------------
+
+
+@dataclass(frozen=True)
+class SeedOrdinal:
+    """The dataclass ordinal: generated ``__eq__`` and ``__hash__`` over
+    ``(terms,)``, and a hand-written order that recurses into exponents."""
+
+    terms: tuple = ()
+
+    def __lt__(self, other):
+        for (ea, ca), (eb, cb) in zip(self.terms, other.terms):
+            if ea != eb:
+                return ea < eb
+            if ca != cb:
+                return ca < cb
+        return len(self.terms) < len(other.terms)
+
+    def __le__(self, other):
+        return self == other or self < other
+
+    def __gt__(self, other):
+        return other < self
+
+    def __ge__(self, other):
+        return other <= self
+
+
+def seed_ordinal(a):
+    """The SeedOrdinal with the same terms as the library ordinal a."""
+    return SeedOrdinal(tuple((seed_ordinal(e), c) for e, c in a.terms))
 
 
 # -- separation: every clause scans all node pairs -------------------------
@@ -253,3 +289,20 @@ def is_normal(t):
 
 def order_pairs(t):
     return frozenset((x, y) for y in t.nodes for x in _chain_down(t, y)[1:])
+
+
+def order_pairs_checked(t):
+    t._order()  # the library's fault check: a cycle or a missing link raises
+    return order_pairs(t)
+
+
+def is_extension(t, u):
+    if not t.nodes <= u.nodes:
+        return False
+    pt, pu = order_pairs_checked(t), order_pairs_checked(u)
+    if not pt <= pu:
+        return False
+    restricted = {(x, y) for (x, y) in pu if x in t.nodes and y in t.nodes}
+    if restricted != pt:
+        raise RuntimeError("extension is not an end-extension; inputs are not standard trees")
+    return True

@@ -216,3 +216,19 @@ def test_leq_on_malformed_links_exits_2(tmp_path, parents, message):
     assert time.monotonic() - start < 30
     assert done.returncode == 2
     assert done.stderr == f"error: {message}\n"
+
+
+def test_check_sep_on_missing_indices_exits_2(tmp_path, capsys):
+    path = tmp_path / "gen.json"
+    assert main(["--seed", "3", "--out", str(path), "gen"]) == 0
+    present = sorted(decode_condition(path.read_text())[0].family)
+    assert 77 not in present
+    wanted = ",".join(map(str, [present[0], 77, 78]))
+    assert main(["check-sep", str(path), "--level", "1", "--indices", wanted]) == 2
+    assert capsys.readouterr().err == "error: indices not in the condition: 77, 78\n"
+
+
+def test_deeply_nested_level_exits_2(t1_file, capsys):
+    level = "w^(" * 1500 + "1" + ")" * 1500
+    assert main(["check-sep", t1_file, "--level", level]) == 2
+    assert "nest deeper than" in capsys.readouterr().err

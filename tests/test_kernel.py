@@ -1,0 +1,298 @@
+"""The tuple-backed ordinal kernel and the linear tree-extension test.
+
+Ordinals compare and hash as tuples; these tests hold them to the
+dataclass ordinal with recursive comparisons (``seed_reference``), hash
+values included, since set iteration orders and so output bytes depend on
+them.  ``is_extension`` must give the pairwise order-set comparison's
+answer or error on valid trees and on corrupted ones.  The benchmark's
+tracer wraps library names by lookup, so a test installs it here.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import os
+import random
+from collections import Counter
+
+import pytest
+
+from treeforcing import forcing, ordinals, scenario, trees
+from treeforcing.forcing import agreement_containment, strong_ad_containment
+from treeforcing.ordinals import (
+    MAX_NESTING,
+    ZERO,
+    Ordinal,
+    OrdinalParseError,
+    node_at,
+    node_height,
+    parse_ordinal,
+)
+from treeforcing.scenario import run_scenario
+from treeforcing.trees import MalformedTreeError, StandardTree, fan_out, normalize, simple_extend
+
+import seed_reference as ref
+from test_acceptance import _scripted_scenario
+from test_trees import random_tree
+
+O = parse_ordinal
+
+
+# -- ordinals ------------------------------------------------------------------
+
+
+def random_ordinal(rng: random.Random, depth: int = 3) -> Ordinal:
+    """A CNF ordinal with up to three terms and exponents nested up to ``depth``."""
+    if rng.random() < 0.15:
+        return ZERO
+    exps = set()
+    for _ in range(rng.randint(1, 3)):
+        nest = depth and rng.random() < 0.5
+        exps.add(random_ordinal(rng, depth - 1) if nest else Ordinal.from_int(rng.randint(0, 3)))
+    return Ordinal(tuple((e, rng.randint(1, 3)) for e in sorted(exps, reverse=True)))
+
+
+def near(rng: random.Random, a: Ordinal) -> Ordinal:
+    """An ordinal equal to a, or a with one term changed, dropped or added."""
+    terms = list(a.terms)
+    kind = rng.randrange(4)
+    if kind == 0 or not terms:
+        return Ordinal(tuple(terms))  # equal, but a distinct object
+    k = rng.randrange(len(terms))
+    if kind == 1:
+        e, c = terms[k]
+        terms[k] = (e, max(1, c + rng.choice((-1, 1))))
+    elif kind == 2:
+        del terms[k]
+    elif terms[-1][0] != ZERO:
+        terms.append((ZERO, 1))
+    else:
+        terms.pop()
+    return Ordinal(tuple(terms))
+
+
+def test_order_equality_and_hash_match_the_dataclass_ordinal():
+    rng = random.Random(2024)
+    seen = Counter()
+    for _ in range(5000):
+        a = random_ordinal(rng)
+        b = near(rng, a) if rng.random() < 0.5 else random_ordinal(rng)
+        sa, sb = ref.seed_ordinal(a), ref.seed_ordinal(b)
+        assert (a < b, a <= b, a > b, a >= b, a == b, a != b) == (
+            sa < sb, sa <= sb, sa > sb, sa >= sb, sa == sb, sa != sb
+        ), (a, b)
+        assert hash(a) == hash(sa)
+        assert str(parse_ordinal(str(a))) == str(a)
+        seen["eq" if a == b else "lt" if a < b else "gt"] += 1
+        seen["zero"] += a == ZERO
+        seen["nested"] += any(not e.is_finite for e, _ in a.terms)
+    assert min(seen.values()) > 200, seen
+
+
+def test_set_and_sorted_orders_match_the_dataclass_ordinal():
+    rng = random.Random(7)
+    pool = [random_ordinal(rng) for _ in range(400)]
+    seeds = [ref.seed_ordinal(a) for a in pool]
+    assert [ref.seed_ordinal(a) for a in sorted(pool)] == sorted(seeds)
+    assert [ref.seed_ordinal(a) for a in set(pool)] == list(set(seeds))
+
+
+def test_ordinal_is_a_tuple_of_its_terms():
+    a = O("w^(w+1)*2+w*3+4")
+    assert isinstance(a, tuple) and tuple(a) == (a.terms,)
+    assert Ordinal.__hash__ is tuple.__hash__
+    assert Ordinal.__eq__ is tuple.__eq__ and Ordinal.__lt__ is tuple.__lt__
+    assert not ZERO and O("1")
+    with pytest.raises(AttributeError):
+        a.terms = ()
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    with pytest.raises(ValueError, match="strictly decreasing"):
+        Ordinal(((ZERO, 1), (ZERO, 2)))
+    with pytest.raises(ValueError, match="positive int"):
+        Ordinal(((ZERO, 0),))
+
+
+def test_copies_and_pickles_rebuild_the_same_ordinal():
+    import copy
+    import pickle
+
+    a = node_at(O("w^w+1"), 3)
+    node_height(a)  # fills the memo, which must not disturb copying
+    for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert type(b) is Ordinal and b == a and hash(b) == hash(a) and str(b) == str(a)
+
+
+def nested(depth: int) -> str:
+    return "w^(" * depth + "1" + ")" * depth
+
+
+def test_parser_bounds_the_nesting_depth():
+    deepest = parse_ordinal(nested(MAX_NESTING))
+    assert parse_ordinal(str(deepest)) == deepest
+    for depth in (MAX_NESTING + 1, 1500):
+        with pytest.raises(OrdinalParseError, match=f"nest deeper than {MAX_NESTING}"):
+            parse_ordinal(nested(depth))
+
+
+# -- is_extension ----------------------------------------------------------------
+
+
+def outcome(fn, *args):
+    try:
+        return ("value", fn(*args))
+    except (RuntimeError, MalformedTreeError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def extension_of(rng: random.Random, t: StandardTree) -> StandardTree:
+    """A valid tree extending t: new levels, fanned-out nodes, normalisation."""
+    u = t
+    new = [g for g in (O("1"), O("2"), O("3"), O("w"), O("w+1"), O("w*2")) if g not in t.heights()]
+    if new and rng.random() < 0.7:
+        u = simple_extend(u, set(u.heights()) | set(rng.sample(new, rng.randint(1, len(new)))))
+    for _ in range(rng.randint(0, 3)):
+        x = rng.choice(sorted(u.nodes))
+        if u.level_above(node_height(x)) is not None:
+            u = fan_out(u, {x}, len(u.immediate_successors(x)) + 1)
+    return normalize(u) if rng.random() < 0.3 else u
+
+
+def corrupt(rng: random.Random, t: StandardTree) -> StandardTree:
+    """t with one defect: a rerouted link, an upward link, a missing node,
+    a missing link or a cycle."""
+    nodes, parent = set(t.nodes), dict(t.parent)
+    inner = sorted(nodes - {ZERO})
+    if not inner:
+        return t
+    x = rng.choice(inner)
+    kind = rng.randrange(5)
+    if kind == 0:
+        parent[x] = rng.choice(sorted(nodes - {x}))
+    elif kind == 1:
+        higher = [y for y in inner if node_height(x) < node_height(y)]
+        parent[x] = rng.choice(higher) if higher else x
+    elif kind == 2:
+        nodes.discard(x)
+    elif kind == 3:
+        del parent[x]
+    else:
+        y = rng.choice(inner)
+        parent[x], parent[y] = y, x
+    return StandardTree(frozenset(nodes), parent)
+
+
+def test_is_extension_matches_the_order_pair_comparison():
+    rng = random.Random(5)
+    kinds = Counter()
+    for seed in range(250):
+        t = random_tree(seed, levels=rng.randint(1, 5), width=rng.randint(1, 3))
+        u = extension_of(rng, t)
+        cases = [(t, u), (u, t), (t, t), (t, random_tree(seed + 1000))]
+        for _ in range(3):
+            bad_t, bad_u = corrupt(rng, t), corrupt(rng, u)
+            cases += [(bad_t, u), (t, bad_u), (corrupt(rng, t), bad_u)]
+        for a, b in cases:
+            want = outcome(ref.is_extension, a, b)
+            assert outcome(trees.is_extension, a, b) == want, (a, b)
+            kinds[want[0] if want[0] != "value" else str(want[1])] += 1
+    assert kinds["True"] > 500 and kinds["False"] > 500, kinds
+    assert kinds["RuntimeError"] > 20 and kinds["MalformedTreeError"] > 100, kinds
+
+
+def test_is_extension_on_links_through_a_dropped_node():
+    w, w1, w2, w3 = O("w"), O("w+1"), O("w*2"), O("w*3")
+    u = StandardTree.make([ZERO, w, w1, w2, w3], {w: ZERO, w1: ZERO, w2: w, w3: w2})
+    cases = [
+        # t keeps the link w*2 -> w but not the node w
+        (StandardTree.make([ZERO, w2], {w2: w, w: ZERO}), ("RuntimeError",)),
+        # w*3 reaches the root through w*2, outside t, while t holds w, which
+        # u puts under w*3: as many ancestors in t as links, but other ones
+        (StandardTree.make([ZERO, w, w3], {w3: w2, w2: ZERO, w: ZERO}), ("RuntimeError",)),
+        (StandardTree.make([ZERO, w2], {w2: w1, w1: ZERO}), ("value", False)),
+        # the chain leaves t through w and w+1, and w+1 is not under w*2 in u
+        (StandardTree.make([ZERO, w2], {w2: w, w: w1, w1: ZERO}), ("value", False)),
+    ]
+    for t, want in cases:
+        got = outcome(trees.is_extension, t, u)
+        assert got == outcome(ref.is_extension, t, u)
+        assert got[: len(want)] == want
+
+
+def test_extension_does_not_list_order_pairs(monkeypatch):
+    def refuse(self):
+        raise AssertionError("order_pairs called")
+
+    monkeypatch.setattr(StandardTree, "order_pairs", refuse)
+    t = random_tree(3)
+    assert trees.is_extension(t, normalize(simple_extend(t, set(t.heights()) | {O("w*3")})))
+
+
+# -- the containment report ---------------------------------------------------------
+
+
+def containment_lines(trace):
+    """(g, t, line) for each line of the scenario's containment report."""
+    for line in trace.log:
+        if line.startswith("containment "):
+            g, t = map(int, line.split()[1].rstrip(":").split(","))
+            yield g, t, line
+
+
+def test_containment_report_checks_descent_once(monkeypatch):
+    reports = []
+    for seed in range(20):
+        trace = run_scenario(_scripted_scenario(seed))
+        assert trace.ok
+        for g, t, line in containment_lines(trace):
+            held = strong_ad_containment(trace.conditions, g, t)
+            assert line == f"containment {g},{t}: {'ok' if held else 'VIOLATED'}"
+            reports.append((trace, g, t, held))
+    assert len(reports) > 20
+
+    def refuse(q, p):
+        raise AssertionError("leq called")
+
+    monkeypatch.setattr(forcing, "leq", refuse)
+    for trace, g, t, held in reports:
+        assert agreement_containment(trace.conditions, g, t) == held
+        with pytest.raises(AssertionError, match="leq called"):
+            strong_ad_containment(trace.conditions, g, t)
+    assert scenario.agreement_containment is agreement_containment
+
+
+# -- the benchmark tracer ------------------------------------------------------------
+
+
+def load_tracer():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.path.join(root, "perfbench", "tracer.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_and_removes_cleanly():
+    tracer_module = load_tracer()
+    originals = {name: getattr(forcing, name) for name in ("leq", "strong_ad_containment")}
+    tracer = tracer_module.Tracer()
+    try:
+        tracer.install()
+        wrapped = set(tracer.names)
+        grouped = {name for members in tracer_module.GROUPS.values() for name in members}
+        assert grouped | set(tracer_module.RECHECK) <= wrapped, sorted(grouped - wrapped)
+        for attr in ("__hash__", "__eq__", "__lt__"):
+            assert getattr(Ordinal, attr) is not getattr(tuple, attr)
+        trace = run_scenario(_scripted_scenario(0))
+        assert trace.ok
+        assert min(tracer.ordinal_counts[k] for k in ("hash", "eq", "compare")) > 0
+        assert tracer.calls_of("trees.is_extension") > 0
+    finally:
+        tracer.remove()
+    assert Ordinal.__hash__ is tuple.__hash__
+    assert Ordinal.__eq__ is tuple.__eq__ and Ordinal.__lt__ is tuple.__lt__
+    assert {name: getattr(forcing, name) for name in originals} == originals
+    assert scenario.run_scenario is run_scenario and ordinals.parse_ordinal is parse_ordinal
+    a = O("w^w+1")
+    assert hash(a) == hash((a.terms,))
