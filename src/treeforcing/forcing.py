@@ -6,6 +6,15 @@ new condition below its input in the poset order and checks its own
 postconditions; a failed check raises RuntimeError because it signals a bug,
 not bad input.
 
+Each constructive operation is an unchecked kernel plus one full check at
+the public boundary.  Operations built from smaller ones (widening is a
+height extension then a fan-out; bijectivizing a cone iterates the level
+construction; amalgamation bijectivizes a cone) compose the kernels, never
+the checked public functions, and then check their final output once:
+``validate_condition`` on it, ``leq`` against their own input, and whatever
+clauses of the pieces those two do not imply (a simple extension, a normal
+tree, successor counts, height sets, separation on the fans).
+
 The order's agreement clause disregards the structural root agreement
 (0, 0): any two maps defined at the root fix it, and index augmentation
 necessarily passes through the root, so root agreements carry no
@@ -15,6 +24,7 @@ information about where two maps genuinely coincide.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .ordinals import (
@@ -39,22 +49,21 @@ from .separation import (
 )
 from .treemaps import (
     TreeMap,
+    _downward_close,
     agreement_pairs,
     classify_map,
-    downward_close_map,
-    is_standard,
     tensor_downward_closure,
 )
 from .trees import (
     StandardTree,
-    fan_out,
+    _adds_simply,
+    _fan_out,
+    _fresh_node,
+    _normalize,
+    _simple_extend,
     is_extension,
     is_hausdorff,
     is_normal,
-    is_simple_extension,
-    normalize,
-    simple_extend,
-    unique_dropdowns,
     validate_tree,
 )
 
@@ -63,8 +72,17 @@ ROOT_PAIR = (ZERO, ZERO)
 
 @dataclass(frozen=True)
 class Condition:
+    """A tree and its indexed map family; both are read-only.
+
+    ``family`` is a private read-only copy of the mapping passed in, so a
+    condition that passed its check cannot change afterwards.
+    """
+
     tree: StandardTree
     family: Mapping[int, TreeMap]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "family", MappingProxyType(dict(self.family)))
 
     @staticmethod
     def trivial() -> "Condition":
@@ -136,27 +154,86 @@ def leq(q: Condition, p: Condition) -> bool:
 
 
 def _check_step(p: Condition, q: Condition, rho: RhoOracle, op: str) -> Condition:
+    """The boundary check: q is a condition below p.
+
+    The operations do not validate their input up front; a failed check is
+    blamed on p (ValueError) when p itself is not a condition, and is an
+    internal fault (RuntimeError) otherwise.
+    """
     report = validate_condition(q, rho)
     if report:
+        _blame_input(p, rho, op)
         raise RuntimeError(f"{op} produced an invalid condition: {'; '.join(report)}")
     if not leq(q, p):
+        _blame_input(p, rho, op)
         raise RuntimeError(f"{op} produced a condition that does not extend its input")
     return q
+
+
+def _blame_input(p: Condition, rho: RhoOracle, op: str) -> None:
+    report = validate_condition(p, rho)
+    if report:
+        raise ValueError(f"{op}: input is not a valid condition: {'; '.join(report)}")
 
 
 # -- density operations -------------------------------------------------------
 
 
-def extend_heights(p: Condition, Z: Iterable[Ordinal], rho: RhoOracle) -> Condition:
-    """Occupy the heights of Z via a simple extension, closing every map downward."""
-    Z = frozenset(Z)
+def _extend_heights(p: Condition, Z: frozenset[Ordinal]) -> Condition:
+    """``extend_heights`` without its check; p itself when Z is occupied already."""
     if ZERO in Z:
         raise ValueError("0 cannot be an occupied height")
     if Z <= set(p.tree.heights()):
         return p
-    u = simple_extend(p.tree, Z | set(p.tree.heights()))
-    fam = {tau: downward_close_map(p.tree, u, f) for tau, f in p.family.items()}
-    return _check_step(p, Condition(u, fam), rho, "extend_heights")
+    u = _simple_extend(p.tree, Z | set(p.tree.heights()))
+    return Condition(u, {tau: _downward_close(u, f) for tau, f in p.family.items()})
+
+
+def _check_extend(
+    p: Condition, q: Condition, Z: frozenset[Ordinal], rho: RhoOracle, op: str
+) -> Condition:
+    """The boundary check of a height extension: q is valid and below p, its
+    tree is a simple extension of p's with heights ht[p] + Z, and each map
+    restricts back to p's map on p's nodes."""
+    _check_step(p, q, rho, op)
+    if not _adds_simply(p.tree, q.tree) or set(q.tree.heights()) != Z | set(p.tree.heights()):
+        raise RuntimeError(f"{op} produced a non-simple extension")
+    nodes = p.tree.nodes
+    for tau, f in p.family.items():
+        if TreeMap(pair for pair in q.family[tau] if pair[0] in nodes) != f:
+            raise RuntimeError(f"{op} changed map {tau} on the old nodes")
+    return q
+
+
+def _check_normal(
+    p: Condition, q: Condition, heights: frozenset[Ordinal], rho: RhoOracle, op: str
+) -> Condition:
+    """The boundary check of an operation ending in normalisation."""
+    _check_step(p, q, rho, op)
+    if not is_normal(q.tree) or set(q.tree.heights()) != heights:
+        raise RuntimeError(f"{op} produced a non-normal tree or moved the heights")
+    return q
+
+
+def _normalize_condition(p: Condition) -> Condition:
+    """``normalize_condition`` without its check; p itself when already normal."""
+    u = _normalize(p.tree)
+    return p if u is p.tree else Condition(u, p.family)
+
+
+def _fan_out_condition(p: Condition, X: frozenset[Ordinal], n: int) -> Condition:
+    """``fan_out_condition`` without its check; p itself when nothing was added."""
+    u = _fan_out(p.tree, X, n)
+    return p if u == p.tree else Condition(u, p.family)
+
+
+def extend_heights(p: Condition, Z: Iterable[Ordinal], rho: RhoOracle) -> Condition:
+    """Occupy the heights of Z via a simple extension, closing every map downward."""
+    Z = frozenset(Z)
+    q = _extend_heights(p, Z)
+    if q is p:
+        return p
+    return _check_extend(p, q, Z, rho, "extend_heights")
 
 
 def widen_node(p: Condition, x: Ordinal, k: int, rho: RhoOracle) -> Condition:
@@ -166,11 +243,16 @@ def widen_node(p: Condition, x: Ordinal, k: int, rho: RhoOracle) -> Condition:
     if k < 1:
         raise ValueError("successor count must be positive")
     nxt = node_height(x) + Ordinal.from_int(1)
-    q = extend_heights(p, {nxt}, rho)
-    if len(q.tree.immediate_successors(x)) >= k:
-        return q
-    u = fan_out(q.tree, {x}, k)
-    return _check_step(p, Condition(u, dict(q.family)), rho, "widen_node")
+    q = _extend_heights(p, frozenset({nxt}))
+    if len(q.tree.immediate_successors(x)) < k:
+        q = _fan_out_condition(q, frozenset({x}), k)
+    if q is p:
+        return p
+    _check_step(p, q, rho, "widen_node")
+    heights = {nxt, *p.tree.heights()}
+    if len(q.tree.immediate_successors(x)) < k or set(q.tree.heights()) != heights:
+        raise RuntimeError("widen_node missed the successor count or the height set")
+    return q
 
 
 def hausdorffize(p: Condition, rho: RhoOracle) -> Condition:
@@ -178,12 +260,12 @@ def hausdorffize(p: Condition, rho: RhoOracle) -> Condition:
     if is_hausdorff(p.tree):
         return p
     heights = p.tree.heights()
-    Z = {
+    Z = frozenset(
         p.tree.level_below(d) + Ordinal.from_int(1)
         for d in heights
         if is_limit(d)
-    }
-    q = extend_heights(p, Z, rho)
+    )
+    q = _check_extend(p, _extend_heights(p, Z), Z, rho, "hausdorffize")
     if not is_hausdorff(q.tree):
         raise RuntimeError("hausdorffize failed to separate a limit level")
     return q
@@ -191,10 +273,10 @@ def hausdorffize(p: Condition, rho: RhoOracle) -> Condition:
 
 def normalize_condition(p: Condition, rho: RhoOracle) -> Condition:
     """Extend the tree to a normal one on the same heights; maps unchanged."""
-    u = normalize(p.tree)
-    if u == p.tree:
+    q = _normalize_condition(p)
+    if q is p:
         return p
-    return _check_step(p, Condition(u, dict(p.family)), rho, "normalize_condition")
+    return _check_normal(p, q, frozenset(p.tree.heights()), rho, "normalize_condition")
 
 
 def grow_node(p: Condition, x: Ordinal, alpha: Ordinal, rho: RhoOracle) -> Condition:
@@ -207,8 +289,8 @@ def grow_node(p: Condition, x: Ordinal, alpha: Ordinal, rho: RhoOracle) -> Condi
         node_height(y) == alpha for y in p.tree.successors(x)
     ):
         return p
-    q = extend_heights(p, {alpha}, rho)
-    q = normalize_condition(q, rho)
+    q = _normalize_condition(_extend_heights(p, frozenset({alpha})))
+    _check_normal(p, q, frozenset({alpha, *p.tree.heights()}), rho, "grow_node")
     if not any(node_height(y) == alpha for y in q.tree.successors(x)):
         raise RuntimeError("grow_node left the node without a successor at the level")
     return q
@@ -245,12 +327,7 @@ def augment(p: Condition, s: int, x: Ordinal, rho: RhoOracle) -> Condition:
             mate = f.get(anchor) if ensure_domain else f.get_inverse(anchor)
             if mate is None:
                 raise RuntimeError("augmentation lost the parent link")
-            used = set(q.tree.nodes)
-            z = node_at(node_height(step), 0)
-            k = 0
-            while z in used:
-                k += 1
-                z = node_at(node_height(step), k)
+            z = _fresh_node(node_height(step), set(q.tree.nodes))
             tree = StandardTree(
                 q.tree.nodes | {z}, {**dict(q.tree.parent), z: mate}
             )
@@ -263,10 +340,15 @@ def fan_out_condition(
     p: Condition, X: Iterable[Ordinal], n: int, rho: RhoOracle
 ) -> Condition:
     """Give every node of X exactly n immediate successors; maps unchanged."""
-    u = fan_out(p.tree, X, n)
-    if u == p.tree:
+    X = frozenset(X)
+    q = _fan_out_condition(p, X, n)
+    if q is p:
         return p
-    return _check_step(p, Condition(u, dict(p.family)), rho, "fan_out_condition")
+    _check_step(p, q, rho, "fan_out_condition")
+    heights = set(p.tree.heights())
+    if any(len(q.tree.immediate_successors(x)) != n for x in X) or set(q.tree.heights()) != heights:
+        raise RuntimeError("fan_out_condition missed the successor count or moved the heights")
+    return q
 
 
 # -- making selected maps bijective over a level set ---------------------------
@@ -309,9 +391,18 @@ def bijectivize_level_with_record(
     blocks, and routes fresh sources (targets) through the blocks indexed by
     the far end, which is what keeps distinct maps from agreeing on new nodes.
     """
-    t = p.tree
     X = frozenset(X)
     A = frozenset(A)
+    out, record = _bijectivize_level(p, alpha, X, A)
+    _check_bijectivize_level(p, out, X, A, record.block_size * len(record.order), rho)
+    return out, record
+
+
+def _bijectivize_level(
+    p: Condition, alpha: Ordinal, X: frozenset[Ordinal], A: frozenset[int]
+) -> tuple[Condition, LevelBijectivization]:
+    """``bijectivize_level_with_record`` without its postcondition check."""
+    t = p.tree
     heights = t.heights()
     if alpha not in heights or alpha == t.max_height():
         raise ValueError("level must be occupied and lie below the top")
@@ -329,7 +420,7 @@ def bijectivize_level_with_record(
     q_size = len(order)
     block = max(1, max(len(t.immediate_successors(x)) for x in X))
 
-    grown = fan_out_condition(p, X, block * q_size, rho)
+    grown = _fan_out_condition(p, X, block * q_size)
     u = grown.tree
 
     blocks: dict[int, tuple[tuple[Ordinal, ...], ...]] = {}
@@ -390,29 +481,28 @@ def bijectivize_level_with_record(
                 pairs.add((x, y))
         fam[tau] = TreeMap(pairs)
 
-    out = Condition(u, fam)
-    record = LevelBijectivization(order, block, blocks, tuple(edges))
-    _check_bijectivize_level(p, out, alpha, X, A, rho)
-    return out, record
+    return Condition(u, fam), LevelBijectivization(order, block, blocks, tuple(edges))
 
 
 def _check_bijectivize_level(
     p: Condition,
     out: Condition,
-    alpha: Ordinal,
     X: frozenset[Ordinal],
     A: frozenset[int],
+    width: int,
     rho: RhoOracle,
 ) -> None:
+    """The boundary check of one level: out is valid and below p, only the
+    fans over X grew (each to ``width`` immediate successors), and the maps
+    of A are separated on the fans and total and surjective across them."""
+    _check_step(p, out, rho, "bijectivize_level")
     t, u = p.tree, out.tree
     fans = frozenset().union(*(u.immediate_successors(x) for x in X))
     ok = (
-        not validate_condition(out, rho)
-        and leq(out, p)
-        and set(t.heights()) == set(u.heights())
+        set(t.heights()) == set(u.heights())
         and set(p.family) == set(out.family)
         and (u.nodes - t.nodes) <= fans
-        and all(u.immediate_successors(x) for x in X)
+        and all(len(u.immediate_successors(x)) == width for x in X)
     )
     if not ok:
         raise RuntimeError("bijectivize_level broke a structural postcondition")
@@ -446,27 +536,47 @@ def bijectivize_cone(
     """Iterate the level construction through every level above alpha."""
     X = frozenset(X)
     A = frozenset(A)
+    out, widths = _bijectivize_cone(p, alpha, X, A)
+    _check_bijectivize_cone(p, out, X, A, widths, rho)
+    return out
+
+
+def _bijectivize_cone(
+    p: Condition, alpha: Ordinal, X: frozenset[Ordinal], A: frozenset[int]
+) -> tuple[Condition, list[int]]:
+    """``bijectivize_cone`` without its check; also the fan width of each level."""
     heights = p.tree.heights()
     if alpha not in heights:
         raise ValueError("level must be occupied")
     cur, cur_set = p, X
+    widths = []
     for level in [h for h in heights if alpha <= h < p.tree.max_height()]:
-        cur = bijectivize_level(cur, level, cur_set, A, rho)
+        cur, record = _bijectivize_level(cur, level, cur_set, A)
+        widths.append(record.block_size * len(record.order))
         cur_set = frozenset().union(
             *(cur.tree.immediate_successors(x) for x in cur_set)
         )
-    _check_bijectivize_cone(p, cur, X, A, rho)
-    return cur
+    return cur, widths
 
 
 def _check_bijectivize_cone(
-    p: Condition, out: Condition, X: frozenset[Ordinal], A: frozenset[int], rho: RhoOracle
+    p: Condition,
+    out: Condition,
+    X: frozenset[Ordinal],
+    A: frozenset[int],
+    widths: list[int],
+    rho: RhoOracle,
 ) -> None:
+    """The boundary check of the cone: out is valid and below p, only the
+    cones over X grew, and the maps of A are total and surjective across
+    them.  Each level's own clauses are restated on out: the fans of a
+    level gain nodes only on the next level, and maps of A only on the
+    fans, so out shows them as the level construction left them."""
+    _check_step(p, out, rho, "bijectivize_cone")
     t, u = p.tree, out.tree
     cones = frozenset().union(*(u.successors(x) for x in X)) if X else frozenset()
     ok = (
-        leq(out, p)
-        and set(t.heights()) == set(u.heights())
+        set(t.heights()) == set(u.heights())
         and set(p.family) == set(out.family)
         and (u.nodes - t.nodes) <= cones
     )
@@ -486,6 +596,14 @@ def _check_bijectivize_cone(
                 raise RuntimeError("bijectivize_cone is not total on a cone")
             if not u.successors(y) <= g.image:
                 raise RuntimeError("bijectivize_cone is not surjective onto a cone")
+    restricted = {tau: out.family[tau] for tau in A}
+    level_set = X
+    for width in widths:
+        if any(len(u.immediate_successors(x)) != width for x in level_set):
+            raise RuntimeError("bijectivize_cone missed a fan width")
+        level_set = frozenset().union(*(u.immediate_successors(x) for x in level_set))
+        if not isinstance(decide_separation(restricted, level_set), WitnessOrder):
+            raise RuntimeError("bijectivize_cone lost separation on a fan")
 
 
 def lift_with_support(
@@ -816,31 +934,27 @@ def amalgamate(mp: MatchedPair, rho: RhoOracle) -> Condition:
             continue
         prev = pb.tree.restrict(y, common_top)
         for h in chain_heights:
-            k = 0
-            while node_at(h, k) in used:
-                k += 1
-            z = node_at(h, k)
-            used.add(z)
+            z = _fresh_node(h, used)
             nodes.add(z)
             parent[z] = prev
             prev = z
         chain_top[y] = prev
     t_plus = StandardTree(frozenset(nodes), parent)
-    p_plus = Condition(t_plus, dict(pa.family))
+    p_plus = Condition(t_plus, pa.family)
 
-    # top-level support through a top node over the anchor
-    z_alpha = min(
-        y
-        for y in pa.tree.successors(mp.anchor_a) | {mp.anchor_a}
-        if node_height(y) == top_a
-    )
+    # bijectivize the cones over X_a, then a top-level support through a top
+    # node over the anchor: the one-key lift of ``lift_with_support``
+    cone, _ = _bijectivize_cone(p_plus, alpha, frozenset(X_a), frozenset(A))
     if alpha == top_a:
-        cone = bijectivize_cone(p_plus, alpha, frozenset(X_a), frozenset(A), rho)
         X_plus = frozenset(X_a)
     else:
-        cone, X_plus = lift_with_support(
-            p_plus, alpha, frozenset(X_a), frozenset(A), z_alpha, rho
+        z_alpha = min(
+            y
+            for y in pa.tree.successors(mp.anchor_a) | {mp.anchor_a}
+            if node_height(y) == top_a
         )
+        shared_maps = {tau: cone.family[tau] for tau in A}
+        X_plus = one_key_lift(cone.tree, shared_maps, frozenset(X_a), alpha, top_a, z_alpha)
     U = cone.tree
 
     # plant the copy: matched top nodes onto the support, the rest onto chains
@@ -857,9 +971,7 @@ def amalgamate(mp: MatchedPair, rho: RhoOracle) -> Condition:
             w_parent[y] = chain_top[y]
     W = StandardTree(frozenset(w_nodes), w_parent)
 
-    copied = {
-        tau: downward_close_map(pb.tree, W, pb.family[tau]) for tau in sorted(pb.family)
-    }
+    copied = {tau: _downward_close(W, pb.family[tau]) for tau in sorted(pb.family)}
     merged: dict[int, TreeMap] = {}
     for tau in sorted(cone.family):
         if tau in copied:

@@ -172,18 +172,23 @@ def downward_close_map(t: StandardTree, u: StandardTree, f: TreeMap) -> TreeMap:
         raise ValueError("map is not standard on its host tree")
     if not is_simple_extension(t, u):
         raise ValueError("target tree is not a simple extension of the host")
+    out = _downward_close(u, f)
+    if not is_standard(u, out):
+        raise RuntimeError("downward closure is not standard on the extension")
+    if TreeMap(p for p in out if p[0] in t.nodes) != f:
+        raise RuntimeError("downward closure does not restrict back to the input")
+    return out
+
+
+def _downward_close(u: StandardTree, f: TreeMap) -> TreeMap:
+    """``downward_close_map`` without its input and output checks."""
     closed: set[Pair] = set()
     u_levels = [ZERO] + list(u.heights())
     for x, y in f:
         for b in u_levels:
             if b <= node_height(x):
                 closed.add((u.restrict(x, b), u.restrict(y, b)))
-    out = TreeMap(closed)
-    if not is_standard(u, out):
-        raise RuntimeError("downward closure is not standard on the extension")
-    if TreeMap(p for p in out if p[0] in t.nodes) != f:
-        raise RuntimeError("downward closure does not restrict back to the input")
-    return out
+    return TreeMap(closed)
 
 
 def agreement_pairs(f: TreeMap, g: TreeMap) -> frozenset[Pair]:

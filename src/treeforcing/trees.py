@@ -4,7 +4,10 @@ A tree is a finite set of ordinals containing the root 0; every non-root
 node has height >= 1 (so its label is >= w).  Only the link to the ancestor
 at the previous occupied level is stored; the full strict order is derived
 from those links.  All construction operations return new trees and check
-their own postconditions.
+their own postconditions.  Each builder is split into an unchecked kernel
+(``_simple_extend``, ``_normalize``, ``_fan_out``) and the public function,
+which runs the kernel and then the full check; the forcing operations call
+the kernels and check the condition they build once, at their own boundary.
 """
 
 from __future__ import annotations
@@ -345,8 +348,14 @@ def is_extension(t: StandardTree, u: StandardTree) -> bool:
 
 def is_simple_extension(t: StandardTree, u: StandardTree) -> bool:
     """Extension adding nodes only on new levels, with unique drop-downs onto them."""
-    if not is_extension(t, u):
-        return False
+    return is_extension(t, u) and _adds_simply(t, u)
+
+
+def _adds_simply(t: StandardTree, u: StandardTree) -> bool:
+    """The clauses of ``is_simple_extension`` beyond the extension itself.
+
+    u must already be known to be a valid tree extending t.
+    """
     new_levels = set(u.heights()) - set(t.heights())
     for x in u.nodes - t.nodes:
         if node_height(x) not in new_levels:
@@ -378,6 +387,14 @@ def simple_extend(t: StandardTree, B: Iterable[Ordinal]) -> StandardTree:
     per node of the next existing level, injectively, so drop-downs stay unique.
     """
     B = frozenset(B)
+    out = _simple_extend(t, B)
+    if validate_tree(out) or not is_simple_extension(t, out) or set(out.heights()) != B:
+        raise RuntimeError("simple_extend produced a non-simple extension")
+    return out
+
+
+def _simple_extend(t: StandardTree, B: frozenset[Ordinal]) -> StandardTree:
+    """``simple_extend`` without its postcondition check."""
     if ZERO in B:
         raise ValueError("0 cannot be an occupied height")
     missing = set(t.heights()) - B
@@ -402,8 +419,6 @@ def simple_extend(t: StandardTree, B: Iterable[Ordinal]) -> StandardTree:
                 parent[z] = cur.restrict(x, beta)
                 parent[x] = z
         cur = StandardTree(frozenset(nodes), parent)
-    if validate_tree(cur) or not is_simple_extension(t, cur) or set(cur.heights()) != B:
-        raise RuntimeError("simple_extend produced a non-simple extension")
     return cur
 
 
@@ -429,6 +444,18 @@ def is_hausdorff(t: StandardTree) -> bool:
 
 def normalize(t: StandardTree) -> StandardTree:
     """A normal extension on the same height set, adding immediate successors."""
+    out = _normalize(t)
+    if out is t:
+        return t
+    if validate_tree(out) or not is_normal(out) or not is_extension(t, out):
+        raise RuntimeError("normalize produced an invalid tree")
+    if set(out.heights()) != set(t.heights()):
+        raise RuntimeError("normalize changed the height set")
+    return out
+
+
+def _normalize(t: StandardTree) -> StandardTree:
+    """``normalize`` without its postcondition check; t itself when already normal."""
     heights = t.heights()
     nodes = set(t.nodes)
     parent = dict(t.parent)
@@ -445,12 +472,7 @@ def normalize(t: StandardTree) -> StandardTree:
                 added = True
     if not added:
         return t
-    out = StandardTree(frozenset(nodes), parent)
-    if validate_tree(out) or not is_normal(out) or not is_extension(t, out):
-        raise RuntimeError("normalize produced an invalid tree")
-    if set(out.heights()) != set(heights):
-        raise RuntimeError("normalize changed the height set")
-    return out
+    return StandardTree(frozenset(nodes), parent)
 
 
 def fan_out(t: StandardTree, X: Iterable[Ordinal], n: int) -> StandardTree:
@@ -460,6 +482,20 @@ def fan_out(t: StandardTree, X: Iterable[Ordinal], n: int) -> StandardTree:
     have more than n immediate successors.
     """
     X = frozenset(X)
+    out = _fan_out(t, X, n)
+    if out is t:
+        return t
+    if validate_tree(out) or not is_extension(t, out):
+        raise RuntimeError("fan_out produced an invalid tree")
+    if any(len(out.immediate_successors(x)) != n for x in X):
+        raise RuntimeError("fan_out missed the successor count")
+    if set(out.heights()) != set(t.heights()):
+        raise RuntimeError("fan_out changed the height set")
+    return out
+
+
+def _fan_out(t: StandardTree, X: frozenset[Ordinal], n: int) -> StandardTree:
+    """``fan_out`` without its postcondition check; t itself when X is empty."""
     if n < 1:
         raise ValueError("successor count must be positive")
     if not X:
@@ -484,11 +520,4 @@ def fan_out(t: StandardTree, X: Iterable[Ordinal], n: int) -> StandardTree:
             z = _fresh_node(b, used)
             nodes.add(z)
             parent[z] = x
-    out = StandardTree(frozenset(nodes), parent)
-    if validate_tree(out) or not is_extension(t, out):
-        raise RuntimeError("fan_out produced an invalid tree")
-    if any(len(out.immediate_successors(x)) != n for x in X):
-        raise RuntimeError("fan_out missed the successor count")
-    if set(out.heights()) != set(t.heights()):
-        raise RuntimeError("fan_out changed the height set")
-    return out
+    return StandardTree(frozenset(nodes), parent)

@@ -1,0 +1,406 @@
+"""One postcondition check per public operation.
+
+The constructive operations compose unchecked kernels and check their final
+output once, at their public boundary: ``validate_condition`` on the output
+and ``leq`` against their own input.  These tests count those calls, patch
+the kernels to return broken conditions and require that the boundary still
+raises ``RuntimeError``, and check that the scenario runner still checks the
+outputs that no operation checks itself.
+"""
+
+from __future__ import annotations
+
+import json
+import random
+
+import pytest
+
+from treeforcing import forcing, scenario, trees
+from treeforcing.forcing import (
+    Condition,
+    amalgamate,
+    augment,
+    bijectivize_cone,
+    bijectivize_level,
+    build_matched_pair,
+    extend_heights,
+    fan_out_condition,
+    grow_node,
+    hausdorffize,
+    lift_with_support,
+    normalize_condition,
+    widen_node,
+)
+from treeforcing.generate import GenBounds, gen_condition
+from treeforcing.ordinals import ZERO, node_at, node_height, parse_ordinal
+from treeforcing.scenario import parse_scenario, run_scenario
+from treeforcing.separation import RhoOracle
+from treeforcing.treemaps import TreeMap
+from treeforcing.trees import StandardTree, is_hausdorff, is_normal
+
+from instances import normal_layered_condition, separated_subset
+
+O = parse_ordinal
+ALPHA, BETA = O("w^w"), O("w^w*2")
+POOL_BOUNDS = GenBounds(max_heights=4, max_level_width=6, max_indices=3, max_steps=10)
+
+
+def pool(count: int = 40):
+    return [gen_condition(seed, POOL_BOUNDS) for seed in range(count)]
+
+
+# -- inputs on which each operation changes the condition ------------------------------
+#
+# Each case is (name, p, rho, run) where run() applies the public operation to p
+# and returns its output condition.
+
+
+def extend_cases():
+    for p, rho in pool(6):
+        for Z in ({O("w^2*3")}, {O("6")}):
+            yield "extend_heights", p, rho, lambda p=p, rho=rho, Z=Z: extend_heights(p, Z, rho)
+
+
+def widen_cases():
+    for p, rho in pool(6):
+        for x in (ZERO, max(p.tree.nodes)):
+            k = len(p.tree.immediate_successors(x)) + 2
+            yield "widen_node", p, rho, lambda p=p, rho=rho, x=x, k=k: widen_node(p, x, k, rho)
+
+
+def hausdorff_cases():
+    found = [(p, rho) for p, rho in pool() if not is_hausdorff(p.tree)][:4]
+    assert found
+    for p, rho in found:
+        yield "hausdorffize", p, rho, lambda p=p, rho=rho: hausdorffize(p, rho)
+
+
+def normalize_cases():
+    found = [(p, rho) for p, rho in pool() if not is_normal(p.tree)][:4]
+    assert found
+    for p, rho in found:
+        yield "normalize_condition", p, rho, lambda p=p, rho=rho: normalize_condition(p, rho)
+
+
+def grow_cases():
+    for p, rho in pool(4):
+        yield "grow_node", p, rho, lambda p=p, rho=rho: grow_node(p, ZERO, O("w^2*3"), rho)
+
+
+def augment_cases():
+    for p, rho in pool(4):
+        x = max(p.tree.nodes)
+        yield "augment", p, rho, lambda p=p, rho=rho, x=x: augment(p, 9, x, rho)
+
+
+def fan_out_cases():
+    count = 0
+    for p, rho in pool():
+        hs = p.tree.heights()
+        if len(hs) < 2:
+            continue
+        x = min(p.tree.level(hs[-2]))
+        n = len(p.tree.immediate_successors(x)) + 1
+        yield "fan_out_condition", p, rho, lambda p=p, rho=rho, x=x, n=n: fan_out_condition(
+            p, {x}, n, rho
+        )
+        count += 1
+        if count == 4:
+            return
+
+
+def layered_cases(kind: str):
+    """bijectivize_level, bijectivize_cone or lift_with_support on normal layered inputs."""
+    count = 0
+    for seed in range(60):
+        p, rho = normal_layered_condition(seed)
+        hs = p.tree.heights()
+        if len(hs) < 2:
+            continue
+        alpha = hs[0]
+        X = separated_subset(random.Random(seed), p.family, p.tree.level(alpha), 2)
+        if X is None:
+            continue
+        A = sorted(p.family)
+        if kind == "bijectivize_level":
+            run = lambda p=p, rho=rho, a=alpha, X=X, A=A: bijectivize_level(p, a, X, A, rho)
+        elif kind == "bijectivize_cone":
+            run = lambda p=p, rho=rho, a=alpha, X=X, A=A: bijectivize_cone(p, a, X, A, rho)
+        else:
+            top = p.tree.level(p.tree.max_height())
+            b = min(y for y in top if p.tree.restrict(y, alpha) in X)
+            run = lambda p=p, rho=rho, a=alpha, X=X, A=A, b=b: lift_with_support(
+                p, a, X, A, b, rho
+            )[0]
+        yield kind, p, rho, run
+        count += 1
+        if count == 4:
+            return
+
+
+def all_cases():
+    yield from extend_cases()
+    yield from widen_cases()
+    yield from hausdorff_cases()
+    yield from normalize_cases()
+    yield from grow_cases()
+    yield from augment_cases()
+    yield from fan_out_cases()
+    for kind in ("bijectivize_level", "bijectivize_cone", "lift_with_support"):
+        yield from layered_cases(kind)
+
+
+def matched_pair(taller: bool):
+    """A matched pair over a normal condition with levels {1, w^w} (and w^w+1)."""
+    rho = RhoOracle.zero()
+    a0, a1 = node_at(O("1"), 0), node_at(O("1"), 1)
+    u0, u1 = node_at(ALPHA, 0), node_at(ALPHA, 1)
+    tree = StandardTree.make([ZERO, a0, a1, u0, u1], {a0: ZERO, a1: ZERO, u0: a0, u1: a1})
+    p = Condition(tree, {0: TreeMap([(ZERO, ZERO), (a0, a1), (u0, u1)])})
+    if taller:
+        p = normalize_condition(extend_heights(p, {ALPHA + O("1")}, rho), rho)
+    return build_matched_pair(p, ALPHA, BETA, u0, 100, rho), rho
+
+
+# -- counting the checks -------------------------------------------------------------
+
+
+class Budget:
+    """Records every call of the checks the operations may make."""
+
+    def __init__(self, monkeypatch):
+        self.validated: list[Condition] = []
+        self.ordered: list[tuple[Condition, Condition]] = []
+        self.tree_checks = 0
+        self.extension_checks = 0
+        validate, order = forcing.validate_condition, forcing.leq
+        validate_tree, is_extension = trees.validate_tree, trees.is_extension
+
+        def counted_validate(p, rho):
+            self.validated.append(p)
+            return validate(p, rho)
+
+        def counted_leq(q, p):
+            self.ordered.append((q, p))
+            return order(q, p)
+
+        def counted_tree(t):
+            self.tree_checks += 1
+            return validate_tree(t)
+
+        def counted_extension(t, u):
+            self.extension_checks += 1
+            return is_extension(t, u)
+
+        monkeypatch.setattr(forcing, "validate_condition", counted_validate)
+        monkeypatch.setattr(forcing, "leq", counted_leq)
+        for module in (forcing, trees):
+            monkeypatch.setattr(module, "validate_tree", counted_tree)
+            monkeypatch.setattr(module, "is_extension", counted_extension)
+
+
+def test_each_operation_checks_its_output_once(monkeypatch):
+    seen = set()
+    for name, p, rho, run in all_cases():
+        with monkeypatch.context() as patch:
+            budget = Budget(patch)
+            q = run()
+        assert q is not p, name
+        assert [id(c) for c in budget.validated] == [id(q)], name
+        assert [(id(a), id(b)) for a, b in budget.ordered] == [(id(q), id(p))], name
+        # the tree builders no longer re-check what validate_condition and leq cover
+        assert budget.tree_checks == 1 and budget.extension_checks == 1, name
+        seen.add(name)
+    assert len(seen) == 10, seen
+
+
+@pytest.mark.parametrize("taller", [False, True])
+def test_amalgamate_checks_its_output_once_against_each_side(monkeypatch, taller):
+    mp, rho = matched_pair(taller)
+    with monkeypatch.context() as patch:
+        budget = Budget(patch)
+        out = amalgamate(mp, rho)
+    # the matched pair is validated as input (both sides), the output once
+    assert [id(c) for c in budget.validated] == [id(mp.pa), id(mp.pb), id(out)]
+    assert [(id(a), id(b)) for a, b in budget.ordered] == [
+        (id(out), id(mp.pa)),
+        (id(out), id(mp.pb)),
+    ]
+
+
+def test_unchanged_outputs_are_not_rechecked(monkeypatch):
+    p, rho = pool(1)[0]
+    p = normalize_condition(p, rho)
+    with monkeypatch.context() as patch:
+        budget = Budget(patch)
+        assert extend_heights(p, p.tree.heights(), rho) is p
+        assert normalize_condition(p, rho) is p
+    assert budget.validated == [] and budget.ordered == []
+
+
+# -- fault injection: the boundary still catches a broken kernel -------------------
+
+
+def with_fixed_point(q: Condition) -> Condition:
+    """q with a fixed point off the root added to one map: not a condition."""
+    tau = min(q.family)
+    f = q.family[tau]
+    x = max(x for x in q.tree.nodes if x not in f.domain and x not in f.image)
+    return Condition(q.tree, {**q.family, tau: f.with_pairs([(x, x)])})
+
+
+def without_index(q: Condition) -> Condition:
+    """q without its least index: still a condition, but below no input carrying it."""
+    tau = min(q.family)
+    return Condition(q.tree, {t: f for t, f in q.family.items() if t != tau})
+
+
+def with_leaf(q: Condition, x) -> Condition:
+    """q with one fresh immediate successor of x: valid and below q's input."""
+    h = q.tree.level_above(node_height(x))
+    z = trees._fresh_node(h, set(q.tree.nodes))
+    return Condition(StandardTree(q.tree.nodes | {z}, {**q.tree.parent, z: x}), q.family)
+
+
+def lowest_leaf(q: Condition) -> Condition:
+    """q with a fresh node on its lowest level: breaks normality and simplicity."""
+    return with_leaf(q, ZERO)
+
+
+KERNEL_OF = {
+    "extend_heights": "_extend_heights",
+    "widen_node": "_extend_heights",
+    "hausdorffize": "_extend_heights",
+    "normalize_condition": "_normalize_condition",
+    "grow_node": "_normalize_condition",
+    "fan_out_condition": "_fan_out_condition",
+    "bijectivize_level": "_bijectivize_level",
+    "bijectivize_cone": "_bijectivize_cone",
+    "lift_with_support": "_bijectivize_cone",
+}
+
+
+def patch_kernel(patch, name: str, corrupt) -> None:
+    kernel = getattr(forcing, name)
+
+    def broken(*args):
+        out = kernel(*args)
+        if isinstance(out, tuple):
+            return (corrupt(out[0]),) + out[1:]
+        return corrupt(out)
+
+    patch.setattr(forcing, name, broken)
+
+
+@pytest.mark.parametrize("corrupt", [with_fixed_point, without_index])
+def test_broken_kernels_are_caught_at_the_boundary(monkeypatch, corrupt):
+    seen = set()
+    for name, p, rho, run in all_cases():
+        if name not in KERNEL_OF:
+            continue
+        with monkeypatch.context() as patch:
+            patch_kernel(patch, KERNEL_OF[name], corrupt)
+            with pytest.raises(RuntimeError):
+                run()
+        seen.add(name)
+    assert seen == set(KERNEL_OF)
+
+
+def test_broken_kernels_fail_the_clauses_validation_does_not_cover(monkeypatch):
+    # each corruption keeps the output valid and below the input, so only the
+    # operation's own tree clauses can catch it
+    cases = []
+    for p, rho in pool(6):
+        if p.tree.heights():  # the lowest level is old: a leaf there is not simple
+            run = lambda p=p, rho=rho: extend_heights(p, {O("w^2*3")}, rho)
+            cases.append(("_extend_heights", lowest_leaf, run))
+    for _, _, _, run in [*normalize_cases(), *grow_cases()]:
+        cases.append(("_normalize_condition", lowest_leaf, run))  # a leaf is not normal
+    for _, _, _, run in fan_out_cases():
+        # one immediate successor too many under the fanned node
+        extra = lambda q: with_leaf(q, min(q.tree.level(q.tree.heights()[-2])))
+        cases.append(("_fan_out_condition", extra, run))
+    for _, _, _, run in layered_cases("bijectivize_level"):
+        cases.append(("_bijectivize_level", lowest_leaf, run))  # a new node off the fans
+    assert {kernel for kernel, _, _ in cases} == {
+        "_extend_heights",
+        "_normalize_condition",
+        "_fan_out_condition",
+        "_bijectivize_level",
+    }
+    for kernel, corrupt, run in cases:
+        with monkeypatch.context() as patch:
+            patch_kernel(patch, kernel, corrupt)
+            with pytest.raises(RuntimeError):
+                run()
+
+
+def test_broken_copy_closure_is_caught_by_amalgamate(monkeypatch):
+    mp, rho = matched_pair(taller=True)
+    close = forcing._downward_close
+
+    def lossy(u, f):
+        closed = close(u, f)
+        return TreeMap(closed.pairs[:-1])
+
+    monkeypatch.setattr(forcing, "_downward_close", lossy)
+    with pytest.raises(RuntimeError):
+        amalgamate(mp, rho)
+
+
+# -- the scenario runner ----------------------------------------------------------------
+
+
+SCRIPT = {
+    "rho": {"kind": "zero"},
+    "steps": [
+        {"op": "extend_heights", "args": {"heights": ["1"]}},
+        {"op": "widen_node", "args": {"node": "0", "count": 2}},
+        {"op": "add_index", "args": {"index": 5}},
+        {"op": "augment", "args": {"index": 5, "node": "w"}},
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "corrupt, line",
+    [(with_fixed_point, "invalid output"), (without_index, "output does not extend input")],
+)
+def test_runner_checks_add_index_outputs(monkeypatch, corrupt, line):
+    real = scenario.add_index
+    monkeypatch.setattr(scenario, "add_index", lambda p, s: corrupt(real(p, s)))
+    trace = run_scenario(parse_scenario(json.dumps(SCRIPT)))
+    assert not trace.ok
+    assert trace.log[-1].startswith("step 2 add_index: " + line), trace.log
+
+
+def test_runner_checks_only_what_no_operation_checked(monkeypatch):
+    calls = []
+    validate, order = scenario.validate_condition, scenario.leq
+    monkeypatch.setattr(
+        scenario, "validate_condition", lambda p, rho: calls.append("validate") or validate(p, rho)
+    )
+    monkeypatch.setattr(scenario, "leq", lambda q, p: calls.append("leq") or order(q, p))
+    trace = run_scenario(parse_scenario(json.dumps(SCRIPT)))
+    assert trace.ok, trace.log
+    # the start condition, then the add_index step
+    assert calls == ["validate", "validate", "leq"]
+
+
+def test_runner_checks_amalgamate_against_a_later_snapshot(monkeypatch):
+    steps = [
+        {"op": "extend_heights", "args": {"heights": ["1", "w^w"]}},
+        {"op": "normalize_condition"},
+        {
+            "op": "build_matched_pair",
+            "args": {"alpha": "w^w", "beta": "w^w*2", "node": "w^w", "fresh_index_base": 100},
+        },
+        {"op": "amalgamate"},
+    ]
+    trace = run_scenario(parse_scenario(json.dumps({"steps": steps})))
+    assert trace.ok, trace.log
+    # an index added after the pair was built is not carried by the amalgamation
+    steps.insert(3, {"op": "add_index", "args": {"index": 7}})
+    trace = run_scenario(parse_scenario(json.dumps({"steps": steps})))
+    assert not trace.ok
+    assert trace.log[-1] == "step 4 amalgamate: output does not extend input", trace.log

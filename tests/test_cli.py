@@ -232,3 +232,29 @@ def test_deeply_nested_level_exits_2(t1_file, capsys):
     level = "w^(" * 1500 + "1" + ")" * 1500
     assert main(["check-sep", t1_file, "--level", level]) == 2
     assert "nest deeper than" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["extend", "--heights", "3"],
+        ["normalize"],
+        ["widen", "--node", "w", "--count", "3"],
+        ["augment", "--index", "5", "--node", "w+1"],
+        ["grow", "--node", "w+1", "--height", "2"],
+    ],
+)
+def test_transform_of_an_invalid_file_blames_the_input(tmp_path, capsys, command):
+    # the operations check only their output; a failed check on an invalid
+    # input names the input (exit 2), not an internal fault
+    doc = {
+        "nodes": ["0", "w", "w+1", "w*2"],
+        "parents": [["w", "0"], ["w+1", "0"], ["w*2", "w"]],
+        "indices": [5],
+        "maps": {"5": [["0", "0"], ["w", "w"]]},  # fixed point off the root
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main([command[0], str(path)] + command[1:]) == 2
+    err = capsys.readouterr().err
+    assert "input is not a valid condition: clause 2 (maps): map 5" in err

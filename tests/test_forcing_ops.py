@@ -313,3 +313,17 @@ def test_leq_transitive_on_generated_chains():
         for i in range(len(chain)):
             for j in range(i, len(chain)):
                 assert leq(chain[j], chain[i])
+
+
+def test_condition_family_is_a_read_only_copy():
+    fam = {0: TreeMap([(ZERO, ZERO)])}
+    p = Condition(StandardTree.root_only(), fam)
+    fam[5] = TreeMap()  # the caller's dict stays the caller's
+    assert set(p.family) == {0}
+    with pytest.raises(TypeError):
+        p.family[5] = TreeMap()
+    with pytest.raises(TypeError):
+        del p.family[0]
+    assert {**p.family, 5: TreeMap()}.keys() == {0, 5}
+    assert dict(p.family) == {0: TreeMap([(ZERO, ZERO)])}
+    assert p == Condition(StandardTree.root_only(), dict(p.family))

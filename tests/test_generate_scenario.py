@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -149,3 +150,24 @@ def test_random_step_yields_descending_chain():
         assert validate_condition(q, rho) == []
         assert leq(q, p)
         p = q
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"steps": [{"op": "extend_heights", "args": []}]}, "steps[0].args"),
+        ({"steps": [{"op": "add_index", "args": {"index": 1}}, {"op": "x", "args": 3}]}, "steps[1].args"),
+        ({"steps": [{"op": "normalize_condition", "expect": ["normal"]}]}, "steps[0].expect"),
+        ({"steps": [], "final_expect": 3}, "final_expect"),
+        ({"final_expect": None}, "final_expect"),
+    ],
+)
+def test_scenario_rejects_non_object_fields(tmp_path, capsys, doc, field):
+    from treeforcing import cli
+
+    with pytest.raises(CodecError, match=re.escape(f"field '{field}': expected an object")):
+        parse_scenario(json.dumps(doc))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["run", str(path)]) == 2
+    assert field in capsys.readouterr().err
