@@ -1,7 +1,15 @@
 """Command-line interface.
 
+The operation subcommands are built from the table in ``treeforcing.ops``:
+an input file plus one required flag per argument (sets comma-separated).
+Explicit here: ``bijectivize --cone``, ``match-pair --fresh-base`` (default
+100), ``one-key``'s printed support and ``amalgamate``'s matched-pair file.
+When an operation does not check its output, or returns its input, the CLI
+runs the boundary check, so an invalid input is never written back out.
+
 Exit codes: 0 for ok / property true, 1 for a checked property that turned
-out false, 2 for errors (bad input, unsatisfiable preconditions).
+out false, 2 for errors (bad input, unsatisfiable preconditions), 3 for an
+internal fault (a failed postcondition).
 """
 
 from __future__ import annotations
@@ -9,6 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from . import forcing, ops
 from .codec import (
     CodecError,
     decode_condition,
@@ -17,32 +26,20 @@ from .codec import (
     encode_matched_pair,
     export_dot,
 )
-from .forcing import (
-    add_index,
-    amalgamate,
-    augment,
-    bijectivize_cone,
-    bijectivize_level,
-    build_matched_pair,
-    extend_heights,
-    grow_node,
-    hausdorffize,
-    leq,
-    lift_with_support,
-    normalize_condition,
-    validate_condition,
-    widen_node,
-)
+from .forcing import leq, validate_condition
 from .generate import GenBounds, gen_condition
+from .ops import NATURAL, NATURALS, OPS, ORDINAL, ORDINALS
 from .ordinals import OrdinalParseError, parse_ordinal
 from .scenario import parse_scenario, run_scenario
 from .separation import (
-    RhoOracle,
     WitnessOrder,
     decide_rho_separation,
     decide_separation,
     oracle_from_spec,
 )
+
+# table entry of each operation command; bijectivize --cone picks bijectivize_cone
+_COMMANDS = {op.command: name for name, op in OPS.items() if op.command}
 
 
 def _read(path: str) -> str:
@@ -75,6 +72,15 @@ def _naturals(csv: str):
     return [int(s.strip()) for s in csv.split(",") if s.strip()]
 
 
+# flag value -> argument, by kind; parsed after the input file is read
+_FROM_FLAG = {
+    ORDINAL: parse_ordinal,
+    NATURAL: int,
+    ORDINALS: lambda csv: frozenset(_ordinals(csv)),
+    NATURALS: lambda csv: frozenset(_naturals(csv)),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="treeforcing",
@@ -95,48 +101,19 @@ def main(argv: list[str] | None = None) -> int:
     cmd.add_argument("--nodes", help="comma-separated node labels (default: whole level)")
     cmd.add_argument("--indices", help="comma-separated indices (default: all)")
     cmd.add_argument("--plain", action="store_true", help="plain separation, no oracle")
-    cmd = sub.add_parser("extend", help="occupy new heights")
-    cmd.add_argument("file")
-    cmd.add_argument("--heights", required=True)
-    cmd = sub.add_parser("widen", help="give a node at least k immediate successors")
-    cmd.add_argument("file")
-    cmd.add_argument("--node", required=True)
-    cmd.add_argument("--count", type=int, required=True)
-    cmd = sub.add_parser("hausdorff", help="insert successor heights below limit levels")
-    cmd.add_argument("file")
-    cmd = sub.add_parser("normalize", help="extend the tree to a normal one")
-    cmd.add_argument("file")
-    cmd = sub.add_parser("grow", help="put a node above the given one at a level")
-    cmd.add_argument("file")
-    cmd.add_argument("--node", required=True)
-    cmd.add_argument("--height", required=True)
-    cmd = sub.add_parser("add-index", help="bring an index into the domain")
-    cmd.add_argument("file")
-    cmd.add_argument("--index", type=int, required=True)
-    cmd = sub.add_parser("augment", help="put a node into a map's domain and range")
-    cmd.add_argument("file")
-    cmd.add_argument("--index", type=int, required=True)
-    cmd.add_argument("--node", required=True)
-    cmd = sub.add_parser("bijectivize", help="make selected maps bijective over a level set")
-    cmd.add_argument("file")
-    cmd.add_argument("--level", required=True)
-    cmd.add_argument("--nodes", required=True)
-    cmd.add_argument("--indices", required=True)
-    cmd.add_argument("--cone", action="store_true", help="iterate through all higher levels")
-    cmd = sub.add_parser("one-key", help="bijectivize the cones, then lift to the top level")
-    cmd.add_argument("file")
-    cmd.add_argument("--level", required=True)
-    cmd.add_argument("--nodes", required=True)
-    cmd.add_argument("--indices", required=True)
-    cmd.add_argument("--node", required=True, help="top-level anchor")
-    cmd = sub.add_parser("match-pair", help="build a matched pair from a condition")
-    cmd.add_argument("file")
-    cmd.add_argument("--alpha", required=True)
-    cmd.add_argument("--beta", required=True)
-    cmd.add_argument("--node", required=True)
-    cmd.add_argument("--fresh-base", type=int, default=100)
-    cmd = sub.add_parser("amalgamate", help="amalgamate a matched-pair file")
-    cmd.add_argument("file")
+    for op in OPS.values():
+        if op.command is None:
+            continue
+        cmd = sub.add_parser(op.command, help=op.help)
+        cmd.add_argument("file")
+        for key, kind in op.args.items():
+            if key == "fresh_index_base":  # match-pair: a shorter flag, with a default
+                cmd.add_argument("--fresh-base", dest=key, type=int, default=100)
+            else:
+                cmd.add_argument(f"--{key}", required=True, type=int if kind == NATURAL else None)
+    sub.choices["bijectivize"].add_argument(
+        "--cone", action="store_true", help="iterate through all higher levels"
+    )
     cmd = sub.add_parser("run", help="run a scenario file")
     cmd.add_argument("file")
     cmd = sub.add_parser("gen", help="generate a seeded random condition")
@@ -152,6 +129,9 @@ def main(argv: list[str] | None = None) -> int:
     except (CodecError, OrdinalParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:  # a failed postcondition: a fault in the library
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 def _dispatch(args: argparse.Namespace) -> int:
@@ -210,63 +190,34 @@ def _dispatch(args: argparse.Namespace) -> int:
         _write(export_dot(p), args.out)
         return 0
 
-    if args.command == "match-pair":
-        p, rho = _load(args.file, args.rho, args.seed)
-        mp = build_matched_pair(
-            p,
-            parse_ordinal(args.alpha),
-            parse_ordinal(args.beta),
-            parse_ordinal(args.node),
-            args.fresh_base,
-            rho,
-        )
-        _write(encode_matched_pair(mp, rho), args.out)
-        return 0
-
-    if args.command == "amalgamate":
+    if args.command == "amalgamate":  # its input is a matched-pair file
         mp, rho = decode_matched_pair(_read(args.file))
-        w = amalgamate(mp, rho)
-        _write(encode_condition(w, rho), args.out)
+        _write(encode_condition(forcing.amalgamate(mp, rho), rho), args.out)
         return 0
 
-    # the remaining commands all transform one condition file
+    name = _COMMANDS[args.command]
+    if args.command == "bijectivize" and args.cone:
+        name = "bijectivize_cone"
+    return _run_op(name, args)
+
+
+def _run_op(name: str, args: argparse.Namespace) -> int:
+    """Run one table entry on a condition file and write its result."""
+    op = OPS[name]
     p, rho = _load(args.file, args.rho, args.seed)
-    if args.command == "extend":
-        q = extend_heights(p, set(_ordinals(args.heights)), rho)
-    elif args.command == "widen":
-        q = widen_node(p, parse_ordinal(args.node), args.count, rho)
-    elif args.command == "hausdorff":
-        q = hausdorffize(p, rho)
-    elif args.command == "normalize":
-        q = normalize_condition(p, rho)
-    elif args.command == "grow":
-        q = grow_node(p, parse_ordinal(args.node), parse_ordinal(args.height), rho)
-    elif args.command == "add-index":
-        q = add_index(p, args.index)
-    elif args.command == "augment":
-        q = augment(p, args.index, parse_ordinal(args.node), rho)
-    elif args.command == "bijectivize":
-        fn = bijectivize_cone if args.cone else bijectivize_level
-        q = fn(
-            p,
-            parse_ordinal(args.level),
-            frozenset(_ordinals(args.nodes)),
-            frozenset(_naturals(args.indices)),
-            rho,
-        )
-    elif args.command == "one-key":
-        q, support = lift_with_support(
-            p,
-            parse_ordinal(args.level),
-            frozenset(_ordinals(args.nodes)),
-            frozenset(_naturals(args.indices)),
-            parse_ordinal(args.node),
-            rho,
-        )
+    values = {key: _FROM_FLAG[kind](getattr(args, key)) for key, kind in op.args.items()}
+    out = ops.run(name, p, values, rho)
+    if args.command == "match-pair":
+        _write(encode_matched_pair(out, rho), args.out)
+        return 0
+    q, support = out if args.command == "one-key" else (out, None)
+    # encoded before the check, so the oracle values it consults stay out of the file
+    text = encode_condition(q, rho)
+    if q is p or not op.checks_itself:
+        forcing._check_step(p, q, rho, name)
+    if support is not None:
         print("support: " + ", ".join(str(y) for y in sorted(support)))
-    else:
-        raise ValueError(f"unknown command {args.command!r}")
-    _write(encode_condition(q, rho), args.out)
+    _write(text, args.out)
     return 0
 
 

@@ -8,10 +8,10 @@ decode(encode(value)) == value always.  Ordinals travel as grammar strings.
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, Callable
 
 from .forcing import Condition, MatchedPair
-from .ordinals import Ordinal, OrdinalParseError, parse_ordinal
+from .ordinals import ZERO, Ordinal, OrdinalParseError, parse_ordinal
 from .separation import RhoOracle
 from .treemaps import TreeMap
 from .trees import StandardTree
@@ -36,15 +36,32 @@ def _nat(field: str, value: Any) -> int:
     return value
 
 
-def _pairs(field: str, value: Any) -> list[tuple[Ordinal, Ordinal]]:
+def _list(field: str, value: Any, item: Callable[[str, Any], Any]) -> list:
+    """A JSON list decoded item by item; item k is named ``field[k]``."""
     if not isinstance(value, list):
-        raise CodecError(f"field {field!r}: expected a list of pairs")
-    out = []
-    for k, item in enumerate(value):
-        if not isinstance(item, list) or len(item) != 2:
-            raise CodecError(f"field {field!r}[{k}]: expected a [source, target] pair")
-        out.append((_ord(f"{field}[{k}][0]", item[0]), _ord(f"{field}[{k}][1]", item[1])))
-    return out
+        raise CodecError(f"field {field!r}: expected a list, got {value!r}")
+    return [item(f"{field}[{k}]", v) for k, v in enumerate(value)]
+
+
+def _tuple(field: str, value: Any, shape: str, *items: Callable[[str, Any], Any]) -> tuple:
+    """A JSON list of fixed length such as ``[i, j]``; item k is decoded by
+    ``items[k]`` and named ``field[k]``."""
+    if not isinstance(value, list) or len(value) != len(items):
+        raise CodecError(f"field {field!r}: expected {shape}, got {value!r}")
+    return tuple(item(f"{field}[{k}]", v) for k, (item, v) in enumerate(zip(items, value)))
+
+
+def _rho_entry(field: str, value: Any) -> tuple[int, int, Ordinal]:
+    """One rho table entry ``[i, j, ordinal]``; the diagonal must be zero."""
+    i, j, v = _tuple(field, value, "[i, j, ordinal]", _nat, _nat, _ord)
+    if i == j and v != ZERO:
+        raise CodecError(f"field {field!r}: the diagonal of rho is zero")
+    return i, j, v
+
+
+def _pairs(field: str, value: Any, item: Callable[[str, Any], Any] = _ord) -> list[tuple]:
+    """A JSON list of pairs ``[a, b]``, both sides decoded by item."""
+    return _list(field, value, lambda name, v: _tuple(name, v, "a pair", item, item))
 
 
 def condition_to_dict(p: Condition, rho: RhoOracle | None = None) -> dict:
@@ -67,7 +84,7 @@ def condition_from_dict(doc: Any) -> tuple[Condition, RhoOracle]:
     for field in ("nodes", "parents", "indices", "maps"):
         if field not in doc:
             raise CodecError(f"missing field {field!r}")
-    nodes = [_ord(f"nodes[{k}]", v) for k, v in enumerate(doc["nodes"])]
+    nodes = _list("nodes", doc["nodes"], _ord)
     if len(set(nodes)) != len(nodes):
         raise CodecError("field 'nodes': duplicate node")
     parent = {}
@@ -75,7 +92,7 @@ def condition_from_dict(doc: Any) -> tuple[Condition, RhoOracle]:
         if c in parent:
             raise CodecError(f"field 'parents'[{k}]: duplicate child {c}")
         parent[c] = par
-    indices = [_nat(f"indices[{k}]", v) for k, v in enumerate(doc["indices"])]
+    indices = _list("indices", doc["indices"], _nat)
     if len(set(indices)) != len(indices):
         raise CodecError("field 'indices': duplicate index")
     maps_doc = doc["maps"]
@@ -95,17 +112,7 @@ def condition_from_dict(doc: Any) -> tuple[Condition, RhoOracle]:
             raise CodecError(f"field 'maps[{key}]': {exc}")
     for tau in indices:
         family.setdefault(tau, TreeMap())
-    entries = []
-    for k, item in enumerate(doc.get("rho", [])):
-        if not isinstance(item, list) or len(item) != 3:
-            raise CodecError(f"field 'rho'[{k}]: expected [i, j, ordinal]")
-        entries.append(
-            (_nat(f"rho[{k}][0]", item[0]), _nat(f"rho[{k}][1]", item[1]), _ord(f"rho[{k}][2]", item[2]))
-        )
-    try:
-        rho = RhoOracle.from_entries(entries)
-    except ValueError as exc:
-        raise CodecError(f"field 'rho': {exc}")
+    rho = RhoOracle.from_entries(_list("rho", doc.get("rho", []), _rho_entry))
     return Condition(StandardTree(frozenset(nodes), parent), family), rho
 
 
@@ -161,34 +168,20 @@ def decode_matched_pair(text: str) -> tuple[MatchedPair, RhoOracle]:
             raise CodecError(f"missing field {field!r}")
     pa, _ = condition_from_dict(doc["first"])
     pb, _ = condition_from_dict(doc["second"])
-    common_nodes = frozenset(
-        _ord(f"common_nodes[{k}]", v) for k, v in enumerate(doc["common_nodes"])
-    )
+    common_nodes = frozenset(_list("common_nodes", doc["common_nodes"], _ord))
     common = StandardTree(
         common_nodes, {c: p for c, p in pa.tree.parent.items() if c in common_nodes}
     )
     iso_f = dict(_pairs("node_matching", doc["node_matching"]))
-    iso_g = {}
-    for k, item in enumerate(doc["index_matching"]):
-        if not isinstance(item, list) or len(item) != 2:
-            raise CodecError(f"field 'index_matching'[{k}]: expected [i, j]")
-        iso_g[_nat(f"index_matching[{k}][0]", item[0])] = _nat(
-            f"index_matching[{k}][1]", item[1]
-        )
-    entries = []
-    for k, item in enumerate(doc.get("rho", [])):
-        if not isinstance(item, list) or len(item) != 3:
-            raise CodecError(f"field 'rho'[{k}]: expected [i, j, ordinal]")
-        entries.append(
-            (_nat(f"rho[{k}][0]", item[0]), _nat(f"rho[{k}][1]", item[1]), _ord(f"rho[{k}][2]", item[2]))
-        )
+    iso_g = dict(_pairs("index_matching", doc["index_matching"], _nat))
+    entries = _list("rho", doc.get("rho", []), _rho_entry)
     mp = MatchedPair(
         pa=pa,
         pb=pb,
         alpha=_ord("alpha", doc["alpha"]),
         beta=_ord("beta", doc["beta"]),
         common_tree=common,
-        shared=frozenset(_nat(f"shared_indices[{k}]", v) for k, v in enumerate(doc["shared_indices"])),
+        shared=frozenset(_list("shared_indices", doc["shared_indices"], _nat)),
         iso_f=iso_f,
         iso_g=iso_g,
         anchor_a=_ord("anchor_first", doc["anchor_first"]),

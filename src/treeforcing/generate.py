@@ -10,20 +10,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .forcing import (
-    Condition,
-    add_index,
-    augment,
-    bijectivize_level,
-    extend_heights,
-    fan_out_condition,
-    grow_node,
-    hausdorffize,
-    normalize_condition,
-    widen_node,
-)
+from . import ops
+from .forcing import Condition
 from .ordinals import Ordinal, node_height, parse_ordinal
 from .separation import RhoOracle, WitnessOrder, decide_separation, oracle_from_spec
+
+# the operation-table entries a walk draws from, in the order the seeded draw
+# indexes them; the last two only once the tree has two occupied heights
+WALK_OPS = ("add_index", "augment", "extend_heights", "widen_node", "grow_node",
+            "normalize_condition", "hausdorffize", "fan_out_condition", "bijectivize_level")
 
 HEIGHT_PALETTE = tuple(
     parse_ordinal(s) for s in ("1", "2", "3", "4", "5", "w", "w+1", "w*2", "w^2")
@@ -54,63 +49,56 @@ def random_step(
     """
     nodes = sorted(p.tree.nodes)
     heights = p.tree.heights()
-    ops = ["add_index", "augment", "extend", "widen", "grow", "normalize", "hausdorff"]
-    if len(heights) >= 2:
-        ops.append("fan_out")
-        ops.append("bijectivize")
-    op = rng.choice(ops)
+    name = rng.choice(WALK_OPS if len(heights) >= 2 else WALK_OPS[:-2])
 
-    if op == "add_index":
+    if name == "add_index":
         if len(p.family) >= bounds.max_indices:
             return None
         s = rng.randrange(0, 4 * bounds.max_indices)
         if s in p.family:
             return None
-        return "add_index", add_index(p, s)
+        args = {"index": s}
 
-    if op == "augment":
+    elif name == "augment":
         if not _node_budget_ok(p, bounds):
             return None
         s = rng.choice(sorted(p.family)) if p.family else 0
-        x = rng.choice(nodes)
-        return "augment", augment(p, s, x, rho)
+        args = {"index": s, "node": rng.choice(nodes)}
 
-    if op == "extend":
+    elif name == "extend_heights":
         fresh = [h for h in bounds.height_palette if h not in heights]
         if not fresh or len(heights) >= bounds.max_heights:
             return None
         Z = set(rng.sample(fresh, rng.randint(1, min(2, len(fresh)))))
         if len(heights) + len(Z) > bounds.max_heights:
             return None
-        return "extend_heights", extend_heights(p, Z, rho)
+        args = {"heights": Z}
 
-    if op == "widen":
+    elif name == "widen_node":
         if not _node_budget_ok(p, bounds) or len(heights) >= bounds.max_heights:
             return None
-        x = rng.choice(nodes)
-        k = rng.randint(1, 3)
-        return "widen_node", widen_node(p, x, k, rho)
+        args = {"node": rng.choice(nodes), "count": rng.randint(1, 3)}
 
-    if op == "grow":
+    elif name == "grow_node":
         if not _node_budget_ok(p, bounds):
             return None
         x = rng.choice(nodes)
         above = [h for h in heights if h > node_height(x)]
         if not above:
             return None
-        return "grow_node", grow_node(p, x, rng.choice(above), rho)
+        args = {"node": x, "height": rng.choice(above)}
 
-    if op == "normalize":
+    elif name == "normalize_condition":
         if not _node_budget_ok(p, bounds):
             return None
-        return "normalize_condition", normalize_condition(p, rho)
+        args = {}
 
-    if op == "hausdorff":
+    elif name == "hausdorffize":
         if len(heights) >= bounds.max_heights:
             return None
-        return "hausdorffize", hausdorffize(p, rho)
+        args = {}
 
-    if op == "fan_out":
+    elif name == "fan_out_condition":
         if not _node_budget_ok(p, bounds):
             return None
         alpha = rng.choice(heights[:-1] or [None])
@@ -118,14 +106,10 @@ def random_step(
             return None
         X = frozenset(rng.sample(sorted(p.tree.level(alpha)), 1))
         n = max(len(p.tree.immediate_successors(x)) for x in X) + rng.randint(0, 1)
-        if n < 1:
-            n = 1
-        return "fan_out_condition", fan_out_condition(p, X, n, rho)
+        args = {"nodes": X, "count": max(n, 1)}
 
-    if op == "bijectivize":
-        alpha = heights[-2] if len(heights) >= 2 else None
-        if alpha is None:
-            return None
+    else:  # bijectivize_level
+        alpha = heights[-2]
         level = sorted(p.tree.level(alpha))
         X = frozenset(rng.sample(level, min(len(level), rng.randint(1, 2))))
         A = frozenset(rng.sample(sorted(p.family), min(len(p.family), 2)))
@@ -136,9 +120,9 @@ def random_step(
         )
         if size * len(X) > bounds.max_level_width:
             return None
-        return "bijectivize_level", bijectivize_level(p, alpha, X, A, rho)
+        args = {"level": alpha, "nodes": X, "indices": A}
 
-    return None
+    return name, ops.run(name, p, args, rho)
 
 
 def gen_condition(seed: int, bounds: GenBounds = GenBounds()) -> tuple[Condition, RhoOracle]:

@@ -1,29 +1,36 @@
 """Scenario scripts: a rho specification plus a list of operation steps.
 
-A scenario folds its steps over the trivial starting condition.  Every
-snapshot is validated and order-checked against the previous one exactly
-once: the constructive operations check their own output at their public
-boundary (``validate_condition`` on it, ``leq`` against their input), so the
-runner itself checks only the start condition and the steps no operation
-checks (``add_index``, and an ``amalgamate`` whose matched pair was built
-from an earlier snapshot).  The final report runs the almost-disjointness
-containment check over every pair of indices that ever share a condition.
-A failing step stops the run and leaves the trace up to that point, with a
-diagnostic.
+Each step names an entry of the operation table (``treeforcing.ops``) and
+is decoded through its schema when made: a malformed step is a
+``CodecError`` naming its field.  A scenario folds its steps over the
+trivial starting condition.  Every snapshot is validated and order-checked
+against the previous one exactly once: the table says which operations
+check their own output (``validate_condition`` on it, ``leq`` against their
+input), so the runner checks only the start condition and the steps no
+operation checks (``add_index``, and an ``amalgamate`` whose matched pair
+was built from an earlier snapshot).  The final report runs the
+almost-disjointness containment check over every pair of indices that ever
+share a condition.  A failing step stops the run and leaves the trace up to
+that point, with a diagnostic.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Any
 
-from .codec import CodecError, _nat, _ord
+from . import ops
+from .codec import CodecError, _list, _nat, _ord, _rho_entry
+from .forcing import Condition, MatchedPair, agreement_containment, leq, validate_condition
+from .ordinals import Ordinal
+from .separation import RhoOracle, oracle_from_spec
+from .trees import is_hausdorff, is_normal
+
+# the runner resolves operations in this module's namespace when a step runs,
+# so that a name patched here affects scenario runs only
 from .forcing import (
-    Condition,
-    MatchedPair,
     add_index,
-    agreement_containment,
     amalgamate,
     augment,
     bijectivize_cone,
@@ -33,22 +40,24 @@ from .forcing import (
     fan_out_condition,
     grow_node,
     hausdorffize,
-    leq,
     lift_with_support,
     normalize_condition,
-    validate_condition,
     widen_node,
 )
-from .ordinals import Ordinal
-from .separation import RhoOracle, oracle_from_spec
-from .trees import is_hausdorff, is_normal
 
 
 @dataclass(frozen=True)
 class Step:
+    """One step: ``args`` are given as JSON values and hold them decoded
+    through the operation's schema; ``where`` names the step in errors."""
+
     op: str
     args: dict[str, Any] = field(default_factory=dict)
     expect: dict[str, Any] = field(default_factory=dict)
+    where: InitVar[str] = "step"
+
+    def __post_init__(self, where: str) -> None:
+        object.__setattr__(self, "args", ops.decode(self.op, self.args, where))
 
 
 @dataclass(frozen=True)
@@ -81,41 +90,32 @@ def parse_scenario(text: str) -> Scenario:
     if kind == "zero":
         spec = "zero"
     elif kind == "constant":
-        spec = f"const:{rho_doc.get('value', '0')}"
+        value = rho_doc.get("value", "0")
+        _ord("rho.value", value)
+        spec = f"const:{value}"
     elif kind == "seeded":
-        values = ",".join(rho_doc.get("values", ["0", "1", "w"]))
-        spec = f"seed:{rho_doc.get('seed', 0)}:{values}"
+        values = rho_doc.get("values", ["0", "1", "w"])
+        _list("rho.values", values, _ord)
+        spec = f"seed:{_nat('rho.seed', rho_doc.get('seed', 0))}:{','.join(values)}"
     elif kind == "table":
         spec = "zero"
-        for k, item in enumerate(rho_doc.get("entries", [])):
-            if not isinstance(item, list) or len(item) != 3:
-                raise CodecError(f"field 'rho.entries'[{k}]: expected [i, j, ordinal]")
-            entries.append(
-                (
-                    _nat(f"rho.entries[{k}][0]", item[0]),
-                    _nat(f"rho.entries[{k}][1]", item[1]),
-                    _ord(f"rho.entries[{k}][2]", item[2]),
-                )
-            )
+        entries = _list("rho.entries", rho_doc.get("entries", []), _rho_entry)
     else:
         raise CodecError(f"field 'rho.kind': unknown kind {kind!r}")
-    steps = []
-    for k, item in enumerate(doc.get("steps", [])):
-        if not isinstance(item, dict) or "op" not in item:
-            raise CodecError(f"field 'steps'[{k}]: expected an object with an 'op'")
-        steps.append(
-            Step(
-                op=item["op"],
-                args=_object(f"steps[{k}].args", item.get("args", {})),
-                expect=_object(f"steps[{k}].expect", item.get("expect", {})),
-            )
-        )
     return Scenario(
         rho_spec=spec,
         rho_entries=tuple(entries),
-        steps=tuple(steps),
+        steps=tuple(_list("steps", doc.get("steps", []), _step)),
         final_expect=_object("final_expect", doc.get("final_expect", {})),
     )
+
+
+def _step(where: str, item: Any) -> Step:
+    if not isinstance(item, dict) or "op" not in item:
+        raise CodecError(f"field {where!r}: expected an object with an 'op'")
+    args = _object(f"{where}.args", item.get("args", {}))
+    expect = _object(f"{where}.expect", item.get("expect", {}))
+    return Step(item["op"], args, expect, where=where)
 
 
 def _object(name: str, value: Any) -> dict[str, Any]:
@@ -131,25 +131,6 @@ def _build_oracle(s: Scenario) -> RhoOracle:
     return rho
 
 
-# operations whose public function checks its own output against its input;
-# ``build_matched_pair`` returns its (already checked) input unchanged
-_SELF_CHECKED = frozenset(
-    {
-        "augment",
-        "extend_heights",
-        "widen_node",
-        "grow_node",
-        "normalize_condition",
-        "hausdorffize",
-        "fan_out_condition",
-        "bijectivize_level",
-        "bijectivize_cone",
-        "lift_with_support",
-        "build_matched_pair",
-    }
-)
-
-
 class _Runner:
     def __init__(self, rho: RhoOracle):
         self.rho = rho
@@ -157,61 +138,25 @@ class _Runner:
 
     def checked(self, p: Condition, step: Step) -> bool:
         """Whether the step's own operation already validated its output and
-        checked it against p; ``amalgamate`` checks against the snapshot its
-        matched pair was built from."""
-        if step.op == "amalgamate":
-            return self.matched is not None and self.matched.pa is p
-        return step.op in _SELF_CHECKED
+        checked it against p; one on a matched pair checks against the
+        snapshot the pair was built from."""
+        op = ops.OPS[step.op]
+        return op.checks_itself and (op.on is Condition or self.matched.pa is p)
 
     def apply(self, p: Condition, step: Step) -> Condition:
-        a = step.args
-        op = step.op
-        if op == "add_index":
-            return add_index(p, _nat("index", a["index"]))
-        if op == "augment":
-            return augment(p, _nat("index", a["index"]), _ord("node", a["node"]), self.rho)
-        if op == "extend_heights":
-            Z = {_ord(f"heights[{k}]", h) for k, h in enumerate(a["heights"])}
-            return extend_heights(p, Z, self.rho)
-        if op == "widen_node":
-            return widen_node(p, _ord("node", a["node"]), _nat("count", a["count"]), self.rho)
-        if op == "grow_node":
-            return grow_node(p, _ord("node", a["node"]), _ord("height", a["height"]), self.rho)
-        if op == "normalize_condition":
-            return normalize_condition(p, self.rho)
-        if op == "hausdorffize":
-            return hausdorffize(p, self.rho)
-        if op == "fan_out_condition":
-            X = {_ord(f"nodes[{k}]", x) for k, x in enumerate(a["nodes"])}
-            return fan_out_condition(p, X, _nat("count", a["count"]), self.rho)
-        if op in ("bijectivize_level", "bijectivize_cone"):
-            X = {_ord(f"nodes[{k}]", x) for k, x in enumerate(a["nodes"])}
-            A = {_nat(f"indices[{k}]", i) for k, i in enumerate(a["indices"])}
-            level = _ord("level", a["level"])
-            fn = bijectivize_level if op == "bijectivize_level" else bijectivize_cone
-            return fn(p, level, X, A, self.rho)
-        if op == "lift_with_support":
-            X = {_ord(f"nodes[{k}]", x) for k, x in enumerate(a["nodes"])}
-            A = {_nat(f"indices[{k}]", i) for k, i in enumerate(a["indices"])}
-            q, _ = lift_with_support(
-                p, _ord("level", a["level"]), X, A, _ord("node", a["node"]), self.rho
-            )
-            return q
-        if op == "build_matched_pair":
-            self.matched = build_matched_pair(
-                p,
-                _ord("alpha", a["alpha"]),
-                _ord("beta", a["beta"]),
-                _ord("node", a["node"]),
-                _nat("fresh_index_base", a["fresh_index_base"]),
-                self.rho,
-            )
-            return p
-        if op == "amalgamate":
+        """The step's operation on p, or on the last matched pair for an
+        operation on pairs.  A matched pair is kept, and p stays the snapshot;
+        of a result with a support, the condition is the snapshot."""
+        subject = p
+        if ops.OPS[step.op].on is MatchedPair:
             if self.matched is None:
-                raise ValueError("no matched pair was built before amalgamate")
-            return amalgamate(self.matched, self.rho)
-        raise ValueError(f"unknown operation {op!r}")
+                raise ValueError(f"no matched pair was built before {step.op}")
+            subject = self.matched
+        out = ops.run(step.op, subject, step.args, self.rho, globals())
+        if isinstance(out, MatchedPair):
+            self.matched = out
+            return p
+        return out[0] if isinstance(out, tuple) else out
 
 
 def _check_expect(p: Condition, expect: dict[str, Any], log: list[str]) -> bool:

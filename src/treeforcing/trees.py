@@ -292,13 +292,6 @@ def unique_dropdowns(t: StandardTree, X: Iterable[Ordinal], b: Ordinal) -> bool:
     return len(drops) == len(X)
 
 
-def downward_closure(t: StandardTree, Y: Iterable[Ordinal]) -> frozenset[Ordinal]:
-    out: set[Ordinal] = set()
-    for y in Y:
-        out.update(t.chain_down(y))
-    return frozenset(out)
-
-
 def is_extension(t: StandardTree, u: StandardTree) -> bool:
     """t's nodes and order are contained in u's.
 

@@ -8,7 +8,6 @@ from treeforcing.ordinals import ZERO, node_at, node_height, parse_ordinal
 from treeforcing.trees import (
     MalformedTreeError,
     StandardTree,
-    downward_closure,
     fan_out,
     is_extension,
     is_hausdorff,
@@ -23,6 +22,13 @@ from treeforcing.trees import (
 import seed_reference as ref
 
 O = parse_ordinal
+
+
+def downward_closure(t: StandardTree, Y) -> frozenset:
+    out: set = set()
+    for y in Y:
+        out.update(t.chain_down(y))
+    return frozenset(out)
 
 
 def t1() -> StandardTree:
