@@ -64,6 +64,22 @@ def _pairs(field: str, value: Any, item: Callable[[str, Any], Any] = _ord) -> li
     return _list(field, value, lambda name, v: _tuple(name, v, "a pair", item, item))
 
 
+def _document(text: str) -> dict:
+    """Parse a JSON document whose root must be an object."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise CodecError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    if not isinstance(doc, dict):
+        raise CodecError("document root must be an object")
+    return doc
+
+
+def _rho_table(rho: RhoOracle | None) -> list[list]:
+    """The oracle's table as ``[i, j, ordinal]`` entries; [] without an oracle."""
+    return [[i, j, str(v)] for i, j, v in (rho.entries() if rho else [])]
+
+
 def condition_to_dict(p: Condition, rho: RhoOracle | None = None) -> dict:
     doc = {
         "nodes": [str(x) for x in sorted(p.tree.nodes)],
@@ -73,7 +89,7 @@ def condition_to_dict(p: Condition, rho: RhoOracle | None = None) -> dict:
             str(tau): [[str(a), str(b)] for a, b in p.family[tau].pairs]
             for tau in sorted(p.family)
         },
-        "rho": [[i, j, str(v)] for i, j, v in (rho.entries() if rho else [])],
+        "rho": _rho_table(rho),
     }
     return doc
 
@@ -121,11 +137,7 @@ def encode_condition(p: Condition, rho: RhoOracle | None = None) -> str:
 
 
 def decode_condition(text: str) -> tuple[Condition, RhoOracle]:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CodecError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}")
-    return condition_from_dict(doc)
+    return condition_from_dict(_document(text))
 
 
 def encode_matched_pair(mp: MatchedPair, rho: RhoOracle | None = None) -> str:
@@ -140,18 +152,13 @@ def encode_matched_pair(mp: MatchedPair, rho: RhoOracle | None = None) -> str:
         "index_matching": [[i, j] for i, j in sorted(mp.iso_g.items())],
         "anchor_first": str(mp.anchor_a),
         "anchor_second": str(mp.anchor_b),
-        "rho": [[i, j, str(v)] for i, j, v in (rho.entries() if rho else [])],
+        "rho": _rho_table(rho),
     }
     return json.dumps(doc, indent=2) + "\n"
 
 
 def decode_matched_pair(text: str) -> tuple[MatchedPair, RhoOracle]:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CodecError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}")
-    if not isinstance(doc, dict):
-        raise CodecError("document root must be an object")
+    doc = _document(text)
     for field in (
         "alpha",
         "beta",

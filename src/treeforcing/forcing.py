@@ -9,11 +9,15 @@ not bad input.
 Each constructive operation is an unchecked kernel plus one full check at
 the public boundary.  Operations built from smaller ones (widening is a
 height extension then a fan-out; bijectivizing a cone iterates the level
-construction; amalgamation bijectivizes a cone) compose the kernels, never
-the checked public functions, and then check their final output once:
-``validate_condition`` on it, ``leq`` against their own input, and whatever
-clauses of the pieces those two do not imply (a simple extension, a normal
-tree, successor counts, height sets, separation on the fans).
+construction; the one-key lift bijectivizes a cone and lifts through it;
+amalgamation bijectivizes a cone and lifts through it too) compose the
+kernels, never the checked public functions, and then check their final
+output once: ``validate_condition`` on it, ``leq`` against their own input,
+and whatever clauses of the pieces those two do not imply (a simple
+extension, a normal tree, successor counts, height sets, separation on the
+fans, the lift's consistency).  One double check remains: ``amalgamate``
+validates its matched pair again, also right after ``build_matched_pair``
+built and validated it.
 
 The order's agreement clause disregards the structural root agreement
 (0, 0): any two maps defined at the root fix it, and index augmentation
@@ -40,11 +44,11 @@ from .ordinals import (
 from .separation import (
     RhoOracle,
     WitnessOrder,
+    _check_lift,
+    _one_key_lift,
     decide_rho_separation,
     decide_separation,
-    is_consistent,
     multi_relations,
-    one_key_lift,
     relation_index,
 )
 from .treemaps import (
@@ -68,6 +72,10 @@ from .trees import (
 )
 
 ROOT_PAIR = (ZERO, ZERO)
+
+# the most nodes a bijectivization may grow a tree to: each level's fan width
+# multiplies through every level above it, so a cone can explode in size
+MAX_TREE_NODES = 10_000
 
 
 @dataclass(frozen=True)
@@ -394,7 +402,8 @@ def bijectivize_level_with_record(
     X = frozenset(X)
     A = frozenset(A)
     out, record = _bijectivize_level(p, alpha, X, A)
-    _check_bijectivize_level(p, out, X, A, record.block_size * len(record.order), rho)
+    widths = [record.block_size * len(record.order)]
+    _check_bijectivize(p, out, X, A, widths, rho, "bijectivize_level")
     return out, record
 
 
@@ -419,6 +428,12 @@ def _bijectivize_level(
     order = verdict.order
     q_size = len(order)
     block = max(1, max(len(t.immediate_successors(x)) for x in X))
+    size = len(t.nodes) + sum(block * q_size - len(t.immediate_successors(x)) for x in X)
+    if size > MAX_TREE_NODES:
+        raise ValueError(
+            f"bijectivizing level {alpha} would grow the tree to {size} nodes,"
+            f" above the bound of {MAX_TREE_NODES}"
+        )
 
     grown = _fan_out_condition(p, X, block * q_size)
     u = grown.tree
@@ -484,46 +499,47 @@ def _bijectivize_level(
     return Condition(u, fam), LevelBijectivization(order, block, blocks, tuple(edges))
 
 
-def _check_bijectivize_level(
+def _check_bijectivize(
     p: Condition,
     out: Condition,
     X: frozenset[Ordinal],
     A: frozenset[int],
-    width: int,
+    widths: Sequence[int],
     rho: RhoOracle,
+    op: str,
 ) -> None:
-    """The boundary check of one level: out is valid and below p, only the
-    fans over X grew (each to ``width`` immediate successors), and the maps
-    of A are separated on the fans and total and surjective across them."""
-    _check_step(p, out, rho, "bijectivize_level")
+    """The boundary check of the level and cone constructions: out is valid
+    and below p; on each level grown from X (one per width) every node has
+    ``width`` immediate successors, and the maps of A are separated on the
+    fans and total and surjective across them (for standard maps, fan by fan
+    is the whole cone); new nodes and map pairs lie inside the fans."""
+    _check_step(p, out, rho, op)
     t, u = p.tree, out.tree
-    fans = frozenset().union(*(u.immediate_successors(x) for x in X))
-    ok = (
-        set(t.heights()) == set(u.heights())
-        and set(p.family) == set(out.family)
-        and (u.nodes - t.nodes) <= fans
-        and all(len(u.immediate_successors(x)) == width for x in X)
-    )
-    if not ok:
-        raise RuntimeError("bijectivize_level broke a structural postcondition")
-    for tau in sorted(out.family):
-        old, new = p.family[tau], out.family[tau]
-        fresh = set(new.pairs) - set(old.pairs)
-        if any(x not in fans or y not in fans for x, y in fresh):
-            raise RuntimeError("bijectivize_level wrote entries outside the fans")
+    if set(t.heights()) != set(u.heights()) or set(p.family) != set(out.family):
+        raise RuntimeError(f"{op} broke a structural postcondition")
     restricted = {tau: out.family[tau] for tau in A}
-    if not isinstance(decide_separation(restricted, fans), WitnessOrder):
-        raise RuntimeError("bijectivize_level lost separation on the fans")
-    for tau in sorted(A):
-        g = out.family[tau]
-        for x in X:
-            y = g.get(x)
-            if y is None or y not in X:
-                continue
-            if not u.immediate_successors(x) <= g.domain:
-                raise RuntimeError("bijectivize_level is not total on a fan")
-            if not u.immediate_successors(y) <= g.image:
-                raise RuntimeError("bijectivize_level is not surjective onto a fan")
+    grown: frozenset[Ordinal] = frozenset()
+    level_set = X
+    for width in widths:
+        if any(len(u.immediate_successors(x)) != width for x in level_set):
+            raise RuntimeError(f"{op} missed a fan width")
+        fans = frozenset().union(*(u.immediate_successors(x) for x in level_set))
+        if not isinstance(decide_separation(restricted, fans), WitnessOrder):
+            raise RuntimeError(f"{op} lost separation on a fan")
+        edges = [(g, x, g.get(x)) for g in restricted.values() for x in level_set]
+        for g, x, y in edges:
+            if y in level_set and not u.immediate_successors(x) <= g.domain:
+                raise RuntimeError(f"{op} is not total on a fan")
+            if y in level_set and not u.immediate_successors(y) <= g.image:
+                raise RuntimeError(f"{op} is not surjective onto a fan")
+        grown |= fans
+        level_set = fans
+    if not u.nodes - t.nodes <= grown:
+        raise RuntimeError(f"{op} added nodes outside the fans")
+    for tau in sorted(out.family):
+        fresh = set(out.family[tau].pairs) - set(p.family[tau].pairs)
+        if any(x not in grown or y not in grown for x, y in fresh):
+            raise RuntimeError(f"{op} wrote entries outside the fans")
 
 
 def bijectivize_cone(
@@ -537,7 +553,7 @@ def bijectivize_cone(
     X = frozenset(X)
     A = frozenset(A)
     out, widths = _bijectivize_cone(p, alpha, X, A)
-    _check_bijectivize_cone(p, out, X, A, widths, rho)
+    _check_bijectivize(p, out, X, A, widths, rho, "bijectivize_cone")
     return out
 
 
@@ -559,53 +575,6 @@ def _bijectivize_cone(
     return cur, widths
 
 
-def _check_bijectivize_cone(
-    p: Condition,
-    out: Condition,
-    X: frozenset[Ordinal],
-    A: frozenset[int],
-    widths: list[int],
-    rho: RhoOracle,
-) -> None:
-    """The boundary check of the cone: out is valid and below p, only the
-    cones over X grew, and the maps of A are total and surjective across
-    them.  Each level's own clauses are restated on out: the fans of a
-    level gain nodes only on the next level, and maps of A only on the
-    fans, so out shows them as the level construction left them."""
-    _check_step(p, out, rho, "bijectivize_cone")
-    t, u = p.tree, out.tree
-    cones = frozenset().union(*(u.successors(x) for x in X)) if X else frozenset()
-    ok = (
-        set(t.heights()) == set(u.heights())
-        and set(p.family) == set(out.family)
-        and (u.nodes - t.nodes) <= cones
-    )
-    if not ok:
-        raise RuntimeError("bijectivize_cone broke a structural postcondition")
-    for tau in sorted(out.family):
-        fresh = set(out.family[tau].pairs) - set(p.family[tau].pairs)
-        if any(x not in cones or y not in cones for x, y in fresh):
-            raise RuntimeError("bijectivize_cone wrote entries outside the cones")
-    for tau in sorted(A):
-        g = out.family[tau]
-        for x in X:
-            y = g.get(x)
-            if y is None or y not in X:
-                continue
-            if not u.successors(x) <= g.domain:
-                raise RuntimeError("bijectivize_cone is not total on a cone")
-            if not u.successors(y) <= g.image:
-                raise RuntimeError("bijectivize_cone is not surjective onto a cone")
-    restricted = {tau: out.family[tau] for tau in A}
-    level_set = X
-    for width in widths:
-        if any(len(u.immediate_successors(x)) != width for x in level_set):
-            raise RuntimeError("bijectivize_cone missed a fan width")
-        level_set = frozenset().union(*(u.immediate_successors(x) for x in level_set))
-        if not isinstance(decide_separation(restricted, level_set), WitnessOrder):
-            raise RuntimeError("bijectivize_cone lost separation on a fan")
-
-
 def lift_with_support(
     p: Condition,
     alpha: Ordinal,
@@ -615,15 +584,25 @@ def lift_with_support(
     rho: RhoOracle,
 ) -> tuple[Condition, frozenset[Ordinal]]:
     """Bijectivize the cones over X, then lift X to a consistent top-level set
-    through b.  The tree must be normal: the lift picks successors freely."""
+    through b.  The tree must be normal: the lift picks successors freely.
+
+    The cone's check, which keeps the cone's name in its errors, implies
+    every precondition of the lift but two: a normal tree and alpha below
+    the top."""
     X = frozenset(X)
     A = frozenset(A)
     top = p.tree.max_height()
     if node_height(b) != top or p.tree.restrict(b, alpha) not in X:
         raise ValueError("anchor node must sit on the top level over the node set")
-    cone = bijectivize_cone(p, alpha, X, A, rho)
+    cone, widths = _bijectivize_cone(p, alpha, X, A)
+    _check_bijectivize(p, cone, X, A, widths, rho, "bijectivize_cone")
+    if not is_normal(cone.tree):
+        raise ValueError("tree is not normal")
+    if alpha == top:
+        raise ValueError("levels must be occupied with alpha below beta")
     fam = {tau: cone.family[tau] for tau in sorted(A)}
-    Y = one_key_lift(cone.tree, fam, X, alpha, top, b)
+    Y = _one_key_lift(cone.tree, fam, decide_separation(fam, X).order, alpha, top, b)
+    _check_lift(cone.tree, fam, X, alpha, b, Y)
     return cone, Y
 
 
@@ -698,18 +677,28 @@ def restrict_tree_below(t: StandardTree, alpha: Ordinal) -> StandardTree:
 
 
 def validate_matched_pair(mp: MatchedPair, rho: RhoOracle) -> list[str]:
+    """The levels, both sides, then the pair clauses; [] means ok."""
     out = []
     if not (is_omega_fixed(mp.alpha) and is_omega_fixed(mp.beta)):
         out.append("levels are not fixed under scaling by w")
     if not mp.alpha < mp.beta:
         out.append("first level must lie below the second")
-    for name, cond in (("first", mp.pa), ("second", mp.pb)):
-        report = validate_condition(cond, rho)
-        out.extend(f"{name} condition: {line}" for line in report)
-        if not is_normal(cond.tree):
-            out.append(f"{name} condition: tree is not normal")
-    if out:
-        return out
+    out.extend(_side_report("first", mp.pa, rho))
+    out.extend(_side_report("second", mp.pb, rho))
+    return out or _pair_report(mp, rho)
+
+
+def _side_report(name: str, cond: Condition, rho: RhoOracle) -> list[str]:
+    """One side of a matched pair: a valid condition on a normal tree."""
+    out = [f"{name} condition: {line}" for line in validate_condition(cond, rho)]
+    if not is_normal(cond.tree):
+        out.append(f"{name} condition: tree is not normal")
+    return out
+
+
+def _pair_report(mp: MatchedPair, rho: RhoOracle) -> list[str]:
+    """The clauses tying the two sides of a matched pair together, on valid sides."""
+    out = []
     if mp.alpha not in mp.pa.tree.heights() or mp.beta not in mp.pb.tree.heights():
         out.append("anchor levels are not occupied")
     if validate_tree(mp.common_tree):
@@ -862,7 +851,10 @@ def build_matched_pair(
         anchor_a=x,
         anchor_b=iso_f[x],
     )
-    report = validate_matched_pair(mp, rho)
+    # the levels and the first side passed the checks above, and the oracle was
+    # raised only on pairs with a fresh index, which p does not carry, so p is
+    # still valid: the copy and the pair clauses are what is left to check
+    report = _side_report("second", pb, rho) or _pair_report(mp, rho)
     if report:
         raise ValueError(f"matched pair does not validate: {'; '.join(report)}")
     return mp
@@ -954,7 +946,8 @@ def amalgamate(mp: MatchedPair, rho: RhoOracle) -> Condition:
             if node_height(y) == top_a
         )
         shared_maps = {tau: cone.family[tau] for tau in A}
-        X_plus = one_key_lift(cone.tree, shared_maps, frozenset(X_a), alpha, top_a, z_alpha)
+        order = decide_separation(shared_maps, X_a).order
+        X_plus = _one_key_lift(cone.tree, shared_maps, order, alpha, top_a, z_alpha)
     U = cone.tree
 
     # plant the copy: matched top nodes onto the support, the rest onto chains

@@ -16,12 +16,11 @@ that point, with a diagnostic.
 
 from __future__ import annotations
 
-import json
 from dataclasses import InitVar, dataclass, field
 from typing import Any
 
 from . import ops
-from .codec import CodecError, _list, _nat, _ord, _rho_entry
+from .codec import CodecError, _document, _list, _nat, _ord, _rho_entry
 from .forcing import Condition, MatchedPair, agreement_containment, leq, validate_condition
 from .ordinals import Ordinal
 from .separation import RhoOracle, oracle_from_spec
@@ -76,12 +75,7 @@ class RunTrace:
 
 
 def parse_scenario(text: str) -> Scenario:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CodecError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}")
-    if not isinstance(doc, dict):
-        raise CodecError("document root must be an object")
+    doc = _document(text)
     rho_doc = doc.get("rho", {"kind": "zero"})
     if not isinstance(rho_doc, dict) or "kind" not in rho_doc:
         raise CodecError("field 'rho': expected an object with a 'kind'")
@@ -95,7 +89,8 @@ def parse_scenario(text: str) -> Scenario:
         spec = f"const:{value}"
     elif kind == "seeded":
         values = rho_doc.get("values", ["0", "1", "w"])
-        _list("rho.values", values, _ord)
+        if not _list("rho.values", values, _ord):
+            raise CodecError("field 'rho.values': expected a nonempty list, got []")
         spec = f"seed:{_nat('rho.seed', rho_doc.get('seed', 0))}:{','.join(values)}"
     elif kind == "table":
         spec = "zero"

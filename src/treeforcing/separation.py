@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .ordinals import ZERO, Ordinal, node_height, parse_ordinal
 from .treemaps import TreeMap, is_standard
-from .trees import StandardTree, is_normal, unique_dropdowns
+from .trees import StandardTree, is_normal
 
 Family = Mapping[int, TreeMap]
 
@@ -40,10 +40,8 @@ class RhoOracle:
         self,
         entries: Iterable[tuple[int, int, Ordinal]] = (),
         fallback: Callable[[int, int], Ordinal] | None = None,
-        description: str = "zero",
     ):
         self.table: dict[tuple[int, int], Ordinal] = {}
-        self.description = description
         self._fallback = fallback
         for i, j, v in entries:
             self.set_value(i, j, v)
@@ -70,15 +68,15 @@ class RhoOracle:
 
     @staticmethod
     def zero() -> "RhoOracle":
-        return RhoOracle(description="zero")
+        return RhoOracle()
 
     @staticmethod
     def constant(c: Ordinal) -> "RhoOracle":
-        return RhoOracle(fallback=lambda i, j: c, description=f"constant {c}")
+        return RhoOracle(fallback=lambda i, j: c)
 
     @staticmethod
     def from_entries(entries: Iterable[tuple[int, int, Ordinal]]) -> "RhoOracle":
-        return RhoOracle(entries=entries, description="table")
+        return RhoOracle(entries=entries)
 
     @staticmethod
     def seeded(seed: int, values: Sequence[Ordinal]) -> "RhoOracle":
@@ -91,23 +89,26 @@ class RhoOracle:
             rng = random.Random(f"{seed}:{i}:{j}")
             return values[rng.randrange(len(values))]
 
-        return RhoOracle(fallback=draw, description=f"seeded {seed}")
+        return RhoOracle(fallback=draw)
 
 
 def oracle_from_spec(spec: str, seed: int = 0) -> RhoOracle:
-    """Build an oracle from a CLI/scenario string: zero | const:<ord> | seed:<n>:<v,...>."""
+    """Build an oracle from a CLI/scenario string: zero | const:<ord> | seed:<n>[:<v,...>].
+
+    ``seed:<n>`` draws from the palette {0, 1, w}; ``seed:<n>:`` names an
+    empty palette and is an error.
+    """
     if spec == "zero":
         return RhoOracle.zero()
     if spec.startswith("const:"):
         return RhoOracle.constant(parse_ordinal(spec[len("const:") :]))
     if spec.startswith("seed:"):
         parts = spec.split(":")
-        n = int(parts[1]) if len(parts) > 1 and parts[1] else seed
-        vals = (
-            tuple(parse_ordinal(v) for v in parts[2].split(","))
-            if len(parts) > 2 and parts[2]
-            else (ZERO, parse_ordinal("1"), parse_ordinal("w"))
-        )
+        n = int(parts[1]) if parts[1] else seed
+        if len(parts) == 2:
+            vals = (ZERO, parse_ordinal("1"), parse_ordinal("w"))
+        else:
+            vals = tuple(parse_ordinal(v) for v in parts[2].split(",")) if parts[2] else ()
         return RhoOracle.seeded(n, vals)
     raise ValueError(f"unknown rho specification {spec!r}")
 
@@ -264,15 +265,19 @@ def is_consistent(
     (alpha,) = levels
     if not b < alpha:
         raise ValueError("reference level must lie below the node set")
-    if not unique_dropdowns(t, X, b):
+    drop = {x: t.restrict(x, b) for x in X}
+    if len(set(drop.values())) != len(X):
         raise ValueError("node set lacks unique drop-downs to the reference level")
     if not is_standard(t, f):
         raise ValueError("map is not standard on the tree")
-    for x in X:
-        for y in X:
-            if f.get(t.restrict(x, b)) == t.restrict(y, b) and f.get(x) != y:
-                return False
-    return True
+    return _is_consistent(f, drop)
+
+
+def _is_consistent(f: TreeMap, drop: Mapping[Ordinal, Ordinal]) -> bool:
+    """``is_consistent`` without its checks, on the injective drop-down map of
+    X: wherever f carries the drop-down of x to the drop-down of y, f(x) = y."""
+    above = {d: x for x, d in drop.items()}
+    return all(f.get(x) == above[f.get(d)] for x, d in drop.items() if f.get(d) in above)
 
 
 # -- the decision procedure ---------------------------------------------------
@@ -440,53 +445,57 @@ def one_key_lift(
                     raise ValueError(f"map {tau} is not total on successors of {x}")
                 if not t.successors(y) <= f.image:
                     raise ValueError(f"map {tau} is not surjective onto successors of {y}")
-
-    order = verdict.order
-    n = len(order)
-    nbar = order.index(t.restrict(b, alpha))
-    rel = relation_index(fam, X)
-    pos = {x: i for i, x in enumerate(order)}
-
-    # descending relation chain from the anchor's base point
-    chain: list[tuple[int, int, int]] = [(nbar, 0, 0)]  # (position, direction, index)
-    while True:
-        i_k = chain[-1][0]
-        triples = _indexed_triples(rel, pos, order[i_k])
-        if not triples:
-            break
-        if len(triples) > 1:
-            raise RuntimeError("separated order admits two relations; decision logic is broken")
-        j, m, tau = triples[0]
-        chain.append((j, m, tau))
-    chain_values: list[Ordinal] = [b]
-    for _, m, tau in chain[1:]:
-        nxt = fam[tau].apply_signed(m, chain_values[-1])
-        if nxt is None:
-            raise RuntimeError("successor totality failed along the chain")
-        chain_values.append(nxt)
-    chain_pos = {entry[0]: k for k, entry in enumerate(chain)}
-
-    lifted: list[Ordinal] = []
-    for i in range(n):
-        triples = _indexed_triples(rel, pos, order[i])
-        if not triples:
-            if i in chain_pos:
-                lifted.append(chain_values[chain_pos[i]])
-            else:
-                lifted.append(min(t.successors_at(order[i], beta)))
-        else:
-            (j, m, sigma) = triples[0]
-            up = fam[sigma].apply_signed(-m, lifted[j])
-            if up is None:
-                raise RuntimeError("successor totality failed while lifting")
-            lifted.append(up)
-
-    Y = frozenset(lifted)
-    if len(Y) != n or not unique_dropdowns(t, Y, alpha):
-        raise RuntimeError("lifted set lost unique drop-downs")
-    if {t.restrict(y, alpha) for y in Y} != X or b not in Y:
-        raise RuntimeError("lifted set does not project back onto its base")
-    for tau in sorted(fam):
-        if not is_consistent(t, fam[tau], Y, alpha):
-            raise RuntimeError(f"lifted set is inconsistent along map {tau}")
+    Y = _one_key_lift(t, fam, verdict.order, alpha, beta, b)
+    _check_lift(t, fam, X, alpha, b, Y)
     return Y
+
+
+def _one_key_lift(
+    t: StandardTree,
+    fam: Family,
+    order: Sequence[Ordinal],
+    alpha: Ordinal,
+    beta: Ordinal,
+    b: Ordinal,
+) -> frozenset[Ordinal]:
+    """``one_key_lift`` without its checks, on a witness order of X.
+
+    Each node lifts along its one relation to an earlier node.  A node with
+    none opens a segment and lifts to its least successor, except the opener
+    that b's base point reaches down those relations: it lifts to b's image
+    along them.  Totality on the cones makes every step defined."""
+    rel = relation_index(fam, frozenset(order))
+    pos = {x: i for i, x in enumerate(order)}
+    opener, image = t.restrict(b, alpha), b
+    while triples := _indexed_triples(rel, pos, opener):
+        j, m, tau = triples[0]
+        opener, image = order[j], fam[tau].apply_signed(m, image)
+    lifted: list[Ordinal] = []
+    for x in order:
+        triples = _indexed_triples(rel, pos, x)
+        if triples:
+            j, m, tau = triples[0]
+            lifted.append(fam[tau].apply_signed(-m, lifted[j]))
+        else:
+            lifted.append(image if x == opener else min(t.successors_at(x, beta)))
+    return frozenset(lifted)
+
+
+def _check_lift(
+    t: StandardTree,
+    fam: Family,
+    X: frozenset[Ordinal],
+    alpha: Ordinal,
+    b: Ordinal,
+    Y: frozenset[Ordinal],
+) -> None:
+    """The lift's output clauses: Y holds b and drops down one to one onto
+    X, and every map of the family is consistent on it."""
+    if len(Y) != len(X) or not Y <= t.nodes or b not in Y:
+        raise RuntimeError("lifted set lost a node or the anchor")
+    drop = {y: t.restrict(y, alpha) for y in Y}
+    if set(drop.values()) != X:
+        raise RuntimeError("lifted set does not drop down one to one onto its base")
+    for tau in sorted(fam):
+        if not _is_consistent(fam[tau], drop):
+            raise RuntimeError(f"lifted set is inconsistent along map {tau}")

@@ -199,6 +199,30 @@ def classify_map(t, pairs):
     )
 
 
+# -- consistency: every pair of the node set --------------------------------
+
+
+def is_consistent(t, f, X, b):
+    X = frozenset(X)
+    if not X:
+        return True
+    levels = {node_height(x) for x in X}
+    if len(levels) > 1:
+        raise ValueError("node set spans several levels")
+    (alpha,) = levels
+    if not b < alpha:
+        raise ValueError("reference level must lie below the node set")
+    if len({_restrict(t, x, b) for x in X}) != len(X):
+        raise ValueError("node set lacks unique drop-downs to the reference level")
+    if not classify_map(t, f.pairs).standard:
+        raise ValueError("map is not standard on the tree")
+    for x in X:
+        for y in X:
+            if f.get(_restrict(t, x, b)) == _restrict(t, y, b) and f.get(x) != y:
+                return False
+    return True
+
+
 # -- matched pairs: the copy's oracle demands, found by scanning all pairs ---
 
 

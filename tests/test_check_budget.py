@@ -2,7 +2,8 @@
 
 The constructive operations compose unchecked kernels and check their final
 output once, at their public boundary: ``validate_condition`` on the output
-and ``leq`` against their own input.  These tests count those calls, patch
+and ``leq`` against their own input.  These tests count those calls (and, on
+the lift and matched-pair path, map classifications outside them), patch
 the kernels to return broken conditions and require that the boundary still
 raises ``RuntimeError``, and check that the scenario runner still checks the
 outputs that no operation checks itself.
@@ -15,7 +16,7 @@ import random
 
 import pytest
 
-from treeforcing import forcing, scenario, trees
+from treeforcing import forcing, scenario, treemaps, trees
 from treeforcing.forcing import (
     Condition,
     amalgamate,
@@ -228,6 +229,69 @@ def test_amalgamate_checks_its_output_once_against_each_side(monkeypatch, taller
     ]
 
 
+class Classified:
+    """Records every validate_condition call, and counts classify_map calls
+    inside and outside them."""
+
+    def __init__(self, monkeypatch):
+        self.validated: list[Condition] = []
+        self.inside = self.outside = 0
+        self.depth = 0
+        validate, classify = forcing.validate_condition, treemaps.classify_map
+
+        def counted_validate(p, rho):
+            self.validated.append(p)
+            self.depth += 1
+            try:
+                return validate(p, rho)
+            finally:
+                self.depth -= 1
+
+        def counted_classify(t, f):
+            if self.depth:
+                self.inside += 1
+            else:
+                self.outside += 1
+            return classify(t, f)
+
+        monkeypatch.setattr(forcing, "validate_condition", counted_validate)
+        for module in (forcing, treemaps):
+            monkeypatch.setattr(module, "classify_map", counted_classify)
+
+
+def test_lift_with_support_classifies_maps_only_in_its_one_validation(monkeypatch):
+    # the lift's preconditions and its consistency clauses follow from the
+    # cone's check, so no map is classified outside that one validation
+    runs = 0
+    for _, _, _, run in layered_cases("lift_with_support"):
+        with monkeypatch.context() as patch:
+            calls = Classified(patch)
+            q = run()
+        assert [id(c) for c in calls.validated] == [id(q)]
+        assert calls.inside > 0 and calls.outside == 0
+        runs += 1
+    assert runs == 4
+
+
+@pytest.mark.parametrize("taller", [False, True])
+def test_amalgamate_classifies_maps_only_in_its_three_validations(monkeypatch, taller):
+    mp, rho = matched_pair(taller)
+    with monkeypatch.context() as patch:
+        calls = Classified(patch)
+        out = amalgamate(mp, rho)
+    assert [id(c) for c in calls.validated] == [id(mp.pa), id(mp.pb), id(out)]
+    assert calls.inside > 0 and calls.outside == 0
+
+
+@pytest.mark.parametrize("taller", [False, True])
+def test_build_matched_pair_validates_its_input_and_the_copy_once(monkeypatch, taller):
+    mp, rho = matched_pair(taller)
+    with monkeypatch.context() as patch:
+        calls = Classified(patch)
+        built = build_matched_pair(mp.pa, ALPHA, BETA, mp.anchor_a, 100, rho)
+    assert [id(c) for c in calls.validated] == [id(mp.pa), id(built.pb)]
+
+
 def test_unchanged_outputs_are_not_rechecked(monkeypatch):
     p, rho = pool(1)[0]
     p = normalize_condition(p, rho)
@@ -322,11 +386,15 @@ def test_broken_kernels_fail_the_clauses_validation_does_not_cover(monkeypatch):
         cases.append(("_fan_out_condition", extra, run))
     for _, _, _, run in layered_cases("bijectivize_level"):
         cases.append(("_bijectivize_level", lowest_leaf, run))  # a new node off the fans
+    for kind in ("bijectivize_cone", "lift_with_support"):
+        for _, _, _, run in layered_cases(kind):
+            cases.append(("_bijectivize_cone", lowest_leaf, run))  # a new node off the cones
     assert {kernel for kernel, _, _ in cases} == {
         "_extend_heights",
         "_normalize_condition",
         "_fan_out_condition",
         "_bijectivize_level",
+        "_bijectivize_cone",
     }
     for kernel, corrupt, run in cases:
         with monkeypatch.context() as patch:

@@ -258,3 +258,22 @@ def test_transform_of_an_invalid_file_blames_the_input(tmp_path, capsys, command
     assert main([command[0], str(path)] + command[1:]) == 2
     err = capsys.readouterr().err
     assert "input is not a valid condition: clause 2 (maps): map 5" in err
+
+
+def test_empty_seed_palette_exits_2(t1_file, capsys):
+    assert main(["--rho", "seed:4:", "validate", t1_file]) == 2
+    assert "palette must be nonempty" in capsys.readouterr().err
+    assert main(["--rho", "seed:4", "validate", t1_file]) == 0
+
+
+def test_exploding_cone_exits_2_at_once(tmp_path, capsys):
+    # the fan widths multiply level by level: 2, 12 and 144 nodes, and the
+    # next level would add 144 * 144 nodes
+    path = tmp_path / "g17.json"
+    assert main(["--seed", "17", "--out", str(path), "gen"]) == 0
+    argv = ["bijectivize", str(path), "--level", "1", "--nodes", "w,w+1", "--indices", "0", "--cone"]
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "would grow the tree to 20903 nodes, above the bound of 10000" in err

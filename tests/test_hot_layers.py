@@ -3,8 +3,9 @@
 Separation verdicts must be byte-identical to the reference decision, and
 the oracle must be left holding exactly the entries the reference consults,
 because consulted values are written into output files.  Map flags must
-equal the quadratic classification, and the matched-pair oracle extension
-must leave the same table as the reference loop.
+equal the quadratic classification, consistency verdicts and errors the
+all-pairs test, and the matched-pair oracle extension must leave the same
+table as the reference loop.
 """
 
 from __future__ import annotations
@@ -17,13 +18,14 @@ import treeforcing
 from treeforcing import forcing
 from treeforcing.cli import main
 from treeforcing.codec import encode_condition
-from treeforcing.forcing import Condition, build_matched_pair, validate_condition
+from treeforcing.forcing import Condition, build_matched_pair, lift_with_support, validate_condition
 from treeforcing.generate import GenBounds, gen_condition
 from treeforcing.ordinals import ZERO, node_at, node_height
 from treeforcing.separation import (
     RhoOracle,
     decide_rho_separation,
     decide_separation,
+    is_consistent,
     relation_index,
     relations_between,
 )
@@ -31,7 +33,7 @@ from treeforcing.treemaps import TreeMap, classify_map
 from treeforcing.trees import StandardTree
 
 import seed_reference as ref
-from instances import O, ONE, level_tree, random_level_family
+from instances import O, ONE, level_tree, normal_layered_condition, random_level_family
 from test_acceptance import _matched_pair_instance
 
 W = O("w")
@@ -180,6 +182,55 @@ def test_classify_rejects_pairs_off_the_tree_like_the_reference():
         except ValueError as exc:
             messages.append(str(exc))
     assert messages == ["pair (w, w^2) leaves the tree"] * 2
+
+
+def _consistency_outcome(check, t, f, X, b):
+    try:
+        return check(t, f, X, b)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_is_consistent_matches_all_pairs_reference():
+    # node sets on random levels of normal conditions, of lifted cones (where
+    # the shared maps are consistent by construction), and with a map that is
+    # not standard on the tree
+    outcomes = Counter()
+    for seed in range(1, 300):
+        rng = random.Random(seed)
+        p, _ = normal_layered_condition(seed)
+        heights = p.tree.heights()
+        if len(heights) < 2:
+            continue
+        conds = [p]
+        top = p.tree.max_height()
+        alpha = heights[-2]
+        base = sorted(p.tree.level(alpha))
+        X = frozenset(rng.sample(base, min(2, len(base))))
+        b = min(y for y in p.tree.level(top) if p.tree.restrict(y, alpha) in X)
+        try:
+            q, Y = lift_with_support(p, alpha, X, p.family, b, RhoOracle.zero())
+            conds.append(q)
+        except ValueError:
+            Y = None
+        for q in conds:
+            hs = q.tree.heights()
+            beta = rng.choice(hs)
+            ref_level = rng.choice([ZERO] + [h for h in hs if h < beta])
+            level = sorted(q.tree.level(beta))
+            sets = [frozenset(rng.sample(level, rng.randint(1, len(level)))) for _ in range(3)]
+            if Y is not None and q is not p:
+                sets.append(Y)
+                ref_level = alpha if rng.random() < 0.5 else ref_level
+            sets.append(frozenset(rng.sample(sorted(q.tree.nodes), 2)))  # two levels, mostly
+            maps = list(q.family.values())
+            maps.append(TreeMap([(ZERO, ZERO), *zip(level, reversed(level))]))
+            for S in sets:
+                for f in maps:
+                    got = _consistency_outcome(is_consistent, q.tree, f, S, ref_level)
+                    assert got == _consistency_outcome(ref.is_consistent, q.tree, f, S, ref_level)
+                    outcomes[got if isinstance(got, bool) else "error"] += 1
+    assert outcomes[True] > 500 and outcomes[False] > 50 and outcomes["error"] > 200, outcomes
 
 
 def _petal_twins(width: int, k: int):

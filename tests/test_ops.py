@@ -194,6 +194,7 @@ def test_malformed_step_lists_name_their_field(tmp_path, capsys, steps, field):
         ({"kind": "constant", "value": "w+"}, "rho.value"),
         ({"kind": "table", "entries": [[1, 2, "w"], [0, 0, "1"]]}, "rho.entries[1]"),
         ({"kind": "table", "entries": 5}, "rho.entries"),
+        ({"kind": "seeded", "values": []}, "rho.values"),
     ],
 )
 def test_malformed_rho_objects_name_their_field(tmp_path, capsys, rho, field):

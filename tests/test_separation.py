@@ -102,6 +102,16 @@ def test_oracle_from_spec():
         oracle_from_spec("nope")
 
 
+def test_empty_seed_palette_is_an_error():
+    with pytest.raises(ValueError, match="palette must be nonempty"):
+        oracle_from_spec("seed:4:")
+    # without a palette, seed:<n> draws from the default {0, 1, w}
+    default = RhoOracle.seeded(4, [ZERO, O("1"), O("w")])
+    got = oracle_from_spec("seed:4")
+    assert [got.value(0, j) for j in range(1, 40)] == [default.value(0, j) for j in range(1, 40)]
+    assert {got.value(0, j) for j in range(1, 40)} == {ZERO, O("1"), O("w")}
+
+
 def test_separated_tuple_examples():
     t = level_tree(3)
     a0, a1, a2 = (node_at(O("1"), k) for k in range(3))
