@@ -10,6 +10,10 @@ runs the boundary check, so an invalid input is never written back out.
 Exit codes: 0 for ok / property true, 1 for a checked property that turned
 out false, 2 for errors (bad input, unsatisfiable preconditions), 3 for an
 internal fault (a failed postcondition).
+
+The argument parser is built once per process, on the first call of
+``main``, and reused by every later call: parsing reads it and leaves it
+unchanged, so one call cannot affect the next.
 """
 
 from __future__ import annotations
@@ -81,7 +85,7 @@ _FROM_FLAG = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="treeforcing",
         description="Finite tree forcing conditions: validation, extension, amalgamation.",
@@ -122,8 +126,17 @@ def main(argv: list[str] | None = None) -> int:
     cmd.add_argument("--indices", type=int, default=3)
     cmd = sub.add_parser("export-dot", help="render a condition as a DOT digraph")
     cmd.add_argument("file")
+    return parser
 
-    args = parser.parse_args(argv)
+
+_parser: argparse.ArgumentParser | None = None
+
+
+def main(argv: list[str] | None = None) -> int:
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
+    args = _parser.parse_args(argv)
     try:
         return _dispatch(args)
     except (CodecError, OrdinalParseError, OSError, ValueError) as exc:

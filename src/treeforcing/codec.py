@@ -3,6 +3,13 @@
 Documents are JSON with a fixed field order and sorted contents, so encoding
 is canonical: encode(decode(text)) == text for canonical files and
 decode(encode(value)) == value always.  Ordinals travel as grammar strings.
+
+A document repeats each node label in its nodes, parents and maps, so a
+decode parses each distinct label once: a ``label -> Ordinal`` memo lives
+for one decode only (the two sides of a matched-pair file and its own
+ordinal fields share one).  It keeps only successful parses, so a bad label
+fails, naming its field, wherever it occurs.  Nothing is kept between
+decodes.
 """
 
 from __future__ import annotations
@@ -28,6 +35,21 @@ def _ord(field: str, value: Any) -> Ordinal:
         return parse_ordinal(value)
     except OrdinalParseError as exc:
         raise CodecError(f"field {field!r}: {exc}")
+
+
+def _ord_memo(labels: dict[str, Ordinal]) -> Callable[[str, Any], Ordinal]:
+    """``_ord`` that parses each distinct label once, storing only successes
+    in ``labels``; a value that is not a string is left to ``_ord``."""
+
+    def read(field: str, value: Any) -> Ordinal:
+        if not isinstance(value, str):
+            return _ord(field, value)
+        found = labels.get(value)
+        if found is None:
+            found = labels[value] = _ord(field, value)
+        return found
+
+    return read
 
 
 def _nat(field: str, value: Any) -> int:
@@ -59,7 +81,7 @@ def _rho_entry(field: str, value: Any) -> tuple[int, int, Ordinal]:
     return i, j, v
 
 
-def _pairs(field: str, value: Any, item: Callable[[str, Any], Any] = _ord) -> list[tuple]:
+def _pairs(field: str, value: Any, item: Callable[[str, Any], Any]) -> list[tuple]:
     """A JSON list of pairs ``[a, b]``, both sides decoded by item."""
     return _list(field, value, lambda name, v: _tuple(name, v, "a pair", item, item))
 
@@ -95,16 +117,23 @@ def condition_to_dict(p: Condition, rho: RhoOracle | None = None) -> dict:
 
 
 def condition_from_dict(doc: Any) -> tuple[Condition, RhoOracle]:
+    return _condition_from_dict(doc, _ord_memo({}))
+
+
+def _condition_from_dict(
+    doc: Any, ord_: Callable[[str, Any], Ordinal]
+) -> tuple[Condition, RhoOracle]:
+    """``condition_from_dict`` with its labels read through ``ord_``."""
     if not isinstance(doc, dict):
         raise CodecError("document root must be an object")
     for field in ("nodes", "parents", "indices", "maps"):
         if field not in doc:
             raise CodecError(f"missing field {field!r}")
-    nodes = _list("nodes", doc["nodes"], _ord)
+    nodes = _list("nodes", doc["nodes"], ord_)
     if len(set(nodes)) != len(nodes):
         raise CodecError("field 'nodes': duplicate node")
     parent = {}
-    for k, (c, par) in enumerate(_pairs("parents", doc["parents"])):
+    for k, (c, par) in enumerate(_pairs("parents", doc["parents"], ord_)):
         if c in parent:
             raise CodecError(f"field 'parents'[{k}]: duplicate child {c}")
         parent[c] = par
@@ -123,7 +152,7 @@ def condition_from_dict(doc: Any) -> tuple[Condition, RhoOracle]:
         if tau not in indices:
             raise CodecError(f"field 'maps': index {tau} not declared")
         try:
-            family[tau] = TreeMap(_pairs(f"maps[{key}]", value))
+            family[tau] = TreeMap(_pairs(f"maps[{key}]", value, ord_))
         except ValueError as exc:
             raise CodecError(f"field 'maps[{key}]': {exc}")
     for tau in indices:
@@ -173,26 +202,27 @@ def decode_matched_pair(text: str) -> tuple[MatchedPair, RhoOracle]:
     ):
         if field not in doc:
             raise CodecError(f"missing field {field!r}")
-    pa, _ = condition_from_dict(doc["first"])
-    pb, _ = condition_from_dict(doc["second"])
-    common_nodes = frozenset(_list("common_nodes", doc["common_nodes"], _ord))
+    ord_ = _ord_memo({})
+    pa, _ = _condition_from_dict(doc["first"], ord_)
+    pb, _ = _condition_from_dict(doc["second"], ord_)
+    common_nodes = frozenset(_list("common_nodes", doc["common_nodes"], ord_))
     common = StandardTree(
         common_nodes, {c: p for c, p in pa.tree.parent.items() if c in common_nodes}
     )
-    iso_f = dict(_pairs("node_matching", doc["node_matching"]))
+    iso_f = dict(_pairs("node_matching", doc["node_matching"], ord_))
     iso_g = dict(_pairs("index_matching", doc["index_matching"], _nat))
     entries = _list("rho", doc.get("rho", []), _rho_entry)
     mp = MatchedPair(
         pa=pa,
         pb=pb,
-        alpha=_ord("alpha", doc["alpha"]),
-        beta=_ord("beta", doc["beta"]),
+        alpha=ord_("alpha", doc["alpha"]),
+        beta=ord_("beta", doc["beta"]),
         common_tree=common,
         shared=frozenset(_list("shared_indices", doc["shared_indices"], _nat)),
         iso_f=iso_f,
         iso_g=iso_g,
-        anchor_a=_ord("anchor_first", doc["anchor_first"]),
-        anchor_b=_ord("anchor_second", doc["anchor_second"]),
+        anchor_a=ord_("anchor_first", doc["anchor_first"]),
+        anchor_b=ord_("anchor_second", doc["anchor_second"]),
     )
     return mp, RhoOracle.from_entries(entries)
 

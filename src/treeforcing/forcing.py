@@ -586,16 +586,15 @@ def lift_with_support(
     """Bijectivize the cones over X, then lift X to a consistent top-level set
     through b.  The tree must be normal: the lift picks successors freely.
 
-    The cone's check, which keeps the cone's name in its errors, implies
-    every precondition of the lift but two: a normal tree and alpha below
-    the top."""
+    The cone's check implies every precondition of the lift but two: a
+    normal tree and alpha below the top."""
     X = frozenset(X)
     A = frozenset(A)
     top = p.tree.max_height()
     if node_height(b) != top or p.tree.restrict(b, alpha) not in X:
         raise ValueError("anchor node must sit on the top level over the node set")
     cone, widths = _bijectivize_cone(p, alpha, X, A)
-    _check_bijectivize(p, cone, X, A, widths, rho, "bijectivize_cone")
+    _check_bijectivize(p, cone, X, A, widths, rho, "lift_with_support")
     if not is_normal(cone.tree):
         raise ValueError("tree is not normal")
     if alpha == top:

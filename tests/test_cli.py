@@ -277,3 +277,87 @@ def test_exploding_cone_exits_2_at_once(tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert "would grow the tree to 20903 nodes, above the bound of 10000" in err
+
+
+def test_one_key_on_an_invalid_file_blames_the_input_under_its_own_name(tmp_path, capsys):
+    path = tmp_path / "g4.json"
+    assert main(["--seed", "4", "--out", str(path), "gen"]) == 0
+    doc = json.loads(path.read_text())
+    doc["maps"]["0"].append(["w^2+w+4", "w^2+w+4"])  # a fixed point off the root
+    path.write_text(json.dumps(doc))
+    flags = ["--level", "1", "--nodes", "w", "--indices", "0", "--node", "w^2+w"]
+    assert main(["one-key", str(path)] + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: lift_with_support: input is not a valid condition")
+
+
+# -- the parser is built once and reused ----------------------------------------
+
+
+def run_main(argv: list[str], capsys) -> tuple[int | str | None, str, str]:
+    """Exit code (or SystemExit code), stdout and stderr of one main call."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.fixture
+def rho_sensitive_file(tmp_path):
+    # two maps relate w to w+1: not separated under the file's (empty) oracle,
+    # rho-separated under seed:4
+    p = t1_condition()
+    fam = dict(p.family)
+    from treeforcing.treemaps import TreeMap
+    from treeforcing.ordinals import ZERO
+
+    fam[9] = TreeMap([(ZERO, ZERO), (O("w"), O("w+1"))])
+    path = tmp_path / "two.json"
+    path.write_text(encode_condition(Condition(p.tree, fam)))
+    return str(path)
+
+
+def test_an_oracle_flag_does_not_outlive_its_call(rho_sensitive_file, capsys):
+    alone = run_main(["validate", rho_sensitive_file], capsys)
+    assert alone[0] == 1 and "pairwise-violation" in alone[1]
+    assert run_main(["--rho", "seed:4", "validate", rho_sensitive_file], capsys) == (0, "ok\n", "")
+    assert run_main(["validate", rho_sensitive_file], capsys) == alone
+
+
+def test_usage_error_and_help_leave_the_parser_usable(t1_file, capsys):
+    code, out, err = run_main(["validate"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("usage: treeforcing validate") and "required: file" in err
+    code, out, err = run_main(["--help"], capsys)
+    assert code == 0 and out.startswith("usage: treeforcing") and err == ""
+    assert run_main(["validate", t1_file], capsys) == (0, "ok\n", "")
+
+
+def test_reused_parser_prints_the_help_of_a_fresh_one(t1_file, capsys):
+    from treeforcing.cli import _build_parser
+
+    assert main(["validate", t1_file]) == 0  # the parser exists and has been used
+    capsys.readouterr()
+    for argv in (["--help"], ["check-sep", "--help"], ["match-pair", "--help"]):
+        reused = run_main(argv, capsys)
+        with pytest.raises(SystemExit) as exit_:
+            _build_parser().parse_args(argv)
+        fresh = capsys.readouterr()
+        assert reused == (exit_.value.code, fresh.out, fresh.err)
+        assert reused[0] == 0 and reused[1].startswith("usage: treeforcing")
+
+
+def test_parser_is_built_once_over_many_calls(t1_file, monkeypatch, capsys):
+    from treeforcing import cli
+
+    builds = []
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "_build_parser", lambda: builds.append(1) or build())
+    for _ in range(5):
+        assert main(["validate", t1_file]) == 0
+        assert main(["check-sep", t1_file, "--level", "1"]) == 0
+    run_main(["--help"], capsys)
+    assert len(builds) == 1

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from treeforcing.codec import (
@@ -16,6 +18,7 @@ from treeforcing.ordinals import node_at, parse_ordinal
 from treeforcing.separation import RhoOracle
 from test_amalgamation import base_condition, ALPHA, BETA
 from test_forcing_ops import t1_condition
+from test_hot_layers import _module_sizes
 
 O = parse_ordinal
 
@@ -95,3 +98,102 @@ def test_export_dot_t1():
     assert dot.count("style=solid") == 3
     assert dot.count("style=dashed") == 1
     assert export_dot(p) == dot  # byte-identical across calls
+
+
+# -- each label is parsed once per decode ------------------------------------------
+
+
+def t1_doc() -> dict:
+    """T1 with its index renamed 1: nodes 0, w, w+1, w*2; map 1 is 0->0, w->w+1."""
+    doc = json.loads(encode_condition(t1_condition()))
+    doc["indices"], doc["maps"] = [1], {"1": doc["maps"]["5"]}
+    return doc
+
+
+def pair_doc() -> dict:
+    """first: nodes 0, w, w+1, w^w, w^w+1; second: the same with w^w*2 for w^w."""
+    rho = RhoOracle.zero()
+    p = base_condition(with_edge=True)
+    mp = build_matched_pair(p, ALPHA, BETA, node_at(ALPHA, 0), 100, rho)
+    return json.loads(encode_matched_pair(mp, rho))
+
+
+def decode_error(decode, doc) -> str:
+    with pytest.raises(CodecError) as exc:
+        decode(json.dumps(doc))
+    return str(exc.value)
+
+
+def put(doc: dict, path: tuple, value) -> dict:
+    """doc with the slot at path (keys and positions) set to value."""
+    *head, last = path
+    slot = doc
+    for key in head:
+        slot = slot[key]
+    slot[last] = value
+    return doc
+
+
+def test_a_bad_label_is_named_where_it_first_occurs():
+    # w*2 is nodes[3] and recurs in parents[2][0]
+    doc = json.loads(json.dumps(t1_doc()).replace('"w*2"', '"w*q"'))
+    assert decode_error(decode_condition, doc).startswith("field 'nodes[3]': ")
+    # inside a matched pair: first's nodes[3], second's nodes[3], and a label
+    # first read in node_matching that recurs in anchor_first
+    for label, field in (("w^w", "nodes[3]"), ("w^w*2", "nodes[3]")):
+        doc = json.loads(json.dumps(pair_doc()).replace(f'"{label}"', '"w^q"'))
+        assert decode_error(decode_matched_pair, doc).startswith(f"field {field!r}: ")
+    doc = put(pair_doc(), ("node_matching", 3, 0), "w^q")
+    doc["anchor_first"] = "w^q"
+    assert decode_error(decode_matched_pair, doc).startswith("field 'node_matching[3][0]': ")
+
+
+@pytest.mark.parametrize("value", [["0"], 0, None], ids=["list", "int", "null"])
+def test_a_non_string_where_a_parsed_label_recurs_names_its_field(value):
+    # "0" is nodes[0], so each slot below holds a label the decode has parsed
+    got = f"expected an ordinal string, got {value!r}"
+    parents = "'parents[0][1]'"
+    map_1 = "'maps[1]': field 'maps[1][0][0]'"
+    map_0 = "'maps[0]': field 'maps[0][0][0]'"
+    cases = [
+        (decode_condition, t1_doc, ("parents", 0, 1), parents),
+        (decode_condition, t1_doc, ("maps", "1", 0, 0), map_1),
+        (decode_matched_pair, pair_doc, ("node_matching", 1, 1), "'node_matching[1][1]'"),
+    ]
+    for side in ("first", "second"):
+        cases += [
+            (decode_matched_pair, pair_doc, (side, "parents", 0, 1), parents),
+            (decode_matched_pair, pair_doc, (side, "maps", "0", 0, 0), map_0),
+        ]
+    for decode, doc, path, field in cases:
+        assert decode_error(decode, put(doc(), path, value)) == f"field {field}: {got}"
+
+
+def test_equal_labels_decode_to_one_object():
+    q, _ = decode_condition(json.dumps(t1_doc()))
+    node = {str(x): x for x in q.tree.nodes}
+    assert all(c is node[str(c)] and par is node[str(par)] for c, par in q.tree.parent.items())
+    assert all(a is node[str(a)] and b is node[str(b)] for a, b in q.family[1].pairs)
+    mp, _ = decode_matched_pair(json.dumps(pair_doc()))
+    first = {str(x): x for x in mp.pa.tree.nodes}
+    second = {str(x): x for x in mp.pb.tree.nodes}
+    assert all(second[label] is first[label] for label in ("0", "w", "w+1"))
+    assert mp.alpha is first["w^w"] and mp.anchor_a is first["w^w"]
+    assert all(a is first[str(a)] for a in mp.iso_f)
+
+
+def test_decodes_leave_no_module_state():
+    broken = json.dumps(put(t1_doc(), ("parents", 0, 1), "w^q"))
+    pair = json.dumps(pair_doc())
+    before = _module_sizes()
+    for k in range(250):
+        # each round brings labels no earlier decode has seen
+        doc = t1_doc()
+        doc["nodes"].append(f"w*{k + 3}")
+        doc["parents"].append([f"w*{k + 3}", "w"])
+        decode_condition(json.dumps(doc))
+        decode_condition(encode_condition(gen_condition(k, GenBounds())[0]))
+        with pytest.raises(CodecError):
+            decode_condition(broken)
+        decode_matched_pair(pair.replace('"w^w*2', f'"w^w*{k + 2}'))
+    assert _module_sizes() == before
