@@ -151,8 +151,9 @@ def _condition_from_dict(
             raise CodecError(f"field 'maps': key {key!r} is not an index")
         if tau not in indices:
             raise CodecError(f"field 'maps': index {tau} not declared")
+        pairs = _pairs(f"maps[{key}]", value, ord_)
         try:
-            family[tau] = TreeMap(_pairs(f"maps[{key}]", value, ord_))
+            family[tau] = TreeMap(pairs)
         except ValueError as exc:
             raise CodecError(f"field 'maps[{key}]': {exc}")
     for tau in indices:

@@ -15,9 +15,10 @@ kernels, never the checked public functions, and then check their final
 output once: ``validate_condition`` on it, ``leq`` against their own input,
 and whatever clauses of the pieces those two do not imply (a simple
 extension, a normal tree, successor counts, height sets, separation on the
-fans, the lift's consistency).  One double check remains: ``amalgamate``
-validates its matched pair again, also right after ``build_matched_pair``
-built and validated it.
+fans, the lift's consistency).  A pair built by ``build_matched_pair``
+carries its check (the oracle object and its revision), so ``amalgamate``
+trusts it while that oracle is unchanged and validates every other pair in
+full.  The node and index matchings of a pair are read-only.
 
 The order's agreement clause disregards the structural root agreement
 (0, 0): any two maps defined at the root fix it, and index augmentation
@@ -27,7 +28,7 @@ information about where two maps genuinely coincide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -99,9 +100,6 @@ class Condition:
 
     def indices(self) -> tuple[int, ...]:
         return tuple(sorted(self.family))
-
-    def map(self, tau: int) -> TreeMap:
-        return self.family[tau]
 
 
 def validate_condition(p: Condition, rho: RhoOracle) -> list[str]:
@@ -267,12 +265,8 @@ def hausdorffize(p: Condition, rho: RhoOracle) -> Condition:
     """Insert a successor height just below every limit level."""
     if is_hausdorff(p.tree):
         return p
-    heights = p.tree.heights()
-    Z = frozenset(
-        p.tree.level_below(d) + Ordinal.from_int(1)
-        for d in heights
-        if is_limit(d)
-    )
+    one = Ordinal.from_int(1)
+    Z = frozenset(p.tree.level_below(d) + one for d in p.tree.heights() if is_limit(d))
     q = _check_extend(p, _extend_heights(p, Z), Z, rho, "hausdorffize")
     if not is_hausdorff(q.tree):
         raise RuntimeError("hausdorffize failed to separate a limit level")
@@ -308,9 +302,7 @@ def add_index(p: Condition, s: int) -> Condition:
     """Bring s into the index domain, with an empty map when new."""
     if s in p.family:
         return p
-    fam = dict(p.family)
-    fam[s] = TreeMap()
-    return Condition(p.tree, fam)
+    return Condition(p.tree, {**p.family, s: TreeMap()})
 
 
 def augment(p: Condition, s: int, x: Ordinal, rho: RhoOracle) -> Condition:
@@ -325,8 +317,7 @@ def augment(p: Condition, s: int, x: Ordinal, rho: RhoOracle) -> Condition:
     for ensure_domain in (True, False):
         for step in reversed(q.tree.chain_down(x)):
             f = q.family[s]
-            present = step in (f.domain if ensure_domain else f.image)
-            if present:
+            if step in (f.domain if ensure_domain else f.image):
                 continue
             if step == ZERO:
                 q = Condition(q.tree, {**q.family, s: f.with_pairs([ROOT_PAIR])})
@@ -336,9 +327,7 @@ def augment(p: Condition, s: int, x: Ordinal, rho: RhoOracle) -> Condition:
             if mate is None:
                 raise RuntimeError("augmentation lost the parent link")
             z = _fresh_node(node_height(step), set(q.tree.nodes))
-            tree = StandardTree(
-                q.tree.nodes | {z}, {**dict(q.tree.parent), z: mate}
-            )
+            tree = StandardTree(q.tree.nodes | {z}, {**q.tree.parent, z: mate})
             new_pair = (step, z) if ensure_domain else (z, step)
             q = Condition(tree, {**q.family, s: f.with_pairs([new_pair])})
     return _check_step(p, q, rho, "augment")
@@ -652,8 +641,8 @@ class MatchedPair:
 
     ``common_tree`` is the shared part below ``alpha``; ``iso_f`` matches the
     nodes of the first tree with the nodes of the second and ``iso_g`` the
-    index domains, each the identity on the shared part.  ``anchor_a`` and
-    ``anchor_b`` are the nodes the amalgamation will put in order.
+    index domains, each the identity on the shared part; both are read-only.
+    ``anchor_a`` and ``anchor_b`` are the nodes the amalgamation orders.
     """
 
     pa: Condition
@@ -666,6 +655,12 @@ class MatchedPair:
     iso_g: Mapping[int, int]
     anchor_a: Ordinal
     anchor_b: Ordinal
+    # (oracle, revision) of the check; only build_matched_pair records one
+    _checked: tuple | None = field(default=None, init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "iso_f", MappingProxyType(dict(self.iso_f)))
+        object.__setattr__(self, "iso_g", MappingProxyType(dict(self.iso_g)))
 
 
 def restrict_tree_below(t: StandardTree, alpha: Ordinal) -> StandardTree:
@@ -709,23 +704,22 @@ def _pair_report(mp: MatchedPair, rho: RhoOracle) -> list[str]:
     if any(x >= mp.beta for x in mp.pa.tree.nodes):
         out.append("first tree has node labels at or above the second level")
     # node isomorphism: bijective, order-preserving, identity on the common part
-    f = dict(mp.iso_f)
+    f = mp.iso_f
     if set(f) != set(mp.pa.tree.nodes) or set(f.values()) != set(mp.pb.tree.nodes):
         out.append("node matching is not a bijection between the trees")
         return out
     for x in mp.common_tree.nodes:
         if f[x] != x:
             out.append(f"node matching moves common node {x}")
-    pairs_a = mp.pa.tree.order_pairs()
-    pairs_b = mp.pb.tree.order_pairs()
-    if {(f[x], f[y]) for x, y in pairs_a} != pairs_b:
+    # on valid trees the order is the transitive closure of the parent links
+    if {(f[c], f[x]) for c, x in mp.pa.tree.parent.items()} != set(mp.pb.tree.parent.items()):
         out.append("node matching does not carry the first order onto the second")
     if f.get(mp.anchor_a) != mp.anchor_b:
         out.append("node matching does not connect the anchors")
     if node_height(mp.anchor_a) < mp.alpha:
         out.append("first anchor sits below the matched level")
     # index matching: bijective, identity on the shared block
-    gmap = dict(mp.iso_g)
+    gmap = mp.iso_g
     if set(gmap) != set(mp.pa.family) or set(gmap.values()) != set(mp.pb.family):
         out.append("index matching is not a bijection between the domains")
         return out
@@ -856,6 +850,7 @@ def build_matched_pair(
     report = _side_report("second", pb, rho) or _pair_report(mp, rho)
     if report:
         raise ValueError(f"matched pair does not validate: {'; '.join(report)}")
+    object.__setattr__(mp, "_checked", (rho, rho.revision))
     return mp
 
 
@@ -889,11 +884,12 @@ def amalgamate(mp: MatchedPair, rho: RhoOracle) -> Condition:
     families are merged: copied maps are closed downward, and on shared
     indices the closure must agree with the lifted maps where both speak.
     """
-    report = validate_matched_pair(mp, rho)
-    if report:
-        raise ValueError(f"matched pair does not validate: {'; '.join(report)}")
+    if mp._checked is None or mp._checked[0] is not rho or mp._checked[1] != rho.revision:
+        report = validate_matched_pair(mp, rho)
+        if report:
+            raise ValueError(f"matched pair does not validate: {'; '.join(report)}")
     pa, pb, alpha, beta = mp.pa, mp.pb, mp.alpha, mp.beta
-    iso = dict(mp.iso_f)
+    iso = mp.iso_f
     iso_back = {v: k for k, v in iso.items()}
     A = sorted(mp.shared)
     top_a = pa.tree.max_height()

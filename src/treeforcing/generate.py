@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 from . import ops
 from .forcing import Condition
-from .ordinals import Ordinal, node_height, parse_ordinal
-from .separation import RhoOracle, WitnessOrder, decide_separation, oracle_from_spec
+from .ordinals import node_height, parse_ordinal
+from .separation import RhoOracle, WitnessOrder, decide_separation
 
 # the operation-table entries a walk draws from, in the order the seeded draw
 # indexes them; the last two only once the tree has two occupied heights
@@ -31,8 +31,6 @@ class GenBounds:
     max_level_width: int = 6
     max_indices: int = 3
     max_steps: int = 10
-    rho_spec: str = "zero"
-    height_palette: tuple[Ordinal, ...] = HEIGHT_PALETTE
 
 
 def _node_budget_ok(p: Condition, bounds: GenBounds) -> bool:
@@ -66,7 +64,7 @@ def random_step(
         args = {"index": s, "node": rng.choice(nodes)}
 
     elif name == "extend_heights":
-        fresh = [h for h in bounds.height_palette if h not in heights]
+        fresh = [h for h in HEIGHT_PALETTE if h not in heights]
         if not fresh or len(heights) >= bounds.max_heights:
             return None
         Z = set(rng.sample(fresh, rng.randint(1, min(2, len(fresh)))))
@@ -128,7 +126,7 @@ def random_step(
 def gen_condition(seed: int, bounds: GenBounds = GenBounds()) -> tuple[Condition, RhoOracle]:
     """A valid condition grown by a seeded random walk, with its oracle."""
     rng = random.Random(seed)
-    rho = oracle_from_spec(bounds.rho_spec, seed=seed)
+    rho = RhoOracle.zero()
     p = Condition.trivial()
     steps = rng.randint(2, bounds.max_steps)
     taken = 0

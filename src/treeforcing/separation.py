@@ -33,7 +33,8 @@ class RhoOracle:
 
     Values come from an explicit table, falling back to a pluggable default
     for absent pairs; fallback results are memoised into the table so that a
-    run's consulted values can be serialised afterwards.
+    run's consulted values can be serialised afterwards.  ``revision`` counts
+    ``set_value`` calls; memoised fallbacks change no value and do not count.
     """
 
     def __init__(
@@ -43,6 +44,7 @@ class RhoOracle:
     ):
         self.table: dict[tuple[int, int], Ordinal] = {}
         self._fallback = fallback
+        self.revision = 0
         for i, j, v in entries:
             self.set_value(i, j, v)
 
@@ -62,6 +64,7 @@ class RhoOracle:
                 raise ValueError("the diagonal of rho is zero")
             return
         self.table[(min(i, j), max(i, j))] = v
+        self.revision += 1
 
     def entries(self) -> list[tuple[int, int, Ordinal]]:
         return [(i, j, v) for (i, j), v in sorted(self.table.items())]

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
+import itertools
+
 import pytest
 
 from treeforcing.forcing import (
     Condition,
+    _pair_report,
     amalgamate,
     build_matched_pair,
     extend_heights,
@@ -11,6 +15,7 @@ from treeforcing.forcing import (
     normalize_condition,
     validate_condition,
     validate_matched_pair,
+    widen_node,
 )
 from treeforcing.ordinals import ZERO, node_at, node_height, parse_ordinal
 from treeforcing.separation import RhoOracle
@@ -159,3 +164,66 @@ def test_amalgamate_anchor_above_alpha():
     w = amalgamate(mp, rho)
     assert w.tree.is_below(mp.anchor_a, mp.anchor_b)
     assert validate_condition(w, rho) == []
+
+
+def test_amalgamate_rejects_a_pair_whose_oracle_broke_a_premise():
+    rho = RhoOracle.from_entries([(0, 5, ALPHA)])
+    p = base_condition(with_edge=False, petal_index=5)
+    mp = build_matched_pair(p, ALPHA, BETA, node_at(ALPHA, 0), 100, rho)
+    rho.set_value(5, 100, ZERO)  # the cross premise wants at least the common height
+    with pytest.raises(ValueError) as exc:
+        amalgamate(mp, rho)
+    assert str(exc.value) == (
+        "matched pair does not validate: cross pair (5, 100) has rho below the common height"
+    )
+
+
+def test_a_replaced_pair_is_validated_again():
+    rho = RhoOracle.zero()
+    mp = build_matched_pair(base_condition(True), ALPHA, BETA, node_at(ALPHA, 0), 100, rho)
+    moved = dataclasses.replace(mp, anchor_b=mp.iso_f[node_at(ALPHA, 1)])
+    with pytest.raises(ValueError, match="node matching does not connect the anchors"):
+        amalgamate(moved, rho)
+
+
+def test_matchings_are_read_only():
+    rho = RhoOracle.zero()
+    mp = build_matched_pair(base_condition(True), ALPHA, BETA, node_at(ALPHA, 0), 100, rho)
+    with pytest.raises(TypeError):
+        mp.iso_f[ZERO] = node_at(ALPHA, 0)
+    with pytest.raises(TypeError):
+        mp.iso_g[0] = 100
+    # a pair keeps its own copies of the matchings it was given
+    iso_f, iso_g = dict(mp.iso_f), dict(mp.iso_g)
+    copy = dataclasses.replace(mp, iso_f=iso_f, iso_g=iso_g)
+    iso_f[ZERO], iso_g[0] = node_at(ALPHA, 0), 100
+    assert copy == mp and validate_matched_pair(copy, rho) == []
+
+
+def built_pairs():
+    """Matched pairs over the base conditions, some taller and with sibling leaves."""
+    u0 = node_at(ALPHA, 0)
+    for edge, petal in ((False, None), (True, None), (True, 5)):
+        rho = RhoOracle.from_entries([(0, 5, ALPHA)])
+        base = base_condition(edge, petal)
+        taller = normalize_condition(extend_heights(base, {ALPHA + O("1")}, rho), rho)
+        forked = normalize_condition(widen_node(base, u0, 2, rho), rho)
+        for p in (base, taller, forked):
+            yield build_matched_pair(p, ALPHA, BETA, u0, 100, rho), rho
+
+
+def test_parent_links_carry_the_order_exactly_when_order_pairs_do():
+    clause = "node matching does not carry the first order onto the second"
+    seen = set()
+    for mp, rho in built_pairs():
+        tree = mp.pa.tree
+        for h in tree.heights():
+            for x, y in itertools.combinations(sorted(tree.level(h)), 2):
+                f = {**mp.iso_f, x: mp.iso_f[y], y: mp.iso_f[x]}
+                moved = {(f[a], f[b]) for a, b in tree.order_pairs()}
+                carried = moved == mp.pb.tree.order_pairs()
+                report = _pair_report(dataclasses.replace(mp, iso_f=f), rho)
+                assert (clause not in report) == carried, (x, y)
+                seen.add((tree.parent[x] == tree.parent[y], carried))
+    # swaps under different parents break the order; swapped sibling leaves keep it
+    assert {(False, False), (True, True)} <= seen

@@ -11,12 +11,14 @@ outputs that no operation checks itself.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 
 import pytest
 
 from treeforcing import forcing, scenario, treemaps, trees
+from treeforcing.codec import decode_matched_pair, encode_matched_pair
 from treeforcing.forcing import (
     Condition,
     amalgamate,
@@ -221,8 +223,8 @@ def test_amalgamate_checks_its_output_once_against_each_side(monkeypatch, taller
     with monkeypatch.context() as patch:
         budget = Budget(patch)
         out = amalgamate(mp, rho)
-    # the matched pair is validated as input (both sides), the output once
-    assert [id(c) for c in budget.validated] == [id(mp.pa), id(mp.pb), id(out)]
+    # the built pair carries its check, so only the output is validated
+    assert [id(c) for c in budget.validated] == [id(out)]
     assert [(id(a), id(b)) for a, b in budget.ordered] == [
         (id(out), id(mp.pa)),
         (id(out), id(mp.pb)),
@@ -274,13 +276,44 @@ def test_lift_with_support_classifies_maps_only_in_its_one_validation(monkeypatc
 
 
 @pytest.mark.parametrize("taller", [False, True])
-def test_amalgamate_classifies_maps_only_in_its_three_validations(monkeypatch, taller):
+def test_amalgamate_classifies_maps_only_in_its_one_validation(monkeypatch, taller):
     mp, rho = matched_pair(taller)
     with monkeypatch.context() as patch:
         calls = Classified(patch)
         out = amalgamate(mp, rho)
-    assert [id(c) for c in calls.validated] == [id(mp.pa), id(mp.pb), id(out)]
+    assert [id(c) for c in calls.validated] == [id(out)]
     assert calls.inside > 0 and calls.outside == 0
+
+
+def same_values(rho: RhoOracle) -> RhoOracle:
+    """Another oracle object with rho's table and revision."""
+    other = RhoOracle()
+    other.table.update(rho.table)
+    other.revision = rho.revision
+    return other
+
+
+def untrusted_pairs(taller: bool):
+    """(name, pair, oracle) cases whose pair amalgamate must validate in full."""
+    mp, rho = matched_pair(taller)
+    yield "decoded", decode_matched_pair(encode_matched_pair(mp, rho))[0], rho
+    yield "replaced", dataclasses.replace(mp), rho
+    yield "equal oracle", mp, same_values(rho)
+    rho.set_value(0, 1, rho.value(0, 1))  # same value, new revision
+    yield "changed oracle", mp, rho
+
+
+@pytest.mark.parametrize("taller", [False, True])
+def test_amalgamate_validates_every_pair_it_did_not_see_built(monkeypatch, taller):
+    names = []
+    for name, mp, rho in untrusted_pairs(taller):
+        with monkeypatch.context() as patch:
+            calls = Classified(patch)
+            out = amalgamate(mp, rho)
+        assert [id(c) for c in calls.validated] == [id(mp.pa), id(mp.pb), id(out)], name
+        assert calls.outside == 0, name
+        names.append(name)
+    assert names == ["decoded", "replaced", "equal oracle", "changed oracle"]
 
 
 @pytest.mark.parametrize("taller", [False, True])

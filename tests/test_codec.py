@@ -153,8 +153,8 @@ def test_a_non_string_where_a_parsed_label_recurs_names_its_field(value):
     # "0" is nodes[0], so each slot below holds a label the decode has parsed
     got = f"expected an ordinal string, got {value!r}"
     parents = "'parents[0][1]'"
-    map_1 = "'maps[1]': field 'maps[1][0][0]'"
-    map_0 = "'maps[0]': field 'maps[0][0][0]'"
+    map_1 = "'maps[1][0][0]'"
+    map_0 = "'maps[0][0][0]'"
     cases = [
         (decode_condition, t1_doc, ("parents", 0, 1), parents),
         (decode_condition, t1_doc, ("maps", "1", 0, 0), map_1),
@@ -167,6 +167,15 @@ def test_a_non_string_where_a_parsed_label_recurs_names_its_field(value):
         ]
     for decode, doc, path, field in cases:
         assert decode_error(decode, put(doc(), path, value)) == f"field {field}: {got}"
+
+
+def test_a_map_error_names_its_field_once():
+    # a bad label is named by its slot alone; the map's own errors by the map
+    doc = put(t1_doc(), ("maps", "1", 0, 0), "w^q")
+    assert decode_error(decode_condition, doc).startswith("field 'maps[1][0][0]': ")
+    doc = t1_doc()
+    doc["maps"]["1"].append(["w", "w*2"])
+    assert decode_error(decode_condition, doc) == "field 'maps[1]': source w mapped twice"
 
 
 def test_equal_labels_decode_to_one_object():
