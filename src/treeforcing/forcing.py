@@ -40,7 +40,6 @@ from .ordinals import (
     is_omega_fixed,
     left_subtract,
     node_at,
-    node_height,
 )
 from .separation import (
     RhoOracle,
@@ -60,10 +59,11 @@ from .treemaps import (
     tensor_downward_closure,
 )
 from .trees import (
+    MAX_TREE_NODES,
     StandardTree,
+    _FreshLabels,
     _adds_simply,
     _fan_out,
-    _fresh_node,
     _normalize,
     _simple_extend,
     is_extension,
@@ -73,10 +73,6 @@ from .trees import (
 )
 
 ROOT_PAIR = (ZERO, ZERO)
-
-# the most nodes a bijectivization may grow a tree to: each level's fan width
-# multiplies through every level above it, so a cone can explode in size
-MAX_TREE_NODES = 10_000
 
 
 @dataclass(frozen=True)
@@ -248,7 +244,7 @@ def widen_node(p: Condition, x: Ordinal, k: int, rho: RhoOracle) -> Condition:
         raise ValueError(f"node {x} not in tree")
     if k < 1:
         raise ValueError("successor count must be positive")
-    nxt = node_height(x) + Ordinal.from_int(1)
+    nxt = x.height + Ordinal.from_int(1)
     q = _extend_heights(p, frozenset({nxt}))
     if len(q.tree.immediate_successors(x)) < k:
         q = _fan_out_condition(q, frozenset({x}), k)
@@ -285,15 +281,13 @@ def grow_node(p: Condition, x: Ordinal, alpha: Ordinal, rho: RhoOracle) -> Condi
     """Put some node above x at level alpha."""
     if x not in p.tree.nodes:
         raise ValueError(f"node {x} not in tree")
-    if not node_height(x) < alpha:
+    if not x.height < alpha:
         raise ValueError("target level must lie above the node")
-    if alpha in p.tree.heights() and any(
-        node_height(y) == alpha for y in p.tree.successors(x)
-    ):
+    if alpha in p.tree.heights() and any(y.height == alpha for y in p.tree.successors(x)):
         return p
     q = _normalize_condition(_extend_heights(p, frozenset({alpha})))
     _check_normal(p, q, frozenset({alpha, *p.tree.heights()}), rho, "grow_node")
-    if not any(node_height(y) == alpha for y in q.tree.successors(x)):
+    if not any(y.height == alpha for y in q.tree.successors(x)):
         raise RuntimeError("grow_node left the node without a successor at the level")
     return q
 
@@ -314,6 +308,7 @@ def augment(p: Condition, s: int, x: Ordinal, rho: RhoOracle) -> Condition:
     if x not in p.tree.nodes:
         raise ValueError(f"node {x} not in tree")
     q = add_index(p, s)
+    labels = _FreshLabels(p.tree.nodes)
     for ensure_domain in (True, False):
         for step in reversed(q.tree.chain_down(x)):
             f = q.family[s]
@@ -326,7 +321,7 @@ def augment(p: Condition, s: int, x: Ordinal, rho: RhoOracle) -> Condition:
             mate = f.get(anchor) if ensure_domain else f.get_inverse(anchor)
             if mate is None:
                 raise RuntimeError("augmentation lost the parent link")
-            z = _fresh_node(node_height(step), set(q.tree.nodes))
+            z = labels.take(step.height)
             tree = StandardTree(q.tree.nodes | {z}, {**q.tree.parent, z: mate})
             new_pair = (step, z) if ensure_domain else (z, step)
             q = Condition(tree, {**q.family, s: f.with_pairs([new_pair])})
@@ -580,7 +575,7 @@ def lift_with_support(
     X = frozenset(X)
     A = frozenset(A)
     top = p.tree.max_height()
-    if node_height(b) != top or p.tree.restrict(b, alpha) not in X:
+    if b.height != top or p.tree.restrict(b, alpha) not in X:
         raise ValueError("anchor node must sit on the top level over the node set")
     cone, widths = _bijectivize_cone(p, alpha, X, A)
     _check_bijectivize(p, cone, X, A, widths, rho, "lift_with_support")
@@ -665,7 +660,7 @@ class MatchedPair:
 
 def restrict_tree_below(t: StandardTree, alpha: Ordinal) -> StandardTree:
     """The downward-closed part of t strictly below level alpha."""
-    nodes = frozenset(x for x in t.nodes if node_height(x) < alpha)
+    nodes = frozenset(x for x in t.nodes if x.height < alpha)
     parent = {x: p for x, p in t.parent.items() if x in nodes}
     return StandardTree(nodes, parent)
 
@@ -716,7 +711,7 @@ def _pair_report(mp: MatchedPair, rho: RhoOracle) -> list[str]:
         out.append("node matching does not carry the first order onto the second")
     if f.get(mp.anchor_a) != mp.anchor_b:
         out.append("node matching does not connect the anchors")
-    if node_height(mp.anchor_a) < mp.alpha:
+    if mp.anchor_a.height < mp.alpha:
         out.append("first anchor sits below the matched level")
     # index matching: bijective, identity on the shared block
     gmap = mp.iso_g
@@ -789,7 +784,7 @@ def build_matched_pair(
         raise ValueError("node labels must stay below the second level")
     if 0 not in p.family:
         raise ValueError("index 0 must be present")
-    if x not in p.tree.nodes or node_height(x) < alpha:
+    if x not in p.tree.nodes or x.height < alpha:
         raise ValueError("anchor must sit at or above the matched level")
 
     indices = sorted(p.family)
@@ -914,14 +909,14 @@ def amalgamate(mp: MatchedPair, rho: RhoOracle) -> Condition:
     chain_heights = [h for h in pa.tree.heights() if h >= alpha]
     nodes = set(pa.tree.nodes)
     parent = dict(pa.tree.parent)
-    used = set(pa.tree.nodes)
+    labels = _FreshLabels(pa.tree.nodes)
     chain_top: dict[Ordinal, Ordinal] = {}
     for y in sorted(pb.tree.level(beta)):
         if y in X_b:
             continue
         prev = pb.tree.restrict(y, common_top)
         for h in chain_heights:
-            z = _fresh_node(h, used)
+            z = labels.take(h)
             nodes.add(z)
             parent[z] = prev
             prev = z
@@ -938,7 +933,7 @@ def amalgamate(mp: MatchedPair, rho: RhoOracle) -> Condition:
         z_alpha = min(
             y
             for y in pa.tree.successors(mp.anchor_a) | {mp.anchor_a}
-            if node_height(y) == top_a
+            if y.height == top_a
         )
         shared_maps = {tau: cone.family[tau] for tau in A}
         order = decide_separation(shared_maps, X_a).order
@@ -949,7 +944,7 @@ def amalgamate(mp: MatchedPair, rho: RhoOracle) -> Condition:
     w_nodes = U.nodes | pb.tree.nodes
     w_parent = dict(U.parent)
     for c, par in pb.tree.parent.items():
-        if node_height(c) > beta:
+        if c.height > beta:
             w_parent[c] = par
     for y in sorted(pb.tree.level(beta)):
         if y in X_b:

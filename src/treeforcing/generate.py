@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import ops
 from .forcing import Condition
-from .ordinals import node_height, parse_ordinal
+from .ordinals import parse_ordinal
 from .separation import RhoOracle, WitnessOrder, decide_separation
 
 # the operation-table entries a walk draws from, in the order the seeded draw
@@ -81,7 +81,7 @@ def random_step(
         if not _node_budget_ok(p, bounds):
             return None
         x = rng.choice(nodes)
-        above = [h for h in heights if h > node_height(x)]
+        above = [h for h in heights if h > x.height]
         if not above:
             return None
         args = {"node": x, "height": rng.choice(above)}

@@ -2,7 +2,8 @@
 
 Ordinals play two roles here: they label tree nodes, and they index tree
 levels.  A node label g determines its level through the decomposition
-g = w*h + k with k finite; h is the *height* of g.
+g = w*h + k with k finite; h is the *height* of g, ``g.height``, kept in g's
+instance dict after the first read (``node_at`` fills it for its labels).
 
 A value is a finite sum of terms w^e * c with strictly decreasing ordinal
 exponents e and positive integer coefficients c.  The empty sum is 0.
@@ -11,6 +12,7 @@ Coefficients are plain Python ints, so they never overflow.
 
 from __future__ import annotations
 
+from functools import cached_property
 from operator import itemgetter
 
 
@@ -30,9 +32,10 @@ class Ordinal(tuple):
     hashing, equality and comparison are tuple's own C slots, recursing
     through the exponents without a Python frame, and the hash equals the
     one a frozen dataclass with the single field ``terms`` gives, so set
-    orders do not depend on the representation.  ``height_split`` memoises
-    its result on the instance.  Being a tuple, an ordinal also compares
-    equal to the plain tuple ``(terms,)``; the library never mixes the two.
+    orders do not depend on the representation.  ``height`` is memoised in
+    the instance dict, which assignment cannot reach.  Being a tuple, an
+    ordinal also compares equal to the plain tuple ``(terms,)``; the library
+    never mixes the two.
     """
 
     terms = property(itemgetter(0), doc="The (exponent, coefficient) pairs, highest first.")
@@ -78,6 +81,14 @@ class Ordinal(tuple):
 
     def __bool__(self) -> bool:
         return bool(self.terms)
+
+    @cached_property
+    def height(self) -> "Ordinal":
+        """h in self = w*h + k with k < w: the level of the node labelled self."""
+        infinite = self.terms
+        if infinite and infinite[-1][0] == ZERO:
+            infinite = infinite[:-1]
+        return Ordinal(tuple((_exp_pred(e), c) for e, c in infinite))
 
     @property
     def is_finite(self) -> bool:
@@ -145,22 +156,9 @@ def height_split(g: Ordinal) -> tuple[Ordinal, int]:
     """Decompose g = w*h + k with k < w; returns (h, k).
 
     h is the height of the node labelled g and k its offset within the level.
-    The split is memoised on g itself.
     """
-    split = g.__dict__.get("_split")
-    if split is None:
-        split = g.__dict__["_split"] = _height_split(g)
-    return split
-
-
-def _height_split(g: Ordinal) -> tuple[Ordinal, int]:
-    offset = 0
-    infinite = g.terms
-    if infinite and infinite[-1][0] == ZERO:
-        offset = infinite[-1][1]
-        infinite = infinite[:-1]
-    height = Ordinal(tuple((_exp_pred(e), c) for e, c in infinite))
-    return height, offset
+    terms = g.terms
+    return g.height, terms[-1][1] if terms and terms[-1][0] == ZERO else 0
 
 
 def _exp_pred(e: Ordinal) -> Ordinal:
@@ -174,11 +172,13 @@ def node_at(height: Ordinal, offset: int) -> Ordinal:
     """Inverse of height_split: the node label w*height + offset."""
     if offset < 0:
         raise ValueError("offset must be a natural number")
-    return omega_mul(height) + Ordinal.from_int(offset)
+    node = omega_mul(height) + Ordinal.from_int(offset)
+    node.__dict__["height"] = height
+    return node
 
 
 def node_height(g: Ordinal) -> Ordinal:
-    return height_split(g)[0]
+    return g.height
 
 
 def left_subtract(a: Ordinal, b: Ordinal) -> Ordinal:

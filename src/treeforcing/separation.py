@@ -21,7 +21,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .ordinals import ZERO, Ordinal, node_height, parse_ordinal
+from .ordinals import ZERO, Ordinal, parse_ordinal
 from .treemaps import TreeMap, is_standard
 from .trees import StandardTree, is_normal
 
@@ -262,7 +262,7 @@ def is_consistent(
     X = frozenset(X)
     if not X:
         return True
-    levels = {node_height(x) for x in X}
+    levels = {x.height for x in X}
     if len(levels) > 1:
         raise ValueError("node set spans several levels")
     (alpha,) = levels
@@ -397,7 +397,7 @@ def decide_separation(fam: Family, X: Iterable[Ordinal]) -> SeparationVerdict:
     X = frozenset(X)
     if not X:
         return WitnessOrder(())
-    levels = {node_height(x) for x in X}
+    levels = {x.height for x in X}
     if len(levels) > 1:
         raise ValueError("node set spans several levels")
     (alpha,) = levels
@@ -438,7 +438,7 @@ def one_key_lift(
     verdict = decide_separation(fam, X)
     if not isinstance(verdict, WitnessOrder):
         raise ValueError(f"family is not separated on the node set ({verdict})")
-    if node_height(b) != beta or t.restrict(b, alpha) not in X:
+    if b.height != beta or t.restrict(b, alpha) not in X:
         raise ValueError("anchor node must sit at the target level over the node set")
     for tau in sorted(fam):
         f = fam[tau]

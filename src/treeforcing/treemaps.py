@@ -11,14 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .ordinals import ZERO, Ordinal, node_height
+from .ordinals import ZERO, Ordinal
 from .trees import StandardTree, is_simple_extension
 
 Pair = tuple[Ordinal, Ordinal]
 
 
 class TreeMap:
-    """A finite partial injection candidate, stored as sorted (source, target) pairs."""
+    """An immutable partial injection candidate: sorted (source, target) pairs."""
 
     __slots__ = ("pairs", "_fwd", "_rev")
 
@@ -32,9 +32,18 @@ class TreeMap:
         rev: dict[Ordinal, list[Ordinal]] = {}
         for x, y in items:
             rev.setdefault(y, []).append(x)
-        self.pairs: tuple[Pair, ...] = tuple(items)
-        self._fwd = fwd
-        self._rev = rev
+        object.__setattr__(self, "pairs", tuple(items))
+        object.__setattr__(self, "_fwd", fwd)
+        object.__setattr__(self, "_rev", rev)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"TreeMap is immutable; cannot assign {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"TreeMap is immutable; cannot delete {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return TreeMap, (self.pairs,)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, TreeMap) and self.pairs == other.pairs
@@ -127,7 +136,7 @@ def classify_map(t: StandardTree, pairs: Iterable[Pair]) -> MapFlags:
     targets = [y for _, y in ps]
     functional = len(set(sources)) == len(ps)
     injective = len(set(targets)) == len(ps)
-    level_preserving = all(node_height(x) == node_height(y) for x, y in ps)
+    level_preserving = all(x.height == y.height for x, y in ps)
     # pairs (a0, b0), (a1, b1) with a0 below a1 need b0 below b1; walk each
     # source's ancestors instead of trying every pair of pairs
     targets_of: dict[Ordinal, list[Ordinal]] = {}
@@ -137,13 +146,13 @@ def classify_map(t: StandardTree, pairs: Iterable[Pair]) -> MapFlags:
         t.is_below(b0, b1)
         for a1, b1 in ps
         for a0 in t.chain_down(a1)[1:]
-        if a0 in targets_of and node_height(a0) < node_height(a1)
+        if a0 in targets_of and a0.height < a1.height
         for b0 in targets_of[a0]
     )
     pair_set = set(ps)
     downwards_closed = True
     for x, y in ps:
-        h = min(node_height(x), node_height(y))
+        h = min(x.height, y.height)
         for b in [ZERO] + [g for g in t.heights() if g < h]:
             if (t.restrict(x, b), t.restrict(y, b)) not in pair_set:
                 downwards_closed = False
@@ -186,7 +195,7 @@ def _downward_close(u: StandardTree, f: TreeMap) -> TreeMap:
     u_levels = [ZERO] + list(u.heights())
     for x, y in f:
         for b in u_levels:
-            if b <= node_height(x):
+            if b <= x.height:
                 closed.add((u.restrict(x, b), u.restrict(y, b)))
     return TreeMap(closed)
 
@@ -200,8 +209,8 @@ def tensor_downward_closure(t: StandardTree, S: Iterable[Pair]) -> frozenset[Pai
     """All same-level pairs lying componentwise below a pair of S."""
     out: set[Pair] = set()
     for a, b in S:
-        if node_height(a) != node_height(b):
+        if a.height != b.height:
             raise ValueError(f"pair ({a}, {b}) is not same-level")
-        for c in [ZERO] + [g for g in t.heights() if g <= node_height(a)]:
+        for c in [ZERO] + [g for g in t.heights() if g <= a.height]:
             out.add((t.restrict(a, c), t.restrict(b, c)))
     return frozenset(out)

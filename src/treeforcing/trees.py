@@ -8,6 +8,9 @@ their own postconditions.  Each builder is split into an unchecked kernel
 (``_simple_extend``, ``_normalize``, ``_fan_out``) and the public function,
 which runs the kernel and then the full check; the forcing operations call
 the kernels and check the condition they build once, at their own boundary.
+Every construction that adds nodes labels them through one allocator,
+``_FreshLabels``, built once per construction, and no fan-out grows a
+tree beyond ``MAX_TREE_NODES``.
 """
 
 from __future__ import annotations
@@ -18,7 +21,12 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .ordinals import ZERO, Ordinal, is_limit, node_at, node_height
+from .ordinals import ZERO, Ordinal, height_split, is_limit, node_at
+
+
+# the most nodes a fan-out may grow a tree to: its count comes from the request,
+# and a cone's fan widths multiply through every level, so either can explode
+MAX_TREE_NODES = 10_000
 
 
 class MalformedTreeError(ValueError):
@@ -41,7 +49,7 @@ class _TreeIndex:
     def __init__(self, t: "StandardTree"):
         levels: dict[Ordinal, list[Ordinal]] = {}
         for x in t.nodes:
-            levels.setdefault(node_height(x), []).append(x)
+            levels.setdefault(x.height, []).append(x)
         self.heights = tuple(sorted(h for h in levels if h != ZERO))
         self.levels = {h: frozenset(xs) for h, xs in levels.items()}
         children: dict[Ordinal, list[Ordinal]] = {}
@@ -153,7 +161,7 @@ class StandardTree:
 
     def is_below(self, x: Ordinal, y: Ordinal) -> bool:
         """x strictly below y."""
-        if not node_height(x) < node_height(y):
+        if not x.height < y.height:
             return False
         index = self._order()
         ey = index.enter.get(y)
@@ -183,11 +191,11 @@ class StandardTree:
             raise ValueError(f"node {x} not in tree")
         if b != ZERO and b not in self._index.levels:
             raise ValueError(f"level {b} is not occupied")
-        if node_height(x) < b:
+        if x.height < b:
             raise ValueError(f"level {b} is above node {x}")
         self._order()
         cur = x
-        while node_height(cur) != b:
+        while cur.height != b:
             if cur == ZERO:
                 raise MalformedTreeError(f"node {x} has no ancestor at level {b}")
             cur = self.parent[cur]
@@ -195,7 +203,7 @@ class StandardTree:
 
     def meet(self, x: Ordinal, y: Ordinal) -> Ordinal:
         """The largest common lower bound of x and y (the root exists, so it does)."""
-        hx, hy = node_height(x), node_height(y)
+        hx, hy = x.height, y.height
         h = min(hx, hy)
         a, b = self.restrict(x, h), self.restrict(y, h)
         while a != b:
@@ -207,24 +215,24 @@ class StandardTree:
         ex = index.enter.get(x)
         if ex is None:
             return frozenset()
-        hx = node_height(x)
+        hx = x.height
         return frozenset(
             y
             for y in index.preorder[ex + 1 : index.exit[x] + 1]
-            if y in self.nodes and hx < node_height(y)
+            if y in self.nodes and hx < y.height
         )
 
     def successors_at(self, x: Ordinal, h: Ordinal) -> frozenset[Ordinal]:
         """The successors of x on level h."""
         index = self._order()
         ex = index.enter.get(x)
-        if ex is None or not node_height(x) < h or h not in index.by_level:
+        if ex is None or not x.height < h or h not in index.by_level:
             return frozenset()
         keys, members = index.by_level[h]
         return frozenset(members[bisect_right(keys, ex) : bisect_right(keys, index.exit[x])])
 
     def immediate_successors(self, x: Ordinal) -> frozenset[Ordinal]:
-        nxt = self.level_above(node_height(x))
+        nxt = self.level_above(x.height)
         if nxt is None:
             return frozenset()
         return self.successors_at(x, nxt)
@@ -235,7 +243,7 @@ def validate_tree(t: StandardTree) -> list[str]:
     out = []
     if ZERO not in t.nodes:
         out.append("clause 1: the root 0 is missing")
-    for x in sorted(x for x in t.nodes if x != ZERO and node_height(x) == ZERO):
+    for x in sorted(x for x in t.nodes if x != ZERO and x.height == ZERO):
         out.append(f"clause 1: node {x} is nonzero with height 0")
     roots = t.nodes - set(t.parent)
     if roots - {ZERO}:
@@ -251,7 +259,7 @@ def validate_tree(t: StandardTree) -> list[str]:
         return out
     bad = []
     for x, p in t.parent.items():
-        hx, hp = node_height(x), node_height(p)
+        hx, hp = x.height, p.height
         if not hp < hx:
             bad.append((x, f"clause 3: parent {p} of {x} is not lower"))
             continue
@@ -271,10 +279,10 @@ def validate_tree(t: StandardTree) -> list[str]:
     for x in index.preorder[1:]:
         depth[x] = depth[t.parent[x]] + 1
     heights = index.heights
-    short = [x for x in t.nodes if depth[x] != bisect_left(heights, node_height(x)) + (x != ZERO)]
+    short = [x for x in t.nodes if depth[x] != bisect_left(heights, x.height) + (x != ZERO)]
     for x in sorted(short):
-        hit = {node_height(y) for y in t.chain_down(x)}
-        want = {g for g in heights if g < node_height(x)} | {ZERO}
+        hit = {y.height for y in t.chain_down(x)}
+        want = {g for g in heights if g < x.height} | {ZERO}
         out.append(f"clause 4: node {x} misses ancestors at {_names(want - hit)}")
     return out
 
@@ -286,7 +294,7 @@ def _names(items: Iterable) -> str:
 def unique_dropdowns(t: StandardTree, X: Iterable[Ordinal], b: Ordinal) -> bool:
     """True iff the drop-down map to level b is injective on X (one-level X)."""
     X = frozenset(X)
-    if len({node_height(x) for x in X}) > 1:
+    if len({x.height for x in X}) > 1:
         raise ValueError("node set spans several levels")
     drops = {t.restrict(x, b) for x in X}
     return len(drops) == len(X)
@@ -351,7 +359,7 @@ def _adds_simply(t: StandardTree, u: StandardTree) -> bool:
     """
     new_levels = set(u.heights()) - set(t.heights())
     for x in u.nodes - t.nodes:
-        if node_height(x) not in new_levels:
+        if x.height not in new_levels:
             return False
     t_max = t.max_height()
     for a in sorted(new_levels):
@@ -363,13 +371,34 @@ def _adds_simply(t: StandardTree, u: StandardTree) -> bool:
     return True
 
 
-def _fresh_node(height: Ordinal, used: set[Ordinal]) -> Ordinal:
-    k = 0
-    while node_at(height, k) in used:
-        k += 1
-    node = node_at(height, k)
-    used.add(node)
-    return node
+class _FreshLabels:
+    """The fresh-node allocator: each take is the least label on its height not
+    in the node set it was built from and not taken before.  The first take
+    reads the node set into taken offsets per height, and each height keeps
+    its next free offset, so a take costs O(1) amortised."""
+
+    __slots__ = ("_nodes", "_taken", "_next")
+
+    def __init__(self, nodes: Iterable[Ordinal]):
+        self._nodes, self._taken, self._next = nodes, None, {}
+
+    def take(self, height: Ordinal) -> Ordinal:
+        if self._taken is None:
+            self._taken = {}
+            for x in self._nodes:
+                h, k = height_split(x)
+                self._taken.setdefault(h, set()).add(k)
+        taken = self._taken.get(height, ())
+        k = self._next.get(height, 0)
+        while k in taken:
+            k += 1
+        self._next[height] = k + 1
+        return node_at(height, k)
+
+
+def _fresh_node(height: Ordinal, used: Iterable[Ordinal]) -> Ordinal:
+    """The least label on the height that is not in used."""
+    return _FreshLabels(used).take(height)
 
 
 def simple_extend(t: StandardTree, B: Iterable[Ordinal]) -> StandardTree:
@@ -394,20 +423,20 @@ def _simple_extend(t: StandardTree, B: frozenset[Ordinal]) -> StandardTree:
     if missing:
         raise ValueError(f"height set drops occupied levels: {_names(missing)}")
     cur = t
-    used = set(t.nodes)
+    labels = _FreshLabels(t.nodes)
     for a in sorted(B - set(t.heights())):
         nodes = set(cur.nodes)
         parent = dict(cur.parent)
         if a > cur.max_height():
             top = min(cur.level(cur.max_height()) if cur.heights() else {ZERO})
-            z = _fresh_node(a, used)
+            z = labels.take(a)
             nodes.add(z)
             parent[z] = top
         else:
             delta = min(g for g in cur.heights() if g > a)
             beta = cur.level_below(a)
             for x in sorted(cur.level(delta)):
-                z = _fresh_node(a, used)
+                z = labels.take(a)
                 nodes.add(z)
                 parent[z] = cur.restrict(x, beta)
                 parent[x] = z
@@ -419,7 +448,7 @@ def is_normal(t: StandardTree) -> bool:
     """Every node has successors at every higher occupied level."""
     heights = t.heights()
     for x in t.nodes:
-        for g in heights[bisect_right(heights, node_height(x)) :]:
+        for g in heights[bisect_right(heights, x.height) :]:
             if not t.successors_at(x, g):
                 return False
     return True
@@ -449,23 +478,22 @@ def normalize(t: StandardTree) -> StandardTree:
 
 def _normalize(t: StandardTree) -> StandardTree:
     """``normalize`` without its postcondition check; t itself when already normal."""
-    heights = t.heights()
-    nodes = set(t.nodes)
+    levels = [ZERO, *t.heights()]
+    members = {h: set(t.level(h)) for h in levels}
     parent = dict(t.parent)
-    used = set(t.nodes)
-    added = False
-    levels = [ZERO] + list(heights)
+    labels = _FreshLabels(t.nodes)
+    added = []
     for lo, hi in zip(levels, levels[1:]):
-        fathers = {parent.get(y) for y in nodes if node_height(y) == hi}
-        for x in sorted(n for n in nodes if node_height(n) == lo):
+        fathers = {parent.get(y) for y in members[hi]}
+        for x in sorted(members[lo]):
             if x not in fathers:
-                z = _fresh_node(hi, used)
-                nodes.add(z)
+                z = labels.take(hi)
+                members[hi].add(z)
                 parent[z] = x
-                added = True
+                added.append(z)
     if not added:
         return t
-    return StandardTree(frozenset(nodes), parent)
+    return StandardTree(t.nodes.union(added), parent)
 
 
 def fan_out(t: StandardTree, X: Iterable[Ordinal], n: int) -> StandardTree:
@@ -493,7 +521,7 @@ def _fan_out(t: StandardTree, X: frozenset[Ordinal], n: int) -> StandardTree:
         raise ValueError("successor count must be positive")
     if not X:
         return t
-    levels = {node_height(x) for x in X}
+    levels = {x.height for x in X}
     if len(levels) > 1:
         raise ValueError("node set spans several levels")
     (a,) = levels
@@ -501,16 +529,23 @@ def _fan_out(t: StandardTree, X: frozenset[Ordinal], n: int) -> StandardTree:
         raise ValueError("node set leaves its level")
     if not a < t.max_height():
         raise ValueError("fan-out level must lie below the top")
-    over = [x for x in sorted(X) if len(t.immediate_successors(x)) > n]
+    have = {x: len(t.immediate_successors(x)) for x in sorted(X)}
+    over = [x for x, k in have.items() if k > n]
     if over:
         raise ValueError(f"nodes already exceed {n} immediate successors: {_names(over)}")
+    size = len(t.nodes) + sum(n - k for k in have.values())
+    if size > MAX_TREE_NODES:
+        raise ValueError(
+            f"fanning out would grow the tree to {size} nodes,"
+            f" above the bound of {MAX_TREE_NODES}"
+        )
     b = t.level_above(a)
     nodes = set(t.nodes)
     parent = dict(t.parent)
-    used = set(t.nodes)
-    for x in sorted(X):
-        for _ in range(n - len(t.immediate_successors(x))):
-            z = _fresh_node(b, used)
+    labels = _FreshLabels(t.nodes)
+    for x, k in have.items():
+        for _ in range(n - k):
+            z = labels.take(b)
             nodes.add(z)
             parent[z] = x
     return StandardTree(frozenset(nodes), parent)

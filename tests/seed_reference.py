@@ -4,14 +4,15 @@ The differential tests require the library to give byte-identical verdicts,
 flags, validation reports and oracle tables to these.  Tree order queries
 here walk the parent links directly, so the references do not lean on the
 library's tree index.  ``SeedOrdinal`` is the dataclass ordinal whose
-comparisons recurse through Python methods.
+comparisons recurse through Python methods, and ``ProbingLabels`` the
+fresh-node allocator that probes every offset from 0 upward.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from treeforcing.ordinals import ZERO, node_height
+from treeforcing.ordinals import ZERO, node_at, node_height
 from treeforcing.separation import (
     Loop,
     PairwiseViolation,
@@ -330,3 +331,22 @@ def is_extension(t, u):
     if restricted != pt:
         raise RuntimeError("extension is not an end-extension; inputs are not standard trees")
     return True
+
+
+# -- fresh labels: probe offsets 0, 1, 2, ... on every take ------------------
+
+
+class ProbingLabels:
+    """The allocator that probes: each take is the least label w*h + k on
+    height h that is not yet used, found by trying k = 0, 1, 2, ..."""
+
+    def __init__(self, nodes):
+        self.used = set(nodes)
+
+    def take(self, height):
+        k = 0
+        while node_at(height, k) in self.used:
+            k += 1
+        node = node_at(height, k)
+        self.used.add(node)
+        return node

@@ -15,6 +15,7 @@ from treeforcing.codec import decode_condition, encode_condition
 from treeforcing.forcing import Condition
 from treeforcing.ordinals import parse_ordinal
 from treeforcing.separation import RhoOracle
+from treeforcing.trees import MAX_TREE_NODES
 
 from test_forcing_ops import t1_condition
 
@@ -277,6 +278,25 @@ def test_exploding_cone_exits_2_at_once(tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert "would grow the tree to 20903 nodes, above the bound of 10000" in err
+
+
+def test_fan_outs_past_the_node_bound_exit_2_at_once(tmp_path, capsys):
+    path, out = tmp_path / "g1.json", tmp_path / "out.json"
+    assert main(["--seed", "1", "--out", str(path), "gen"]) == 0
+    # 5 nodes, one of them the root's only immediate successor: a fan-out of
+    # the root to k successors has 4 + k nodes; widening the root first puts
+    # a new level 1 under the 2 nodes of level w*2, so it ends with 5 + k
+    fan = ["fan-out", str(path), "--nodes", "0", "--count"]
+    assert main(["--out", str(out)] + fan + [str(MAX_TREE_NODES - 4)]) == 0
+    assert len(decode_condition(out.read_text())[0].tree.nodes) == MAX_TREE_NODES
+    widen = ["widen", str(path), "--node", "0", "--count"]
+    for argv in (fan + [str(MAX_TREE_NODES - 3)], widen + [str(MAX_TREE_NODES - 4)]):
+        capsys.readouterr()
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert f"grow the tree to {MAX_TREE_NODES + 1} nodes, above the bound of 10000" in err
 
 
 def test_one_key_on_an_invalid_file_blames_the_input_under_its_own_name(tmp_path, capsys):

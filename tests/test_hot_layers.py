@@ -10,16 +10,17 @@ table as the reference loop.
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 import random
 from collections import Counter
 
 import treeforcing
-from treeforcing import forcing
+from treeforcing import forcing, trees
 from treeforcing.cli import main
 from treeforcing.codec import encode_condition
 from treeforcing.forcing import Condition, build_matched_pair, lift_with_support, validate_condition
-from treeforcing.generate import GenBounds, gen_condition
+from treeforcing.generate import GenBounds, gen_condition, random_step
 from treeforcing.ordinals import ZERO, node_at, node_height
 from treeforcing.separation import (
     RhoOracle,
@@ -309,3 +310,122 @@ def test_decide_separation_leaves_no_module_state():
         decide_separation(fam, X)
     assert _module_sizes() == before
     assert not hasattr(treeforcing.ordinals.height_split, "cache_info")
+
+
+# -- fresh labels: the allocator against the probing reference ---------------
+
+
+def test_fresh_labels_match_the_probing_allocator():
+    rng = random.Random(10)
+    heights = [ZERO, ONE, O("2"), W, O("w+1"), O("w^w")]
+    for _ in range(400):
+        # gaps and several heights; labels parsed anew carry no height memo
+        used = {node_at(rng.choice(heights), rng.randrange(12)) for _ in range(rng.randrange(30))}
+        used = frozenset(O(str(x)) if rng.random() < 0.5 else x for x in used)
+        labels, probing = trees._FreshLabels(used), ref.ProbingLabels(used)
+        h = rng.choice(heights)
+        assert trees._fresh_node(h, used) == ref.ProbingLabels(used).take(h)
+        for _ in range(rng.randint(1, 25)):
+            h = rng.choice(heights)
+            assert labels.take(h) == probing.take(h)
+
+
+def counting_node_at(monkeypatch, module) -> Counter:
+    calls = Counter()
+
+    def counted(height, offset):
+        calls[height] += 1
+        return node_at(height, offset)
+
+    monkeypatch.setattr(module, "node_at", counted)
+    return calls
+
+
+def test_a_fan_out_builds_one_label_per_added_node(monkeypatch):
+    x = node_at(ONE, 0)
+    t = StandardTree.make([ZERO, x, node_at(W, 0)], {x: ZERO, node_at(W, 0): x})
+    calls = counting_node_at(monkeypatch, trees)
+    u = trees.fan_out(t, {ZERO}, 2000)
+    assert len(u.nodes) == 2002 and calls == {ONE: 1999}
+
+
+def test_augment_reads_the_node_set_once(monkeypatch):
+    p, rho = gen_condition(3)
+    x = max(p.tree.level(p.tree.max_height()))
+    built = []
+
+    class Recorded(trees._FreshLabels):
+        __slots__ = ()
+
+        def __init__(self, nodes):
+            built.append(nodes)
+            super().__init__(nodes)
+
+    monkeypatch.setattr(forcing, "_FreshLabels", Recorded)
+    calls = counting_node_at(monkeypatch, trees)
+    q = forcing.augment(p, 9, x, rho)
+    added = len(q.tree.nodes) - len(p.tree.nodes)
+    assert added >= 4 and len(built) == 1 and sum(calls.values()) == added
+
+
+def under_allocator(monkeypatch, allocator, run):
+    monkeypatch.setattr(trees, "_FreshLabels", allocator)
+    monkeypatch.setattr(forcing, "_FreshLabels", allocator)
+    try:
+        return run()
+    finally:
+        monkeypatch.undo()
+
+
+def _walk(seed: int) -> list[str]:
+    """Encoded conditions (or errors) along a seeded random walk."""
+    rng = random.Random(seed)
+    bounds = GenBounds()
+    p, rho = gen_condition(seed, bounds)
+    out = []
+    for _ in range(15):
+        try:
+            step = random_step(rng, p, rho, bounds)
+        except (ValueError, RuntimeError) as exc:
+            out.append(repr(exc))
+            continue
+        if step is not None:
+            p = step[1]
+            out.append(step[0] + encode_condition(p, rho))
+    return out
+
+
+def _amalgamation(seed: int) -> str:
+    p, alpha, beta, x, rho = _matched_pair_instance(seed)
+    try:
+        mp = build_matched_pair(p, alpha, beta, x, 500, rho)
+        return encode_condition(forcing.amalgamate(mp, rho), rho)
+    except (ValueError, RuntimeError) as exc:
+        return repr(exc)
+
+
+def test_constructions_label_nodes_as_the_probing_allocator_does(monkeypatch):
+    for seed in range(40):
+        got = _walk(seed)
+        assert got == under_allocator(monkeypatch, ref.ProbingLabels, lambda: _walk(seed))
+    glued = 0
+    for seed in range(1, 41):
+        got = _amalgamation(seed)
+        assert got == under_allocator(monkeypatch, ref.ProbingLabels, lambda: _amalgamation(seed))
+        glued += not got.startswith(("ValueError", "RuntimeError"))
+    assert glued >= 10
+
+
+def test_widen_writes_the_bytes_of_the_probing_allocator(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "g1.json"
+    assert main(["--seed", "1", "--out", str(path), "gen"]) == 0
+
+    def widen(count: int) -> str:
+        assert main(["widen", str(path), "--node", "0", "--count", str(count)]) == 0
+        return capsys.readouterr().out
+
+    assert widen(150) == under_allocator(monkeypatch, ref.ProbingLabels, lambda: widen(150))
+    # 2000 successors take the probing allocator about 13 s, so its bytes are
+    # pinned by their SHA-256
+    digest = hashlib.sha256(widen(2000).encode()).hexdigest()
+    assert digest == "a77fecb996b50d000e6a8f103874ff88ed39d45d0c78b67618e9fd205626a292"

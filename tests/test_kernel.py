@@ -24,6 +24,7 @@ from treeforcing.ordinals import (
     ZERO,
     Ordinal,
     OrdinalParseError,
+    height_split,
     node_at,
     node_height,
     parse_ordinal,
@@ -121,6 +122,27 @@ def test_copies_and_pickles_rebuild_the_same_ordinal():
     node_height(a)  # fills the memo, which must not disturb copying
     for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
         assert type(b) is Ordinal and b == a and hash(b) == hash(a) and str(b) == str(a)
+
+
+def test_height_is_a_memo_that_assignment_cannot_reach():
+    import copy
+    import pickle
+
+    rng = random.Random(31)
+    for _ in range(5000):
+        a = random_ordinal(rng)
+        unread = O(str(a))
+        h, k = height_split(a)
+        assert node_at(h, k) == a and a.height is h and type(h) is Ordinal
+        built = node_at(h, k)
+        assert vars(built) == {"height": h}  # node_at fills the memo
+        for b in (unread, built, copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+            assert b.height == h == height_split(b)[0] == node_height(b)
+        with pytest.raises(AttributeError):
+            a.height = ZERO
+        with pytest.raises(AttributeError):
+            del a.height
+        assert a.height is h
 
 
 def nested(depth: int) -> str:

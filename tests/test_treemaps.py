@@ -56,6 +56,23 @@ def test_treemap_rejects_duplicate_source():
         TreeMap([(ZERO, ZERO), (ZERO, O("w"))])
 
 
+def test_treemap_is_immutable():
+    import copy
+    import pickle
+
+    w = O("w")
+    f = TreeMap([(ZERO, ZERO), (w, O("w+1"))])
+    for name in ("pairs", "_fwd", "_rev", "extra"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(f, name, ())
+    for name in ("pairs", "_fwd"):
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(f, name)
+    assert f.pairs == ((ZERO, ZERO), (w, O("w+1"))) and f.get(w) == O("w+1")
+    for g in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert g == f and g.get(w) == O("w+1") and g.get_inverse(O("w+1")) == w
+
+
 def test_classify_empty_map_is_standard():
     assert classify_map(t1(), []).standard
 
