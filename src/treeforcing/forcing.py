@@ -28,7 +28,7 @@ information about where two maps genuinely coincide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -59,7 +59,6 @@ from .treemaps import (
     tensor_downward_closure,
 )
 from .trees import (
-    MAX_TREE_NODES,
     StandardTree,
     _FreshLabels,
     _adds_simply,
@@ -110,18 +109,7 @@ def validate_condition(p: Condition, rho: RhoOracle) -> list[str]:
             out.append(f"clause 2 (maps): map {tau}: {exc}")
             continue
         if not flags.standard:
-            bad = [
-                name
-                for name in (
-                    "functional",
-                    "strictly_increasing",
-                    "injective",
-                    "level_preserving",
-                    "downwards_closed",
-                    "fixed_point_free_off_root",
-                )
-                if not getattr(flags, name)
-            ]
+            bad = [c.name for c in fields(flags) if not getattr(flags, c.name)]
             out.append(f"clause 2 (maps): map {tau} fails {', '.join(bad)}")
     if out:
         return out
@@ -412,12 +400,6 @@ def _bijectivize_level(
     order = verdict.order
     q_size = len(order)
     block = max(1, max(len(t.immediate_successors(x)) for x in X))
-    size = len(t.nodes) + sum(block * q_size - len(t.immediate_successors(x)) for x in X)
-    if size > MAX_TREE_NODES:
-        raise ValueError(
-            f"bijectivizing level {alpha} would grow the tree to {size} nodes,"
-            f" above the bound of {MAX_TREE_NODES}"
-        )
 
     grown = _fan_out_condition(p, X, block * q_size)
     u = grown.tree
@@ -704,7 +686,7 @@ def _pair_report(mp: MatchedPair, rho: RhoOracle) -> list[str]:
         out.append("node matching is not a bijection between the trees")
         return out
     for x in mp.common_tree.nodes:
-        if f[x] != x:
+        if f.get(x) != x:
             out.append(f"node matching moves common node {x}")
     # on valid trees the order is the transitive closure of the parent links
     if {(f[c], f[x]) for c, x in mp.pa.tree.parent.items()} != set(mp.pb.tree.parent.items()):
@@ -720,7 +702,7 @@ def _pair_report(mp: MatchedPair, rho: RhoOracle) -> list[str]:
         return out
     if set(mp.pa.family) & set(mp.pb.family) != set(mp.shared):
         out.append("shared indices are not the intersection of the domains")
-    if any(gmap[i] != i for i in mp.shared):
+    if any(gmap.get(i) != i for i in mp.shared):
         out.append("index matching moves a shared index")
     for tau in sorted(mp.pa.family):
         moved = {(f[x], f[y]) for x, y in mp.pa.family[tau]}
@@ -858,16 +840,11 @@ def _raise_rho_for_copy(pb: Condition, shared: frozenset[int], rho: RhoOracle) -
     """
     for level in pb.tree.heights():
         rel = relation_index(pb.family, pb.tree.level(level))
-        for _, _, rels in multi_relations(rel):
-            for a in range(len(rels)):
-                for b in range(a + 1, len(rels)):
-                    t0, t1 = rels[a][1], rels[b][1]
-                    if t0 == t1:
-                        continue
-                    if rho.value(t0, t1) < level:
-                        if t0 in shared and t1 in shared:
-                            raise ValueError("shared indices would need rho above the level")
-                        rho.set_value(t0, t1, level)
+        for _, _, (_, t0), (_, t1) in multi_relations(rel):
+            if t0 != t1 and rho.value(t0, t1) < level:
+                if t0 in shared and t1 in shared:
+                    raise ValueError("shared indices would need rho above the level")
+                rho.set_value(t0, t1, level)
 
 
 def amalgamate(mp: MatchedPair, rho: RhoOracle) -> Condition:

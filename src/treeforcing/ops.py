@@ -5,8 +5,9 @@ in ``forcing``, to an ``Op``: its CLI command, a help line, its typed
 arguments, whether it checks its own output, and what it applies to.  The
 CLI builds one subcommand per entry, the scenario runner decodes and runs
 its steps through the table, and the generator draws from its names.
-``run`` looks the function up when called, never at import, so a patched
-module attribute (a test double, a tracer) is the one that runs.
+``run`` reads the function off ``forcing`` when called, never at import, so
+a patched ``forcing`` attribute (a test double, a tracer) is the one that
+runs, for the CLI, the scenario runner and the generator alike.
 """
 
 from __future__ import annotations
@@ -109,18 +110,12 @@ def decode(name: Any, args: dict[str, Any], where: str) -> dict[str, Any]:
     return out
 
 
-def run(
-    name: str,
-    subject: Any,
-    args: Mapping[str, Any],
-    rho: RhoOracle,
-    names: Mapping[str, Callable[..., Any]] = vars(forcing),
-) -> Any:
+def run(name: str, subject: Any, args: Mapping[str, Any], rho: RhoOracle) -> Any:
     """Apply operation ``name`` to subject with decoded args; the function's
-    own result, unchanged.  The function is ``names[name]``, read now: by
-    default the attribute of ``forcing``."""
+    own result, unchanged.  The function is the attribute of ``forcing``,
+    read now."""
     op = OPS[name]
     values = [args[key] for key in op.args]
     if op.checks_itself:
         values.append(rho)
-    return names[name](subject, *values)
+    return getattr(forcing, name)(subject, *values)

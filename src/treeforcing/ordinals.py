@@ -281,8 +281,8 @@ class _Parser:
 
     def parse_nat(self) -> int:
         start = self.pos
-        if not self.peek().isdigit() or self.peek() == "0":
+        if not "1" <= self.peek() <= "9":
             raise self.fail("expected a natural number")
-        while self.peek().isdigit():
+        while "0" <= self.peek() <= "9":
             self.pos += 1
         return int(self.text[start : self.pos])

@@ -2,16 +2,18 @@
 
 Each step names an entry of the operation table (``treeforcing.ops``) and
 is decoded through its schema when made: a malformed step is a
-``CodecError`` naming its field.  A scenario folds its steps over the
-trivial starting condition.  Every snapshot is validated and order-checked
-against the previous one exactly once: the table says which operations
-check their own output (``validate_condition`` on it, ``leq`` against their
-input), so the runner checks only the start condition and the steps no
-operation checks (``add_index``, and an ``amalgamate`` whose matched pair
-was built from an earlier snapshot).  The final report runs the
-almost-disjointness containment check over every pair of indices that ever
-share a condition.  A failing step stops the run and leaves the trace up to
-that point, with a diagnostic.
+``CodecError`` naming its field.  A step runs through ``ops.run``, which
+reads the operation off ``forcing`` at that moment, as for the CLI.  A
+scenario folds its steps over the trivial starting condition.  Every
+snapshot is validated and order-checked against the previous one exactly
+once: the table says which operations check their own output
+(``validate_condition`` on it, ``leq`` against their input), so the runner
+checks only the start condition and the steps no operation checks
+(``add_index``, and an ``amalgamate`` whose matched pair was built from an
+earlier snapshot).  The final report runs the almost-disjointness
+containment check over every pair of indices that ever share a condition.
+A failing step stops the run and leaves the trace up to that point, with a
+diagnostic.
 """
 
 from __future__ import annotations
@@ -25,24 +27,6 @@ from .forcing import Condition, MatchedPair, agreement_containment, leq, validat
 from .ordinals import Ordinal
 from .separation import RhoOracle, oracle_from_spec
 from .trees import is_hausdorff, is_normal
-
-# the runner resolves operations in this module's namespace when a step runs,
-# so that a name patched here affects scenario runs only
-from .forcing import (
-    add_index,
-    amalgamate,
-    augment,
-    bijectivize_cone,
-    bijectivize_level,
-    build_matched_pair,
-    extend_heights,
-    fan_out_condition,
-    grow_node,
-    hausdorffize,
-    lift_with_support,
-    normalize_condition,
-    widen_node,
-)
 
 
 @dataclass(frozen=True)
@@ -147,7 +131,7 @@ class _Runner:
             if self.matched is None:
                 raise ValueError(f"no matched pair was built before {step.op}")
             subject = self.matched
-        out = ops.run(step.op, subject, step.args, self.rho, globals())
+        out = ops.run(step.op, subject, step.args, self.rho)
         if isinstance(out, MatchedPair):
             self.matched = out
             return p

@@ -19,6 +19,7 @@ import heapq
 import random
 from collections import deque
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .ordinals import ZERO, Ordinal, parse_ordinal
@@ -147,12 +148,16 @@ def relation_index(fam: Family, X: frozenset[Ordinal]) -> Relations:
     return rel
 
 
-def multi_relations(rel: Relations) -> Iterator[tuple[Ordinal, Ordinal, list[tuple[int, int]]]]:
-    """(x, y, relations) for every x <= y related more than once, (x, y) ascending."""
+def multi_relations(
+    rel: Relations,
+) -> Iterator[tuple[Ordinal, Ordinal, tuple[int, int], tuple[int, int]]]:
+    """(x, y, r, s) for every two relations r listed before s between x <= y,
+    (x, y) ascending: the pairs the pairwise clause of rho-separation reads."""
     for x in sorted(rel):
         row = rel[x]
         for y in sorted(y for y in row if x <= y and len(row[y]) > 1):
-            yield x, y, row[y]
+            for r, s in combinations(row[y], 2):
+                yield x, y, r, s
 
 
 # -- verdicts ------------------------------------------------------------
@@ -319,12 +324,9 @@ def decide_rho_separation(
     X = frozenset(X)
     rel = relation_index(fam, X)
     # clause 1: all multi-relations between a fixed pair need rho >= alpha
-    for x, y, rels in multi_relations(rel):
-        for a in range(len(rels)):
-            for b in range(a + 1, len(rels)):
-                (m0, t0), (m1, t1) = rels[a], rels[b]
-                if rho.value(t0, t1) < alpha:
-                    return PairwiseViolation(x, y, (m0, t0), (m1, t1), alpha)
+    for x, y, r, s in multi_relations(rel):
+        if rho.value(r[1], s[1]) < alpha:
+            return PairwiseViolation(x, y, r, s, alpha)
     # clause 2: no loops; scan deduplicated relation edges with union-find
     adjacency: dict[Ordinal, list[Ordinal]] = {x: [] for x in X}
     uf = _UnionFind()

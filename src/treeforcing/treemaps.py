@@ -149,13 +149,14 @@ def classify_map(t: StandardTree, pairs: Iterable[Pair]) -> MapFlags:
         if a0 in targets_of and a0.height < a1.height
         for b0 in targets_of[a0]
     )
+    # restrictions compose, so each pair's next lower level stands for all of them
     pair_set = set(ps)
     downwards_closed = True
     for x, y in ps:
-        h = min(x.height, y.height)
-        for b in [ZERO] + [g for g in t.heights() if g < h]:
-            if (t.restrict(x, b), t.restrict(y, b)) not in pair_set:
-                downwards_closed = False
+        b = t.level_below(min(x.height, y.height))
+        if (t.restrict(x, b), t.restrict(y, b)) not in pair_set:
+            downwards_closed = False
+            break
     fixed_point_free = all(x == ZERO for x, y in ps if x == y)
     return MapFlags(
         functional=functional,
@@ -191,13 +192,14 @@ def downward_close_map(t: StandardTree, u: StandardTree, f: TreeMap) -> TreeMap:
 
 def _downward_close(u: StandardTree, f: TreeMap) -> TreeMap:
     """``downward_close_map`` without its input and output checks."""
-    closed: set[Pair] = set()
-    u_levels = [ZERO] + list(u.heights())
-    for x, y in f:
-        for b in u_levels:
-            if b <= x.height:
-                closed.add((u.restrict(x, b), u.restrict(y, b)))
-    return TreeMap(closed)
+    return TreeMap(_restrictions(u, f))
+
+
+def _restrictions(t: StandardTree, S: Iterable[Pair]) -> set[Pair]:
+    """Each pair of S restricted to the root level and every occupied level up
+    to its source's height."""
+    levels = [ZERO, *t.heights()]
+    return {(t.restrict(x, b), t.restrict(y, b)) for x, y in S for b in levels if b <= x.height}
 
 
 def agreement_pairs(f: TreeMap, g: TreeMap) -> frozenset[Pair]:
@@ -207,10 +209,8 @@ def agreement_pairs(f: TreeMap, g: TreeMap) -> frozenset[Pair]:
 
 def tensor_downward_closure(t: StandardTree, S: Iterable[Pair]) -> frozenset[Pair]:
     """All same-level pairs lying componentwise below a pair of S."""
-    out: set[Pair] = set()
+    S = tuple(S)
     for a, b in S:
         if a.height != b.height:
             raise ValueError(f"pair ({a}, {b}) is not same-level")
-        for c in [ZERO] + [g for g in t.heights() if g <= a.height]:
-            out.add((t.restrict(a, c), t.restrict(b, c)))
-    return frozenset(out)
+    return frozenset(_restrictions(t, S))

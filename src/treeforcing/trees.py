@@ -396,11 +396,6 @@ class _FreshLabels:
         return node_at(height, k)
 
 
-def _fresh_node(height: Ordinal, used: Iterable[Ordinal]) -> Ordinal:
-    """The least label on the height that is not in used."""
-    return _FreshLabels(used).take(height)
-
-
 def simple_extend(t: StandardTree, B: Iterable[Ordinal]) -> StandardTree:
     """A simple extension with occupied heights exactly B (B must cover ht[t]).
 

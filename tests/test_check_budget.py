@@ -355,7 +355,7 @@ def without_index(q: Condition) -> Condition:
 def with_leaf(q: Condition, x) -> Condition:
     """q with one fresh immediate successor of x: valid and below q's input."""
     h = q.tree.level_above(node_height(x))
-    z = trees._fresh_node(h, set(q.tree.nodes))
+    z = trees._FreshLabels(set(q.tree.nodes)).take(h)
     return Condition(StandardTree(q.tree.nodes | {z}, {**q.tree.parent, z: x}), q.family)
 
 
@@ -468,8 +468,8 @@ SCRIPT = {
     [(with_fixed_point, "invalid output"), (without_index, "output does not extend input")],
 )
 def test_runner_checks_add_index_outputs(monkeypatch, corrupt, line):
-    real = scenario.add_index
-    monkeypatch.setattr(scenario, "add_index", lambda p, s: corrupt(real(p, s)))
+    real = forcing.add_index
+    monkeypatch.setattr(forcing, "add_index", lambda p, s: corrupt(real(p, s)))
     trace = run_scenario(parse_scenario(json.dumps(SCRIPT)))
     assert not trace.ok
     assert trace.log[-1].startswith("step 2 add_index: " + line), trace.log

@@ -135,6 +135,29 @@ def test_match_pair_amalgamate_pipeline(tmp_path, capsys):
     assert main(["leq", str(out), str(src)]) == 0
 
 
+@pytest.mark.parametrize(
+    "key, extra, clause",
+    [
+        ("shared_indices", 1, "index matching moves a shared index"),
+        ("common_nodes", "w*77", "node matching moves common node w*77"),
+    ],
+)
+def test_amalgamate_names_a_pair_entry_outside_its_matching(tmp_path, capsys, key, extra, clause):
+    from test_amalgamation import base_condition
+
+    src, mp_file = tmp_path / "p.json", tmp_path / "mp.json"
+    src.write_text(encode_condition(base_condition(with_edge=True)))
+    argv = ["match-pair", str(src), "--alpha", "w^w", "--beta", "w^w*2", "--node", "w^w"]
+    assert main(["--out", str(mp_file)] + argv) == 0
+    doc = json.loads(mp_file.read_text())
+    doc[key].append(extra)
+    mp_file.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["amalgamate", str(mp_file)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: matched pair does not validate: ") and clause in err, err
+
+
 def test_one_key_cli(tmp_path, capsys):
     from test_bijectivize import chain_three
     from treeforcing.forcing import extend_heights, normalize_condition

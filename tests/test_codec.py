@@ -67,6 +67,13 @@ def test_reject_bad_ordinal_with_field():
         decode_condition(text)
 
 
+@pytest.mark.parametrize("label", ["w*\u00b2", "w*\u0663"])
+def test_reject_non_ascii_digit_with_field(label):
+    text = json.dumps({"nodes": ["0", label], "parents": [], "indices": [], "maps": {}})
+    with pytest.raises(CodecError, match=r"^field 'nodes\[1\]': expected a natural number at position 2"):
+        decode_condition(text)
+
+
 def test_reject_undeclared_map_index():
     text = '{"nodes": ["0"], "parents": [], "indices": [], "maps": {"3": []}}'
     with pytest.raises(CodecError, match="not declared"):

@@ -324,7 +324,7 @@ def test_fresh_labels_match_the_probing_allocator():
         used = frozenset(O(str(x)) if rng.random() < 0.5 else x for x in used)
         labels, probing = trees._FreshLabels(used), ref.ProbingLabels(used)
         h = rng.choice(heights)
-        assert trees._fresh_node(h, used) == ref.ProbingLabels(used).take(h)
+        assert trees._FreshLabels(used).take(h) == ref.ProbingLabels(used).take(h)
         for _ in range(rng.randint(1, 25)):
             h = rng.choice(heights)
             assert labels.take(h) == probing.take(h)

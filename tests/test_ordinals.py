@@ -95,7 +95,10 @@ def test_parse_round_trip_derived():
 
 @pytest.mark.parametrize(
     "bad",
-    ["", "w+w", "1+2", "w^", "w*0", "0+1", "w*", "(w)", "w^()", "3+w", "w+", "01"],
+    ["", "w+w", "1+2", "w^", "w*0", "0+1", "w*", "(w)", "w^()", "3+w", "w+", "01"]
+    # naturals are ASCII: superscript two is a digit to str.isdigit but not to
+    # int(), and Arabic-Indic three is one to both
+    + ["w*\u00b2", "w^\u00b2", "w*\u0663", "\u0663", "w*1\u0663"],
 )
 def test_parse_rejects(bad):
     with pytest.raises(OrdinalParseError):
