@@ -33,7 +33,7 @@ from .codec import (
 from .forcing import leq, validate_condition
 from .generate import GenBounds, gen_condition
 from .ops import NATURAL, NATURALS, OPS, ORDINAL, ORDINALS
-from .ordinals import OrdinalParseError, parse_ordinal
+from .ordinals import OrdinalParseError, parse_natural, parse_ordinal
 from .scenario import parse_scenario, run_scenario
 from .separation import (
     WitnessOrder,
@@ -73,13 +73,13 @@ def _ordinals(csv: str):
 
 
 def _naturals(csv: str):
-    return [int(s.strip()) for s in csv.split(",") if s.strip()]
+    return [parse_natural(s.strip()) for s in csv.split(",") if s.strip()]
 
 
 # flag value -> argument, by kind; parsed after the input file is read
 _FROM_FLAG = {
     ORDINAL: parse_ordinal,
-    NATURAL: int,
+    NATURAL: parse_natural,
     ORDINALS: lambda csv: frozenset(_ordinals(csv)),
     NATURALS: lambda csv: frozenset(_naturals(csv)),
 }
@@ -110,11 +110,11 @@ def _build_parser() -> argparse.ArgumentParser:
             continue
         cmd = sub.add_parser(op.command, help=op.help)
         cmd.add_argument("file")
-        for key, kind in op.args.items():
+        for key in op.args:
             if key == "fresh_index_base":  # match-pair: a shorter flag, with a default
-                cmd.add_argument("--fresh-base", dest=key, type=int, default=100)
+                cmd.add_argument("--fresh-base", dest=key, default="100")
             else:
-                cmd.add_argument(f"--{key}", required=True, type=int if kind == NATURAL else None)
+                cmd.add_argument(f"--{key}", required=True)
     sub.choices["bijectivize"].add_argument(
         "--cone", action="store_true", help="iterate through all higher levels"
     )

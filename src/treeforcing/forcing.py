@@ -29,6 +29,7 @@ information about where two maps genuinely coincide.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from itertools import combinations, product
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -296,7 +297,7 @@ def augment(p: Condition, s: int, x: Ordinal, rho: RhoOracle) -> Condition:
     if x not in p.tree.nodes:
         raise ValueError(f"node {x} not in tree")
     q = add_index(p, s)
-    labels = _FreshLabels(p.tree.nodes)
+    labels = _FreshLabels(p.tree)
     for ensure_domain in (True, False):
         for step in reversed(q.tree.chain_down(x)):
             f = q.family[s]
@@ -710,25 +711,19 @@ def _pair_report(mp: MatchedPair, rho: RhoOracle) -> list[str]:
             out.append(f"map {tau} is not carried onto its partner")
     # rho premises
     shared = sorted(mp.shared)
-    for i in range(len(shared)):
-        for j in range(i + 1, len(shared)):
-            if rho.value(shared[i], shared[j]) >= mp.alpha:
-                out.append(
-                    f"shared indices {shared[i]}, {shared[j]} have rho at or above the level"
-                )
+    for i, j in combinations(shared, 2):
+        if rho.value(i, j) >= mp.alpha:
+            out.append(f"shared indices {i}, {j} have rho at or above the level")
     floor = mp.common_tree.max_height()
     petal_a = sorted(set(mp.pa.family) - mp.shared)
     petal_b = sorted(set(mp.pb.family) - mp.shared)
-    for zeta in petal_a:
-        for tau in petal_b:
-            v = rho.value(zeta, tau)
-            if v < floor:
-                out.append(f"cross pair ({zeta}, {tau}) has rho below the common height")
-            for gamma in shared:
-                if v < min(rho.value(zeta, gamma), rho.value(tau, gamma)):
-                    out.append(
-                        f"cross pair ({zeta}, {tau}) undercuts its minimum through {gamma}"
-                    )
+    for zeta, tau in product(petal_a, petal_b):
+        v = rho.value(zeta, tau)
+        if v < floor:
+            out.append(f"cross pair ({zeta}, {tau}) has rho below the common height")
+        for gamma in shared:
+            if v < min(rho.value(zeta, gamma), rho.value(tau, gamma)):
+                out.append(f"cross pair ({zeta}, {tau}) undercuts its minimum through {gamma}")
     if 0 not in mp.shared:
         out.append("index 0 must be shared")
     return out
@@ -799,22 +794,21 @@ def build_matched_pair(
     # extend the oracle: first whatever the copy's own levels demand of pairs
     # involving a fresh index, then the cross-block floor
     _raise_rho_for_copy(pb, frozenset(shared), rho)
-    floor = restrict_tree_below(p.tree, alpha).max_height()
-    for zeta in petal:
-        for tau_fresh in fresh.values():
-            need = floor
-            for gamma in shared:
-                lo = min(rho.value(zeta, gamma), rho.value(tau_fresh, gamma))
-                need = max(need, lo)
-            if rho.value(zeta, tau_fresh) < need:
-                rho.set_value(zeta, tau_fresh, need)
+    common_tree = restrict_tree_below(p.tree, alpha)
+    floor = common_tree.max_height()
+    for zeta, tau_fresh in product(petal, fresh.values()):
+        need = floor
+        for gamma in shared:
+            need = max(need, min(rho.value(zeta, gamma), rho.value(tau_fresh, gamma)))
+        if rho.value(zeta, tau_fresh) < need:
+            rho.set_value(zeta, tau_fresh, need)
 
     mp = MatchedPair(
         pa=p,
         pb=pb,
         alpha=alpha,
         beta=beta,
-        common_tree=restrict_tree_below(p.tree, alpha),
+        common_tree=common_tree,
         shared=frozenset(shared),
         iso_f=iso_f,
         iso_g=iso_g,
@@ -862,23 +856,19 @@ def amalgamate(mp: MatchedPair, rho: RhoOracle) -> Condition:
             raise ValueError(f"matched pair does not validate: {'; '.join(report)}")
     pa, pb, alpha, beta = mp.pa, mp.pb, mp.alpha, mp.beta
     iso = mp.iso_f
-    iso_back = {v: k for k, v in iso.items()}
     A = sorted(mp.shared)
     top_a = pa.tree.max_height()
 
     # closure of the anchor's base point under the shared maps, both ways
     base = pa.tree.restrict(mp.anchor_a, alpha)
-    X_a: set[Ordinal] = {base}
-    grew = True
-    while grew:
-        grew = False
+    X_a, todo = {base}, [base]
+    while todo:
+        x = todo.pop()
         for tau in A:
-            m = pa.family[tau]
-            for x in list(X_a):
-                for y in (m.get(x), m.get_inverse(x)):
-                    if y is not None and y not in X_a:
-                        X_a.add(y)
-                        grew = True
+            for y in (pa.family[tau].get(x), pa.family[tau].get_inverse(x)):
+                if y is not None and y not in X_a:
+                    X_a.add(y)
+                    todo.append(y)
     X_b = frozenset(iso[x] for x in X_a)
 
     # fresh chains under every unmatched top node of the copy
@@ -886,7 +876,7 @@ def amalgamate(mp: MatchedPair, rho: RhoOracle) -> Condition:
     chain_heights = [h for h in pa.tree.heights() if h >= alpha]
     nodes = set(pa.tree.nodes)
     parent = dict(pa.tree.parent)
-    labels = _FreshLabels(pa.tree.nodes)
+    labels = _FreshLabels(pa.tree)
     chain_top: dict[Ordinal, Ordinal] = {}
     for y in sorted(pb.tree.level(beta)):
         if y in X_b:
@@ -907,11 +897,7 @@ def amalgamate(mp: MatchedPair, rho: RhoOracle) -> Condition:
     if alpha == top_a:
         X_plus = frozenset(X_a)
     else:
-        z_alpha = min(
-            y
-            for y in pa.tree.successors(mp.anchor_a) | {mp.anchor_a}
-            if y.height == top_a
-        )
+        z_alpha = min(pa.tree.successors_at(mp.anchor_a, top_a) or {mp.anchor_a})
         shared_maps = {tau: cone.family[tau] for tau in A}
         order = decide_separation(shared_maps, X_a).order
         X_plus = _one_key_lift(cone.tree, shared_maps, order, alpha, top_a, z_alpha)
@@ -923,26 +909,21 @@ def amalgamate(mp: MatchedPair, rho: RhoOracle) -> Condition:
     for c, par in pb.tree.parent.items():
         if c.height > beta:
             w_parent[c] = par
+    support_for = {iso[U.restrict(z, alpha)]: z for z in X_plus}
     for y in sorted(pb.tree.level(beta)):
-        if y in X_b:
-            below = iso_back[y]
-            w_parent[y] = next(z for z in X_plus if U.restrict(z, alpha) == below)
-        else:
-            w_parent[y] = chain_top[y]
+        w_parent[y] = support_for[y] if y in X_b else chain_top[y]
     W = StandardTree(frozenset(w_nodes), w_parent)
 
     copied = {tau: _downward_close(W, pb.family[tau]) for tau in sorted(pb.family)}
     merged: dict[int, TreeMap] = {}
-    for tau in sorted(cone.family):
-        if tau in copied:
+    for tau in sorted(cone.family.keys() | copied.keys()):
+        if tau in cone.family and tau in copied:
             try:
                 merged[tau] = TreeMap(set(cone.family[tau].pairs) | set(copied[tau].pairs))
             except ValueError as exc:
                 raise RuntimeError(f"amalgamation is incoherent at index {tau}: {exc}")
         else:
-            merged[tau] = cone.family[tau]
-    for tau in sorted(copied):
-        merged.setdefault(tau, copied[tau])
+            merged[tau] = cone.family.get(tau, copied.get(tau))
     out = Condition(W, merged)
 
     report = validate_condition(out, rho)

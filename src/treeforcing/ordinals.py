@@ -220,6 +220,14 @@ def parse_ordinal(text: str) -> Ordinal:
     return value
 
 
+def parse_natural(text: str) -> int:
+    """A natural number in ASCII digits: the form of every natural a flag or a
+    rho specification gives."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"expected a natural number, got {text!r}")
+    return int(text)
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text

@@ -11,6 +11,11 @@ involved reaches the level.
 The oracle rho is an ambient symmetric ordinal pairing on indices with zero
 diagonal; it abstracts a square-sequence-derived pairing, of which only the
 two axioms and inequality premises are ever consumed here.
+
+``relations_between``, ``is_separated_tuple`` and ``is_rho_separated_tuple``
+state the paper's definitions for one pair of nodes and one listing order.
+The library decides through ``decide_rho_separation`` instead; these stay
+as the definitions that decision is tested against.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .ordinals import ZERO, Ordinal, parse_ordinal
+from .ordinals import ZERO, Ordinal, parse_natural, parse_ordinal
 from .treemaps import TreeMap, is_standard
 from .trees import StandardTree, is_normal
 
@@ -108,7 +113,7 @@ def oracle_from_spec(spec: str, seed: int = 0) -> RhoOracle:
         return RhoOracle.constant(parse_ordinal(spec[len("const:") :]))
     if spec.startswith("seed:"):
         parts = spec.split(":")
-        n = int(parts[1]) if parts[1] else seed
+        n = parse_natural(parts[1]) if parts[1] else seed
         if len(parts) == 2:
             vals = (ZERO, parse_ordinal("1"), parse_ordinal("w"))
         else:

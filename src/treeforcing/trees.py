@@ -365,7 +365,7 @@ def _adds_simply(t: StandardTree, u: StandardTree) -> bool:
     for a in sorted(new_levels):
         if not a < t_max:
             continue
-        beta = min(g for g in t.heights() if g > a)
+        beta = t.level_above(a)
         if not unique_dropdowns(u, u.level(beta), a):
             return False
     return True
@@ -373,22 +373,19 @@ def _adds_simply(t: StandardTree, u: StandardTree) -> bool:
 
 class _FreshLabels:
     """The fresh-node allocator: each take is the least label on its height not
-    in the node set it was built from and not taken before.  The first take
-    reads the node set into taken offsets per height, and each height keeps
-    its next free offset, so a take costs O(1) amortised."""
+    in the tree it was built from and not taken before.  The first take of a
+    height reads only that level of the tree into taken offsets, and each
+    height keeps its next free offset, so a take costs O(1) amortised."""
 
-    __slots__ = ("_nodes", "_taken", "_next")
+    __slots__ = ("_tree", "_taken", "_next")
 
-    def __init__(self, nodes: Iterable[Ordinal]):
-        self._nodes, self._taken, self._next = nodes, None, {}
+    def __init__(self, t: StandardTree):
+        self._tree, self._taken, self._next = t, {}, {}
 
     def take(self, height: Ordinal) -> Ordinal:
-        if self._taken is None:
-            self._taken = {}
-            for x in self._nodes:
-                h, k = height_split(x)
-                self._taken.setdefault(h, set()).add(k)
-        taken = self._taken.get(height, ())
+        taken = self._taken.get(height)
+        if taken is None:
+            taken = self._taken[height] = {height_split(x)[1] for x in self._tree.level(height)}
         k = self._next.get(height, 0)
         while k in taken:
             k += 1
@@ -418,7 +415,7 @@ def _simple_extend(t: StandardTree, B: frozenset[Ordinal]) -> StandardTree:
     if missing:
         raise ValueError(f"height set drops occupied levels: {_names(missing)}")
     cur = t
-    labels = _FreshLabels(t.nodes)
+    labels = _FreshLabels(t)
     for a in sorted(B - set(t.heights())):
         nodes = set(cur.nodes)
         parent = dict(cur.parent)
@@ -428,7 +425,7 @@ def _simple_extend(t: StandardTree, B: frozenset[Ordinal]) -> StandardTree:
             nodes.add(z)
             parent[z] = top
         else:
-            delta = min(g for g in cur.heights() if g > a)
+            delta = cur.level_above(a)
             beta = cur.level_below(a)
             for x in sorted(cur.level(delta)):
                 z = labels.take(a)
@@ -476,7 +473,7 @@ def _normalize(t: StandardTree) -> StandardTree:
     levels = [ZERO, *t.heights()]
     members = {h: set(t.level(h)) for h in levels}
     parent = dict(t.parent)
-    labels = _FreshLabels(t.nodes)
+    labels = _FreshLabels(t)
     added = []
     for lo, hi in zip(levels, levels[1:]):
         fathers = {parent.get(y) for y in members[hi]}
@@ -537,7 +534,7 @@ def _fan_out(t: StandardTree, X: frozenset[Ordinal], n: int) -> StandardTree:
     b = t.level_above(a)
     nodes = set(t.nodes)
     parent = dict(t.parent)
-    labels = _FreshLabels(t.nodes)
+    labels = _FreshLabels(t)
     for x, k in have.items():
         for _ in range(n - k):
             z = labels.take(b)

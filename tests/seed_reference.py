@@ -338,10 +338,11 @@ def is_extension(t, u):
 
 class ProbingLabels:
     """The allocator that probes: each take is the least label w*h + k on
-    height h that is not yet used, found by trying k = 0, 1, 2, ..."""
+    height h that is not yet used, found by trying k = 0, 1, 2, ...; it reads
+    the whole node set of the tree it is built from."""
 
-    def __init__(self, nodes):
-        self.used = set(nodes)
+    def __init__(self, t):
+        self.used = set(t.nodes)
 
     def take(self, height):
         k = 0

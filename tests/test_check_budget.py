@@ -355,7 +355,7 @@ def without_index(q: Condition) -> Condition:
 def with_leaf(q: Condition, x) -> Condition:
     """q with one fresh immediate successor of x: valid and below q's input."""
     h = q.tree.level_above(node_height(x))
-    z = trees._FreshLabels(set(q.tree.nodes)).take(h)
+    z = trees._FreshLabels(q.tree).take(h)
     return Condition(StandardTree(q.tree.nodes | {z}, {**q.tree.parent, z: x}), q.family)
 
 

@@ -252,6 +252,42 @@ def test_check_sep_on_missing_indices_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == "error: indices not in the condition: 77, 78\n"
 
 
+# Python's int() reads '-1', '٢' (Arabic-Indic 2) and the like, and fails on
+# '²' with an error that names no natural; naturals here are ASCII digits
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        pytest.param(["add-index", "FILE", "--index", "-1"], "-1", id="index-negative"),
+        pytest.param(["widen", "FILE", "--node", "0", "--count", "٢"], "٢", id="count"),
+        pytest.param(["check-sep", "FILE", "--level", "1", "--indices", "٠"], "٠", id="indices"),
+        pytest.param(
+            ["check-sep", "FILE", "--level", "1", "--indices", "0,²"], "²", id="indices-superscript"
+        ),
+        pytest.param(["--rho", "seed:٣", "validate", "FILE"], "٣", id="rho-seed"),
+        pytest.param(["--rho", "seed:²", "validate", "FILE"], "²", id="rho-seed-superscript"),
+    ],
+)
+def test_natural_outside_ascii_digits_exits_2(tmp_path, capsys, argv, text):
+    path, out = tmp_path / "g3.json", tmp_path / "out.json"
+    assert main(["--seed", "3", "--out", str(path), "gen"]) == 0
+    argv = [str(path) if a == "FILE" else a for a in argv]
+    assert main(["--out", str(out)] + argv) == 2
+    assert capsys.readouterr().err == f"error: expected a natural number, got {text!r}\n"
+    assert not out.exists()
+
+
+def test_fresh_base_outside_ascii_digits_exits_2(tmp_path, capsys):
+    from test_amalgamation import base_condition
+
+    src = tmp_path / "p.json"
+    src.write_text(encode_condition(base_condition(with_edge=True)))
+    argv = ["match-pair", str(src), "--alpha", "w^w", "--beta", "w^w*2", "--node", "w^w"]
+    assert main(argv + ["--fresh-base", "100"]) == 0
+    capsys.readouterr()
+    assert main(argv + ["--fresh-base", "١٠٠"]) == 2
+    assert capsys.readouterr().err == "error: expected a natural number, got '١٠٠'\n"
+
+
 def test_deeply_nested_level_exits_2(t1_file, capsys):
     level = "w^(" * 1500 + "1" + ")" * 1500
     assert main(["check-sep", t1_file, "--level", level]) == 2

@@ -287,6 +287,21 @@ def test_matched_pair_oracle_extension_matches_reference_loop(monkeypatch):
     assert runs == 209 and sum(changed) >= 9
 
 
+def test_amalgamation_bytes_are_pinned():
+    """Every case's amalgamation, encoded with its oracle, or the error on the way."""
+    outcomes = []
+    for p, alpha, beta, x, make_rho in _matched_pair_cases():
+        rho = make_rho()
+        try:
+            mp = build_matched_pair(p, alpha, beta, x, 500, rho)
+            outcomes.append(encode_condition(forcing.amalgamate(mp, rho), rho))
+        except (ValueError, RuntimeError) as exc:
+            outcomes.append(f"{type(exc).__name__}: {exc}")
+    assert len(outcomes) == 209
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert digest == "29a8a8fc1c3808a5685df1b65686f6e8e4cae1f5c1d3d5d0d0568e04e398a6c7"
+
+
 def _module_sizes() -> dict[str, int]:
     """Sizes of every container or oracle table bound at module level in the library."""
     sizes = {}
@@ -321,7 +336,7 @@ def test_fresh_labels_match_the_probing_allocator():
     for _ in range(400):
         # gaps and several heights; labels parsed anew carry no height memo
         used = {node_at(rng.choice(heights), rng.randrange(12)) for _ in range(rng.randrange(30))}
-        used = frozenset(O(str(x)) if rng.random() < 0.5 else x for x in used)
+        used = StandardTree.make((O(str(x)) if rng.random() < 0.5 else x for x in used), {})
         labels, probing = trees._FreshLabels(used), ref.ProbingLabels(used)
         h = rng.choice(heights)
         assert trees._FreshLabels(used).take(h) == ref.ProbingLabels(used).take(h)
