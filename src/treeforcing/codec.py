@@ -18,7 +18,7 @@ import json
 from typing import Any, Callable
 
 from .forcing import Condition, MatchedPair
-from .ordinals import ZERO, Ordinal, OrdinalParseError, parse_ordinal
+from .ordinals import ZERO, Ordinal, OrdinalParseError, parse_natural, parse_ordinal
 from .separation import RhoOracle
 from .treemaps import TreeMap
 from .trees import StandardTree
@@ -145,8 +145,10 @@ def _condition_from_dict(
         raise CodecError("field 'maps': expected an object")
     family = {}
     for key, value in maps_doc.items():
-        try:
-            tau = int(key)
+        try:  # only the canonical decimal of a natural names an index
+            tau = parse_natural(key)
+            if str(tau) != key:
+                raise ValueError(key)
         except ValueError:
             raise CodecError(f"field 'maps': key {key!r} is not an index")
         if tau not in indices:

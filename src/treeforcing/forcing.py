@@ -380,6 +380,18 @@ def bijectivize_level_with_record(
     return out, record
 
 
+def _check_selection(
+    p: Condition, alpha: Ordinal, X: frozenset[Ordinal], A: frozenset[int]
+) -> None:
+    """The node and index preconditions of the level and cone constructions."""
+    if not X:
+        raise ValueError("node set must be nonempty")
+    if not X <= p.tree.level(alpha):
+        raise ValueError("node set leaves its level")
+    if not A <= set(p.family):
+        raise ValueError("indices leave the family")
+
+
 def _bijectivize_level(
     p: Condition, alpha: Ordinal, X: frozenset[Ordinal], A: frozenset[int]
 ) -> tuple[Condition, LevelBijectivization]:
@@ -388,12 +400,7 @@ def _bijectivize_level(
     heights = t.heights()
     if alpha not in heights or alpha == t.max_height():
         raise ValueError("level must be occupied and lie below the top")
-    if not X:
-        raise ValueError("node set must be nonempty")
-    if not X <= t.level(alpha):
-        raise ValueError("node set leaves its level")
-    if not A <= set(p.family):
-        raise ValueError("indices leave the family")
+    _check_selection(p, alpha, X, A)
     restricted = {tau: p.family[tau] for tau in A}
     verdict = decide_separation(restricted, X)
     if not isinstance(verdict, WitnessOrder):
@@ -531,6 +538,7 @@ def _bijectivize_cone(
     heights = p.tree.heights()
     if alpha not in heights:
         raise ValueError("level must be occupied")
+    _check_selection(p, alpha, X, A)
     cur, cur_set = p, X
     widths = []
     for level in [h for h in heights if alpha <= h < p.tree.max_height()]:

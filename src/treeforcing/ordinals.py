@@ -12,6 +12,7 @@ Coefficients are plain Python ints, so they never overflow.
 
 from __future__ import annotations
 
+import re
 from functools import cached_property
 from operator import itemgetter
 
@@ -213,10 +214,9 @@ MAX_NESTING = 100
 
 
 def parse_ordinal(text: str) -> Ordinal:
-    parser = _Parser(text)
-    value = parser.parse_ordinal()
-    if parser.pos != len(parser.text):
-        raise OrdinalParseError(f"trailing input at position {parser.pos}: {text!r}")
+    value, pos = _parse_sum(text, 0, 0)
+    if pos != len(text):
+        raise _fail("trailing input", text, pos)
     return value
 
 
@@ -228,69 +228,54 @@ def parse_natural(text: str) -> int:
     return int(text)
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.depth = 0
+# a term's head: a natural, or w with an optional exponent: a natural, w or "("
+_HEAD = re.compile(r"([1-9][0-9]*)|w(?:\^(?:([1-9][0-9]*)|(w)|(\())?)?")
+_NAT = re.compile(r"[1-9][0-9]*")
 
-    def fail(self, why: str) -> OrdinalParseError:
-        return OrdinalParseError(f"{why} at position {self.pos}: {self.text!r}")
 
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+def _fail(why: str, text: str, pos: int) -> OrdinalParseError:
+    return OrdinalParseError(f"{why} at position {pos}: {text!r}")
 
-    def parse_ordinal(self) -> Ordinal:
-        if self.peek() == "0":
-            self.pos += 1
-            return ZERO
-        terms = [self.parse_term()]
-        while self.peek() == "+":
-            self.pos += 1
-            terms.append(self.parse_term())
-        prev = None
-        for exp, _ in terms:
-            if prev is not None and not exp < prev:
-                raise self.fail("exponents must be strictly decreasing")
-            prev = exp
-        return Ordinal(tuple(terms))
 
-    def parse_term(self) -> tuple[Ordinal, int]:
-        if self.peek() == "w":
-            self.pos += 1
-            exp = ONE
-            if self.peek() == "^":
-                self.pos += 1
-                exp = self.parse_atom()
+def _parse_sum(text: str, pos: int, depth: int) -> tuple[Ordinal, int]:
+    """The ordinal at pos, inside ``depth`` parentheses, and the position after it."""
+    if text.startswith("0", pos):
+        return ZERO, pos + 1
+    terms = []
+    while True:
+        head = _HEAD.match(text, pos)
+        if head is None:
+            raise _fail("expected a natural number", text, pos)
+        pos = head.end()
+        finite, nat, omega, paren = head.groups()
+        if finite:
+            terms.append((ZERO, int(finite)))
+        else:
+            if paren:
+                if depth == MAX_NESTING:
+                    raise _fail(f"parentheses nest deeper than {MAX_NESTING}", text, pos - 1)
+                exp, pos = _parse_sum(text, pos, depth + 1)
+                if not text.startswith(")", pos):
+                    raise _fail("expected ')'", text, pos)
+                pos += 1
+            elif nat:
+                exp = Ordinal.from_int(int(nat))
+            elif omega:
+                exp = OMEGA
+            elif text[pos - 1] == "^":
+                raise _fail("expected a natural number", text, pos)
+            else:
+                exp = ONE
             coeff = 1
-            if self.peek() == "*":
-                self.pos += 1
-                coeff = self.parse_nat()
-            return exp, coeff
-        return ZERO, self.parse_nat()
-
-    def parse_atom(self) -> Ordinal:
-        ch = self.peek()
-        if ch == "w":
-            self.pos += 1
-            return OMEGA
-        if ch == "(":
-            if self.depth == MAX_NESTING:
-                raise self.fail(f"parentheses nest deeper than {MAX_NESTING}")
-            self.pos += 1
-            self.depth += 1
-            inner = self.parse_ordinal()
-            if self.peek() != ")":
-                raise self.fail("expected ')'")
-            self.pos += 1
-            self.depth -= 1
-            return inner
-        return Ordinal.from_int(self.parse_nat())
-
-    def parse_nat(self) -> int:
-        start = self.pos
-        if not "1" <= self.peek() <= "9":
-            raise self.fail("expected a natural number")
-        while "0" <= self.peek() <= "9":
-            self.pos += 1
-        return int(self.text[start : self.pos])
+            if text.startswith("*", pos):
+                nat = _NAT.match(text, pos + 1)
+                if nat is None:
+                    raise _fail("expected a natural number", text, pos + 1)
+                coeff, pos = int(nat.group()), nat.end()
+            terms.append((exp, coeff))
+        if not text.startswith("+", pos):
+            break
+        pos += 1
+    if any(not b < a for (a, _), (b, _) in zip(terms, terms[1:])):
+        raise _fail("exponents must be strictly decreasing", text, pos)
+    return Ordinal(tuple(terms)), pos

@@ -12,8 +12,8 @@ checks only the start condition and the steps no operation checks
 (``add_index``, and an ``amalgamate`` whose matched pair was built from an
 earlier snapshot).  The final report runs the almost-disjointness
 containment check over every pair of indices that ever share a condition.
-A failing step stops the run and leaves the trace up to that point, with a
-diagnostic.
+A step that fails with a ``ValueError`` stops the run and leaves the trace up
+to that point, with a diagnostic; a fault propagates, naming its step.
 """
 
 from __future__ import annotations
@@ -175,10 +175,12 @@ def run_scenario(s: Scenario) -> RunTrace:
     for k, step in enumerate(s.steps):
         try:
             q = runner.apply(p, step)
-        except (ValueError, KeyError) as exc:
+        except ValueError as exc:
             trace.log.append(f"step {k} {step.op}: failed: {exc}")
             trace.ok = False
             return trace
+        except RuntimeError as exc:  # a fault in the library
+            raise RuntimeError(f"step {k} {step.op}: {exc}") from exc
         if not runner.checked(p, step):
             report = validate_condition(q, rho)
             if report:

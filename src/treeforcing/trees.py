@@ -95,7 +95,7 @@ def _link_fault(t: "StandardTree", x: Ordinal) -> str:
 class StandardTree:
     """A tree by its node set and parent links; both are read-only.
 
-    ``parent`` is a private read-only copy of the mapping passed in, so
+    ``nodes`` and ``parent`` are private frozen copies of the arguments, so
     derived structure, built once on first use, stays true for the tree.
     """
 
@@ -103,6 +103,7 @@ class StandardTree:
     parent: Mapping[Ordinal, Ordinal]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "nodes", frozenset(self.nodes))
         object.__setattr__(self, "parent", MappingProxyType(dict(self.parent)))
 
     @staticmethod
@@ -239,7 +240,11 @@ class StandardTree:
 
 
 def validate_tree(t: StandardTree) -> list[str]:
-    """Check the four defining clauses on the derived order; [] means ok."""
+    """Check the defining clauses on the derived order; [] means ok.
+
+    The first three imply the fourth, an ancestor at every occupied lower
+    level: links stay in the tree (2), step down one level at a time (3) and
+    end at the root, the only node of height 0 (1)."""
     out = []
     if ZERO not in t.nodes:
         out.append("clause 1: the root 0 is missing")
@@ -268,23 +273,7 @@ def validate_tree(t: StandardTree) -> list[str]:
             bad.append(
                 (x, f"clause 3: parent of {x} sits at {hp}, expected the previous level {expected}")
             )
-    if bad:
-        return [line for _, line in sorted(bad, key=lambda item: item[0])]
-    # ancestors at every occupied lower level.  Heights fall strictly along
-    # links (clause 3), so links cannot cycle and the ancestors' heights are
-    # distinct: all lower levels are hit iff a node has as many ancestors as
-    # there are levels below it.
-    index = t._order()
-    depth = {ZERO: 0}
-    for x in index.preorder[1:]:
-        depth[x] = depth[t.parent[x]] + 1
-    heights = index.heights
-    short = [x for x in t.nodes if depth[x] != bisect_left(heights, x.height) + (x != ZERO)]
-    for x in sorted(short):
-        hit = {y.height for y in t.chain_down(x)}
-        want = {g for g in heights if g < x.height} | {ZERO}
-        out.append(f"clause 4: node {x} misses ancestors at {_names(want - hit)}")
-    return out
+    return [line for _, line in sorted(bad, key=lambda item: item[0])]
 
 
 def _names(items: Iterable) -> str:
@@ -437,13 +426,12 @@ def _simple_extend(t: StandardTree, B: frozenset[Ordinal]) -> StandardTree:
 
 
 def is_normal(t: StandardTree) -> bool:
-    """Every node has successors at every higher occupied level."""
-    heights = t.heights()
-    for x in t.nodes:
-        for g in heights[bisect_right(heights, x.height) :]:
-            if not t.successors_at(x, g):
-                return False
-    return True
+    """Every node has successors at every higher occupied level.
+
+    Every node below the top having an immediate successor is enough: the
+    successors of a successor lie inside the node's own DFS interval, so they
+    are the node's successors too, and induction reaches every higher level."""
+    return all(t.immediate_successors(x) for x in t.nodes if x.height < t.max_height())
 
 
 def is_hausdorff(t: StandardTree) -> bool:

@@ -6,10 +6,13 @@ here walk the parent links directly, so the references do not lean on the
 library's tree index.  ``SeedOrdinal`` is the dataclass ordinal whose
 comparisons recurse through Python methods, and ``ProbingLabels`` the
 fresh-node allocator that probes every offset from 0 upward.
+``is_normal_per_level`` probes every higher level through the library's
+``successors_at``, so on malformed links it raises the library's errors.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from treeforcing.ordinals import ZERO, node_at, node_height
@@ -309,6 +312,17 @@ def is_normal(t):
         above = {node_height(y) for y in successors(t, x)}
         if any(g > node_height(x) and g not in above for g in heights):
             return False
+    return True
+
+
+def is_normal_per_level(t):
+    """Normality probed at every higher occupied level, through the library's
+    own ``successors_at``."""
+    heights = t.heights()
+    for x in t.nodes:
+        for g in heights[bisect_right(heights, node_height(x)) :]:
+            if not t.successors_at(x, g):
+                return False
     return True
 
 

@@ -440,3 +440,127 @@ def test_parser_is_built_once_over_many_calls(t1_file, monkeypatch, capsys):
         assert main(["check-sep", t1_file, "--level", "1"]) == 0
     run_main(["--help"], capsys)
     assert len(builds) == 1
+
+
+# -- named preconditions: each a ValueError naming itself, exit 2 ---------------
+
+_CHAIN = {"nodes": ["0", "w", "w^w"], "parents": [["w", "0"], ["w^w", "w"]]}
+
+
+@pytest.fixture
+def condition_files(tmp_path):
+    """Condition files by name: t1 (not normal), the chain of `gen --seed 3`
+    (levels 1, 2 and 3, one empty map 0), the matched-pair base, t1 with a
+    second map doubling the relation of map 5 (valid through its rho), and
+    three chains up to level w^w: one with a node on level w^w*2, one
+    without index 0, and one whose index 100 rho keeps out of the shared
+    block."""
+    from test_amalgamation import base_condition
+
+    docs = {
+        "t1": json.loads(encode_condition(t1_condition())),
+        "base": json.loads(encode_condition(base_condition(with_edge=True))),
+        "tall": {
+            "nodes": _CHAIN["nodes"] + ["w^w*2"],
+            "parents": _CHAIN["parents"] + [["w^w*2", "w^w"]],
+            "indices": [0],
+            "maps": {"0": []},
+        },
+        "no-index-0": {**_CHAIN, "indices": [1], "maps": {"1": []}},
+        "petal": {**_CHAIN, "indices": [0, 100], "maps": {}, "rho": [[0, 100, "w^w"]]},
+    }
+    docs["two"] = {**docs["t1"], "indices": [5, 9], "maps": {**docs["t1"]["maps"]}}
+    docs["two"]["maps"]["9"] = [["0", "0"], ["w", "w+1"]]
+    docs["two"]["rho"] = [[5, 9, "1"]]  # rho-separated, so valid, but not separated
+    paths = {name: tmp_path / f"{name}.json" for name in [*docs, "g3"]}
+    for name, doc in docs.items():
+        paths[name].write_text(json.dumps(doc))
+    assert main(["--seed", "3", "--out", str(paths["g3"]), "gen"]) == 0
+    return {name: str(path) for name, path in paths.items()}
+
+
+_SELECT = ["--level", "1", "--nodes", "w", "--indices", "5"]
+_TOP = ["--level", "3", "--nodes", "w*3", "--indices", "0"]
+_PAIR = ["--alpha", "w^w", "--beta", "w^w*2", "--node", "w^w"]
+
+
+@pytest.mark.parametrize(
+    "file, command, flags, text",
+    [
+        ("t1", "widen", ["--node", "w*9", "--count", "1"], "node w*9 not in tree"),
+        ("t1", "widen", ["--node", "w", "--count", "0"], "successor count must be positive"),
+        ("t1", "grow", ["--node", "w*9", "--height", "3"], "node w*9 not in tree"),
+        ("t1", "grow", ["--node", "w*2", "--height", "1"], "target level must lie above the node"),
+        ("t1", "fan-out", ["--nodes", "w", "--count", "0"], "successor count must be positive"),
+        ("t1", "fan-out", ["--nodes", "0,w", "--count", "1"], "node set spans several levels"),
+        ("t1", "fan-out", ["--nodes", "w*5", "--count", "1"], "node set leaves its level"),
+        ("t1", "fan-out", ["--nodes", "w*2", "--count", "1"], "fan-out level must lie below the top"),
+        ("t1", "fan-out", ["--nodes", "0", "--count", "1"], "nodes already exceed 1 immediate successors: 0"),
+        ("t1", "bijectivize", _SELECT[:1] + ["2"] + _SELECT[2:], "level must be occupied and lie below the top"),
+        ("t1", "bijectivize", _SELECT[:3] + [""] + _SELECT[4:], "node set must be nonempty"),
+        ("t1", "bijectivize", _SELECT[:3] + ["w*2"] + _SELECT[4:], "node set leaves its level"),
+        ("t1", "bijectivize", _SELECT[:5] + ["9"], "indices leave the family"),
+        ("two", "bijectivize", _SELECT[:3] + ["w,w+1", "--indices", "5,9"], "selected maps are not separated on the node set"),
+        ("t1", "bijectivize", ["--cone"] + _SELECT[:1] + ["3"] + _SELECT[2:], "level must be occupied"),
+        # at the top level the cone grows nothing, and still checks its selection
+        ("g3", "bijectivize", ["--cone"] + _TOP[:5] + ["9"], "indices leave the family"),
+        ("g3", "bijectivize", ["--cone"] + _TOP[:3] + ["w"] + _TOP[4:], "node set leaves its level"),
+        ("g3", "bijectivize", ["--cone"] + _TOP[:3] + [""] + _TOP[4:], "node set must be nonempty"),
+        ("g3", "one-key", _TOP[:5] + ["9", "--node", "w*3"], "indices leave the family"),
+        ("g3", "one-key", _TOP + ["--node", "w*3"], "levels must be occupied with alpha below beta"),
+        ("g3", "one-key", _TOP + ["--node", "w*2"], "anchor node must sit on the top level over the node set"),
+        ("t1", "one-key", _SELECT + ["--node", "w*2"], "tree is not normal"),
+        ("t1", "match-pair", _PAIR[:5] + ["w"], "input tree is not normal"),
+        ("base", "match-pair", ["--alpha", "w"] + _PAIR[2:], "level w is not occupied"),
+        ("base", "match-pair", ["--alpha", "1"] + _PAIR[2:], "both levels must be fixed under scaling by w"),
+        ("base", "match-pair", _PAIR[:3] + ["w^w"] + _PAIR[4:], "levels must be ordered"),
+        ("base", "match-pair", _PAIR[:5] + ["w"], "anchor must sit at or above the matched level"),
+        ("tall", "match-pair", _PAIR, "node labels must stay below the second level"),
+        ("no-index-0", "match-pair", _PAIR, "index 0 must be present"),
+        ("petal", "match-pair", _PAIR, "fresh index labels collide with the existing domain"),
+    ],
+)
+def test_named_precondition_exits_2(condition_files, capsys, file, command, flags, text):
+    assert main([command, condition_files[file]] + flags) == 2
+    assert capsys.readouterr().err.startswith(f"error: {text}")
+
+
+@pytest.mark.parametrize("key", ["٠", " 0", "+0", "0_0", "00", "0 "])
+def test_map_key_other_than_a_canonical_natural_exits_2(tmp_path, capsys, key):
+    doc = {"nodes": ["0", "w"], "parents": [["w", "0"]], "indices": [0], "maps": {key: []}}
+    path = tmp_path / "keys.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: field 'maps': key {key!r} is not an index\n"
+
+
+def _scenario_file(tmp_path) -> str:
+    path = tmp_path / "s.json"
+    steps = [
+        {"op": "add_index", "args": {"index": 5}},
+        {"op": "augment", "args": {"index": 5, "node": "0"}},
+    ]
+    path.write_text(json.dumps({"steps": steps}))
+    return str(path)
+
+
+def test_a_fault_in_a_scenario_step_exits_3_naming_the_step(tmp_path, capsys, monkeypatch):
+    def broken(*args):
+        raise RuntimeError("augment produced an invalid condition")
+
+    monkeypatch.setattr(treeforcing.forcing, "augment", broken)
+    assert main(["run", _scenario_file(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err == "internal error: step 1 augment: augment produced an invalid condition\n"
+
+
+def test_a_key_error_in_a_scenario_step_is_not_a_failed_step(tmp_path, monkeypatch):
+    from treeforcing.scenario import parse_scenario, run_scenario
+
+    def broken(*args):
+        raise KeyError(9)
+
+    monkeypatch.setattr(treeforcing.forcing, "augment", broken)
+    scenario = parse_scenario(open(_scenario_file(tmp_path)).read())
+    with pytest.raises(KeyError):
+        run_scenario(scenario)

@@ -7,6 +7,8 @@ deliberately separate from the package implementation.
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import random
 
 import pytest
@@ -93,16 +95,36 @@ def test_parse_round_trip_derived():
     assert str(O(s)) == s
 
 
+# naturals are ASCII: superscript two is a digit to str.isdigit but not to
+# int(), and Arabic-Indic three is one to both
+NON_ASCII_DIGITS = ["w*\u00b2", "w^\u00b2", "w*\u0663", "\u0663", "w*1\u0663"]
+
+
 @pytest.mark.parametrize(
     "bad",
     ["", "w+w", "1+2", "w^", "w*0", "0+1", "w*", "(w)", "w^()", "3+w", "w+", "01"]
-    # naturals are ASCII: superscript two is a digit to str.isdigit but not to
-    # int(), and Arabic-Indic three is one to both
-    + ["w*\u00b2", "w^\u00b2", "w*\u0663", "\u0663", "w*1\u0663"],
+    + NON_ASCII_DIGITS,
 )
 def test_parse_rejects(bad):
     with pytest.raises(OrdinalParseError):
         O(bad)
+
+
+def _parse_outcome(text: str) -> str:
+    try:
+        return f"ok {O(text)}"
+    except Exception as exc:
+        return f"{type(exc).__name__} {exc}"
+
+
+def test_parse_outcomes_are_pinned():
+    # every string of length 0 to 5 over the grammar's characters; the digest
+    # pins each value, and each error's type, text and position
+    texts = ["".join(c) for n in range(6) for c in itertools.product("0129w^*+()", repeat=n)]
+    texts += NON_ASCII_DIGITS
+    assert len(texts) == 111_116
+    digest = hashlib.sha256("\n".join(map(_parse_outcome, texts)).encode()).hexdigest()
+    assert digest == "8ca7d3f27d84fe1d3c3fd19ac13f497bd4ff108799b6839e3fbf6c39328c0a3a"
 
 
 def test_codec_round_trip_random():

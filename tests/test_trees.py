@@ -305,6 +305,16 @@ def test_parent_links_are_read_only():
     assert t != t1()
 
 
+def test_node_set_is_read_only():
+    nodes = {ZERO, O("w")}
+    t = StandardTree(nodes, {O("w"): ZERO})
+    nodes.add(O("w*2"))  # the tree keeps its own frozen copy
+    assert t.nodes == {ZERO, O("w")} and isinstance(t.nodes, frozenset)
+    assert t.heights() == (O("1"),)
+    frozen = frozenset(nodes)
+    assert StandardTree(frozen, {}).nodes is frozen
+
+
 def test_cyclic_links_are_reported_not_followed():
     w, w1 = O("w"), O("w+1")
     t = StandardTree.make([ZERO, w, w1], {w: w1, w1: w})
@@ -355,7 +365,15 @@ def test_tree_queries_match_parent_walks():
             for y in nodes:
                 assert t.is_below(x, y) == ref._is_below(t, x, y)
         assert t.order_pairs() == ref.order_pairs(t)
-        assert is_normal(t) == ref.is_normal(t)
+        assert is_normal(t) == ref.is_normal(t) == ref.is_normal_per_level(t)
         for _ in range(4):
             bad = _corrupt(rng, t)
             assert validate_tree(bad) == ref.validate_tree(bad)
+            assert _outcome(is_normal, bad) == _outcome(ref.is_normal_per_level, bad)
+
+
+def _outcome(query, t):
+    try:
+        return query(t)
+    except Exception as exc:
+        return type(exc), str(exc)
