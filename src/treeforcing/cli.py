@@ -30,7 +30,7 @@ from .codec import (
     encode_matched_pair,
     export_dot,
 )
-from .forcing import leq, validate_condition
+from .forcing import MatchedPair, leq, validate_condition
 from .generate import GenBounds, gen_condition
 from .ops import NATURAL, NATURALS, OPS, ORDINAL, ORDINALS
 from .ordinals import OrdinalParseError, parse_natural, parse_ordinal
@@ -167,6 +167,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         p, rho = _load(args.file, args.rho, args.seed)
         level = parse_ordinal(args.level)
         X = frozenset(_ordinals(args.nodes)) if args.nodes else p.tree.level(level)
+        forcing._check_selection(p, level, X, frozenset())
         fam = dict(p.family)
         if args.indices:
             wanted = _naturals(args.indices)
@@ -203,11 +204,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         _write(export_dot(p), args.out)
         return 0
 
-    if args.command == "amalgamate":  # its input is a matched-pair file
-        mp, rho = decode_matched_pair(_read(args.file))
-        _write(encode_condition(forcing.amalgamate(mp, rho), rho), args.out)
-        return 0
-
     name = _COMMANDS[args.command]
     if args.command == "bijectivize" and args.cone:
         name = "bijectivize_cone"
@@ -215,9 +211,12 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 
 def _run_op(name: str, args: argparse.Namespace) -> int:
-    """Run one table entry on a condition file and write its result."""
+    """Run one table entry on its input file and write its result."""
     op = OPS[name]
-    p, rho = _load(args.file, args.rho, args.seed)
+    if op.on is MatchedPair:  # a matched-pair file, with its own oracle
+        p, rho = decode_matched_pair(_read(args.file))
+    else:
+        p, rho = _load(args.file, args.rho, args.seed)
     values = {key: _FROM_FLAG[kind](getattr(args, key)) for key, kind in op.args.items()}
     out = ops.run(name, p, values, rho)
     if args.command == "match-pair":

@@ -92,6 +92,8 @@ def _document(text: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CodecError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except RecursionError:
+        raise CodecError("document nests too deeply")
     if not isinstance(doc, dict):
         raise CodecError("document root must be an object")
     return doc

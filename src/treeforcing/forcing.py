@@ -13,9 +13,9 @@ construction; the one-key lift bijectivizes a cone and lifts through it;
 amalgamation bijectivizes a cone and lifts through it too) compose the
 kernels, never the checked public functions, and then check their final
 output once: ``validate_condition`` on it, ``leq`` against their own input,
-and whatever clauses of the pieces those two do not imply (a simple
-extension, a normal tree, successor counts, height sets, separation on the
-fans, the lift's consistency).  A pair built by ``build_matched_pair``
+the height set they promised, and whatever clauses of the pieces those do
+not imply (a simple extension, a normal tree, successor counts, separation
+on the fans, the lift's consistency).  A pair built by ``build_matched_pair``
 carries its check (the oracle object and its revision), so ``amalgamate``
 trusts it while that oracle is unchanged and validates every other pair in
 full.  The node and index matchings of a pair are read-only.
@@ -133,23 +133,21 @@ def leq(q: Condition, p: Condition) -> bool:
     for tau in p.indices():
         if tau not in q.family or not p.family[tau].issubset(q.family[tau]):
             return False
-    taus = p.indices()
-    for a in range(len(taus)):
-        for b in range(a + 1, len(taus)):
-            g, t = taus[a], taus[b]
-            anchors = {x for x, _ in agreement_pairs(p.family[g], p.family[t])}
-            for x, _ in agreement_pairs(q.family[g], q.family[t]) - {ROOT_PAIR}:
-                if not any(q.tree.is_below_eq(x, z) for z in anchors):
-                    return False
+    for g, t in combinations(p.indices(), 2):
+        anchors = {x for x, _ in agreement_pairs(p.family[g], p.family[t])}
+        for x, _ in agreement_pairs(q.family[g], q.family[t]) - {ROOT_PAIR}:
+            if not any(q.tree.is_below_eq(x, z) for z in anchors):
+                return False
     return True
 
 
-def _check_step(p: Condition, q: Condition, rho: RhoOracle, op: str) -> Condition:
-    """The boundary check: q is a condition below p.
+def _check_step(p: Condition, q: Condition, rho: RhoOracle, op: str, added=()) -> Condition:
+    """The boundary check: q is a condition below p whose heights are p's
+    plus ``added``, the heights the operation promised to occupy.
 
-    The operations do not validate their input up front; a failed check is
-    blamed on p (ValueError) when p itself is not a condition, and is an
-    internal fault (RuntimeError) otherwise.
+    The operations do not validate their input up front; a failed validation
+    or order check is blamed on p (ValueError) when p itself is not a
+    condition, and is an internal fault (RuntimeError) otherwise.
     """
     report = validate_condition(q, rho)
     if report:
@@ -158,6 +156,8 @@ def _check_step(p: Condition, q: Condition, rho: RhoOracle, op: str) -> Conditio
     if not leq(q, p):
         _blame_input(p, rho, op)
         raise RuntimeError(f"{op} produced a condition that does not extend its input")
+    if set(q.tree.heights()) != {*p.tree.heights(), *added}:
+        raise RuntimeError(f"{op} moved the heights")
     return q
 
 
@@ -186,23 +186,13 @@ def _check_extend(
     """The boundary check of a height extension: q is valid and below p, its
     tree is a simple extension of p's with heights ht[p] + Z, and each map
     restricts back to p's map on p's nodes."""
-    _check_step(p, q, rho, op)
-    if not _adds_simply(p.tree, q.tree) or set(q.tree.heights()) != Z | set(p.tree.heights()):
+    _check_step(p, q, rho, op, Z)
+    if not _adds_simply(p.tree, q.tree):
         raise RuntimeError(f"{op} produced a non-simple extension")
     nodes = p.tree.nodes
     for tau, f in p.family.items():
         if TreeMap(pair for pair in q.family[tau] if pair[0] in nodes) != f:
             raise RuntimeError(f"{op} changed map {tau} on the old nodes")
-    return q
-
-
-def _check_normal(
-    p: Condition, q: Condition, heights: frozenset[Ordinal], rho: RhoOracle, op: str
-) -> Condition:
-    """The boundary check of an operation ending in normalisation."""
-    _check_step(p, q, rho, op)
-    if not is_normal(q.tree) or set(q.tree.heights()) != heights:
-        raise RuntimeError(f"{op} produced a non-normal tree or moved the heights")
     return q
 
 
@@ -239,10 +229,9 @@ def widen_node(p: Condition, x: Ordinal, k: int, rho: RhoOracle) -> Condition:
         q = _fan_out_condition(q, frozenset({x}), k)
     if q is p:
         return p
-    _check_step(p, q, rho, "widen_node")
-    heights = {nxt, *p.tree.heights()}
-    if len(q.tree.immediate_successors(x)) < k or set(q.tree.heights()) != heights:
-        raise RuntimeError("widen_node missed the successor count or the height set")
+    _check_step(p, q, rho, "widen_node", {nxt})
+    if len(q.tree.immediate_successors(x)) < k:
+        raise RuntimeError("widen_node missed the successor count")
     return q
 
 
@@ -263,7 +252,10 @@ def normalize_condition(p: Condition, rho: RhoOracle) -> Condition:
     q = _normalize_condition(p)
     if q is p:
         return p
-    return _check_normal(p, q, frozenset(p.tree.heights()), rho, "normalize_condition")
+    _check_step(p, q, rho, "normalize_condition")
+    if not is_normal(q.tree):
+        raise RuntimeError("normalize_condition produced a non-normal tree")
+    return q
 
 
 def grow_node(p: Condition, x: Ordinal, alpha: Ordinal, rho: RhoOracle) -> Condition:
@@ -272,11 +264,13 @@ def grow_node(p: Condition, x: Ordinal, alpha: Ordinal, rho: RhoOracle) -> Condi
         raise ValueError(f"node {x} not in tree")
     if not x.height < alpha:
         raise ValueError("target level must lie above the node")
-    if alpha in p.tree.heights() and any(y.height == alpha for y in p.tree.successors(x)):
+    if p.tree.successors_at(x, alpha):
         return p
     q = _normalize_condition(_extend_heights(p, frozenset({alpha})))
-    _check_normal(p, q, frozenset({alpha, *p.tree.heights()}), rho, "grow_node")
-    if not any(y.height == alpha for y in q.tree.successors(x)):
+    _check_step(p, q, rho, "grow_node", {alpha})
+    if not is_normal(q.tree):
+        raise RuntimeError("grow_node produced a non-normal tree")
+    if not q.tree.successors_at(x, alpha):
         raise RuntimeError("grow_node left the node without a successor at the level")
     return q
 
@@ -326,9 +320,8 @@ def fan_out_condition(
     if q is p:
         return p
     _check_step(p, q, rho, "fan_out_condition")
-    heights = set(p.tree.heights())
-    if any(len(q.tree.immediate_successors(x)) != n for x in X) or set(q.tree.heights()) != heights:
-        raise RuntimeError("fan_out_condition missed the successor count or moved the heights")
+    if any(len(q.tree.immediate_successors(x)) != n for x in X):
+        raise RuntimeError("fan_out_condition missed the successor count")
     return q
 
 
@@ -431,6 +424,7 @@ def _bijectivize_level(
     fam = dict(grown.family)
     for tau in sorted(A):
         f = p.family[tau]
+        image = f.image
         pairs = set(f.pairs)
         for i, a_i in enumerate(order):
             a_j = f.get(a_i)
@@ -438,36 +432,23 @@ def _bijectivize_level(
                 continue
             j = order.index(a_j)
             edges.append((i, j, tau))
-            taken_targets: set[Ordinal] = set()
-            # old sources keep their old images, already inside both diagonals
-            for x in sorted(u.immediate_successors(a_i)):
-                if x in f.domain:
-                    taken_targets.add(f.get(x))
             # equal-position blocks map to each other, positionally
             for k in range(q_size):
-                if k in (i, j):
-                    continue
-                for x, y in zip(blocks[i][k], blocks[j][k]):
-                    pairs.add((x, y))
-                    taken_targets.add(y)
+                if k not in (i, j):
+                    pairs.update(zip(blocks[i][k], blocks[j][k]))
             # fresh diagonal sources land in the block indexed by the far end
-            fresh_sources = [x for x in blocks[i][i] if x not in f.domain]
-            for x, y in zip(fresh_sources, blocks[j][i]):
-                pairs.add((x, y))
-                taken_targets.add(y)
+            fresh_sources = [x for x in blocks[i][i] if f.get(x) is None]
+            pairs.update(zip(fresh_sources, blocks[j][i]))
             # fresh diagonal targets draw preimages from the block indexed by
-            # the far end; whatever of that block is left mops up the rest
-            fresh_targets = [y for y in blocks[j][j] if y not in f.image]
-            sources_left = list(blocks[i][j])
-            for y, x in zip(fresh_targets, sources_left):
-                pairs.add((x, y))
-                taken_targets.add(y)
-            sources_left = sources_left[len(fresh_targets) :]
-            remaining = [
-                y for y in sorted(u.immediate_successors(a_j)) if y not in taken_targets
-            ]
-            for x, y in zip(sources_left, remaining):
-                pairs.add((x, y))
+            # the far end; the rest of that block mops up the targets no source
+            # over a_i reaches yet (old sources keep their old images)
+            fresh_targets = [y for y in blocks[j][j] if y not in image]
+            sources_left = blocks[i][j]
+            pairs.update(zip(sources_left, fresh_targets))
+            fan = u.immediate_successors(a_i)
+            taken = {y for x, y in pairs if x in fan}
+            remaining = [y for y in sorted(u.immediate_successors(a_j)) if y not in taken]
+            pairs.update(zip(sources_left[len(fresh_targets) :], remaining))
         fam[tau] = TreeMap(pairs)
 
     return Condition(u, fam), LevelBijectivization(order, block, blocks, tuple(edges))
@@ -489,7 +470,7 @@ def _check_bijectivize(
     is the whole cone); new nodes and map pairs lie inside the fans."""
     _check_step(p, out, rho, op)
     t, u = p.tree, out.tree
-    if set(t.heights()) != set(u.heights()) or set(p.family) != set(out.family):
+    if set(p.family) != set(out.family):
         raise RuntimeError(f"{op} broke a structural postcondition")
     restricted = {tau: out.family[tau] for tau in A}
     grown: frozenset[Ordinal] = frozenset()

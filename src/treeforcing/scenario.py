@@ -85,7 +85,7 @@ def parse_scenario(text: str) -> Scenario:
         rho_spec=spec,
         rho_entries=tuple(entries),
         steps=tuple(_list("steps", doc.get("steps", []), _step)),
-        final_expect=_object("final_expect", doc.get("final_expect", {})),
+        final_expect=_expect("final_expect", doc.get("final_expect", {})),
     )
 
 
@@ -93,13 +93,30 @@ def _step(where: str, item: Any) -> Step:
     if not isinstance(item, dict) or "op" not in item:
         raise CodecError(f"field {where!r}: expected an object with an 'op'")
     args = _object(f"{where}.args", item.get("args", {}))
-    expect = _object(f"{where}.expect", item.get("expect", {}))
+    expect = _expect(f"{where}.expect", item.get("expect", {}))
     return Step(item["op"], args, expect, where=where)
 
 
 def _object(name: str, value: Any) -> dict[str, Any]:
     if not isinstance(value, dict):
         raise CodecError(f"field '{name}': expected an object")
+    return value
+
+
+# expectation key -> what it reads off a condition
+_EXPECT = {
+    "normal": lambda p: is_normal(p.tree),
+    "hausdorff": lambda p: is_hausdorff(p.tree),
+    "node_count": lambda p: len(p.tree.nodes),
+    "height_count": lambda p: len(p.tree.heights()),
+    "index_count": lambda p: len(p.family),
+}
+
+
+def _expect(name: str, value: Any) -> dict[str, Any]:
+    unknown = sorted(_object(name, value).keys() - _EXPECT.keys())
+    if unknown:
+        raise CodecError(f"field '{name}': unknown key {unknown[0]!r}")
     return value
 
 
@@ -110,51 +127,10 @@ def _build_oracle(s: Scenario) -> RhoOracle:
     return rho
 
 
-class _Runner:
-    def __init__(self, rho: RhoOracle):
-        self.rho = rho
-        self.matched: MatchedPair | None = None
-
-    def checked(self, p: Condition, step: Step) -> bool:
-        """Whether the step's own operation already validated its output and
-        checked it against p; one on a matched pair checks against the
-        snapshot the pair was built from."""
-        op = ops.OPS[step.op]
-        return op.checks_itself and (op.on is Condition or self.matched.pa is p)
-
-    def apply(self, p: Condition, step: Step) -> Condition:
-        """The step's operation on p, or on the last matched pair for an
-        operation on pairs.  A matched pair is kept, and p stays the snapshot;
-        of a result with a support, the condition is the snapshot."""
-        subject = p
-        if ops.OPS[step.op].on is MatchedPair:
-            if self.matched is None:
-                raise ValueError(f"no matched pair was built before {step.op}")
-            subject = self.matched
-        out = ops.run(step.op, subject, step.args, self.rho)
-        if isinstance(out, MatchedPair):
-            self.matched = out
-            return p
-        return out[0] if isinstance(out, tuple) else out
-
-
 def _check_expect(p: Condition, expect: dict[str, Any], log: list[str]) -> bool:
     ok = True
     for key, want in sorted(expect.items()):
-        if key == "normal":
-            got = is_normal(p.tree)
-        elif key == "hausdorff":
-            got = is_hausdorff(p.tree)
-        elif key == "node_count":
-            got = len(p.tree.nodes)
-        elif key == "height_count":
-            got = len(p.tree.heights())
-        elif key == "index_count":
-            got = len(p.family)
-        else:
-            log.append(f"  expectation {key!r}: unknown key")
-            ok = False
-            continue
+        got = _EXPECT[key](p)
         if got != want:
             log.append(f"  expectation {key!r}: wanted {want!r}, got {got!r}")
             ok = False
@@ -163,7 +139,7 @@ def _check_expect(p: Condition, expect: dict[str, Any], log: list[str]) -> bool:
 
 def run_scenario(s: Scenario) -> RunTrace:
     rho = _build_oracle(s)
-    runner = _Runner(rho)
+    matched: MatchedPair | None = None  # the last pair built
     p = Condition.trivial()
     trace = RunTrace(conditions=[p], log=[], ok=True)
     report = validate_condition(p, rho)
@@ -173,15 +149,26 @@ def run_scenario(s: Scenario) -> RunTrace:
         return trace
     trace.log.append("start: ok")
     for k, step in enumerate(s.steps):
+        # the subject is p, or the last pair built for an operation on pairs;
+        # a new pair is kept and p stays the snapshot
+        op = ops.OPS[step.op]
         try:
-            q = runner.apply(p, step)
+            if op.on is MatchedPair and matched is None:
+                raise ValueError(f"no matched pair was built before {step.op}")
+            out = ops.run(step.op, p if op.on is Condition else matched, step.args, rho)
         except ValueError as exc:
             trace.log.append(f"step {k} {step.op}: failed: {exc}")
             trace.ok = False
             return trace
         except RuntimeError as exc:  # a fault in the library
             raise RuntimeError(f"step {k} {step.op}: {exc}") from exc
-        if not runner.checked(p, step):
+        if isinstance(out, MatchedPair):
+            matched, q = out, p
+        else:
+            q = out[0] if isinstance(out, tuple) else out
+        # an operation that checks itself validated q and checked it against
+        # its input: p, or for one on a pair the snapshot the pair came from
+        if not (op.checks_itself and (op.on is Condition or matched.pa is p)):
             report = validate_condition(q, rho)
             if report:
                 trace.log.append(f"step {k} {step.op}: invalid output: {'; '.join(report)}")

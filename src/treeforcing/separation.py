@@ -105,13 +105,13 @@ def oracle_from_spec(spec: str, seed: int = 0) -> RhoOracle:
     """Build an oracle from a CLI/scenario string: zero | const:<ord> | seed:<n>[:<v,...>].
 
     ``seed:<n>`` draws from the palette {0, 1, w}; ``seed:<n>:`` names an
-    empty palette and is an error.
+    empty palette and is an error, and so is any further ``:`` segment.
     """
     if spec == "zero":
         return RhoOracle.zero()
     if spec.startswith("const:"):
         return RhoOracle.constant(parse_ordinal(spec[len("const:") :]))
-    if spec.startswith("seed:"):
+    if spec.startswith("seed:") and spec.count(":") < 3:
         parts = spec.split(":")
         n = parse_natural(parts[1]) if parts[1] else seed
         if len(parts) == 2:

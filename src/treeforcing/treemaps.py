@@ -110,14 +110,7 @@ class MapFlags:
 
     @property
     def standard(self) -> bool:
-        return (
-            self.functional
-            and self.strictly_increasing
-            and self.injective
-            and self.level_preserving
-            and self.downwards_closed
-            and self.fixed_point_free_off_root
-        )
+        return all(vars(self).values())  # the instance dict holds exactly the fields
 
 
 def classify_map(t: StandardTree, pairs: Iterable[Pair]) -> MapFlags:

@@ -436,6 +436,28 @@ def test_broken_kernels_fail_the_clauses_validation_does_not_cover(monkeypatch):
                 run()
 
 
+def with_new_top(q: Condition) -> Condition:
+    """q with a one-node chain on a new height above its top: valid, below
+    q's input and with q's maps, so only the promised height set is broken."""
+    top = q.tree.max_height()
+    z = trees._FreshLabels(q.tree).take(top + O("1"))
+    parent = {**q.tree.parent, z: min(q.tree.level(top))}
+    return Condition(StandardTree(q.tree.nodes | {z}, parent), q.family)
+
+
+def test_broken_kernels_are_caught_by_the_height_clause(monkeypatch):
+    seen = set()
+    for name, p, rho, run in all_cases():
+        if name not in KERNEL_OF:
+            continue
+        with monkeypatch.context() as patch:
+            patch_kernel(patch, KERNEL_OF[name], with_new_top)
+            with pytest.raises(RuntimeError, match=f"^{name} moved the heights$"):
+                run()
+        seen.add(name)
+    assert seen == set(KERNEL_OF)
+
+
 def test_broken_copy_closure_is_caught_by_amalgamate(monkeypatch):
     mp, rho = matched_pair(taller=True)
     close = forcing._downward_close

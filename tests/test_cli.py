@@ -252,6 +252,34 @@ def test_check_sep_on_missing_indices_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == "error: indices not in the condition: 77, 78\n"
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        # level 5 is unoccupied, and w sits on level 1
+        pytest.param(["--level", "5", "--nodes", "w"], "node set leaves its level", id="off-level"),
+        pytest.param(["--level", "1", "--nodes", "w^5,w"], "node set leaves its level", id="no-node"),
+        pytest.param(["--level", "7"], "node set must be nonempty", id="empty-level"),
+    ],
+)
+def test_check_sep_checks_its_level_and_nodes(tmp_path, capsys, flags, message):
+    path = tmp_path / "g3.json"
+    assert main(["--seed", "3", "--out", str(path), "gen"]) == 0
+    p, _ = decode_condition(path.read_text())
+    assert O("5") not in p.tree.heights() and O("7") not in p.tree.heights()
+    assert O("w") in p.tree.level(O("1")) and O("w^5") not in p.tree.nodes
+    assert main(["check-sep", str(path)] + flags) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "leq", "run", "amalgamate"])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    files = [str(path)] * (2 if command == "leq" else 1)
+    assert main([command] + files) == 2
+    assert capsys.readouterr().err == "error: document nests too deeply\n"
+
+
 # Python's int() reads '-1', '٢' (Arabic-Indic 2) and the like, and fails on
 # '²' with an error that names no natural; naturals here are ASCII digits
 @pytest.mark.parametrize(
@@ -324,6 +352,12 @@ def test_empty_seed_palette_exits_2(t1_file, capsys):
     assert main(["--rho", "seed:4:", "validate", t1_file]) == 2
     assert "palette must be nonempty" in capsys.readouterr().err
     assert main(["--rho", "seed:4", "validate", t1_file]) == 0
+
+
+@pytest.mark.parametrize("spec", ["seed:1:0,1:junk", "seed:1::", "seed::w:"])
+def test_rho_with_trailing_segments_exits_2(t1_file, capsys, spec):
+    assert main(["--rho", spec, "validate", t1_file]) == 2
+    assert capsys.readouterr().err == f"error: unknown rho specification {spec!r}\n"
 
 
 def test_exploding_cone_exits_2_at_once(tmp_path, capsys):

@@ -61,6 +61,11 @@ def test_reject_malformed_json_with_position():
         decode_condition("{ nope }")
 
 
+def test_deeply_nested_json_is_a_codec_error():
+    with pytest.raises(CodecError, match="^document nests too deeply$"):
+        decode_condition("[" * 200_000)
+
+
 def test_reject_bad_ordinal_with_field():
     text = '{"nodes": ["0", "q"], "parents": [], "indices": [], "maps": {}}'
     with pytest.raises(CodecError, match="nodes"):

@@ -171,3 +171,22 @@ def test_scenario_rejects_non_object_fields(tmp_path, capsys, doc, field):
     path.write_text(json.dumps(doc))
     assert cli.main(["run", str(path)]) == 2
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"steps": [{"op": "normalize_condition", "expect": {"nodes": 1}}]}, "steps[0].expect"),
+        ({"steps": [], "final_expect": {"normal": True, "nodes": 1}}, "final_expect"),
+    ],
+)
+def test_scenario_rejects_unknown_expect_keys(tmp_path, capsys, doc, field):
+    from treeforcing import cli
+
+    message = f"field '{field}': unknown key 'nodes'"
+    with pytest.raises(CodecError, match=re.escape(message)):
+        parse_scenario(json.dumps(doc))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["run", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")

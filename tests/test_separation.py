@@ -100,6 +100,8 @@ def test_oracle_from_spec():
     assert oracle_from_spec("seed:4:0,1").value(1, 2) in {ZERO, O("1")}
     with pytest.raises(ValueError):
         oracle_from_spec("nope")
+    with pytest.raises(ValueError, match=r"^unknown rho specification 'seed:1:0,1:junk'$"):
+        oracle_from_spec("seed:1:0,1:junk")
 
 
 def test_empty_seed_palette_is_an_error():
