@@ -61,10 +61,11 @@ def _write(text: str, out: str | None) -> None:
             handle.write(text)
 
 
-def _load(path: str, rho_spec: str | None, seed: int):
-    p, rho = decode_condition(_read(path))
-    if rho_spec is not None:
-        rho = oracle_from_spec(rho_spec, seed=seed)
+def _load(args: argparse.Namespace, decode=decode_condition):
+    """The input file decoded with its oracle, which ``--rho`` overrides."""
+    p, rho = decode(_read(args.file))
+    if args.rho is not None:
+        rho = oracle_from_spec(args.rho, seed=args.seed)
     return p, rho
 
 
@@ -149,7 +150,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "validate":
-        p, rho = _load(args.file, args.rho, args.seed)
+        p, rho = _load(args)
         report = validate_condition(p, rho)
         for line in report:
             print(line)
@@ -164,7 +165,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0 if result else 1
 
     if args.command == "check-sep":
-        p, rho = _load(args.file, args.rho, args.seed)
+        p, rho = _load(args)
         level = parse_ordinal(args.level)
         X = frozenset(_ordinals(args.nodes)) if args.nodes else p.tree.level(level)
         forcing._check_selection(p, level, X, frozenset())
@@ -213,10 +214,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 def _run_op(name: str, args: argparse.Namespace) -> int:
     """Run one table entry on its input file and write its result."""
     op = OPS[name]
-    if op.on is MatchedPair:  # a matched-pair file, with its own oracle
-        p, rho = decode_matched_pair(_read(args.file))
-    else:
-        p, rho = _load(args.file, args.rho, args.seed)
+    p, rho = _load(args, decode_matched_pair if op.on is MatchedPair else decode_condition)
     values = {key: _FROM_FLAG[kind](getattr(args, key)) for key, kind in op.args.items()}
     out = ops.run(name, p, values, rho)
     if args.command == "match-pair":

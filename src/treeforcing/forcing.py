@@ -15,10 +15,13 @@ kernels, never the checked public functions, and then check their final
 output once: ``validate_condition`` on it, ``leq`` against their own input,
 the height set they promised, and whatever clauses of the pieces those do
 not imply (a simple extension, a normal tree, successor counts, separation
-on the fans, the lift's consistency).  A pair built by ``build_matched_pair``
-carries its check (the oracle object and its revision), so ``amalgamate``
-trusts it while that oracle is unchanged and validates every other pair in
-full.  The node and index matchings of a pair are read-only.
+on the fans, the lift's consistency).  ``amalgamate`` closes through the same
+boundary check against the first side, with the second side's heights as the
+promised ones, and then checks the second side and the anchors.  A pair
+built by ``build_matched_pair`` carries its check (the oracle object and its
+revision), so ``amalgamate`` trusts it while that oracle is unchanged and
+validates every other pair in full.  The node and index matchings of a pair
+are read-only.
 
 The order's agreement clause disregards the structural root agreement
 (0, 0): any two maps defined at the root fix it, and index augmentation
@@ -405,20 +408,13 @@ def _bijectivize_level(
     grown = _fan_out_condition(p, X, block * q_size)
     u = grown.tree
 
+    # each fan, old successors first, cut into q_size slices; slice 0 is the diagonal
     blocks: dict[int, tuple[tuple[Ordinal, ...], ...]] = {}
     for i, a_i in enumerate(order):
-        old = sorted(t.immediate_successors(a_i))
-        new = sorted(u.immediate_successors(a_i) - t.immediate_successors(a_i))
-        diagonal = tuple(old + new[: block - len(old)])
-        rest = new[block - len(old) :]
-        row: list[tuple[Ordinal, ...]] = []
-        for k in range(q_size):
-            if k == i:
-                row.append(diagonal)
-            else:
-                row.append(tuple(rest[:block]))
-                rest = rest[block:]
-        blocks[i] = tuple(row)
+        old = t.immediate_successors(a_i)
+        fan = sorted(old) + sorted(u.immediate_successors(a_i) - old)
+        cut = [tuple(fan[k * block : (k + 1) * block]) for k in range(q_size)]
+        blocks[i] = tuple(cut[0 if k == i else k + 1 if k < i else k] for k in range(q_size))
 
     edges: list[tuple[int, int, int]] = []
     fam = dict(grown.family)
@@ -806,10 +802,11 @@ def build_matched_pair(
     )
     # the levels and the first side passed the checks above, and the oracle was
     # raised only on pairs with a fresh index, which p does not carry, so p is
-    # still valid: the copy and the pair clauses are what is left to check
+    # still valid: the copy and the pair clauses are what is left to check, and
+    # they fail only through a fault here
     report = _side_report("second", pb, rho) or _pair_report(mp, rho)
     if report:
-        raise ValueError(f"matched pair does not validate: {'; '.join(report)}")
+        raise RuntimeError(f"build_matched_pair produced an invalid pair: {'; '.join(report)}")
     object.__setattr__(mp, "_checked", (rho, rho.revision))
     return mp
 
@@ -892,34 +889,25 @@ def amalgamate(mp: MatchedPair, rho: RhoOracle) -> Condition:
         X_plus = _one_key_lift(cone.tree, shared_maps, order, alpha, top_a, z_alpha)
     U = cone.tree
 
-    # plant the copy: matched top nodes onto the support, the rest onto chains
-    w_nodes = U.nodes | pb.tree.nodes
-    w_parent = dict(U.parent)
-    for c, par in pb.tree.parent.items():
-        if c.height > beta:
-            w_parent[c] = par
+    # plant the copy: matched top nodes onto the support, the rest onto chains,
+    # in one union of links. U and pb share only the common links, with equal
+    # values; pb has no node on a height from alpha up to (not including) beta;
+    # chain_top and support_for split pb's level beta between them.
     support_for = {iso[U.restrict(z, alpha)]: z for z in X_plus}
-    for y in sorted(pb.tree.level(beta)):
-        w_parent[y] = support_for[y] if y in X_b else chain_top[y]
-    W = StandardTree(frozenset(w_nodes), w_parent)
+    links = {**pb.tree.parent, **U.parent, **chain_top, **support_for}
+    W = StandardTree(U.nodes | pb.tree.nodes, links)
 
-    copied = {tau: _downward_close(W, pb.family[tau]) for tau in sorted(pb.family)}
-    merged: dict[int, TreeMap] = {}
-    for tau in sorted(cone.family.keys() | copied.keys()):
-        if tau in cone.family and tau in copied:
+    merged = {**cone.family}
+    for tau in sorted(pb.family):
+        copied = _downward_close(W, pb.family[tau])
+        if tau in merged:
             try:
-                merged[tau] = TreeMap(set(cone.family[tau].pairs) | set(copied[tau].pairs))
+                merged[tau] = merged[tau].with_pairs(copied)
             except ValueError as exc:
                 raise RuntimeError(f"amalgamation is incoherent at index {tau}: {exc}")
         else:
-            merged[tau] = cone.family.get(tau, copied.get(tau))
-    out = Condition(W, merged)
-
-    report = validate_condition(out, rho)
-    if report:
-        raise RuntimeError(f"amalgamation is not a condition: {'; '.join(report)}")
-    if not leq(out, pa):
-        raise RuntimeError("amalgamation does not extend the first condition")
+            merged[tau] = copied
+    out = _check_step(pa, Condition(W, merged), rho, "amalgamate", pb.tree.heights())
     if not leq(out, pb):
         raise RuntimeError("amalgamation does not extend the second condition")
     if not W.is_below(mp.anchor_a, mp.anchor_b):

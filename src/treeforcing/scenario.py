@@ -32,7 +32,8 @@ from .trees import is_hausdorff, is_normal
 @dataclass(frozen=True)
 class Step:
     """One step: ``args`` are given as JSON values and hold them decoded
-    through the operation's schema; ``where`` names the step in errors."""
+    through the operation's schema; ``expect`` keys must be in ``_EXPECT``;
+    ``where`` names the step in errors."""
 
     op: str
     args: dict[str, Any] = field(default_factory=dict)
@@ -40,6 +41,7 @@ class Step:
     where: InitVar[str] = "step"
 
     def __post_init__(self, where: str) -> None:
+        _expect(f"{where}.expect", self.expect)
         object.__setattr__(self, "args", ops.decode(self.op, self.args, where))
 
 
@@ -49,6 +51,9 @@ class Scenario:
     rho_entries: tuple[tuple[int, int, Ordinal], ...] = ()
     steps: tuple[Step, ...] = ()
     final_expect: dict[str, Any] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        _expect("final_expect", self.final_expect)
 
 
 @dataclass
@@ -85,7 +90,7 @@ def parse_scenario(text: str) -> Scenario:
         rho_spec=spec,
         rho_entries=tuple(entries),
         steps=tuple(_list("steps", doc.get("steps", []), _step)),
-        final_expect=_expect("final_expect", doc.get("final_expect", {})),
+        final_expect=doc.get("final_expect", {}),
     )
 
 
@@ -93,8 +98,7 @@ def _step(where: str, item: Any) -> Step:
     if not isinstance(item, dict) or "op" not in item:
         raise CodecError(f"field {where!r}: expected an object with an 'op'")
     args = _object(f"{where}.args", item.get("args", {}))
-    expect = _expect(f"{where}.expect", item.get("expect", {}))
-    return Step(item["op"], args, expect, where=where)
+    return Step(item["op"], args, item.get("expect", {}), where=where)
 
 
 def _object(name: str, value: Any) -> dict[str, Any]:
@@ -113,11 +117,10 @@ _EXPECT = {
 }
 
 
-def _expect(name: str, value: Any) -> dict[str, Any]:
+def _expect(name: str, value: Any) -> None:
     unknown = sorted(_object(name, value).keys() - _EXPECT.keys())
     if unknown:
         raise CodecError(f"field '{name}': unknown key {unknown[0]!r}")
-    return value
 
 
 def _build_oracle(s: Scenario) -> RhoOracle:

@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .ordinals import ZERO, Ordinal, parse_natural, parse_ordinal
 from .treemaps import TreeMap, is_standard
-from .trees import StandardTree, is_normal
+from .trees import StandardTree, _level_of, is_normal
 
 Family = Mapping[int, TreeMap]
 
@@ -270,12 +270,9 @@ def is_consistent(
     downward one is automatic for standard maps.
     """
     X = frozenset(X)
-    if not X:
+    alpha = _level_of(X)
+    if alpha is None:
         return True
-    levels = {x.height for x in X}
-    if len(levels) > 1:
-        raise ValueError("node set spans several levels")
-    (alpha,) = levels
     if not b < alpha:
         raise ValueError("reference level must lie below the node set")
     drop = {x: t.restrict(x, b) for x in X}
@@ -402,12 +399,9 @@ def decide_separation(fam: Family, X: Iterable[Ordinal]) -> SeparationVerdict:
     separated outright.
     """
     X = frozenset(X)
-    if not X:
+    alpha = _level_of(X)
+    if alpha is None:
         return WitnessOrder(())
-    levels = {x.height for x in X}
-    if len(levels) > 1:
-        raise ValueError("node set spans several levels")
-    (alpha,) = levels
     if alpha == ZERO:
         return WitnessOrder(tuple(sorted(X)))
     return decide_rho_separation(fam, X, RhoOracle.zero(), alpha)

@@ -280,11 +280,18 @@ def _names(items: Iterable) -> str:
     return ", ".join(str(i) for i in sorted(items))
 
 
+def _level_of(X: Iterable[Ordinal]) -> Ordinal | None:
+    """The one height the nodes of X sit on; None when X is empty."""
+    levels = {x.height for x in X}
+    if len(levels) > 1:
+        raise ValueError("node set spans several levels")
+    return next(iter(levels), None)
+
+
 def unique_dropdowns(t: StandardTree, X: Iterable[Ordinal], b: Ordinal) -> bool:
     """True iff the drop-down map to level b is injective on X (one-level X)."""
     X = frozenset(X)
-    if len({x.height for x in X}) > 1:
-        raise ValueError("node set spans several levels")
+    _level_of(X)
     drops = {t.restrict(x, b) for x in X}
     return len(drops) == len(X)
 
@@ -499,12 +506,9 @@ def _fan_out(t: StandardTree, X: frozenset[Ordinal], n: int) -> StandardTree:
     """``fan_out`` without its postcondition check; t itself when X is empty."""
     if n < 1:
         raise ValueError("successor count must be positive")
-    if not X:
+    a = _level_of(X)
+    if a is None:
         return t
-    levels = {x.height for x in X}
-    if len(levels) > 1:
-        raise ValueError("node set spans several levels")
-    (a,) = levels
     if not X <= t.level(a):
         raise ValueError("node set leaves its level")
     if not a < t.max_height():

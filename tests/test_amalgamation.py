@@ -5,6 +5,7 @@ import itertools
 
 import pytest
 
+from treeforcing import forcing
 from treeforcing.forcing import (
     Condition,
     _pair_report,
@@ -176,6 +177,18 @@ def test_amalgamate_rejects_a_pair_whose_oracle_broke_a_premise():
     assert str(exc.value) == (
         "matched pair does not validate: cross pair (5, 100) has rho below the common height"
     )
+
+
+def test_build_matched_pair_blames_itself_for_an_invalid_copy(monkeypatch):
+    # maps 0 and 5 relate the same pairs and rho keeps 5 out of the shared
+    # block, so the copy validates only once rho(0, 100) is raised: skipping
+    # that is a fault in the construction, not in its input
+    p = base_condition(with_edge=True)
+    p = Condition(p.tree, {0: p.family[0], 5: p.family[0]})
+    rho = RhoOracle.from_entries([(0, 5, ALPHA)])
+    monkeypatch.setattr(forcing, "_raise_rho_for_copy", lambda pb, shared, rho: None)
+    with pytest.raises(RuntimeError, match=r"^build_matched_pair produced an invalid pair: "):
+        build_matched_pair(p, ALPHA, BETA, node_at(ALPHA, 0), 100, rho)
 
 
 def test_a_replaced_pair_is_validated_again():

@@ -458,6 +458,20 @@ def test_broken_kernels_are_caught_by_the_height_clause(monkeypatch):
     assert seen == set(KERNEL_OF)
 
 
+@pytest.mark.parametrize("taller", [False, True])
+def test_amalgamate_is_caught_by_the_height_clause(monkeypatch, taller):
+    mp, rho = matched_pair(taller)
+
+    def glued_with_new_top(tree, family):
+        # only the glued condition reaches the second level
+        q = Condition(tree, family)
+        return with_new_top(q) if tree.max_height() >= BETA else q
+
+    monkeypatch.setattr(forcing, "Condition", glued_with_new_top)
+    with pytest.raises(RuntimeError, match="^amalgamate moved the heights$"):
+        amalgamate(mp, rho)
+
+
 def test_broken_copy_closure_is_caught_by_amalgamate(monkeypatch):
     mp, rho = matched_pair(taller=True)
     close = forcing._downward_close

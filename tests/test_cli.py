@@ -407,6 +407,24 @@ def test_one_key_on_an_invalid_file_blames_the_input_under_its_own_name(tmp_path
 # -- the parser is built once and reused ----------------------------------------
 
 
+def test_rho_flag_overrides_the_table_of_a_matched_pair_file(tmp_path, capsys):
+    from test_amalgamation import base_condition
+
+    src, mp_file = tmp_path / "p.json", tmp_path / "mp.json"
+    rho = RhoOracle.from_entries([(0, 5, O("w^w"))])
+    src.write_text(encode_condition(base_condition(with_edge=False, petal_index=5), rho))
+    argv = ["match-pair", str(src), "--alpha", "w^w", "--beta", "w^w*2", "--node", "w^w"]
+    assert main(["--out", str(mp_file)] + argv) == 0
+    assert run_main(["amalgamate", str(mp_file)], capsys)[0] == 0
+    # under the flag's oracle the pair is validated in full, and its cross premise fails
+    assert run_main(["--rho", "zero", "amalgamate", str(mp_file)], capsys) == (
+        2,
+        "",
+        "error: matched pair does not validate:"
+        " cross pair (5, 100) has rho below the common height\n",
+    )
+
+
 def run_main(argv: list[str], capsys) -> tuple[int | str | None, str, str]:
     """Exit code (or SystemExit code), stdout and stderr of one main call."""
     try:

@@ -9,7 +9,7 @@ from treeforcing.codec import CodecError
 from treeforcing.ordinals import parse_ordinal
 from treeforcing.forcing import leq, validate_condition
 from treeforcing.generate import GenBounds, gen_condition, random_step
-from treeforcing.scenario import Scenario, parse_scenario, run_scenario
+from treeforcing.scenario import Scenario, Step, parse_scenario, run_scenario
 from treeforcing.separation import oracle_from_spec
 
 
@@ -190,3 +190,10 @@ def test_scenario_rejects_unknown_expect_keys(tmp_path, capsys, doc, field):
     path.write_text(json.dumps(doc))
     assert cli.main(["run", str(path)]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_expect_keys_are_checked_where_steps_and_scenarios_are_built():
+    with pytest.raises(CodecError, match=re.escape("field 'final_expect': unknown key 'nodes'")):
+        Scenario(final_expect={"nodes": 1})
+    with pytest.raises(CodecError, match=re.escape("field 'step.expect': unknown key 'nodes'")):
+        Step("normalize_condition", expect={"nodes": 1})
