@@ -8,6 +8,7 @@ their own postconditions.  Each builder is split into an unchecked kernel
 (``_simple_extend``, ``_normalize``, ``_fan_out``) and the public function,
 which runs the kernel and then the full check; the forcing operations call
 the kernels and check the condition they build once, at their own boundary.
+Each builder collects its nodes and links and makes its tree once.
 Every construction that adds nodes labels them through one allocator,
 ``_FreshLabels``, built once per construction, and no fan-out grows a
 tree beyond ``MAX_TREE_NODES``.
@@ -410,26 +411,22 @@ def _simple_extend(t: StandardTree, B: frozenset[Ordinal]) -> StandardTree:
     missing = set(t.heights()) - B
     if missing:
         raise ValueError(f"height set drops occupied levels: {_names(missing)}")
-    cur = t
+    nodes, parent = set(t.nodes), dict(t.parent)
     labels = _FreshLabels(t)
+    top = min(t.level(t.max_height()) if t.heights() else {ZERO})
+    # in ascending order, the nodes above a level a still link to the level below a
     for a in sorted(B - set(t.heights())):
-        nodes = set(cur.nodes)
-        parent = dict(cur.parent)
-        if a > cur.max_height():
-            top = min(cur.level(cur.max_height()) if cur.heights() else {ZERO})
+        if a > t.max_height():
             z = labels.take(a)
             nodes.add(z)
-            parent[z] = top
-        else:
-            delta = cur.level_above(a)
-            beta = cur.level_below(a)
-            for x in sorted(cur.level(delta)):
-                z = labels.take(a)
-                nodes.add(z)
-                parent[z] = cur.restrict(x, beta)
-                parent[x] = z
-        cur = StandardTree(frozenset(nodes), parent)
-    return cur
+            parent[z], top = top, z
+            continue
+        t._order()  # links that cycle or stop short of the root raise here
+        for x in sorted(t.level(t.level_above(a))):
+            z = labels.take(a)
+            nodes.add(z)
+            parent[z], parent[x] = parent[x], z
+    return StandardTree(frozenset(nodes), parent)
 
 
 def is_normal(t: StandardTree) -> bool:

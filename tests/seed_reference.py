@@ -8,6 +8,9 @@ comparisons recurse through Python methods, and ``ProbingLabels`` the
 fresh-node allocator that probes every offset from 0 upward.
 ``is_normal_per_level`` probes every higher level through the library's
 ``successors_at``, so on malformed links it raises the library's errors.
+``simple_extend_per_level`` and ``augment_per_step`` are the extensions that
+build a whole new tree (and, for augmentation, a new map) for every
+inserted level or added node; both return their output unchecked.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 
+from treeforcing.forcing import ROOT_PAIR, Condition, add_index
 from treeforcing.ordinals import ZERO, node_at, node_height
 from treeforcing.separation import (
     Loop,
@@ -24,6 +28,7 @@ from treeforcing.separation import (
     relations_between,
 )
 from treeforcing.treemaps import MapFlags
+from treeforcing.trees import StandardTree, _FreshLabels
 
 
 # -- ordinals: a frozen dataclass with recursive comparisons -----------------
@@ -365,3 +370,64 @@ class ProbingLabels:
         node = node_at(height, k)
         self.used.add(node)
         return node
+
+
+# -- extensions: a new tree for every inserted level or added node -----------
+
+
+def simple_extend_per_level(t, B):
+    """The simple extension with heights B, one level at a time: a level above
+    the top grows a chain over a top node, a middle level gets one fresh node
+    under each node of the next level, linked to its drop-down below."""
+    B = frozenset(B)
+    if ZERO in B:
+        raise ValueError("0 cannot be an occupied height")
+    missing = set(t.heights()) - B
+    if missing:
+        raise ValueError(f"height set drops occupied levels: {_names(missing)}")
+    cur = t
+    labels = _FreshLabels(t)
+    for a in sorted(B - set(t.heights())):
+        nodes = set(cur.nodes)
+        parent = dict(cur.parent)
+        if a > cur.max_height():
+            top = min(cur.level(cur.max_height()) if cur.heights() else {ZERO})
+            z = labels.take(a)
+            nodes.add(z)
+            parent[z] = top
+        else:
+            delta = cur.level_above(a)
+            beta = cur.level_below(a)
+            for x in sorted(cur.level(delta)):
+                z = labels.take(a)
+                nodes.add(z)
+                parent[z] = cur.restrict(x, beta)
+                parent[x] = z
+        cur = StandardTree(frozenset(nodes), parent)
+    return cur
+
+
+def augment_per_step(p, s, x):
+    """x put into the domain and then the range of the map at s, one fresh
+    node and one new condition per missing step of x's chain."""
+    if x not in p.tree.nodes:
+        raise ValueError(f"node {x} not in tree")
+    q = add_index(p, s)
+    labels = _FreshLabels(p.tree)
+    for ensure_domain in (True, False):
+        for step in reversed(q.tree.chain_down(x)):
+            f = q.family[s]
+            if step in (f.domain if ensure_domain else f.image):
+                continue
+            if step == ZERO:
+                q = Condition(q.tree, {**q.family, s: f.with_pairs([ROOT_PAIR])})
+                continue
+            anchor = q.tree.parent[step]
+            mate = f.get(anchor) if ensure_domain else f.get_inverse(anchor)
+            if mate is None:
+                raise RuntimeError("augmentation lost the parent link")
+            z = labels.take(node_height(step))
+            tree = StandardTree(q.tree.nodes | {z}, {**q.tree.parent, z: mate})
+            new_pair = (step, z) if ensure_domain else (z, step)
+            q = Condition(tree, {**q.family, s: f.with_pairs([new_pair])})
+    return q

@@ -35,7 +35,7 @@ from treeforcing.forcing import (
     widen_node,
 )
 from treeforcing.generate import GenBounds, gen_condition
-from treeforcing.ordinals import ZERO, node_at, node_height, parse_ordinal
+from treeforcing.ordinals import ZERO, is_limit, node_at, node_height, parse_ordinal
 from treeforcing.scenario import parse_scenario, run_scenario
 from treeforcing.separation import RhoOracle
 from treeforcing.treemaps import TreeMap
@@ -403,6 +403,24 @@ def test_broken_kernels_are_caught_at_the_boundary(monkeypatch, corrupt):
     assert seen == set(KERNEL_OF)
 
 
+def untouched_limit_siblings(p: Condition):
+    """Two siblings on a limit level that no map touches, or None."""
+    touched = {z for f in p.family.values() for pair in f for z in pair}
+    for d in filter(is_limit, p.tree.heights()):
+        by_parent: dict = {}
+        for x in sorted(p.tree.level(d) - touched):
+            by_parent.setdefault(p.tree.parent[x], []).append(x)
+        for xs in by_parent.values():
+            if len(xs) > 1:
+                return xs[0], xs[1]
+    return None
+
+
+def with_shared_parent(q: Condition, x1, x2) -> Condition:
+    """q with x2 linked to x1's parent."""
+    return Condition(StandardTree(q.tree.nodes, {**q.tree.parent, x2: q.tree.parent[x1]}), q.family)
+
+
 def test_broken_kernels_fail_the_clauses_validation_does_not_cover(monkeypatch):
     # each corruption keeps the output valid and below the input, so only the
     # operation's own tree clauses can catch it
@@ -410,29 +428,36 @@ def test_broken_kernels_fail_the_clauses_validation_does_not_cover(monkeypatch):
     for p, rho in pool(6):
         if p.tree.heights():  # the lowest level is old: a leaf there is not simple
             run = lambda p=p, rho=rho: extend_heights(p, {O("w^2*3")}, rho)
-            cases.append(("_extend_heights", lowest_leaf, run))
+            cases.append(("_extend_heights", lowest_leaf, run, None))
     for _, _, _, run in [*normalize_cases(), *grow_cases()]:
-        cases.append(("_normalize_condition", lowest_leaf, run))  # a leaf is not normal
+        cases.append(("_normalize_condition", lowest_leaf, run, None))  # a leaf is not normal
     for _, _, _, run in fan_out_cases():
         # one immediate successor too many under the fanned node
         extra = lambda q: with_leaf(q, min(q.tree.level(q.tree.heights()[-2])))
-        cases.append(("_fan_out_condition", extra, run))
+        cases.append(("_fan_out_condition", extra, run, None))
     for _, _, _, run in layered_cases("bijectivize_level"):
-        cases.append(("_bijectivize_level", lowest_leaf, run))  # a new node off the fans
+        cases.append(("_bijectivize_level", lowest_leaf, run, None))  # a new node off the fans
     for kind in ("bijectivize_cone", "lift_with_support"):
         for _, _, _, run in layered_cases(kind):
-            cases.append(("_bijectivize_cone", lowest_leaf, run))  # a new node off the cones
-    assert {kernel for kernel, _, _ in cases} == {
+            cases.append(("_bijectivize_cone", lowest_leaf, run, None))  # a new node off the cones
+    # two siblings on a limit level, outside every map, under one new parent:
+    # the tree stays valid, but they drop down onto one node of the new level
+    p, rho = next((p, rho) for p, rho in pool() if untouched_limit_siblings(p))
+    x1, x2 = untouched_limit_siblings(p)
+    merge = lambda q: with_shared_parent(q, x1, x2)
+    run = lambda p=p, rho=rho: hausdorffize(p, rho)
+    cases.append(("_extend_heights", merge, run, "^hausdorffize produced a non-simple extension$"))
+    assert {kernel for kernel, _, _, _ in cases} == {
         "_extend_heights",
         "_normalize_condition",
         "_fan_out_condition",
         "_bijectivize_level",
         "_bijectivize_cone",
     }
-    for kernel, corrupt, run in cases:
+    for kernel, corrupt, run, message in cases:
         with monkeypatch.context() as patch:
             patch_kernel(patch, kernel, corrupt)
-            with pytest.raises(RuntimeError):
+            with pytest.raises(RuntimeError, match=message):
                 run()
 
 

@@ -242,6 +242,23 @@ def test_leq_on_malformed_links_exits_2(tmp_path, parents, message):
     assert done.stderr == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "parents, message",
+    [
+        ([["w*2", "w*2+1"], ["w*2+1", "w*2"]], "parent links cycle at w*2"),
+        ([["w*2+1", "0"]], "node w*2 has no parent link"),
+    ],
+    ids=["cycle", "missing-link"],
+)
+def test_extend_below_malformed_links_exits_2(tmp_path, capsys, parents, message):
+    # level 1 goes in under level 2, whose links must reach the root first
+    path = tmp_path / "links.json"
+    doc = {"nodes": ["0", "w*2", "w*2+1"], "parents": parents, "indices": [], "maps": {}}
+    path.write_text(json.dumps(doc))
+    assert main(["extend", str(path), "--heights", "1"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_check_sep_on_missing_indices_exits_2(tmp_path, capsys):
     path = tmp_path / "gen.json"
     assert main(["--seed", "3", "--out", str(path), "gen"]) == 0
@@ -346,6 +363,42 @@ def test_transform_of_an_invalid_file_blames_the_input(tmp_path, capsys, command
     assert main([command[0], str(path)] + command[1:]) == 2
     err = capsys.readouterr().err
     assert "input is not a valid condition: clause 2 (maps): map 5" in err
+
+
+@pytest.mark.parametrize(
+    "doc, command",
+    [
+        pytest.param(
+            # not downward closed: w+1 -> w+2 restricts to no pair at the root
+            {
+                "nodes": ["0", "w", "w+1", "w+2"],
+                "parents": [["w", "0"], ["w+1", "0"], ["w+2", "0"]],
+                "indices": [0],
+                "maps": {"0": [["w+1", "w+2"]]},
+            },
+            ["extend", "--heights", "w+1"],
+            id="extend-closes-a-map-below-the-old-nodes",
+        ),
+        pytest.param(
+            # not level-preserving: w*4 -> 0, so the root pair gives 0 two preimages
+            {
+                "nodes": ["0", "w*4", "w^2*2"],
+                "parents": [["w*4", "0"], ["w^2*2", "w*4"]],
+                "indices": [0],
+                "maps": {"0": [["w*4", "0"]]},
+            },
+            ["augment", "--index", "0", "--node", "w*4"],
+            id="augment-meets-two-preimages-of-the-root",
+        ),
+    ],
+)
+def test_extend_and_augment_blame_an_invalid_map(tmp_path, capsys, doc, command):
+    # both outputs fail a clause the input fails too: the input is at fault
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main([command[0], str(path)] + command[1:]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "input is not a valid condition" in err
 
 
 def test_empty_seed_palette_exits_2(t1_file, capsys):

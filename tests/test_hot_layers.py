@@ -5,7 +5,9 @@ the oracle must be left holding exactly the entries the reference consults,
 because consulted values are written into output files.  Map flags must
 equal the quadratic classification, consistency verdicts and errors the
 all-pairs test, and the matched-pair oracle extension must leave the same
-table as the reference loop.
+table as the reference loop.  Height extension and augmentation, which
+build their tree once, must write the bytes of the references that rebuild
+it for every inserted level or added node.
 """
 
 from __future__ import annotations
@@ -19,7 +21,15 @@ import treeforcing
 from treeforcing import forcing, trees
 from treeforcing.cli import main
 from treeforcing.codec import encode_condition
-from treeforcing.forcing import Condition, build_matched_pair, lift_with_support, validate_condition
+from treeforcing.forcing import (
+    ROOT_PAIR,
+    Condition,
+    augment,
+    build_matched_pair,
+    extend_heights,
+    lift_with_support,
+    validate_condition,
+)
 from treeforcing.generate import GenBounds, gen_condition, random_step
 from treeforcing.ordinals import ZERO, node_at, node_height
 from treeforcing.separation import (
@@ -30,11 +40,18 @@ from treeforcing.separation import (
     relation_index,
     relations_between,
 )
-from treeforcing.treemaps import TreeMap, classify_map
+from treeforcing.treemaps import TreeMap, _downward_close, classify_map
 from treeforcing.trees import StandardTree
 
 import seed_reference as ref
-from instances import O, ONE, level_tree, normal_layered_condition, random_level_family
+from instances import (
+    O,
+    ONE,
+    condition_pool,
+    level_tree,
+    normal_layered_condition,
+    random_level_family,
+)
 from test_acceptance import _matched_pair_instance
 
 W = O("w")
@@ -444,3 +461,34 @@ def test_widen_writes_the_bytes_of_the_probing_allocator(tmp_path, monkeypatch, 
     # pinned by their SHA-256
     digest = hashlib.sha256(widen(2000).encode()).hexdigest()
     assert digest == "a77fecb996b50d000e6a8f103874ff88ed39d45d0c78b67618e9fd205626a292"
+
+
+# -- extensions: one build against the per-level and per-step references -----
+
+
+def chain_condition(levels: int) -> tuple[Condition, RhoOracle]:
+    """Two chains on the even heights 2, 4, ..., 2 * levels, the map at 1
+    sending the first onto the second."""
+    heights = [O(str(2 * k)) for k in range(1, levels + 1)]
+    a, b = [node_at(h, 0) for h in heights], [node_at(h, 1) for h in heights]
+    parent = {**dict(zip(a, [ZERO, *a])), **dict(zip(b, [ZERO, *b]))}
+    p = Condition(StandardTree.make([ZERO, *a, *b], parent), {1: TreeMap([ROOT_PAIR, *zip(a, b)])})
+    return p, RhoOracle()
+
+
+def test_extensions_write_the_bytes_of_the_per_level_and_per_step_references():
+    tall = [chain_condition(levels) for levels in (16, 37, 64)]
+    for p, rho in tall:
+        assert validate_condition(p, rho) == []
+    for p, rho in [*condition_pool(30), *tall]:
+        hs, top = p.tree.heights(), p.tree.max_height()
+        odd = {h + ONE for h in hs}  # mostly middle levels; the last one tops the tree
+        for Z in (odd, {top + ONE, top + O("3")}, {ONE, O("w*2+1"), top + W}):
+            q = extend_heights(p, Z, rho)
+            u = ref.simple_extend_per_level(p.tree, Z | set(hs))
+            want = Condition(u, {tau: _downward_close(u, f) for tau, f in p.family.items()})
+            assert encode_condition(q, rho) == encode_condition(want, rho)
+        for s in (min(p.family, default=0), max(p.family, default=0) + 1):
+            for x in (ZERO, max(p.tree.nodes), min(p.tree.level(top))):
+                q, want = augment(p, s, x, rho), ref.augment_per_step(p, s, x)
+                assert encode_condition(q, rho) == encode_condition(want, rho)
