@@ -221,9 +221,11 @@ def _run_op(name: str, args: argparse.Namespace) -> int:
         _write(encode_matched_pair(out, rho), args.out)
         return 0
     q, support = out if args.command == "one-key" else (out, None)
-    # encoded before the check, so the oracle values it consults stay out of the file
+    # encoded before the checks, so the oracle values they consult stay out of the file
     text = encode_condition(q, rho)
-    if q is p or not op.checks_itself:
+    if op.on is not MatchedPair:  # an operation may close up an invalid input
+        forcing._blame_input(p, rho, name)
+    if not op.checks_itself:
         forcing._check_step(p, q, rho, name)
     if support is not None:
         print("support: " + ", ".join(str(y) for y in sorted(support)))

@@ -769,7 +769,7 @@ def build_matched_pair(
 
     # extend the oracle: first whatever the copy's own levels demand of pairs
     # involving a fresh index, then the cross-block floor
-    _raise_rho_for_copy(pb, frozenset(shared), rho)
+    _raise_rho_for_copy(pb, rho)
     common_tree = restrict_tree_below(p.tree, alpha)
     floor = common_tree.max_height()
     for zeta, tau_fresh in product(petal, fresh.values()):
@@ -802,19 +802,19 @@ def build_matched_pair(
     return mp
 
 
-def _raise_rho_for_copy(pb: Condition, shared: frozenset[int], rho: RhoOracle) -> None:
+def _raise_rho_for_copy(pb: Condition, rho: RhoOracle) -> None:
     """Raise rho to each level wherever two indices relate one pair on it.
 
-    Pairs of shared indices cannot be raised: the first such demand is an
-    error.  The relation index of each level is read in the order of the
-    pairwise clause of ``decide_rho_separation``.
+    The relation index of each level is read in the order of the pairwise
+    clause of ``decide_rho_separation``.  No shared pair is ever raised: below
+    alpha the copy's maps are p's own and p is valid, and a level beta + d
+    copies the level alpha + d of p, where two related shared indices would
+    need rho >= alpha + d, while the greedy shared block keeps it below alpha.
     """
     for level in pb.tree.heights():
         rel = relation_index(pb.family, pb.tree.level(level))
         for _, _, (_, t0), (_, t1) in multi_relations(rel):
             if t0 != t1 and rho.value(t0, t1) < level:
-                if t0 in shared and t1 in shared:
-                    raise ValueError("shared indices would need rho above the level")
                 rho.set_value(t0, t1, level)
 
 

@@ -191,8 +191,6 @@ def left_subtract(a: Ordinal, b: Ordinal) -> Ordinal:
         eb, cb = bt[i]
         if ea < eb:
             return Ordinal(bt[i:])
-        if ea > eb or ca > cb:  # unreachable when a <= b
-            raise ValueError(f"cannot left-subtract {a} from {b}")
         if ca < cb:
             return Ordinal(((eb, cb - ca),) + bt[i + 1 :])
     return Ordinal(bt[len(at) :])

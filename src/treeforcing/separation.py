@@ -293,23 +293,6 @@ def _is_consistent(f: TreeMap, drop: Mapping[Ordinal, Ordinal]) -> bool:
 # -- the decision procedure ---------------------------------------------------
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict[Ordinal, Ordinal] = {}
-
-    def find(self, x: Ordinal) -> Ordinal:
-        self.parent.setdefault(x, x)
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x: Ordinal, y: Ordinal) -> None:
-        self.parent[self.find(x)] = self.find(y)
-
-
 def decide_rho_separation(
     fam: Family, X: Iterable[Ordinal], rho: RhoOracle, alpha: Ordinal
 ) -> SeparationVerdict:
@@ -329,9 +312,9 @@ def decide_rho_separation(
     for x, y, r, s in multi_relations(rel):
         if rho.value(r[1], s[1]) < alpha:
             return PairwiseViolation(x, y, r, s, alpha)
-    # clause 2: no loops; scan deduplicated relation edges with union-find
+    # clause 2: no loops; scan deduplicated relation edges, merging member lists
     adjacency: dict[Ordinal, list[Ordinal]] = {x: [] for x in X}
-    uf = _UnionFind()
+    component = {x: [x] for x in X}
     edges = sorted(
         {
             (min(x, y), max(x, y))
@@ -341,10 +324,12 @@ def decide_rho_separation(
         }
     )
     for x, y in edges:
-        if uf.find(x) == uf.find(y):
+        if component[x] is component[y]:
             path = _shortest_path(adjacency, x, y)
             return Loop(tuple(path) + (x,))
-        uf.union(x, y)
+        small, large = sorted((component[x], component[y]), key=len)
+        large += small
+        component.update(dict.fromkeys(small, large))
         adjacency[x].append(y)
         adjacency[y].append(x)
     # separated: build the witness order by segments.  A segment opens with

@@ -57,9 +57,6 @@ class TreeMap:
     def __iter__(self) -> Iterator[Pair]:
         return iter(self.pairs)
 
-    def __contains__(self, pair: Pair) -> bool:
-        return self._fwd.get(pair[0]) == pair[1]
-
     def __repr__(self) -> str:
         inner = ", ".join(f"{x}->{y}" for x, y in self.pairs)
         return f"TreeMap({inner})"

@@ -340,7 +340,7 @@ def is_extension(t: StandardTree, u: StandardTree) -> bool:
         x = u.parent[c]
         inside[c] = inside[x] + (x in nodes)
     if any(depth[y] != inside[y] for y in nodes):
-        raise RuntimeError("extension is not an end-extension; inputs are not standard trees")
+        raise MalformedTreeError("extension is not an end-extension; inputs are not standard trees")
     return True
 
 

@@ -28,7 +28,7 @@ from treeforcing.separation import (
     relations_between,
 )
 from treeforcing.treemaps import MapFlags
-from treeforcing.trees import StandardTree, _FreshLabels
+from treeforcing.trees import MalformedTreeError, StandardTree, _FreshLabels
 
 
 # -- ordinals: a frozen dataclass with recursive comparisons -----------------
@@ -348,7 +348,7 @@ def is_extension(t, u):
         return False
     restricted = {(x, y) for (x, y) in pu if x in t.nodes and y in t.nodes}
     if restricted != pt:
-        raise RuntimeError("extension is not an end-extension; inputs are not standard trees")
+        raise MalformedTreeError("extension is not an end-extension; inputs are not standard trees")
     return True
 
 

@@ -186,7 +186,7 @@ def test_build_matched_pair_blames_itself_for_an_invalid_copy(monkeypatch):
     p = base_condition(with_edge=True)
     p = Condition(p.tree, {0: p.family[0], 5: p.family[0]})
     rho = RhoOracle.from_entries([(0, 5, ALPHA)])
-    monkeypatch.setattr(forcing, "_raise_rho_for_copy", lambda pb, shared, rho: None)
+    monkeypatch.setattr(forcing, "_raise_rho_for_copy", lambda pb, rho: None)
     with pytest.raises(RuntimeError, match=r"^build_matched_pair produced an invalid pair: "):
         build_matched_pair(p, ALPHA, BETA, node_at(ALPHA, 0), 100, rho)
 
@@ -240,3 +240,84 @@ def test_parent_links_carry_the_order_exactly_when_order_pairs_do():
                 seen.add((tree.parent[x] == tree.parent[y], carried))
     # swaps under different parents break the order; swapped sibling leaves keep it
     assert {(False, False), (True, True)} <= seen
+
+
+def _broken_pairs():
+    """(name, pair, oracle, report) for each clause of ``validate_matched_pair``,
+    each pair a built one with fields replaced."""
+    a0, a1, u0 = node_at(O("1"), 0), node_at(O("1"), 1), node_at(ALPHA, 0)
+    rho = RhoOracle.zero()
+    mp = build_matched_pair(base_condition(False), ALPHA, BETA, u0, 100, rho)
+    petal_rho = RhoOracle.from_entries([(0, 5, ALPHA)])
+    petal = build_matched_pair(base_condition(True, 5), ALPHA, BETA, u0, 100, petal_rho)
+    replace = dataclasses.replace
+    stray = node_at(O("1"), 2)  # a level-1 leaf under the root
+    leafy_tree = StandardTree(mp.pa.tree.nodes | {stray}, {**mp.pa.tree.parent, stray: ZERO})
+    # built with its copy at w^w*3, so the first tree reaches the level w^w*2
+    tall = normalize_condition(extend_heights(base_condition(False), {BETA}, rho), rho)
+    tall_mp = build_matched_pair(tall, ALPHA, O("w^w*3"), u0, 100, rho)
+    yield "unfixed level", replace(mp, alpha=O("w^w+1")), rho, [
+        "levels are not fixed under scaling by w"
+    ]
+    yield "levels swapped", replace(mp, alpha=BETA, beta=ALPHA), rho, [
+        "first level must lie below the second"
+    ]
+    yield "side not normal", replace(mp, pa=Condition(leafy_tree, mp.pa.family)), rho, [
+        "first condition: tree is not normal"
+    ]
+    yield "second level too low", replace(tall_mp, beta=BETA), rho, [
+        "anchor levels are not occupied",
+        "first tree has node labels at or above the second level",
+    ]
+    yield "common tree", replace(mp, common_tree=StandardTree.root_only()), rho, [
+        "first tree does not restrict to the common tree",
+        "second tree does not restrict to the common tree",
+    ]
+    short = {x: y for x, y in mp.iso_f.items() if x != u0}
+    yield "node matching short", replace(mp, iso_f=short), rho, [
+        "node matching is not a bijection between the trees"
+    ]
+    yield "common nodes swapped", replace(mp, iso_f={**mp.iso_f, a0: a1, a1: a0}), rho, [
+        f"node matching moves common node {a0}",
+        f"node matching moves common node {a1}",
+        "node matching does not carry the first order onto the second",
+    ]
+    yield "anchor below alpha", replace(mp, anchor_a=a0, anchor_b=a0), rho, [
+        "first anchor sits below the matched level"
+    ]
+    yield "index matching empty", replace(mp, iso_g={}), rho, [
+        "index matching is not a bijection between the domains"
+    ]
+    yield "petal called shared", replace(petal, shared=frozenset({0, 5})), petal_rho, [
+        "shared indices are not the intersection of the domains",
+        "index matching moves a shared index",
+        "shared indices 0, 5 have rho at or above the level",
+    ]
+    yield "index matching swapped", replace(petal, iso_g={0: 100, 5: 0}), petal_rho, [
+        "index matching moves a shared index",
+        "map 0 is not carried onto its partner",
+        "map 5 is not carried onto its partner",
+    ]
+    # built under zero, 5 joins the shared block; then rho(0, 5) reaches alpha
+    shared = build_matched_pair(base_condition(True, 5), ALPHA, BETA, u0, 100, RhoOracle.zero())
+    assert shared.shared == {0, 5}
+    yield "shared rho raised", shared, RhoOracle.from_entries([(0, 5, ALPHA)]), [
+        "shared indices 0, 5 have rho at or above the level"
+    ]
+    undercut = RhoOracle.from_entries([(0, 5, ALPHA), (0, 100, ALPHA), (5, 100, O("1"))])
+    yield "cross pair undercut", petal, undercut, [
+        "cross pair (5, 100) undercuts its minimum through 0"
+    ]
+    # index 0 of the copy renamed 7: no index is shared, every cross pair has rho 1
+    pb = Condition(petal.pb.tree, {7: petal.pb.family[0], 100: petal.pb.family[100]})
+    renamed = replace(petal, pb=pb, iso_g={0: 7, 5: 100}, shared=frozenset())
+    cross = [(0, 5, ALPHA)] + [(i, j, O("1")) for i in (0, 5) for j in (7, 100)]
+    yield "index 0 not shared", renamed, RhoOracle.from_entries(cross), ["index 0 must be shared"]
+
+
+_BROKEN = list(_broken_pairs())
+
+
+@pytest.mark.parametrize("mp, rho, report", [c[1:] for c in _BROKEN], ids=[c[0] for c in _BROKEN])
+def test_every_matched_pair_clause_names_its_fault(mp, rho, report):
+    assert sorted(validate_matched_pair(mp, rho)) == sorted(report)

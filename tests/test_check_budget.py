@@ -545,8 +545,8 @@ def test_runner_checks_only_what_no_operation_checked(monkeypatch):
     monkeypatch.setattr(scenario, "leq", lambda q, p: calls.append("leq") or order(q, p))
     trace = run_scenario(parse_scenario(json.dumps(SCRIPT)))
     assert trace.ok, trace.log
-    # the start condition, then the add_index step
-    assert calls == ["validate", "validate", "leq"]
+    # the add_index step only: the trivial start is valid under every oracle
+    assert calls == ["validate", "leq"]
 
 
 def test_runner_checks_amalgamate_against_a_later_snapshot(monkeypatch):

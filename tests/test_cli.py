@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 import os
 import subprocess
@@ -669,3 +670,82 @@ def test_a_key_error_in_a_scenario_step_is_not_a_failed_step(tmp_path, monkeypat
     scenario = parse_scenario(open(_scenario_file(tmp_path)).read())
     with pytest.raises(KeyError):
         run_scenario(scenario)
+
+
+_OPEN_MAP = {
+    # map 0 relates w to w+1 without the root pair: not downward closed
+    "nodes": ["0", "w", "w+1"],
+    "parents": [["w", "0"], ["w+1", "0"]],
+    "indices": [0],
+    "maps": {"0": [["w", "w+1"]]},
+}
+
+
+@pytest.mark.parametrize(
+    "command, op",
+    [
+        (["widen", "--node", "w", "--count", "1"], "widen_node"),
+        (["grow", "--node", "w", "--height", "2"], "grow_node"),
+        (["augment", "--index", "0", "--node", "w"], "augment"),
+    ],
+)
+def test_an_operation_that_closes_up_an_invalid_input_still_refuses_it(
+    tmp_path, capsys, command, op
+):
+    # each output is a valid condition below the input; the input is not one
+    path = tmp_path / "open.json"
+    path.write_text(json.dumps(_OPEN_MAP))
+    assert main(["validate", str(path)]) == 1
+    capsys.readouterr()
+    out = tmp_path / "out.json"
+    assert main(["--out", str(out), command[0], str(path)] + command[1:]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {op}: input is not a valid condition: "
+        "clause 2 (maps): map 0 fails downwards_closed\n"
+    )
+    assert not out.exists()
+
+
+def test_leq_on_trees_that_disagree_on_their_common_order_exits_2(tmp_path, capsys):
+    # w*2 sits on the root in t and on w in u: u's order does not end-extend t's
+    files = {}
+    for name, link in (("t", "0"), ("u", "w")):
+        doc = {
+            "nodes": ["0", "w", "w*2"],
+            "parents": [["w", "0"], ["w*2", link]],
+            "indices": [0],
+            "maps": {"0": [["0", "0"]]},
+        }
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(doc))
+    assert main(["leq", str(files["u"]), str(files["t"])]) == 2
+    assert capsys.readouterr().err == (
+        "error: extension is not an end-extension; inputs are not standard trees\n"
+    )
+
+
+def test_check_sep_reads_only_the_named_indices(tmp_path, capsys):
+    doc = json.loads(encode_condition(t1_condition()))
+    doc["indices"], doc["maps"]["9"] = [5, 9], [["0", "0"], ["w", "w+1"]]
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps(doc))
+    # maps 5 and 9 both relate w to w+1, so the two together are not separated
+    assert main(["check-sep", str(path), "--level", "1", "--plain"]) == 1
+    assert capsys.readouterr().out.startswith("pairwise-violation")
+    for indices in ("5", "9"):
+        assert main(["check-sep", str(path), "--level", "1", "--plain", "--indices", indices]) == 0
+        assert capsys.readouterr().out == "witness-order: w, w+1\n"
+
+
+def test_extend_to_height_zero_exits_2(t1_file, capsys):
+    assert main(["extend", t1_file, "--heights", "0"]) == 2
+    assert capsys.readouterr().err == "error: 0 cannot be an occupied height\n"
+
+
+def test_validate_reads_stdin_for_a_dash(t1_file, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(open(t1_file).read()))
+    assert main(["validate", "-"]) == 0
+    assert capsys.readouterr().out == "ok\n"
+    monkeypatch.setattr(sys, "stdin", io.StringIO("[]"))
+    assert main(["validate", "-"]) == 2
+    assert capsys.readouterr().err == "error: document root must be an object\n"

@@ -6,6 +6,7 @@ import pytest
 
 from treeforcing.codec import (
     CodecError,
+    condition_from_dict,
     decode_condition,
     decode_matched_pair,
     encode_condition,
@@ -218,3 +219,44 @@ def test_decodes_leave_no_module_state():
             decode_condition(broken)
         decode_matched_pair(pair.replace('"w^w*2', f'"w^w*{k + 2}'))
     assert _module_sizes() == before
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d.pop("parents"), "missing field 'parents'"),
+        (lambda d: d.pop("maps"), "missing field 'maps'"),
+        (lambda d: d["parents"].append(["w*2", "w+1"]), "field 'parents'[3]: duplicate child w*2"),
+        (lambda d: d["indices"].append(1), "field 'indices': duplicate index"),
+        (lambda d: d.update(maps=[]), "field 'maps': expected an object"),
+        (
+            lambda d: d["parents"].append(["w*3"]),
+            "field 'parents[3]': expected a pair, got ['w*3']",
+        ),
+        (
+            lambda d: d["rho"].append([0, 1]),
+            "field 'rho[0]': expected [i, j, ordinal], got [0, 1]",
+        ),
+    ],
+    ids=["parents", "maps", "child", "index", "maps-list", "pair", "rho-entry"],
+)
+def test_condition_field_errors(edit, message):
+    doc = t1_doc()
+    edit(doc)
+    assert decode_error(decode_condition, doc) == message
+
+
+def test_document_roots_must_be_objects():
+    assert decode_error(decode_condition, []) == "document root must be an object"
+    with pytest.raises(CodecError, match="^document root must be an object$"):
+        condition_from_dict([])
+    doc = pair_doc()
+    doc["first"] = []
+    assert decode_error(decode_matched_pair, doc) == "document root must be an object"
+
+
+@pytest.mark.parametrize("field", ["alpha", "second", "index_matching", "anchor_second"])
+def test_matched_pair_missing_field(field):
+    doc = pair_doc()
+    del doc[field]
+    assert decode_error(decode_matched_pair, doc) == f"missing field {field!r}"

@@ -7,6 +7,7 @@ import pytest
 from treeforcing.forcing import (
     Condition,
     add_index,
+    agreement_containment,
     augment,
     extend_heights,
     fan_out_condition,
@@ -21,7 +22,7 @@ from treeforcing.forcing import (
 from treeforcing.ordinals import ZERO, node_at, node_height, parse_ordinal
 from treeforcing.separation import RhoOracle
 from treeforcing.treemaps import TreeMap
-from treeforcing.trees import StandardTree, is_hausdorff, is_normal
+from treeforcing.trees import StandardTree, is_hausdorff, is_normal, validate_tree
 
 from test_trees import t1
 
@@ -45,6 +46,28 @@ def test_validate_flags_fixed_point():
     p = Condition(t1(), {5: TreeMap([(ZERO, ZERO), (O("w"), O("w"))])})
     report = validate_condition(p, RHO)
     assert any("clause 2" in line and "fixed_point" in line for line in report)
+
+
+def test_validate_reports_an_invalid_tree_before_its_maps():
+    # w*2 links straight to the root; the fixed point of map 5 goes unread
+    tree = StandardTree.make(t1().nodes, {**t1().parent, O("w*2"): ZERO})
+    p = Condition(tree, {5: TreeMap([(ZERO, ZERO), (O("w"), O("w"))])})
+    report = validate_condition(p, RHO)
+    assert report and report == [f"clause 1 (tree): {line}" for line in validate_tree(tree)]
+
+
+def test_validate_names_a_map_pair_that_leaves_the_tree():
+    p = Condition(
+        t1(),
+        {
+            5: TreeMap([(ZERO, ZERO), (O("w"), O("w*3"))]),
+            9: TreeMap([(ZERO, ZERO), (O("w"), O("w"))]),
+        },
+    )
+    assert validate_condition(p, RHO) == [
+        "clause 2 (maps): map 5: pair (w, w*3) leaves the tree",
+        "clause 2 (maps): map 9 fails fixed_point_free_off_root",
+    ]
 
 
 def test_validate_flags_separation():
@@ -327,3 +350,16 @@ def test_condition_family_is_a_read_only_copy():
     assert {**p.family, 5: TreeMap()}.keys() == {0, 5}
     assert dict(p.family) == {0: TreeMap([(ZERO, ZERO)])}
     assert p == Condition(StandardTree.root_only(), dict(p.family))
+
+
+def test_strong_ad_containment_refusals():
+    p = t1_condition()
+    q = add_index(p, 9)
+    with pytest.raises(ValueError, match="^indices must be distinct$"):
+        strong_ad_containment([p, q], 5, 5)
+    with pytest.raises(ValueError, match="^indices are never co-present along the trace$"):
+        strong_ad_containment([p, q], 5, 7)
+    # a descending trace keeps every index, so only a trace taken on trust
+    # can lose one
+    with pytest.raises(ValueError, match="^indices must persist to the last condition$"):
+        agreement_containment([q, p], 5, 9)

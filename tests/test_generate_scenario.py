@@ -197,3 +197,30 @@ def test_expect_keys_are_checked_where_steps_and_scenarios_are_built():
         Scenario(final_expect={"nodes": 1})
     with pytest.raises(CodecError, match=re.escape("field 'step.expect': unknown key 'nodes'")):
         Step("normalize_condition", expect={"nodes": 1})
+
+
+@pytest.mark.parametrize("rho", [{}, {"value": "w"}, 3, ["zero"]])
+def test_scenario_rho_needs_an_object_with_a_kind(rho):
+    with pytest.raises(CodecError) as exc:
+        parse_scenario(json.dumps({"rho": rho}))
+    assert str(exc.value) == "field 'rho': expected an object with a 'kind'"
+
+
+def test_scenario_constant_rho():
+    steps = [{"op": "add_index", "args": {"index": 5}}, {"op": "add_index", "args": {"index": 9}}]
+    s = parse_scenario(json.dumps({"rho": {"kind": "constant", "value": "w"}, "steps": steps}))
+    assert s.rho_spec == "const:w"
+    assert oracle_from_spec(s.rho_spec).value(5, 9) == parse_ordinal("w")
+    assert run_scenario(s).ok
+    assert parse_scenario('{"rho": {"kind": "constant"}}').rho_spec == "const:0"
+    with pytest.raises(CodecError, match="^field 'rho.value': "):
+        parse_scenario('{"rho": {"kind": "constant", "value": "w+"}}')
+
+
+def test_scenario_amalgamate_before_any_pair_fails_the_step():
+    trace = run_scenario(parse_scenario('{"steps": [{"op": "amalgamate"}]}'))
+    assert not trace.ok and len(trace.conditions) == 1
+    assert trace.log == [
+        "start: ok",
+        "step 0 amalgamate: failed: no matched pair was built before amalgamate",
+    ]

@@ -345,6 +345,40 @@ def test_one_key_lift_rejects_unseparated_family():
         one_key_lift(t, fam, {a0, a1}, O("1"), O("2"), b)
 
 
+def _one_key_refusals():
+    """(tree, family, X, alpha, beta, anchor, message) for each refusal of
+    ``one_key_lift`` other than an unseparated family."""
+    h1, h2 = O("1"), O("2")
+    t, f, lows, highs = one_key_fixture(2)
+    X = frozenset(lows)
+    stray = node_at(h1, 2)  # a level-1 leaf: the tree is no longer normal
+    leafy = StandardTree(t.nodes | {stray}, {**t.parent, stray: ZERO})
+    # low_0 carries one successor and low_1 two: a map total on the first
+    # cannot cover the second
+    kept = [ZERO, *lows, highs[0], highs[1], highs[3]]
+    lop = StandardTree.make(kept, {x: t.parent[x] for x in kept[1:]})
+    partial = TreeMap([(ZERO, ZERO), (lows[0], lows[1]), (highs[0], highs[1])])
+    yield leafy, {7: f}, X, h1, h2, highs[1], "tree is not normal"
+    yield t, {7: f}, X, O("3"), h2, highs[1], "levels must be occupied with alpha below beta"
+    yield t, {7: f}, X, h2, h1, highs[1], "levels must be occupied with alpha below beta"
+    yield t, {7: f}, {highs[0]}, h1, h2, highs[1], "node set leaves its level"
+    # the pair low_0 -> low_1 does not drop down to the root pair
+    unclosed = TreeMap([(lows[0], lows[1])])
+    yield t, {7: unclosed}, X, h1, h2, highs[1], "map 7 is not standard on the tree"
+    anchor = "anchor node must sit at the target level over the node set"
+    yield t, {7: f}, X, h1, h2, lows[1], anchor
+    yield t, {7: partial}, X, h1, h2, highs[1], f"map 7 is not total on successors of {lows[0]}"
+    onto = f"map 7 is not surjective onto successors of {lows[1]}"
+    yield lop, {7: partial}, X, h1, h2, highs[1], onto
+
+
+@pytest.mark.parametrize("t, fam, X, alpha, beta, b, message", list(_one_key_refusals()))
+def test_one_key_lift_refusals(t, fam, X, alpha, beta, b, message):
+    with pytest.raises(ValueError) as exc:
+        one_key_lift(t, fam, X, alpha, beta, b)
+    assert str(exc.value) == message
+
+
 def test_consistency_propagates_to_intermediate_levels():
     # X consistent with its drop-downs to b stays consistent at levels between
     from instances import fibred_family

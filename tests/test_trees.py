@@ -90,6 +90,24 @@ def test_restrict():
         t.restrict(O("w"), O("2"))
 
 
+@pytest.mark.parametrize(
+    "x, b, error, message",
+    [
+        ("w*3", "1", ValueError, "node w*3 not in tree"),
+        ("w*2", "3", ValueError, "level 3 is not occupied"),
+        # w*2 links straight to the root, past the occupied level 1
+        ("w*2", "1", MalformedTreeError, "node w*2 has no ancestor at level 1"),
+    ],
+)
+def test_restrict_refusals(x, b, error, message):
+    t = t1()
+    if error is MalformedTreeError:
+        t = StandardTree.make(t.nodes, {**t.parent, O("w*2"): ZERO})
+    with pytest.raises(error) as exc:
+        t.restrict(O(x), O(b))
+    assert type(exc.value) is error and str(exc.value) == message
+
+
 def test_meet():
     t = t1()
     assert t.meet(O("w"), O("w")) == O("w")
