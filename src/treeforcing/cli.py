@@ -176,6 +176,9 @@ def _dispatch(args: argparse.Namespace) -> int:
             if missing:
                 raise ValueError(f"indices not in the condition: {', '.join(map(str, missing))}")
             fam = {t: fam[t] for t in wanted}
+        for tau, f in fam.items():
+            if len(f.image) != len(f):
+                raise ValueError(f"map {tau} fails injective")
         if args.plain:
             verdict = decide_separation(fam, X)
         else:

@@ -180,12 +180,9 @@ def encode_matched_pair(mp: MatchedPair, rho: RhoOracle | None = None) -> str:
         "beta": str(mp.beta),
         "first": condition_to_dict(mp.pa),
         "second": condition_to_dict(mp.pb),
-        "common_nodes": [str(x) for x in sorted(mp.common_tree.nodes)],
-        "shared_indices": sorted(mp.shared),
         "node_matching": [[str(a), str(b)] for a, b in sorted(mp.iso_f.items())],
         "index_matching": [[i, j] for i, j in sorted(mp.iso_g.items())],
         "anchor_first": str(mp.anchor_a),
-        "anchor_second": str(mp.anchor_b),
         "rho": _rho_table(rho),
     }
     return json.dumps(doc, indent=2) + "\n"
@@ -198,22 +195,15 @@ def decode_matched_pair(text: str) -> tuple[MatchedPair, RhoOracle]:
         "beta",
         "first",
         "second",
-        "common_nodes",
-        "shared_indices",
         "node_matching",
         "index_matching",
         "anchor_first",
-        "anchor_second",
     ):
         if field not in doc:
             raise CodecError(f"missing field {field!r}")
     ord_ = _ord_memo({})
     pa, _ = _condition_from_dict(doc["first"], ord_)
     pb, _ = _condition_from_dict(doc["second"], ord_)
-    common_nodes = frozenset(_list("common_nodes", doc["common_nodes"], ord_))
-    common = StandardTree(
-        common_nodes, {c: p for c, p in pa.tree.parent.items() if c in common_nodes}
-    )
     iso_f = dict(_pairs("node_matching", doc["node_matching"], ord_))
     iso_g = dict(_pairs("index_matching", doc["index_matching"], _nat))
     entries = _list("rho", doc.get("rho", []), _rho_entry)
@@ -222,12 +212,9 @@ def decode_matched_pair(text: str) -> tuple[MatchedPair, RhoOracle]:
         pb=pb,
         alpha=ord_("alpha", doc["alpha"]),
         beta=ord_("beta", doc["beta"]),
-        common_tree=common,
-        shared=frozenset(_list("shared_indices", doc["shared_indices"], _nat)),
         iso_f=iso_f,
         iso_g=iso_g,
         anchor_a=ord_("anchor_first", doc["anchor_first"]),
-        anchor_b=ord_("anchor_second", doc["anchor_second"]),
     )
     return mp, RhoOracle.from_entries(entries)
 

@@ -330,7 +330,7 @@ class LevelBijectivization:
 
     order: tuple[Ordinal, ...]
     block_size: int
-    blocks: Mapping[int, tuple[tuple[Ordinal, ...], ...]]
+    blocks: tuple[tuple[tuple[Ordinal, ...], ...], ...]  # row i: the fan of order[i]
     edges: tuple[tuple[int, int, int], ...]  # (i, j, tau) with F(tau)(a_i) = a_j
 
 
@@ -402,12 +402,12 @@ def _bijectivize_level(
     u = grown.tree
 
     # each fan, old successors first, cut into q_size slices; slice 0 is the diagonal
-    blocks: dict[int, tuple[tuple[Ordinal, ...], ...]] = {}
+    blocks: list[tuple[tuple[Ordinal, ...], ...]] = []
     for i, a_i in enumerate(order):
         old = t.immediate_successors(a_i)
         fan = sorted(old) + sorted(u.immediate_successors(a_i) - old)
         cut = [tuple(fan[k * block : (k + 1) * block]) for k in range(q_size)]
-        blocks[i] = tuple(cut[0 if k == i else k + 1 if k < i else k] for k in range(q_size))
+        blocks.append(tuple(cut[0 if k == i else k + 1 if k < i else k] for k in range(q_size)))
 
     edges: list[tuple[int, int, int]] = []
     fam = dict(grown.family)
@@ -440,7 +440,7 @@ def _bijectivize_level(
             pairs.update(zip(sources_left[len(fresh_targets) :], remaining))
         fam[tau] = TreeMap(pairs)
 
-    return Condition(u, fam), LevelBijectivization(order, block, blocks, tuple(edges))
+    return Condition(u, fam), LevelBijectivization(order, block, tuple(blocks), tuple(edges))
 
 
 def _check_bijectivize(
@@ -595,28 +595,34 @@ def agreement_containment(trace: Sequence[Condition], g: int, t: int) -> bool:
 class MatchedPair:
     """Two isomorphic conditions agreeing below a common level.
 
-    ``common_tree`` is the shared part below ``alpha``; ``iso_f`` matches the
-    nodes of the first tree with the nodes of the second and ``iso_g`` the
-    index domains, each the identity on the shared part; both are read-only.
-    ``anchor_a`` and ``anchor_b`` are the nodes the amalgamation orders.
+    The common part is the first tree below ``alpha``, and must be the second
+    tree below ``beta``; ``iso_f`` matches the nodes of the two trees and
+    ``iso_g`` the index domains, each the identity on the common part; both are
+    read-only.  ``anchor_a`` and its image ``anchor_b`` are the nodes the
+    amalgamation orders; ``shared`` holds the indices of both sides.
     """
 
     pa: Condition
     pb: Condition
     alpha: Ordinal
     beta: Ordinal
-    common_tree: StandardTree
-    shared: frozenset[int]
     iso_f: Mapping[Ordinal, Ordinal]
     iso_g: Mapping[int, int]
     anchor_a: Ordinal
-    anchor_b: Ordinal
     # (oracle, revision) of the check; only build_matched_pair records one
     _checked: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "iso_f", MappingProxyType(dict(self.iso_f)))
         object.__setattr__(self, "iso_g", MappingProxyType(dict(self.iso_g)))
+
+    @property
+    def shared(self) -> frozenset[int]:
+        return frozenset(self.pa.family.keys() & self.pb.family.keys())
+
+    @property
+    def anchor_b(self) -> Ordinal | None:
+        return self.iso_f.get(self.anchor_a)
 
 
 def restrict_tree_below(t: StandardTree, alpha: Ordinal) -> StandardTree:
@@ -651,9 +657,8 @@ def _pair_report(mp: MatchedPair, rho: RhoOracle) -> list[str]:
     out = []
     if mp.alpha not in mp.pa.tree.heights() or mp.beta not in mp.pb.tree.heights():
         out.append("anchor levels are not occupied")
-    if restrict_tree_below(mp.pa.tree, mp.alpha) != mp.common_tree:
-        out.append("first tree does not restrict to the common tree")
-    if restrict_tree_below(mp.pb.tree, mp.beta) != mp.common_tree:
+    common = restrict_tree_below(mp.pa.tree, mp.alpha)
+    if restrict_tree_below(mp.pb.tree, mp.beta) != common:
         out.append("second tree does not restrict to the common tree")
     if any(x >= mp.beta for x in mp.pa.tree.nodes):
         out.append("first tree has node labels at or above the second level")
@@ -662,13 +667,13 @@ def _pair_report(mp: MatchedPair, rho: RhoOracle) -> list[str]:
     if set(f) != set(mp.pa.tree.nodes) or set(f.values()) != set(mp.pb.tree.nodes):
         out.append("node matching is not a bijection between the trees")
         return out
-    for x in mp.common_tree.nodes:
+    for x in common.nodes:
         if f.get(x) != x:
             out.append(f"node matching moves common node {x}")
     # on valid trees the order is the transitive closure of the parent links
     if {(f[c], f[x]) for c, x in mp.pa.tree.parent.items()} != set(mp.pb.tree.parent.items()):
         out.append("node matching does not carry the first order onto the second")
-    if f.get(mp.anchor_a) != mp.anchor_b:
+    if mp.anchor_a not in f:
         out.append("node matching does not connect the anchors")
     if mp.anchor_a.height < mp.alpha:
         out.append("first anchor sits below the matched level")
@@ -677,22 +682,20 @@ def _pair_report(mp: MatchedPair, rho: RhoOracle) -> list[str]:
     if set(gmap) != set(mp.pa.family) or set(gmap.values()) != set(mp.pb.family):
         out.append("index matching is not a bijection between the domains")
         return out
-    if set(mp.pa.family) & set(mp.pb.family) != set(mp.shared):
-        out.append("shared indices are not the intersection of the domains")
-    if any(gmap.get(i) != i for i in mp.shared):
+    shared = sorted(mp.shared)
+    if any(gmap.get(i) != i for i in shared):
         out.append("index matching moves a shared index")
     for tau in sorted(mp.pa.family):
         moved = {(f[x], f[y]) for x, y in mp.pa.family[tau]}
         if moved != set(mp.pb.family[gmap[tau]].pairs):
             out.append(f"map {tau} is not carried onto its partner")
     # rho premises
-    shared = sorted(mp.shared)
     for i, j in combinations(shared, 2):
         if rho.value(i, j) >= mp.alpha:
             out.append(f"shared indices {i}, {j} have rho at or above the level")
-    floor = mp.common_tree.max_height()
-    petal_a = sorted(set(mp.pa.family) - mp.shared)
-    petal_b = sorted(set(mp.pb.family) - mp.shared)
+    floor = mp.pa.tree.level_below(mp.alpha)
+    petal_a = sorted(mp.pa.family.keys() - shared)
+    petal_b = sorted(mp.pb.family.keys() - shared)
     for zeta, tau in product(petal_a, petal_b):
         v = rho.value(zeta, tau)
         if v < floor:
@@ -700,7 +703,7 @@ def _pair_report(mp: MatchedPair, rho: RhoOracle) -> list[str]:
         for gamma in shared:
             if v < min(rho.value(zeta, gamma), rho.value(tau, gamma)):
                 out.append(f"cross pair ({zeta}, {tau}) undercuts its minimum through {gamma}")
-    if 0 not in mp.shared:
+    if 0 not in shared:
         out.append("index 0 must be shared")
     return out
 
@@ -770,8 +773,7 @@ def build_matched_pair(
     # extend the oracle: first whatever the copy's own levels demand of pairs
     # involving a fresh index, then the cross-block floor
     _raise_rho_for_copy(pb, rho)
-    common_tree = restrict_tree_below(p.tree, alpha)
-    floor = common_tree.max_height()
+    floor = p.tree.level_below(alpha)
     for zeta, tau_fresh in product(petal, fresh.values()):
         need = floor
         for gamma in shared:
@@ -784,12 +786,9 @@ def build_matched_pair(
         pb=pb,
         alpha=alpha,
         beta=beta,
-        common_tree=common_tree,
-        shared=frozenset(shared),
         iso_f=iso_f,
         iso_g=iso_g,
         anchor_a=x,
-        anchor_b=iso_f[x],
     )
     # the levels and the first side passed the checks above, and the oracle was
     # raised only on pairs with a fresh index, which p does not carry, so p is
@@ -849,7 +848,7 @@ def amalgamate(mp: MatchedPair, rho: RhoOracle) -> Condition:
     X_b = frozenset(iso[x] for x in X_a)
 
     # fresh chains under every unmatched top node of the copy
-    common_top = mp.common_tree.max_height()
+    common_top = pa.tree.level_below(alpha)
     chain_heights = [h for h in pa.tree.heights() if h >= alpha]
     nodes = set(pa.tree.nodes)
     parent = dict(pa.tree.parent)

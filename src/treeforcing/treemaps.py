@@ -186,10 +186,10 @@ def _downward_close(u: StandardTree, f: TreeMap) -> TreeMap:
 
 
 def _restrictions(t: StandardTree, S: Iterable[Pair]) -> set[Pair]:
-    """Each pair of S restricted to the root level and every occupied level up
-    to its source's height."""
-    levels = [ZERO, *t.heights()]
-    return {(t.restrict(x, b), t.restrict(y, b)) for x, y in S for b in levels if b <= x.height}
+    """Each pair of S and its drop-downs to every lower level, read off its two
+    ancestor chains side by side; a pair whose chains differ in length stays alone."""
+    chains = ((t.chain_down(x), t.chain_down(y)) for x, y in S)
+    return {p for a, b in chains for p in (zip(a, b) if len(a) == len(b) else [(a[0], b[0])])}
 
 
 def agreement_pairs(f: TreeMap, g: TreeMap) -> frozenset[Pair]:

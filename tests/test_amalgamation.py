@@ -83,7 +83,7 @@ def test_build_matched_pair_with_petal_index():
     assert mp.iso_g == {0: 0, 5: 100}
     assert set(mp.pb.family) == {0, 100}
     # the cross premise was written into the oracle
-    assert rho.value(5, 100) >= mp.common_tree.max_height()
+    assert rho.value(5, 100) >= mp.pa.tree.level_below(ALPHA)
     assert validate_matched_pair(mp, rho) == []
 
 
@@ -194,8 +194,8 @@ def test_build_matched_pair_blames_itself_for_an_invalid_copy(monkeypatch):
 def test_a_replaced_pair_is_validated_again():
     rho = RhoOracle.zero()
     mp = build_matched_pair(base_condition(True), ALPHA, BETA, node_at(ALPHA, 0), 100, rho)
-    moved = dataclasses.replace(mp, anchor_b=mp.iso_f[node_at(ALPHA, 1)])
-    with pytest.raises(ValueError, match="node matching does not connect the anchors"):
+    moved = dataclasses.replace(mp, anchor_a=node_at(O("1"), 0))
+    with pytest.raises(ValueError, match="first anchor sits below the matched level"):
         amalgamate(moved, rho)
 
 
@@ -269,10 +269,6 @@ def _broken_pairs():
         "anchor levels are not occupied",
         "first tree has node labels at or above the second level",
     ]
-    yield "common tree", replace(mp, common_tree=StandardTree.root_only()), rho, [
-        "first tree does not restrict to the common tree",
-        "second tree does not restrict to the common tree",
-    ]
     short = {x: y for x, y in mp.iso_f.items() if x != u0}
     yield "node matching short", replace(mp, iso_f=short), rho, [
         "node matching is not a bijection between the trees"
@@ -282,16 +278,11 @@ def _broken_pairs():
         f"node matching moves common node {a1}",
         "node matching does not carry the first order onto the second",
     ]
-    yield "anchor below alpha", replace(mp, anchor_a=a0, anchor_b=a0), rho, [
+    yield "anchor below alpha", replace(mp, anchor_a=a0), rho, [
         "first anchor sits below the matched level"
     ]
     yield "index matching empty", replace(mp, iso_g={}), rho, [
         "index matching is not a bijection between the domains"
-    ]
-    yield "petal called shared", replace(petal, shared=frozenset({0, 5})), petal_rho, [
-        "shared indices are not the intersection of the domains",
-        "index matching moves a shared index",
-        "shared indices 0, 5 have rho at or above the level",
     ]
     yield "index matching swapped", replace(petal, iso_g={0: 100, 5: 0}), petal_rho, [
         "index matching moves a shared index",
@@ -310,7 +301,7 @@ def _broken_pairs():
     ]
     # index 0 of the copy renamed 7: no index is shared, every cross pair has rho 1
     pb = Condition(petal.pb.tree, {7: petal.pb.family[0], 100: petal.pb.family[100]})
-    renamed = replace(petal, pb=pb, iso_g={0: 7, 5: 100}, shared=frozenset())
+    renamed = replace(petal, pb=pb, iso_g={0: 7, 5: 100})
     cross = [(0, 5, ALPHA)] + [(i, j, O("1")) for i in (0, 5) for j in (7, 100)]
     yield "index 0 not shared", renamed, RhoOracle.from_entries(cross), ["index 0 must be shared"]
 

@@ -103,6 +103,14 @@ def test_record_partition_properties():
         assert {g.get_inverse(y) for y in fresh_targets} <= set(blocks[i][j])
 
 
+def test_record_is_hashable():
+    p = chain_three()
+    X = frozenset(node_at(O("1"), k) for k in range(3))
+    _, record = bijectivize_level_with_record(p, O("1"), X, {3, 8}, RHO)
+    _, again = bijectivize_level_with_record(p, O("1"), X, {3, 8}, RHO)
+    assert again == record and hash(again) == hash(record)
+
+
 def test_bijectivize_rejects_unseparated():
     p = two_level_pair()
     a0, a1 = node_at(O("1"), 0), node_at(O("1"), 1)

@@ -136,14 +136,7 @@ def test_match_pair_amalgamate_pipeline(tmp_path, capsys):
     assert main(["leq", str(out), str(src)]) == 0
 
 
-@pytest.mark.parametrize(
-    "key, extra, clause",
-    [
-        ("shared_indices", 1, "index matching moves a shared index"),
-        ("common_nodes", "w*77", "node matching moves common node w*77"),
-    ],
-)
-def test_amalgamate_names_a_pair_entry_outside_its_matching(tmp_path, capsys, key, extra, clause):
+def test_amalgamate_refuses_an_anchor_outside_the_node_matching(tmp_path, capsys):
     from test_amalgamation import base_condition
 
     src, mp_file = tmp_path / "p.json", tmp_path / "mp.json"
@@ -151,12 +144,12 @@ def test_amalgamate_names_a_pair_entry_outside_its_matching(tmp_path, capsys, ke
     argv = ["match-pair", str(src), "--alpha", "w^w", "--beta", "w^w*2", "--node", "w^w"]
     assert main(["--out", str(mp_file)] + argv) == 0
     doc = json.loads(mp_file.read_text())
-    doc[key].append(extra)
+    doc["anchor_first"] = "w^w+7"
     mp_file.write_text(json.dumps(doc))
     capsys.readouterr()
     assert main(["amalgamate", str(mp_file)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: matched pair does not validate: ") and clause in err, err
+    assert err == "error: matched pair does not validate: node matching does not connect the anchors\n"
 
 
 def test_one_key_cli(tmp_path, capsys):
@@ -749,3 +742,20 @@ def test_validate_reads_stdin_for_a_dash(t1_file, monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO("[]"))
     assert main(["validate", "-"]) == 2
     assert capsys.readouterr().err == "error: document root must be an object\n"
+
+
+@pytest.mark.parametrize("flags", [[], ["--indices", "1"], ["--plain"]], ids=["all", "indices", "plain"])
+def test_check_sep_refuses_a_map_that_is_not_injective(tmp_path, capsys, flags):
+    # map 1 sends w+1 and w+2 to w; validate names it, and check-sep must not decide on it
+    doc = {
+        "nodes": ["0", "w", "w+1", "w+2"],
+        "parents": [["w", "0"], ["w+1", "0"], ["w+2", "0"]],
+        "indices": [0, 1],
+        "maps": {"0": [["0", "0"], ["w", "w+1"]], "1": [["0", "0"], ["w+1", "w"], ["w+2", "w"]]},
+    }
+    path = tmp_path / "merge.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 1
+    assert "map 1 fails injective" in capsys.readouterr().out
+    assert main(["check-sep", str(path), "--level", "1"] + flags) == 2
+    assert capsys.readouterr().err == "error: map 1 fails injective\n"

@@ -13,7 +13,7 @@ from treeforcing.codec import (
     encode_matched_pair,
     export_dot,
 )
-from treeforcing.forcing import Condition, build_matched_pair, validate_matched_pair
+from treeforcing.forcing import Condition, amalgamate, build_matched_pair, validate_matched_pair
 from treeforcing.generate import GenBounds, gen_condition
 from treeforcing.ordinals import node_at, parse_ordinal
 from treeforcing.separation import RhoOracle
@@ -95,6 +95,16 @@ def test_matched_pair_round_trip():
     assert mp2 == mp
     assert validate_matched_pair(mp2, rho2) == []
     assert encode_matched_pair(mp2, rho2) == text
+
+
+def test_a_pair_file_with_the_derived_keys_decodes_as_one_without_them():
+    # a file may still carry the common nodes, the shared indices and the
+    # second anchor, all derived from the rest; the decode does not read them
+    doc = pair_doc()
+    old = {**doc, "common_nodes": ["0", "w", "w+1"], "shared_indices": [0], "anchor_second": "w^w*2"}
+    (mp, rho), (mp_old, rho_old) = (decode_matched_pair(json.dumps(d)) for d in (doc, old))
+    assert mp_old == mp
+    assert encode_condition(amalgamate(mp_old, rho_old)) == encode_condition(amalgamate(mp, rho))
 
 
 def test_export_dot_trivial():
@@ -255,7 +265,7 @@ def test_document_roots_must_be_objects():
     assert decode_error(decode_matched_pair, doc) == "document root must be an object"
 
 
-@pytest.mark.parametrize("field", ["alpha", "second", "index_matching", "anchor_second"])
+@pytest.mark.parametrize("field", ["alpha", "second", "index_matching", "anchor_first"])
 def test_matched_pair_missing_field(field):
     doc = pair_doc()
     del doc[field]

@@ -145,10 +145,11 @@ def test_check_sep_on_unvalidated_non_injective_file(tmp_path, capsys):
     for entries in ([], [(1, 2, ONE)]):
         path = tmp_path / f"noninj-{len(entries)}.json"
         path.write_text(encode_condition(p, RhoOracle.from_entries(entries)))
-        want = ref.decide_rho_separation(fam, t.level(ONE), RhoOracle.from_entries(entries), ONE)
-        code = main(["check-sep", str(path), "--level", "1"])
-        assert capsys.readouterr().out == f"{want}\n"
-        assert code == (0 if str(want).startswith("witness-order") else 1)
+        # the decision follows the reference on this family, but other maps
+        # that are not injective break its witness check, so the CLI refuses them
+        same_decision(fam, t.level(ONE), lambda: RhoOracle.from_entries(entries))
+        assert main(["check-sep", str(path), "--level", "1"]) == 2
+        assert capsys.readouterr().err == "error: map 1 fails injective\n"
 
 
 def test_untouched_nodes_in_the_level_set():

@@ -250,3 +250,34 @@ def test_downward_close_map_third_bullet_equivalence():
                 rhs = drop in g.domain and g.get(drop) == u.restrict(y, alpha)
                 assert lhs == rhs
         assert is_extension(t, u)
+
+
+def test_closing_a_tall_map_reads_two_chains_per_pair(monkeypatch):
+    # two branches of 32 levels each, related by S on every third level
+    heights = [O(str(h)) for h in range(1, 33)]
+    nodes, parent = [ZERO], {}
+    for k in (0, 1):
+        below = ZERO
+        for h in heights:
+            x = node_at(h, k)
+            nodes.append(x)
+            parent[x], below = below, x
+    t = StandardTree.make(nodes, parent)
+    S = [(node_at(h, 0), node_at(h, 1)) for h in heights[::3]]
+    calls = []
+    chain_down = StandardTree.chain_down
+    monkeypatch.setattr(StandardTree, "chain_down", lambda t, x: calls.append(x) or chain_down(t, x))
+    monkeypatch.setattr(StandardTree, "restrict", lambda *a: pytest.fail("restrict was called"))
+    closed = tensor_downward_closure(t, S)
+    assert len(calls) == 2 * len(S)
+    assert closed == {(ZERO, ZERO)} | {(node_at(h, 0), node_at(h, 1)) for h in heights[:31]}
+
+
+def test_chain_reading_gives_every_drop_down():
+    # the same set as restricting each pair to every occupied level at or below it
+    for seed in range(30):
+        t = random_tree(seed, levels=5)
+        S = random_closed_relation(t, random.Random(seed), 4)
+        levels = [ZERO, *t.heights()]
+        want = {(t.restrict(x, b), t.restrict(y, b)) for x, y in S for b in levels if b <= x.height}
+        assert tensor_downward_closure(t, S) == want
