@@ -27,8 +27,8 @@ ORDINAL, NATURAL, ORDINALS, NATURALS = "ordinal", "natural", "ordinal set", "nat
 _DECODE: dict[str, Callable[[str, Any], Any]] = {
     ORDINAL: _ord,
     NATURAL: _nat,
-    ORDINALS: lambda name, value: set(_list(name, value, _ord)),
-    NATURALS: lambda name, value: set(_list(name, value, _nat)),
+    ORDINALS: lambda name, value: frozenset(_list(name, value, _ord)),
+    NATURALS: lambda name, value: frozenset(_list(name, value, _nat)),
 }
 
 

@@ -19,7 +19,8 @@ to that point, with a diagnostic; a fault propagates, naming its step.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
-from typing import Any
+from types import MappingProxyType
+from typing import Any, Mapping
 
 from . import ops
 from .codec import CodecError, _document, _list, _nat, _ord, _rho_entry
@@ -33,16 +34,17 @@ from .trees import is_hausdorff, is_normal
 class Step:
     """One step: ``args`` are given as JSON values and hold them decoded
     through the operation's schema; ``expect`` keys must be in ``_EXPECT``;
-    ``where`` names the step in errors."""
+    ``where`` names the step in errors.  Both are kept as read-only copies,
+    so a step stays as checked."""
 
     op: str
-    args: dict[str, Any] = field(default_factory=dict)
-    expect: dict[str, Any] = field(default_factory=dict)
+    args: Mapping[str, Any] = field(default_factory=dict)
+    expect: Mapping[str, Any] = field(default_factory=dict)
     where: InitVar[str] = "step"
 
     def __post_init__(self, where: str) -> None:
-        _expect(f"{where}.expect", self.expect)
-        object.__setattr__(self, "args", ops.decode(self.op, self.args, where))
+        object.__setattr__(self, "expect", _expect(f"{where}.expect", self.expect))
+        object.__setattr__(self, "args", MappingProxyType(ops.decode(self.op, self.args, where)))
 
 
 @dataclass(frozen=True)
@@ -50,10 +52,10 @@ class Scenario:
     rho_spec: str = "zero"
     rho_entries: tuple[tuple[int, int, Ordinal], ...] = ()
     steps: tuple[Step, ...] = ()
-    final_expect: dict[str, Any] = field(default_factory=dict)
+    final_expect: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        _expect("final_expect", self.final_expect)
+        object.__setattr__(self, "final_expect", _expect("final_expect", self.final_expect))
 
 
 @dataclass
@@ -101,8 +103,8 @@ def _step(where: str, item: Any) -> Step:
     return Step(item["op"], args, item.get("expect", {}), where=where)
 
 
-def _object(name: str, value: Any) -> dict[str, Any]:
-    if not isinstance(value, dict):
+def _object(name: str, value: Any) -> Mapping[str, Any]:
+    if not isinstance(value, Mapping):
         raise CodecError(f"field '{name}': expected an object")
     return value
 
@@ -117,10 +119,12 @@ _EXPECT = {
 }
 
 
-def _expect(name: str, value: Any) -> None:
+def _expect(name: str, value: Any) -> Mapping[str, Any]:
+    """A read-only copy of an expect block whose keys are all in ``_EXPECT``."""
     unknown = sorted(_object(name, value).keys() - _EXPECT.keys())
     if unknown:
         raise CodecError(f"field '{name}': unknown key {unknown[0]!r}")
+    return MappingProxyType(dict(value))
 
 
 def _build_oracle(s: Scenario) -> RhoOracle:
@@ -130,7 +134,7 @@ def _build_oracle(s: Scenario) -> RhoOracle:
     return rho
 
 
-def _check_expect(p: Condition, expect: dict[str, Any], log: list[str]) -> bool:
+def _check_expect(p: Condition, expect: Mapping[str, Any], log: list[str]) -> bool:
     ok = True
     for key, want in sorted(expect.items()):
         got = _EXPECT[key](p)

@@ -101,7 +101,7 @@ class RhoOracle:
         return RhoOracle(fallback=draw)
 
 
-def oracle_from_spec(spec: str, seed: int = 0) -> RhoOracle:
+def oracle_from_spec(spec: str) -> RhoOracle:
     """Build an oracle from a CLI/scenario string: zero | const:<ord> | seed:<n>[:<v,...>].
 
     ``seed:<n>`` draws from the palette {0, 1, w}; ``seed:<n>:`` names an
@@ -113,7 +113,7 @@ def oracle_from_spec(spec: str, seed: int = 0) -> RhoOracle:
         return RhoOracle.constant(parse_ordinal(spec[len("const:") :]))
     if spec.startswith("seed:") and spec.count(":") < 3:
         parts = spec.split(":")
-        n = parse_natural(parts[1]) if parts[1] else seed
+        n = parse_natural(parts[1])
         if len(parts) == 2:
             vals = (ZERO, parse_ordinal("1"), parse_ordinal("w"))
         else:
@@ -141,7 +141,8 @@ def relation_index(fam: Family, X: frozenset[Ordinal]) -> Relations:
 
     Built in one pass over the maps' pairs inside X.  Per index the forward
     relations go in before the inverse ones, so every list is sorted exactly
-    as ``relations_between`` sorts it.
+    as ``relations_between`` sorts it.  On injective maps it is symmetric:
+    ``rel[x]`` has y exactly when ``rel[y]`` has x.
     """
     rel: Relations = {}
     for tau in sorted(fam):
@@ -304,26 +305,21 @@ def decide_rho_separation(
     closed relation walk through at least three distinct nodes).
 
     Every clause reads one relation index of the family inside X, so the
-    work is near-linear in |X| plus the number of map pairs.
+    work is near-linear in |X| plus the number of map pairs.  The maps must
+    be injective: the least index of one that is not is a ``ValueError``,
+    raised before any rho value is read.
     """
+    _refuse_non_injective(fam)
     X = frozenset(X)
     rel = relation_index(fam, X)
     # clause 1: all multi-relations between a fixed pair need rho >= alpha
     for x, y, r, s in multi_relations(rel):
         if rho.value(r[1], s[1]) < alpha:
             return PairwiseViolation(x, y, r, s, alpha)
-    # clause 2: no loops; scan deduplicated relation edges, merging member lists
+    # clause 2: no loops; scan each relation edge once, as x < y, merging member lists
     adjacency: dict[Ordinal, list[Ordinal]] = {x: [] for x in X}
     component = {x: [x] for x in X}
-    edges = sorted(
-        {
-            (min(x, y), max(x, y))
-            for x, row in rel.items()
-            for y, rels in row.items()
-            if x != y and any(m == 1 for m, _ in rels)
-        }
-    )
-    for x, y in edges:
+    for x, y in sorted((x, y) for x, row in rel.items() for y in row if x < y):
         if component[x] is component[y]:
             path = _shortest_path(adjacency, x, y)
             return Loop(tuple(path) + (x,))
@@ -335,10 +331,6 @@ def decide_rho_separation(
     # separated: build the witness order by segments.  A segment opens with
     # the least unlisted node and grows by the least unlisted node related to
     # one of its members, taken from a min-heap frontier.
-    into: dict[Ordinal, list[Ordinal]] = {}
-    for x, row in rel.items():
-        for y in row:
-            into.setdefault(y, []).append(x)
     order: list[Ordinal] = []
     listed: set[Ordinal] = set()
     for start in sorted(X):
@@ -349,7 +341,7 @@ def decide_rho_separation(
                 continue
             listed.add(x)
             order.append(x)
-            for cand in into.get(x, ()):
+            for cand in rel.get(x, ()):
                 if cand not in listed:
                     heapq.heappush(frontier, cand)
     pos = {x: i for i, x in enumerate(order)}
@@ -381,15 +373,20 @@ def decide_separation(fam: Family, X: Iterable[Ordinal]) -> SeparationVerdict:
 
     Below the level the zero oracle makes every pairwise demand fail, which
     is exactly the separation notion; the root level is a single node and is
-    separated outright.
+    separated outright.  A map that is not injective is refused there too.
     """
     X = frozenset(X)
     alpha = _level_of(X)
-    if alpha is None:
-        return WitnessOrder(())
-    if alpha == ZERO:
-        return WitnessOrder(tuple(sorted(X)))
-    return decide_rho_separation(fam, X, RhoOracle.zero(), alpha)
+    if alpha is not None and alpha != ZERO:
+        return decide_rho_separation(fam, X, RhoOracle.zero(), alpha)
+    _refuse_non_injective(fam)
+    return WitnessOrder(tuple(sorted(X)))
+
+
+def _refuse_non_injective(fam: Family) -> None:
+    for tau in sorted(fam):
+        if len(fam[tau].image) != len(fam[tau]):
+            raise ValueError(f"map {tau} fails injective")
 
 
 # -- the one-key lifting construction ------------------------------------------

@@ -401,6 +401,13 @@ def test_empty_seed_palette_exits_2(t1_file, capsys):
     assert main(["--rho", "seed:4", "validate", t1_file]) == 0
 
 
+@pytest.mark.parametrize("spec", ["seed:", "seed::0,1"])
+def test_rho_seed_needs_its_natural(t1_file, capsys, spec):
+    # --seed seeds gen only; it does not stand in for a missing <n>
+    assert main(["--seed", "7", "--rho", spec, "validate", t1_file]) == 2
+    assert capsys.readouterr().err == "error: expected a natural number, got ''\n"
+
+
 @pytest.mark.parametrize("spec", ["seed:1:0,1:junk", "seed:1::", "seed::w:"])
 def test_rho_with_trailing_segments_exits_2(t1_file, capsys, spec):
     assert main(["--rho", spec, "validate", t1_file]) == 2
@@ -759,3 +766,30 @@ def test_check_sep_refuses_a_map_that_is_not_injective(tmp_path, capsys, flags):
     assert "map 1 fails injective" in capsys.readouterr().out
     assert main(["check-sep", str(path), "--level", "1"] + flags) == 2
     assert capsys.readouterr().err == "error: map 1 fails injective\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bijectivize", "--level", "1"],
+        ["bijectivize", "--level", "1", "--cone"],
+        ["one-key", "--level", "1", "--node", "w*2"],
+    ],
+    ids=["level", "cone", "one-key"],
+)
+def test_constructions_refuse_a_map_that_is_not_injective(tmp_path, capsys, argv):
+    # map 1 sends w+1 and w+2 to w; the separation decision inside each
+    # construction refuses it by name before it reads the oracle
+    doc = {
+        "nodes": ["0", "w", "w+1", "w+2", "w*2", "w*2+1", "w*2+2"],
+        "parents": [["w", "0"], ["w+1", "0"], ["w+2", "0"]]
+        + [["w*2", "w"], ["w*2+1", "w+1"], ["w*2+2", "w+2"]],
+        "indices": [0, 1],
+        "maps": {"0": [["0", "0"], ["w", "w+1"]], "1": [["0", "0"], ["w+1", "w"], ["w+2", "w"]]},
+    }
+    path, out = tmp_path / "merge.json", tmp_path / "out.json"
+    path.write_text(json.dumps(doc))
+    selection = ["--nodes", "w,w+1,w+2", "--indices", "0,1"]
+    assert main(["--out", str(out), argv[0], str(path)] + argv[1:] + selection) == 2
+    assert capsys.readouterr() == ("", "error: map 1 fails injective\n")
+    assert not out.exists()

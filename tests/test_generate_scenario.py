@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -197,6 +198,29 @@ def test_expect_keys_are_checked_where_steps_and_scenarios_are_built():
         Scenario(final_expect={"nodes": 1})
     with pytest.raises(CodecError, match=re.escape("field 'step.expect': unknown key 'nodes'")):
         Step("normalize_condition", expect={"nodes": 1})
+
+
+def test_steps_and_scenarios_stay_as_checked():
+    expect, args = {"index_count": 1}, {"heights": ["1"]}
+    step = Step("extend_heights", args, expect)
+    s = Scenario(steps=(step,), final_expect=expect)
+    # the caller's dicts are copied, not shared
+    expect["nodes"] = 1
+    args["heights"] = ["w"]
+    assert dict(step.expect) == dict(s.final_expect) == {"index_count": 1}
+    assert dict(step.args) == {"heights": frozenset({parse_ordinal("1")})}
+    # and the copies refuse a key the check never saw
+    with pytest.raises(TypeError):
+        s.final_expect["nodes"] = 1
+    with pytest.raises(TypeError):
+        step.expect["nodes"] = 1
+    with pytest.raises(TypeError):
+        step.args["heights"] = frozenset()
+    assert run_scenario(s).ok
+    # a copy made with dataclasses.replace is checked and copied again
+    assert replace(s, steps=()).final_expect == {"index_count": 1}
+    with pytest.raises(CodecError, match=re.escape("field 'final_expect': unknown key 'nodes'")):
+        replace(s, final_expect={**s.final_expect, "nodes": 1})
 
 
 @pytest.mark.parametrize("rho", [{}, {"value": "w"}, 3, ["zero"]])

@@ -17,6 +17,8 @@ import importlib
 import random
 from collections import Counter
 
+import pytest
+
 import treeforcing
 from treeforcing import forcing, trees
 from treeforcing.cli import main
@@ -88,6 +90,19 @@ def same_decision(fam, X, make_rho, alpha=ONE) -> str:
     return got
 
 
+def refused_unasked(fam, X, make_rho, alpha=ONE) -> None:
+    """Both decisions refuse map 1, which is not injective, before the oracle
+    is asked for any pair, so its table stays as it was."""
+    rho, calls = logged(make_rho())
+    table = rho.entries()
+    with pytest.raises(ValueError, match="^map 1 fails injective$"):
+        decide_rho_separation(fam, X, rho, alpha)
+    with pytest.raises(ValueError, match="^map 1 fails injective$"):
+        decide_separation(fam, X)
+    assert calls == []
+    assert rho.entries() == table
+
+
 def test_relation_index_matches_relations_between():
     for seed in range(300):
         rng = random.Random(seed)
@@ -96,6 +111,8 @@ def test_relation_index_matches_relations_between():
         for x in X:
             for y in X:
                 assert rel.get(x, {}).get(y, []) == relations_between(fam, x, y)
+                # symmetric on injective maps: the witness order reads it both ways
+                assert (y in rel.get(x, {})) == (x in rel.get(y, {}))
 
 
 def test_decide_matches_seed_on_random_level_families():
@@ -129,8 +146,9 @@ def test_non_injective_map_has_no_inverse_relation():
     fam = {1: TreeMap([(ZERO, ZERO), (a, c), (b, c)]), 2: TreeMap([(ZERO, ZERO), (c, a)])}
     assert relations_between(fam, c, a) == [(1, 2)]
     assert relations_between(fam, a, c) == [(1, 1), (-1, 2)]
+    # the index built from these is not symmetric, so the decision refuses f
     for rho in (RhoOracle.zero, lambda: RhoOracle.from_entries([(1, 2, ONE)])):
-        same_decision(fam, t.level(ONE), rho)
+        refused_unasked(fam, t.level(ONE), rho)
 
 
 def test_check_sep_on_unvalidated_non_injective_file(tmp_path, capsys):
@@ -145,9 +163,7 @@ def test_check_sep_on_unvalidated_non_injective_file(tmp_path, capsys):
     for entries in ([], [(1, 2, ONE)]):
         path = tmp_path / f"noninj-{len(entries)}.json"
         path.write_text(encode_condition(p, RhoOracle.from_entries(entries)))
-        # the decision follows the reference on this family, but other maps
-        # that are not injective break its witness check, so the CLI refuses them
-        same_decision(fam, t.level(ONE), lambda: RhoOracle.from_entries(entries))
+        refused_unasked(fam, t.level(ONE), lambda: RhoOracle.from_entries(entries))
         assert main(["check-sep", str(path), "--level", "1"]) == 2
         assert capsys.readouterr().err == "error: map 1 fails injective\n"
 

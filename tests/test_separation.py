@@ -206,6 +206,19 @@ def test_decide_separation_root_level():
     assert decide_separation({}, {ZERO}) == WitnessOrder((ZERO,))
 
 
+def test_both_decisions_refuse_a_map_that_is_not_injective_on_every_level():
+    t = level_tree(3)
+    a0, a1, a2 = sorted(t.level(O("1")))
+    merge = TreeMap([(ZERO, ZERO), (a0, a2), (a1, a2)])
+    # the least index that fails is named, whatever order the family lists
+    fam = {9: merge, 4: TreeMap([(ZERO, ZERO), (a2, a0)]), 6: merge}
+    for X, alpha in (({ZERO}, ZERO), ({a0, a1, a2}, O("1")), ({a0}, O("1"))):
+        with pytest.raises(ValueError, match=r"^map 6 fails injective$"):
+            decide_separation(fam, X)
+        with pytest.raises(ValueError, match=r"^map 6 fails injective$"):
+            decide_rho_separation(fam, X, RhoOracle.constant(O("w")), alpha)
+
+
 def test_decide_agrees_with_brute_force_smoke():
     rng = random.Random(2024)
     h = O("1")
