@@ -9,7 +9,8 @@ decode parses each distinct label once: a ``label -> Ordinal`` memo lives
 for one decode only (the two sides of a matched-pair file and its own
 ordinal fields share one).  It keeps only successful parses, so a bad label
 fails, naming its field, wherever it occurs.  Nothing is kept between
-decodes.
+decodes.  A label the memo holds costs one dict lookup: the name of its
+field, such as ``maps[1][0][0]``, is built only when a label fails.
 """
 
 from __future__ import annotations
@@ -37,19 +38,34 @@ def _ord(field: str, value: Any) -> Ordinal:
         raise CodecError(f"field {field!r}: {exc}")
 
 
-def _ord_memo(labels: dict[str, Ordinal]) -> Callable[[str, Any], Ordinal]:
-    """``_ord`` that parses each distinct label once, storing only successes
-    in ``labels``; a value that is not a string is left to ``_ord``."""
-
-    def read(field: str, value: Any) -> Ordinal:
-        if not isinstance(value, str):
-            return _ord(field, value)
+def _label(labels: dict[str, Ordinal], value: Any, field: str, *at: int) -> Ordinal:
+    """``_ord`` through the memo ``labels``, which keeps each successful parse;
+    on a failure ``_ord`` names ``field`` followed by the positions ``at``."""
+    try:
         found = labels.get(value)
         if found is None:
-            found = labels[value] = _ord(field, value)
+            found = labels[value] = parse_ordinal(value)
         return found
+    except (TypeError, AttributeError, OrdinalParseError):  # not a string, or not a label
+        return _ord(field + "".join(f"[{k}]" for k in at), value)
 
-    return read
+
+def _labels(labels: dict[str, Ordinal], field: str, value: Any, width: int = 1) -> list:
+    """``_list(field, value, _ord)``, or with ``width`` 2 ``_pairs(field, value,
+    _ord)``, through the memo ``labels``; a name is built only for a failure."""
+    if not isinstance(value, list):
+        raise CodecError(f"field {field!r}: expected a list, got {value!r}")
+    if width == 1:
+        return [_label(labels, v, field, k) for k, v in enumerate(value)]
+    out = []
+    for k, v in enumerate(value):
+        if not isinstance(v, list) or len(v) != 2:
+            raise CodecError(f"field {f'{field}[{k}]'!r}: expected a pair, got {v!r}")
+        try:
+            out.append((labels[v[0]], labels[v[1]]))
+        except (KeyError, TypeError):
+            out.append((_label(labels, v[0], field, k, 0), _label(labels, v[1], field, k, 1)))
+    return out
 
 
 def _nat(field: str, value: Any) -> int:
@@ -119,23 +135,21 @@ def condition_to_dict(p: Condition, rho: RhoOracle | None = None) -> dict:
 
 
 def condition_from_dict(doc: Any) -> tuple[Condition, RhoOracle]:
-    return _condition_from_dict(doc, _ord_memo({}))
+    return _condition_from_dict(doc, {})
 
 
-def _condition_from_dict(
-    doc: Any, ord_: Callable[[str, Any], Ordinal]
-) -> tuple[Condition, RhoOracle]:
-    """``condition_from_dict`` with its labels read through ``ord_``."""
+def _condition_from_dict(doc: Any, labels: dict[str, Ordinal]) -> tuple[Condition, RhoOracle]:
+    """``condition_from_dict`` with its labels read through the memo ``labels``."""
     if not isinstance(doc, dict):
         raise CodecError("document root must be an object")
     for field in ("nodes", "parents", "indices", "maps"):
         if field not in doc:
             raise CodecError(f"missing field {field!r}")
-    nodes = _list("nodes", doc["nodes"], ord_)
+    nodes = _labels(labels, "nodes", doc["nodes"])
     if len(set(nodes)) != len(nodes):
         raise CodecError("field 'nodes': duplicate node")
     parent = {}
-    for k, (c, par) in enumerate(_pairs("parents", doc["parents"], ord_)):
+    for k, (c, par) in enumerate(_labels(labels, "parents", doc["parents"], 2)):
         if c in parent:
             raise CodecError(f"field 'parents'[{k}]: duplicate child {c}")
         parent[c] = par
@@ -155,7 +169,7 @@ def _condition_from_dict(
             raise CodecError(f"field 'maps': key {key!r} is not an index")
         if tau not in indices:
             raise CodecError(f"field 'maps': index {tau} not declared")
-        pairs = _pairs(f"maps[{key}]", value, ord_)
+        pairs = _labels(labels, f"maps[{key}]", value, 2)
         try:
             family[tau] = TreeMap(pairs)
         except ValueError as exc:
@@ -201,20 +215,20 @@ def decode_matched_pair(text: str) -> tuple[MatchedPair, RhoOracle]:
     ):
         if field not in doc:
             raise CodecError(f"missing field {field!r}")
-    ord_ = _ord_memo({})
-    pa, _ = _condition_from_dict(doc["first"], ord_)
-    pb, _ = _condition_from_dict(doc["second"], ord_)
-    iso_f = dict(_pairs("node_matching", doc["node_matching"], ord_))
+    labels: dict[str, Ordinal] = {}
+    pa, _ = _condition_from_dict(doc["first"], labels)
+    pb, _ = _condition_from_dict(doc["second"], labels)
+    iso_f = dict(_labels(labels, "node_matching", doc["node_matching"], 2))
     iso_g = dict(_pairs("index_matching", doc["index_matching"], _nat))
     entries = _list("rho", doc.get("rho", []), _rho_entry)
     mp = MatchedPair(
         pa=pa,
         pb=pb,
-        alpha=ord_("alpha", doc["alpha"]),
-        beta=ord_("beta", doc["beta"]),
+        alpha=_label(labels, doc["alpha"], "alpha"),
+        beta=_label(labels, doc["beta"], "beta"),
         iso_f=iso_f,
         iso_g=iso_g,
-        anchor_a=ord_("anchor_first", doc["anchor_first"]),
+        anchor_a=_label(labels, doc["anchor_first"], "anchor_first"),
     )
     return mp, RhoOracle.from_entries(entries)
 

@@ -49,11 +49,11 @@ from .separation import (
     RhoOracle,
     WitnessOrder,
     _check_lift,
+    _decide,
     _one_key_lift,
-    decide_rho_separation,
+    _relations_by_level,
     decide_separation,
     multi_relations,
-    relation_index,
 )
 from .treemaps import (
     TreeMap,
@@ -117,8 +117,10 @@ def validate_condition(p: Condition, rho: RhoOracle) -> list[str]:
             out.append(f"clause 2 (maps): map {tau} fails {', '.join(bad)}")
     if out:
         return out
+    # clause 2 passed, so every map is level-preserving and injective
+    levels = _relations_by_level(p.family)
     for alpha in p.tree.heights():
-        verdict = decide_rho_separation(p.family, p.tree.level(alpha), rho, alpha)
+        verdict = _decide(levels.get(alpha, {}), p.tree.level(alpha), rho, alpha)
         if not isinstance(verdict, WitnessOrder):
             out.append(f"clause 3 (separation): level {alpha}: {verdict}")
     return out
@@ -462,6 +464,7 @@ def _check_bijectivize(
     if set(p.family) != set(out.family):
         raise RuntimeError(f"{op} broke a structural postcondition")
     restricted = {tau: out.family[tau] for tau in A}
+    sets = [(g, g.domain, g.image) for g in restricted.values()]  # built once per map
     grown: frozenset[Ordinal] = frozenset()
     level_set = X
     for width in widths:
@@ -470,11 +473,11 @@ def _check_bijectivize(
         fans = frozenset().union(*(u.immediate_successors(x) for x in level_set))
         if not isinstance(decide_separation(restricted, fans), WitnessOrder):
             raise RuntimeError(f"{op} lost separation on a fan")
-        edges = [(g, x, g.get(x)) for g in restricted.values() for x in level_set]
-        for g, x, y in edges:
-            if y in level_set and not u.immediate_successors(x) <= g.domain:
+        edges = [(x, g.get(x), domain, image) for g, domain, image in sets for x in level_set]
+        for x, y, domain, image in edges:
+            if y in level_set and not u.immediate_successors(x) <= domain:
                 raise RuntimeError(f"{op} is not total on a fan")
-            if y in level_set and not u.immediate_successors(y) <= g.image:
+            if y in level_set and not u.immediate_successors(y) <= image:
                 raise RuntimeError(f"{op} is not surjective onto a fan")
         grown |= fans
         level_set = fans
@@ -804,15 +807,16 @@ def build_matched_pair(
 def _raise_rho_for_copy(pb: Condition, rho: RhoOracle) -> None:
     """Raise rho to each level wherever two indices relate one pair on it.
 
-    The relation index of each level is read in the order of the pairwise
-    clause of ``decide_rho_separation``.  No shared pair is ever raised: below
+    The relations of each level are read in the order of the pairwise clause
+    of ``decide_rho_separation``.  The copy's maps are p's own relabelled, so
+    they are level-preserving and injective.  No shared pair is ever raised: below
     alpha the copy's maps are p's own and p is valid, and a level beta + d
     copies the level alpha + d of p, where two related shared indices would
     need rho >= alpha + d, while the greedy shared block keeps it below alpha.
     """
+    levels = _relations_by_level(pb.family)
     for level in pb.tree.heights():
-        rel = relation_index(pb.family, pb.tree.level(level))
-        for _, _, (_, t0), (_, t1) in multi_relations(rel):
+        for _, _, (_, t0), (_, t1) in multi_relations(levels.get(level, {})):
             if t0 != t1 and rho.value(t0, t1) < level:
                 rho.set_value(t0, t1, level)
 

@@ -8,6 +8,9 @@ instance dict after the first read (``node_at`` fills it for its labels).
 A value is a finite sum of terms w^e * c with strictly decreasing ordinal
 exponents e and positive integer coefficients c.  The empty sum is 0.
 Coefficients are plain Python ints, so they never overflow.
+
+``Ordinal(terms)`` checks that its terms are in normal form; the kernel
+builds its own results, normal by construction, through the unchecked ``_normal``.
 """
 
 from __future__ import annotations
@@ -77,8 +80,8 @@ class Ordinal(tuple):
         merged = next((c for e, c in self.terms if e == lead), 0)
         if merged:
             head = ((lead, merged + other.terms[0][1]),)
-            return Ordinal(kept + head + other.terms[1:])
-        return Ordinal(kept + other.terms)
+            return _normal(kept + head + other.terms[1:])
+        return _normal(kept + other.terms)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -86,10 +89,8 @@ class Ordinal(tuple):
     @cached_property
     def height(self) -> "Ordinal":
         """h in self = w*h + k with k < w: the level of the node labelled self."""
-        infinite = self.terms
-        if infinite and infinite[-1][0] == ZERO:
-            infinite = infinite[:-1]
-        return Ordinal(tuple((_exp_pred(e), c) for e, c in infinite))
+        # w*h is the sum of the terms whose exponent e is nonzero (e[0], its terms)
+        return _normal(tuple((_exp_pred(e), c) for e, c in self[0] if e[0]))
 
     @property
     def is_finite(self) -> bool:
@@ -106,7 +107,8 @@ class Ordinal(tuple):
     def from_int(n: int) -> "Ordinal":
         if n < 0:
             raise ValueError("ordinals are non-negative")
-        return Ordinal(((ZERO, n),)) if n else ZERO
+        make = _normal if isinstance(n, int) else Ordinal  # Ordinal refuses a non-int
+        return make(((ZERO, n),)) if n else ZERO
 
     # -- printing ------------------------------------------------------
 
@@ -117,6 +119,11 @@ class Ordinal(tuple):
 
     def __repr__(self) -> str:
         return f"Ordinal({str(self)!r})"
+
+
+def _normal(terms: tuple[tuple[Ordinal, int], ...]) -> Ordinal:
+    """``Ordinal(terms)`` without its checks, for terms already in normal form."""
+    return tuple.__new__(Ordinal, (terms,))
 
 
 ZERO = Ordinal()
@@ -140,7 +147,7 @@ def _term_str(exp: Ordinal, coeff: int) -> str:
 
 def omega_mul(a: Ordinal) -> Ordinal:
     """w * a.  Each exponent e becomes 1 + e (left distributivity over the sum)."""
-    return Ordinal(tuple((ONE + e, c) for e, c in a.terms))
+    return _normal(tuple((ONE + e, c) for e, c in a.terms))
 
 
 def is_limit(a: Ordinal) -> bool:
@@ -163,10 +170,9 @@ def height_split(g: Ordinal) -> tuple[Ordinal, int]:
 
 
 def _exp_pred(e: Ordinal) -> Ordinal:
-    # unique x with 1 + x == e; e >= 1 here
-    if e.is_finite:
-        return Ordinal.from_int(e.as_int() - 1)
-    return e
+    # unique x with 1 + x == e; e >= 1 here, so e is finite iff its leading exponent is 0
+    lead, c = e[0][0]
+    return e if lead[0] else _normal(((ZERO, c - 1),)) if c > 1 else ZERO
 
 
 def node_at(height: Ordinal, offset: int) -> Ordinal:
@@ -190,10 +196,10 @@ def left_subtract(a: Ordinal, b: Ordinal) -> Ordinal:
     for i, (ea, ca) in enumerate(at):
         eb, cb = bt[i]
         if ea < eb:
-            return Ordinal(bt[i:])
+            return _normal(bt[i:])
         if ca < cb:
-            return Ordinal(((eb, cb - ca),) + bt[i + 1 :])
-    return Ordinal(bt[len(at) :])
+            return _normal(((eb, cb - ca),) + bt[i + 1 :])
+    return _normal(bt[len(at) :])
 
 
 # -- parsing -----------------------------------------------------------
@@ -240,6 +246,7 @@ def _parse_sum(text: str, pos: int, depth: int) -> tuple[Ordinal, int]:
     if text.startswith("0", pos):
         return ZERO, pos + 1
     terms = []
+    ordered = True  # a disorder is reported after the whole sum is read
     while True:
         head = _HEAD.match(text, pos)
         if head is None:
@@ -247,7 +254,7 @@ def _parse_sum(text: str, pos: int, depth: int) -> tuple[Ordinal, int]:
         pos = head.end()
         finite, nat, omega, paren = head.groups()
         if finite:
-            terms.append((ZERO, int(finite)))
+            exp, coeff = ZERO, int(finite)
         else:
             if paren:
                 if depth == MAX_NESTING:
@@ -270,10 +277,12 @@ def _parse_sum(text: str, pos: int, depth: int) -> tuple[Ordinal, int]:
                 if nat is None:
                     raise _fail("expected a natural number", text, pos + 1)
                 coeff, pos = int(nat.group()), nat.end()
-            terms.append((exp, coeff))
+        if terms and not exp < terms[-1][0]:
+            ordered = False
+        terms.append((exp, coeff))
         if not text.startswith("+", pos):
             break
         pos += 1
-    if any(not b < a for (a, _), (b, _) in zip(terms, terms[1:])):
+    if not ordered:
         raise _fail("exponents must be strictly decreasing", text, pos)
-    return Ordinal(tuple(terms)), pos
+    return _normal(tuple(terms)), pos

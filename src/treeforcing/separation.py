@@ -154,16 +154,30 @@ def relation_index(fam: Family, X: frozenset[Ordinal]) -> Relations:
     return rel
 
 
+def _relations_by_level(fam: Family) -> dict[Ordinal, Relations]:
+    """``relation_index(fam, X)`` for each level X of the maps' tree, keyed by
+    its height.  The maps must be level-preserving, so that each pair relates
+    two nodes of one level, and injective, so that their inverse pairs are
+    their pairs flipped."""
+    by_level: dict[Ordinal, Relations] = {}
+    for tau in sorted(fam):
+        pairs = fam[tau].pairs
+        for m, ps in ((1, pairs), (-1, [(y, x) for x, y in pairs])):
+            for x, y in ps:
+                row = by_level.setdefault(x.height, {}).setdefault(x, {})
+                row.setdefault(y, []).append((m, tau))
+    return by_level
+
+
 def multi_relations(
     rel: Relations,
 ) -> Iterator[tuple[Ordinal, Ordinal, tuple[int, int], tuple[int, int]]]:
     """(x, y, r, s) for every two relations r listed before s between x <= y,
     (x, y) ascending: the pairs the pairwise clause of rho-separation reads."""
-    for x in sorted(rel):
-        row = rel[x]
-        for y in sorted(y for y in row if x <= y and len(row[y]) > 1):
-            for r, s in combinations(row[y], 2):
-                yield x, y, r, s
+    multi = ((x, y) for x, row in rel.items() for y, rs in row.items() if x <= y and len(rs) > 1)
+    for x, y in sorted(multi):
+        for r, s in combinations(rel[x][y], 2):
+            yield x, y, r, s
 
 
 # -- verdicts ------------------------------------------------------------
@@ -311,19 +325,27 @@ def decide_rho_separation(
     """
     _refuse_non_injective(fam)
     X = frozenset(X)
-    rel = relation_index(fam, X)
+    return _decide(relation_index(fam, X), X, rho, alpha)
+
+
+def _decide(rel: Relations, X: frozenset, rho: RhoOracle, alpha: Ordinal) -> SeparationVerdict:
+    """``decide_rho_separation`` on ``rel``, the relation index inside X of
+    injective maps.  ``validate_condition``, once its maps passed clause 2,
+    decides each level on its part of one ``_relations_by_level``."""
     # clause 1: all multi-relations between a fixed pair need rho >= alpha
     for x, y, r, s in multi_relations(rel):
         if rho.value(r[1], s[1]) < alpha:
             return PairwiseViolation(x, y, r, s, alpha)
     # clause 2: no loops; scan each relation edge once, as x < y, merging member lists
-    adjacency: dict[Ordinal, list[Ordinal]] = {x: [] for x in X}
-    component = {x: [x] for x in X}
+    # only nodes on an edge get entries: the index is symmetric, so they are its keys
+    adjacency: dict[Ordinal, list[Ordinal]] = {x: [] for x in rel}
+    component = {x: [x] for x in rel}
     for x, y in sorted((x, y) for x, row in rel.items() for y in row if x < y):
-        if component[x] is component[y]:
+        cx, cy = component[x], component[y]
+        if cx is cy:
             path = _shortest_path(adjacency, x, y)
             return Loop(tuple(path) + (x,))
-        small, large = sorted((component[x], component[y]), key=len)
+        small, large = (cx, cy) if len(cx) <= len(cy) else (cy, cx)
         large += small
         component.update(dict.fromkeys(small, large))
         adjacency[x].append(y)
@@ -345,7 +367,8 @@ def decide_rho_separation(
                 if cand not in listed:
                     heapq.heappush(frontier, cand)
     pos = {x: i for i, x in enumerate(order)}
-    if not all(_admissible(_indexed_triples(rel, pos, x), rho, alpha) for x in order):
+    # a node without relations has no triples to check
+    if not all(_admissible(_indexed_triples(rel, pos, x), rho, alpha) for x in order if x in rel):
         raise RuntimeError("witness order fails its own check; decision logic is broken")
     return WitnessOrder(tuple(order))
 

@@ -117,36 +117,52 @@ def classify_map(t: StandardTree, pairs: Iterable[Pair]) -> MapFlags:
     an occupied lower level is again a pair.  On level-preserving strictly
     increasing functions this coincides with asking the domain to be closed
     under drop-downs.
+
+    The strict order is transitive, so on a layered tree (every valid tree is
+    one) each source is compared only with its nearest proper ancestor in the
+    domain, and a level-preserving pair restricts to the pair of its parents.
+    On other trees each source's ancestors are walked, as order queries may
+    raise ``MalformedTreeError`` there.
     """
-    ps = sorted(set(pairs))
+    ps = pairs.pairs if isinstance(pairs, TreeMap) else sorted(set(pairs))
     for x, y in ps:
         if x not in t.nodes or y not in t.nodes:
             raise ValueError(f"pair ({x}, {y}) leaves the tree")
-    sources = [x for x, _ in ps]
-    targets = [y for _, y in ps]
-    functional = len(set(sources)) == len(ps)
-    injective = len(set(targets)) == len(ps)
-    level_preserving = all(x.height == y.height for x, y in ps)
-    # pairs (a0, b0), (a1, b1) with a0 below a1 need b0 below b1; walk each
-    # source's ancestors instead of trying every pair of pairs
     targets_of: dict[Ordinal, list[Ordinal]] = {}
     for x, y in ps:
         targets_of.setdefault(x, []).append(y)
-    strictly_increasing = all(
-        t.is_below(b0, b1)
-        for a1, b1 in ps
-        for a0 in t.chain_down(a1)[1:]
-        if a0 in targets_of and a0.height < a1.height
-        for b0 in targets_of[a0]
-    )
+    functional = len(targets_of) == len(ps)
+    injective = len({y for _, y in ps}) == len(ps)
+    level_preserving = all(x.height == y.height for x, y in ps)
+    layered = t._layered
+    if layered:  # nearest ancestors in the domain: a stack of open preorder intervals
+        index, open_, strictly_increasing = t._order(), [], True
+        for a1, ys in sorted(targets_of.items(), key=lambda item: index.enter[item[0]]):
+            while open_ and index.exit[open_[-1]] < index.enter[a1]:
+                open_.pop()
+            if open_ and not all(t.is_below(b0, b1) for b0 in targets_of[open_[-1]] for b1 in ys):
+                strictly_increasing = False
+                break
+            open_.append(a1)
+    else:
+        # pairs (a0, b0), (a1, b1) with a0 below a1 need b0 below b1
+        strictly_increasing = all(
+            t.is_below(b0, b1)
+            for a1, b1 in ps
+            for a0 in t.chain_down(a1)[1:]
+            if a0 in targets_of and a0.height < a1.height
+            for b0 in targets_of[a0]
+        )
     # restrictions compose, so each pair's next lower level stands for all of them
     pair_set = set(ps)
-    downwards_closed = True
-    for x, y in ps:
+    parent = t.parent
+
+    def closed_below(x: Ordinal, y: Ordinal) -> bool:
+        if layered and x.height == y.height != ZERO:
+            return (parent[x], parent[y]) in pair_set
         b = t.level_below(min(x.height, y.height))
-        if (t.restrict(x, b), t.restrict(y, b)) not in pair_set:
-            downwards_closed = False
-            break
+        return (t.restrict(x, b), t.restrict(y, b)) in pair_set
+    downwards_closed = all(closed_below(x, y) for x, y in ps)
     fixed_point_free = all(x == ZERO for x, y in ps if x == y)
     return MapFlags(
         functional=functional,

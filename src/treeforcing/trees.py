@@ -119,6 +119,17 @@ class StandardTree:
     def _index(self) -> _TreeIndex:
         return _TreeIndex(self)
 
+    @cached_property
+    def _layered(self) -> bool:
+        """Links reach the root and every non-root node links to a node on the
+        previous occupied level, as on every tree that passes ``validate_tree``."""
+        index, parent = self._index, self.parent
+        below = dict(zip(index.heights, (ZERO,) + index.heights[:-1]))
+        return index.fault is None and all(
+            parent[x] in self.nodes and below.get(x.height) == parent[x].height
+            for x in self.nodes if x != ZERO
+        )
+
     def _order(self) -> _TreeIndex:
         """The index, once parent links are known to lead every node to the root."""
         index = self._index

@@ -270,3 +270,65 @@ def test_matched_pair_missing_field(field):
     doc = pair_doc()
     del doc[field]
     assert decode_error(decode_matched_pair, doc) == f"missing field {field!r}"
+
+
+
+# -- every bad slot names its field, as the per-item decoder named it ---------------------
+#
+# Each slot gets a number, a malformed label, and its pair (in nodes, the label
+# itself) widened to three items.  The messages are pinned from the decoder that
+# formatted every item's name up front; names are now built only on failure.
+
+NUMBER, MALFORMED, WIDENED = "number", "malformed", "three items"
+BAD_SLOTS = {
+    # (document, path to the slot): {bad value: message}
+    ("condition", ("nodes", 2)): {
+        NUMBER: "field 'nodes[2]': expected an ordinal string, got 7",
+        MALFORMED: "field 'nodes[2]': expected a natural number at position 2: 'w*q'",
+        WIDENED: "field 'nodes[2]': expected an ordinal string, got ['w+1', 'w+1', '0']",
+    },
+    ("condition", ("parents", 1, 1)): {
+        NUMBER: "field 'parents[1][1]': expected an ordinal string, got 7",
+        MALFORMED: "field 'parents[1][1]': expected a natural number at position 2: 'w*q'",
+        WIDENED: "field 'parents[1]': expected a pair, got ['w+1', '0', '0']",
+    },
+    ("condition", ("maps", "1", 1, 0)): {
+        NUMBER: "field 'maps[1][1][0]': expected an ordinal string, got 7",
+        MALFORMED: "field 'maps[1][1][0]': expected a natural number at position 2: 'w*q'",
+        WIDENED: "field 'maps[1][1]': expected a pair, got ['w', 'w+1', '0']",
+    },
+    ("pair", ("node_matching", 1, 1)): {
+        NUMBER: "field 'node_matching[1][1]': expected an ordinal string, got 7",
+        MALFORMED: "field 'node_matching[1][1]': expected a natural number at position 2: 'w*q'",
+        WIDENED: "field 'node_matching[1]': expected a pair, got ['w', 'w', '0']",
+    },
+}
+for _side in ("first", "second"):
+    BAD_SLOTS[("pair", (_side, "nodes", 2))] = BAD_SLOTS[("condition", ("nodes", 2))]
+    BAD_SLOTS[("pair", (_side, "parents", 1, 1))] = BAD_SLOTS[("condition", ("parents", 1, 1))]
+    BAD_SLOTS[("pair", (_side, "maps", "0", 1, 0))] = {
+        NUMBER: "field 'maps[0][1][0]': expected an ordinal string, got 7",
+        MALFORMED: "field 'maps[0][1][0]': expected a natural number at position 2: 'w*q'",
+        WIDENED: "field 'maps[0][1]': expected a pair, got ['w', 'w+1', '0']",
+    }
+
+
+@pytest.mark.parametrize("bad", [NUMBER, MALFORMED, WIDENED])
+@pytest.mark.parametrize(
+    "kind, path", BAD_SLOTS, ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else v
+)
+def test_every_bad_slot_names_its_field(kind, path, bad):
+    if kind == "condition":
+        make, decode = t1_doc, decode_condition
+    else:
+        make, decode = pair_doc, decode_matched_pair
+    doc = make()
+    if bad == WIDENED:
+        holder = path if path[-2] == "nodes" else path[:-1]
+        slot = doc
+        for key in holder:
+            slot = slot[key]
+        put(doc, holder, ([slot] * 2 if isinstance(slot, str) else list(slot)) + ["0"])
+    else:
+        put(doc, path, 7 if bad == NUMBER else "w*q")
+    assert decode_error(decode, doc) == BAD_SLOTS[kind, path][bad]

@@ -14,15 +14,17 @@ from __future__ import annotations
 
 import hashlib
 import importlib
+import importlib.util
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 import treeforcing
-from treeforcing import forcing, trees
+from treeforcing import forcing, separation, trees
 from treeforcing.cli import main
-from treeforcing.codec import encode_condition
+from treeforcing.codec import decode_condition, encode_condition
 from treeforcing.forcing import (
     ROOT_PAIR,
     Condition,
@@ -182,6 +184,50 @@ def test_untouched_nodes_in_the_level_set():
     same_decision(fam, frozenset(xs[2:]), RhoOracle.zero)
 
 
+def _ladder_files(tmp_path):
+    """The benchmark's check ladder: each rung's base and upper conditions and
+    its loop and pair twins, as files."""
+    root = Path(__file__).resolve().parent.parent
+    path = root / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    rng = random.Random("check:0")
+    for shape, size, k in workloads.LADDER:
+        yield from workloads.Rung(shape, size, k, rng, str(tmp_path)).files.values()
+
+
+def test_each_level_decides_on_its_part_of_one_relation_pass(tmp_path):
+    """Validation's per-level decision on ``_relations_by_level`` against
+    ``decide_rho_separation`` on the level: the same verdict, the oracle asked
+    the same pairs in the same order and left with the same table."""
+    cases = [lambda seed=seed: gen_condition(seed, GenBounds(max_steps=10)) for seed in range(60)]
+    for path in _ladder_files(tmp_path):
+        text = Path(path).read_text(encoding="utf-8")
+        cases.append(lambda text=text: decode_condition(text))
+    kinds = Counter()
+    for make in cases:
+        p, rho = make()
+        (rho, calls), (rho_ref, calls_ref) = logged(rho), logged(make()[1])
+        levels = separation._relations_by_level(p.family)
+        assert set(levels) <= {ZERO, *p.tree.heights()}
+        for h in p.tree.heights():
+            X = p.tree.level(h)
+            part = levels.get(h, {})
+            want_rel = relation_index(p.family, X)
+            assert [(x, list(row.items())) for x, row in part.items()] == [
+                (x, list(row.items())) for x, row in want_rel.items()
+            ]
+            got = separation._decide(part, X, rho, h)
+            want = decide_rho_separation(p.family, X, rho_ref, h)
+            assert got == want
+            kinds[type(got).__name__] += 1
+        assert calls == calls_ref
+        assert rho.entries() == rho_ref.entries()
+    assert kinds["WitnessOrder"] > 200, kinds
+    assert kinds["Loop"] >= 16 and kinds["PairwiseViolation"] >= 16, kinds
+
+
 def _random_pairs(rng: random.Random, t, fam) -> list:
     nodes = sorted(t.nodes)
     pairs = [pair for f in fam.values() for pair in f.pairs if rng.random() < 0.7]
@@ -205,6 +251,41 @@ def test_classify_matches_quadratic_form():
             functional += flags.functional
             non_functional += not flags.functional
     assert functional > 100 and non_functional > 100
+
+
+def _outcome(classify, t, pairs):
+    try:
+        return classify(t, pairs)
+    except ValueError as exc:  # MalformedTreeError included
+        return type(exc), str(exc)
+
+
+def test_classify_shortcut_matches_the_ancestor_walk():
+    # on a layered tree classify_map compares each source with its nearest
+    # ancestor in the domain; the same tree marked unlayered walks every
+    # ancestor chain.  Valid trees are layered, and so are trees that fail
+    # validation only by a root link or a link from outside the node set; a
+    # link that skips a level leaves a tree unlayered
+    shortcut = 0
+    for seed in range(150):
+        rng = random.Random(seed)
+        p, _ = gen_condition(seed, GenBounds(max_heights=4, max_level_width=5, max_indices=3))
+        t = p.tree
+        top = max(t.nodes)
+        deep = [x for x in t.nodes if t.level_below(node_height(x)) != ZERO]
+        variants = [({}, True), ({ZERO: top}, True), ({O("w^(w^w)"): top}, True)]
+        if deep:
+            variants.append(({rng.choice(deep): ZERO}, False))
+        for extra, layered in variants:
+            u = StandardTree(t.nodes, {**t.parent, **extra})
+            walked = StandardTree(t.nodes, u.parent)
+            walked.__dict__["_layered"] = False
+            assert u._layered == layered
+            for _ in range(2):
+                pairs = _random_pairs(rng, t, p.family)
+                assert _outcome(classify_map, u, pairs) == _outcome(classify_map, walked, pairs)
+                shortcut += u._layered
+    assert shortcut == 900
 
 
 def test_classify_rejects_pairs_off_the_tree_like_the_reference():

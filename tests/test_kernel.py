@@ -25,8 +25,10 @@ from treeforcing.ordinals import (
     Ordinal,
     OrdinalParseError,
     height_split,
+    left_subtract,
     node_at,
     node_height,
+    omega_mul,
     parse_ordinal,
 )
 from treeforcing.scenario import run_scenario
@@ -143,6 +145,50 @@ def test_height_is_a_memo_that_assignment_cannot_reach():
         with pytest.raises(AttributeError):
             del a.height
         assert a.height is h
+
+
+def checked(a: Ordinal) -> Ordinal:
+    """a rebuilt through the checked constructor at every depth; raises unless
+    a is in normal form with int coefficients."""
+    assert type(a) is Ordinal and all(type(c) is int for _, c in a.terms)
+    return Ordinal(tuple((checked(e), c) for e, c in a.terms))
+
+
+def test_unchecked_kernel_results_pass_the_constructor_check():
+    # sums, heights, w-multiples, left differences, naturals and parses are
+    # built without the constructor's check, so each must survive it
+    rng = random.Random(41)
+    kinds = Counter()
+    for _ in range(3000):
+        a, b = random_ordinal(rng), random_ordinal(rng)
+        low, high = sorted((a, b))
+        n = rng.randint(0, 5)
+        for kind, value in (
+            ("sum", a + b),
+            ("sum", b + a),
+            ("height", O(str(a)).height),
+            ("height", Ordinal.height.func(a)),
+            ("omega_mul", omega_mul(a)),
+            ("left_subtract", left_subtract(low, high)),
+            ("from_int", Ordinal.from_int(n)),
+            ("node_at", node_at(a, n)),
+            ("parse", O(str(a))),
+        ):
+            assert checked(value) == value
+            kinds[kind] += bool(value)
+    assert min(kinds.values()) > 1000, kinds
+
+
+def test_a_parsed_label_has_the_height_of_its_value():
+    rng = random.Random(43)
+    for _ in range(3000):
+        a = random_ordinal(rng)
+        label = O(str(a))
+        assert label.height == Ordinal.height.func(label) == height_split(a)[0]
+    with pytest.raises(ValueError, match="positive int"):
+        Ordinal.from_int(2.5)
+    with pytest.raises(ValueError, match="non-negative"):
+        Ordinal.from_int(-1)
 
 
 def nested(depth: int) -> str:
