@@ -4,8 +4,9 @@ The operation subcommands are built from the table in ``treeforcing.ops``:
 an input file plus one required flag per argument (sets comma-separated).
 Explicit here: ``bijectivize --cone``, ``match-pair --fresh-base`` (default
 100), ``one-key``'s printed support and ``amalgamate``'s matched-pair file.
-When an operation does not check its output, or returns its input, the CLI
-runs the boundary check, so an invalid input is never written back out.
+Every operation checks its own output; as one may return its input unchanged
+(or close up an invalid one), the CLI also validates the input, so an
+invalid input is never written back out.
 
 Exit codes: 0 for ok / property true, 1 for a checked property that turned
 out false, 2 for errors (bad input, unsatisfiable preconditions), 3 for an
@@ -225,8 +226,6 @@ def _run_op(name: str, args: argparse.Namespace) -> int:
     text = encode_condition(q, rho)
     if op.on is not MatchedPair:  # an operation may close up an invalid input
         forcing._blame_input(p, rho, name)
-    if not op.checks_itself:
-        forcing._check_step(p, q, rho, name)
     if support is not None:
         print("support: " + ", ".join(str(y) for y in sorted(support)))
     _write(text, args.out)

@@ -151,7 +151,7 @@ def _condition_from_dict(doc: Any, labels: dict[str, Ordinal]) -> tuple[Conditio
     parent = {}
     for k, (c, par) in enumerate(_labels(labels, "parents", doc["parents"], 2)):
         if c in parent:
-            raise CodecError(f"field 'parents'[{k}]: duplicate child {c}")
+            raise CodecError(f"field 'parents[{k}]': duplicate child {c}")
         parent[c] = par
     indices = _list("indices", doc["indices"], _nat)
     if len(set(indices)) != len(indices):

@@ -274,11 +274,12 @@ def grow_node(p: Condition, x: Ordinal, alpha: Ordinal, rho: RhoOracle) -> Condi
     return q
 
 
-def add_index(p: Condition, s: int) -> Condition:
-    """Bring s into the index domain, with an empty map when new."""
+def add_index(p: Condition, s: int, rho: RhoOracle) -> Condition:
+    """Bring s into the index domain, with an empty map when new; p itself
+    when s is present already."""
     if s in p.family:
         return p
-    return Condition(p.tree, {**p.family, s: TreeMap()})
+    return _check_step(p, Condition(p.tree, {**p.family, s: TreeMap()}), rho, "add_index")
 
 
 def augment(p: Condition, s: int, x: Ordinal, rho: RhoOracle) -> Condition:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from . import ops
 from .forcing import Condition
 from .ordinals import parse_ordinal
-from .separation import RhoOracle, WitnessOrder, decide_separation
+from .separation import RhoOracle
 
 # the operation-table entries a walk draws from, in the order the seeded draw
 # indexes them; the last two only once the tree has two occupied heights
@@ -40,10 +40,11 @@ def _node_budget_ok(p: Condition, bounds: GenBounds) -> bool:
 def random_step(
     rng: random.Random, p: Condition, rho: RhoOracle, bounds: GenBounds
 ) -> tuple[str, Condition] | None:
-    """Apply one randomly chosen operation with randomly chosen valid arguments.
+    """Apply one randomly chosen operation with randomly chosen arguments.
 
     Returns (operation name, new condition), or None when the draw was
-    inapplicable under the bounds; the caller just draws again.
+    inapplicable under the bounds; an operation that refuses the drawn
+    arguments raises ``ValueError``.  Either way the caller just draws again.
     """
     nodes = sorted(p.tree.nodes)
     heights = p.tree.heights()
@@ -111,8 +112,6 @@ def random_step(
         level = sorted(p.tree.level(alpha))
         X = frozenset(rng.sample(level, min(len(level), rng.randint(1, 2))))
         A = frozenset(rng.sample(sorted(p.family), min(len(p.family), 2)))
-        if not isinstance(decide_separation({t: p.family[t] for t in A}, X), WitnessOrder):
-            return None
         size = len(X) * max(
             (len(p.tree.immediate_successors(x)) for x in X), default=1
         )

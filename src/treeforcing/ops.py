@@ -2,9 +2,10 @@
 
 ``OPS`` maps each operation's scenario name, which is also its function name
 in ``forcing``, to an ``Op``: its CLI command, a help line, its typed
-arguments, whether it checks its own output, and what it applies to.  The
-CLI builds one subcommand per entry, the scenario runner decodes and runs
-its steps through the table, and the generator draws from its names.
+arguments, and what it applies to.  Every operation takes the oracle last
+and checks its own output.  The CLI builds one subcommand per entry, the
+scenario runner decodes and runs its steps through the table, and the
+generator draws from its names.
 ``run`` reads the function off ``forcing`` when called, never at import, so
 a patched ``forcing`` attribute (a test double, a tracer) is the one that
 runs, for the CLI, the scenario runner and the generator alike.
@@ -37,9 +38,8 @@ class Op:
     """One constructive operation.
 
     ``args`` maps each argument's key to its kind, in the order the function
-    takes them after its input.  An operation that checks its own output
-    (validity, and the order against its input) takes the oracle last; one
-    that does not takes no oracle, and its caller checks the output.
+    takes them after its input; every operation takes the oracle last and
+    checks its own output (validity, and the order against its input).
     ``command`` is None for an operation the CLI reaches only through
     another command's flag.
     """
@@ -47,7 +47,6 @@ class Op:
     command: str | None
     help: str
     args: Mapping[str, str] = field(default_factory=dict)
-    checks_itself: bool = True
     on: type = Condition
 
     def __post_init__(self) -> None:
@@ -66,9 +65,7 @@ OPS: dict[str, Op] = {
     "grow_node": Op(
         "grow", "put a node above the given one at a level", {"node": ORDINAL, "height": ORDINAL}
     ),
-    "add_index": Op(
-        "add-index", "bring an index into the domain", {"index": NATURAL}, checks_itself=False
-    ),
+    "add_index": Op("add-index", "bring an index into the domain", {"index": NATURAL}),
     "augment": Op(
         "augment", "put a node into a map's domain and range", {"index": NATURAL, "node": ORDINAL}
     ),
@@ -114,8 +111,5 @@ def run(name: str, subject: Any, args: Mapping[str, Any], rho: RhoOracle) -> Any
     """Apply operation ``name`` to subject with decoded args; the function's
     own result, unchanged.  The function is the attribute of ``forcing``,
     read now."""
-    op = OPS[name]
-    values = [args[key] for key in op.args]
-    if op.checks_itself:
-        values.append(rho)
-    return getattr(forcing, name)(subject, *values)
+    values = [args[key] for key in OPS[name].args]
+    return getattr(forcing, name)(subject, *values, rho)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from treeforcing.forcing import ROOT_PAIR, Condition, add_index
+from treeforcing.forcing import ROOT_PAIR, Condition
 from treeforcing.ordinals import ZERO, node_at, node_height
 from treeforcing.separation import (
     Loop,
@@ -27,7 +27,7 @@ from treeforcing.separation import (
     is_rho_separated_tuple,
     relations_between,
 )
-from treeforcing.treemaps import MapFlags
+from treeforcing.treemaps import MapFlags, TreeMap
 from treeforcing.trees import MalformedTreeError, StandardTree, _FreshLabels
 
 
@@ -412,7 +412,7 @@ def augment_per_step(p, s, x):
     node and one new condition per missing step of x's chain."""
     if x not in p.tree.nodes:
         raise ValueError(f"node {x} not in tree")
-    q = add_index(p, s)
+    q = p if s in p.family else Condition(p.tree, {**p.family, s: TreeMap()})
     labels = _FreshLabels(p.tree)
     for ensure_domain in (True, False):
         for step in reversed(q.tree.chain_down(x)):

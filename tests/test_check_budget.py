@@ -5,8 +5,9 @@ output once, at their public boundary: ``validate_condition`` on the output
 and ``leq`` against their own input.  These tests count those calls (and, on
 the lift and matched-pair path, map classifications outside them), patch
 the kernels to return broken conditions and require that the boundary still
-raises ``RuntimeError``, and check that the scenario runner still checks the
-outputs that no operation checks itself.
+raises ``RuntimeError``, also from the generator and as a fault of its step
+from the scenario runner, and check that the runner adds only the order check
+of an ``amalgamate`` whose pair was built from an older snapshot.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from treeforcing import forcing, scenario, treemaps, trees
 from treeforcing.codec import decode_matched_pair, encode_matched_pair
 from treeforcing.forcing import (
     Condition,
+    add_index,
     amalgamate,
     augment,
     bijectivize_cone,
@@ -34,7 +36,7 @@ from treeforcing.forcing import (
     normalize_condition,
     widen_node,
 )
-from treeforcing.generate import GenBounds, gen_condition
+from treeforcing.generate import GenBounds, gen_condition, random_step
 from treeforcing.ordinals import ZERO, is_limit, node_at, node_height, parse_ordinal
 from treeforcing.scenario import parse_scenario, run_scenario
 from treeforcing.separation import RhoOracle
@@ -88,6 +90,12 @@ def normalize_cases():
 def grow_cases():
     for p, rho in pool(4):
         yield "grow_node", p, rho, lambda p=p, rho=rho: grow_node(p, ZERO, O("w^2*3"), rho)
+
+
+def add_index_cases():
+    for p, rho in pool(4):
+        s = max(p.family) + 1
+        yield "add_index", p, rho, lambda p=p, rho=rho, s=s: add_index(p, s, rho)
 
 
 def augment_cases():
@@ -147,6 +155,7 @@ def all_cases():
     yield from hausdorff_cases()
     yield from normalize_cases()
     yield from grow_cases()
+    yield from add_index_cases()
     yield from augment_cases()
     yield from fan_out_cases()
     for kind in ("bijectivize_level", "bijectivize_cone", "lift_with_support"):
@@ -214,7 +223,7 @@ def test_each_operation_checks_its_output_once(monkeypatch):
         # the tree builders no longer re-check what validate_condition and leq cover
         assert budget.tree_checks == 1 and budget.extension_checks == 1, name
         seen.add(name)
-    assert len(seen) == 10, seen
+    assert len(seen) == 11, seen
 
 
 @pytest.mark.parametrize("taller", [False, True])
@@ -524,29 +533,66 @@ SCRIPT = {
 }
 
 
-@pytest.mark.parametrize(
-    "corrupt, line",
-    [(with_fixed_point, "invalid output"), (without_index, "output does not extend input")],
-)
-def test_runner_checks_add_index_outputs(monkeypatch, corrupt, line):
-    real = forcing.add_index
-    monkeypatch.setattr(forcing, "add_index", lambda p, s: corrupt(real(p, s)))
-    trace = run_scenario(parse_scenario(json.dumps(SCRIPT)))
-    assert not trace.ok
-    assert trace.log[-1].startswith("step 2 add_index: " + line), trace.log
+def corrupting_add_index(corrupt):
+    """``forcing.Condition``, but each condition built with an empty map above
+    its least index comes out corrupted; from the trivial condition, only
+    ``add_index`` builds one."""
+
+    def build(tree, family):
+        q = Condition(tree, family)
+        least = min(family)
+        return corrupt(q) if any(not f for t, f in family.items() if t != least) else q
+
+    return build
+
+
+ADD_INDEX_FAULTS = [
+    (with_fixed_point, "add_index produced an invalid condition: "),
+    (without_index, "add_index produced a condition that does not extend its input$"),
+]
+
+
+@pytest.mark.parametrize("corrupt, message", ADD_INDEX_FAULTS, ids=["fixed_point", "no_index"])
+def test_broken_add_index_is_caught_at_its_boundary(monkeypatch, corrupt, message):
+    head = json.dumps({**SCRIPT, "steps": SCRIPT["steps"][:2]})
+    p = run_scenario(parse_scenario(head)).conditions[-1]
+    monkeypatch.setattr(forcing, "Condition", corrupting_add_index(corrupt))
+    with pytest.raises(RuntimeError, match="^" + message):
+        add_index(p, 5, RhoOracle.zero())
+    # the runner reports it as a fault of its step, not as a property that failed
+    with pytest.raises(RuntimeError, match="^step 2 add_index: " + message):
+        run_scenario(parse_scenario(json.dumps(SCRIPT)))
+
+
+def test_generator_raises_on_a_broken_add_index(monkeypatch):
+    rho, bounds = RhoOracle.zero(), GenBounds()
+    start = Condition.trivial()
+    # seed 14's first draw adds an index; seed 2's walk takes an add_index step
+    assert random_step(random.Random(14), start, rho, bounds)[0] == "add_index"
+    assert len(gen_condition(2, bounds)[0].family) > 1
+    monkeypatch.setattr(forcing, "Condition", corrupting_add_index(without_index))
+    message = "^add_index produced a condition that does not extend its input$"
+    with pytest.raises(RuntimeError, match=message):
+        random_step(random.Random(14), start, rho, bounds)
+    with pytest.raises(RuntimeError, match=message):
+        gen_condition(2, bounds)
 
 
 def test_runner_checks_only_what_no_operation_checked(monkeypatch):
     calls = []
-    validate, order = scenario.validate_condition, scenario.leq
+    order = scenario.leq
+    # the runner imports no validate_condition; one brought back would be counted
     monkeypatch.setattr(
-        scenario, "validate_condition", lambda p, rho: calls.append("validate") or validate(p, rho)
+        scenario, "validate_condition", lambda p, rho: calls.append("validate"), raising=False
     )
     monkeypatch.setattr(scenario, "leq", lambda q, p: calls.append("leq") or order(q, p))
-    trace = run_scenario(parse_scenario(json.dumps(SCRIPT)))
+    with monkeypatch.context() as patch:
+        budget = Budget(patch)
+        trace = run_scenario(parse_scenario(json.dumps(SCRIPT)))
     assert trace.ok, trace.log
-    # the add_index step only: the trivial start is valid under every oracle
-    assert calls == ["validate", "leq"]
+    # every step's output was checked by its operation, exactly once
+    assert calls == []
+    assert [id(c) for c in budget.validated] == [id(c) for c in trace.conditions[1:]]
 
 
 def test_runner_checks_amalgamate_against_a_later_snapshot(monkeypatch):

@@ -236,7 +236,7 @@ def test_decodes_leave_no_module_state():
     [
         (lambda d: d.pop("parents"), "missing field 'parents'"),
         (lambda d: d.pop("maps"), "missing field 'maps'"),
-        (lambda d: d["parents"].append(["w*2", "w+1"]), "field 'parents'[3]: duplicate child w*2"),
+        (lambda d: d["parents"].append(["w*2", "w+1"]), "field 'parents[3]': duplicate child w*2"),
         (lambda d: d["indices"].append(1), "field 'indices': duplicate index"),
         (lambda d: d.update(maps=[]), "field 'maps': expected an object"),
         (

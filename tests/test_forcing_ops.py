@@ -184,8 +184,8 @@ def test_grow_node():
 
 def test_add_index():
     p = t1_condition()
-    assert add_index(p, 5) is p
-    q = add_index(p, 9)
+    assert add_index(p, 5, RHO) is p
+    q = add_index(p, 9, RHO)
     assert q.family[9] == TreeMap()
     assert leq(q, p)
     assert validate_condition(q, RHO) == []
@@ -240,16 +240,16 @@ def test_fan_out_condition():
 
 def test_strong_ad_containment_disjoint():
     p = t1_condition()
-    q = add_index(p, 9)
+    q = add_index(p, 9, RHO)
     assert strong_ad_containment([p, q], 5, 9)
 
 
 def test_strong_ad_containment_library_trace():
     p = Condition.trivial()
     trace = [p]
-    p = add_index(p, 5)
+    p = add_index(p, 5, RHO)
     trace.append(p)
-    p = add_index(p, 9)
+    p = add_index(p, 9, RHO)
     trace.append(p)
     p = augment(p, 5, O("w") if O("w") in p.tree.nodes else ZERO, RHO)
     trace.append(p)
@@ -354,7 +354,7 @@ def test_condition_family_is_a_read_only_copy():
 
 def test_strong_ad_containment_refusals():
     p = t1_condition()
-    q = add_index(p, 9)
+    q = add_index(p, 9, RHO)
     with pytest.raises(ValueError, match="^indices must be distinct$"):
         strong_ad_containment([p, q], 5, 5)
     with pytest.raises(ValueError, match="^indices are never co-present along the trace$"):

@@ -130,7 +130,8 @@ def gen_files(tmp_path):
     ],
 )
 def test_transforms_never_write_an_invalid_input_back(gen_files, capsys, command, name, args):
-    # each returns its input unchanged, or (add_index) does not check its output
+    # each returns its input unchanged, or (add-index of a new index) blames
+    # the input in its own check
     good, bad = gen_files
     assert main([command[0], str(bad)] + command[1:]) == 2
     err = capsys.readouterr().err
@@ -224,7 +225,7 @@ def test_run_reads_the_function_at_call_time(monkeypatch):
     # tracers and tests patch module attributes; the table must not hold on
     # to the functions it saw at import
     calls = []
-    monkeypatch.setattr(forcing, "add_index", lambda p, s: calls.append(s) or p)
+    monkeypatch.setattr(forcing, "add_index", lambda p, s, rho: calls.append(s) or p)
     p = forcing.Condition.trivial()
     assert ops.run("add_index", p, {"index": 4}, None) is p
     assert calls == [4]
