@@ -50,6 +50,7 @@ from .separation import (
     WitnessOrder,
     _check_lift,
     _decide,
+    _labelled,
     _one_key_lift,
     _relations_by_level,
     decide_separation,
@@ -102,7 +103,12 @@ class Condition:
 
 
 def validate_condition(p: Condition, rho: RhoOracle) -> list[str]:
-    """Check the three condition clauses; [] means ok."""
+    """Check the three condition clauses; [] means ok.
+
+    Every clause reads the tree's rank index: the tree's links, each map's
+    pairs, and one relation pass keyed by level number and rank, whose
+    levels with relations are decided on ranks.  A failing verdict is named
+    by its labels."""
     out = [f"clause 1 (tree): {line}" for line in validate_tree(p.tree)]
     if out:
         return out
@@ -118,11 +124,13 @@ def validate_condition(p: Condition, rho: RhoOracle) -> list[str]:
     if out:
         return out
     # clause 2 passed, so every map is level-preserving and injective
-    levels = _relations_by_level(p.family)
-    for alpha in p.tree.heights():
-        verdict = _decide(levels.get(alpha, {}), p.tree.level(alpha), rho, alpha)
+    levels, index = _relations_by_level(p.tree, p.family), p.tree._index
+    for k, alpha in enumerate(index.heights, 1):
+        if k not in levels:  # no relations: any listing witnesses, and rho is not read
+            continue
+        verdict = _decide(levels[k], range(index.starts[k], index.starts[k + 1]), rho, alpha)
         if not isinstance(verdict, WitnessOrder):
-            out.append(f"clause 3 (separation): level {alpha}: {verdict}")
+            out.append(f"clause 3 (separation): level {alpha}: {_labelled(verdict, index.labels)}")
     return out
 
 
@@ -815,9 +823,9 @@ def _raise_rho_for_copy(pb: Condition, rho: RhoOracle) -> None:
     copies the level alpha + d of p, where two related shared indices would
     need rho >= alpha + d, while the greedy shared block keeps it below alpha.
     """
-    levels = _relations_by_level(pb.family)
-    for level in pb.tree.heights():
-        for _, _, (_, t0), (_, t1) in multi_relations(levels.get(level, {})):
+    levels = _relations_by_level(pb.tree, pb.family)
+    for k, level in enumerate(pb.tree.heights(), 1):
+        for _, _, (_, t0), (_, t1) in multi_relations(levels.get(k, {})):
             if t0 != t1 and rho.value(t0, t1) < level:
                 rho.set_value(t0, t1, level)
 

@@ -23,9 +23,9 @@ from __future__ import annotations
 import heapq
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .ordinals import ZERO, Ordinal, parse_natural, parse_ordinal
 from .treemaps import TreeMap, is_standard
@@ -154,17 +154,19 @@ def relation_index(fam: Family, X: frozenset[Ordinal]) -> Relations:
     return rel
 
 
-def _relations_by_level(fam: Family) -> dict[Ordinal, Relations]:
-    """``relation_index(fam, X)`` for each level X of the maps' tree, keyed by
-    its height.  The maps must be level-preserving, so that each pair relates
-    two nodes of one level, and injective, so that their inverse pairs are
-    their pairs flipped."""
-    by_level: dict[Ordinal, Relations] = {}
+def _relations_by_level(t: StandardTree, fam: Family) -> dict[int, Relations]:
+    """``relation_index(fam, X)`` for each level X of the maps' tree t, on the
+    tree's ranks: keyed by level number (0 for the root, k for
+    ``t.heights()[k - 1]``), with each node as its rank.  The maps must be
+    level-preserving, so that each pair relates two nodes of one level, and
+    injective, so that their inverse pairs are their pairs flipped."""
+    rank, lev = t._index.rank, t._index.lev
+    by_level: dict[int, Relations] = {}
     for tau in sorted(fam):
-        pairs = fam[tau].pairs
+        pairs = [(rank[x], rank[y]) for x, y in fam[tau].pairs]
         for m, ps in ((1, pairs), (-1, [(y, x) for x, y in pairs])):
             for x, y in ps:
-                row = by_level.setdefault(x.height, {}).setdefault(x, {})
+                row = by_level.setdefault(lev[x], {}).setdefault(x, {})
                 row.setdefault(y, []).append((m, tau))
     return by_level
 
@@ -328,10 +330,11 @@ def decide_rho_separation(
     return _decide(relation_index(fam, X), X, rho, alpha)
 
 
-def _decide(rel: Relations, X: frozenset, rho: RhoOracle, alpha: Ordinal) -> SeparationVerdict:
+def _decide(rel: Relations, X: Collection, rho: RhoOracle, alpha: Ordinal) -> SeparationVerdict:
     """``decide_rho_separation`` on ``rel``, the relation index inside X of
     injective maps.  ``validate_condition``, once its maps passed clause 2,
-    decides each level on its part of one ``_relations_by_level``."""
+    decides each level on its part of one ``_relations_by_level``, with the
+    level's ranks as X, and names the nodes of the verdict by ``_labelled``."""
     # clause 1: all multi-relations between a fixed pair need rho >= alpha
     for x, y, r, s in multi_relations(rel):
         if rho.value(r[1], s[1]) < alpha:
@@ -371,6 +374,15 @@ def _decide(rel: Relations, X: frozenset, rho: RhoOracle, alpha: Ordinal) -> Sep
     if not all(_admissible(_indexed_triples(rel, pos, x), rho, alpha) for x in order if x in rel):
         raise RuntimeError("witness order fails its own check; decision logic is broken")
     return WitnessOrder(tuple(order))
+
+
+def _labelled(verdict: SeparationVerdict, labels: Sequence[Ordinal]) -> SeparationVerdict:
+    """A verdict on ranks, with its nodes named by their labels."""
+    if isinstance(verdict, Loop):
+        return Loop(tuple(labels[r] for r in verdict.nodes))
+    if isinstance(verdict, PairwiseViolation):
+        return replace(verdict, x=labels[verdict.x], y=labels[verdict.y])
+    return WitnessOrder(tuple(labels[r] for r in verdict.order))
 
 
 def _shortest_path(adjacency: dict, x: Ordinal, y: Ordinal) -> list[Ordinal]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .ordinals import ZERO, Ordinal
+from .ordinals import Ordinal
 from .trees import StandardTree, is_simple_extension
 
 Pair = tuple[Ordinal, Ordinal]
@@ -93,7 +93,7 @@ class TreeMap:
         return TreeMap(self.pairs + tuple(extra))
 
     def issubset(self, other: "TreeMap") -> bool:
-        return set(self.pairs) <= set(other.pairs)
+        return self is other or set(self.pairs) <= set(other.pairs)
 
 
 @dataclass(frozen=True)
@@ -118,52 +118,61 @@ def classify_map(t: StandardTree, pairs: Iterable[Pair]) -> MapFlags:
     increasing functions this coincides with asking the domain to be closed
     under drop-downs.
 
-    The strict order is transitive, so on a layered tree (every valid tree is
-    one) each source is compared only with its nearest proper ancestor in the
-    domain, and a level-preserving pair restricts to the pair of its parents.
-    On other trees each source's ancestors are walked, as order queries may
-    raise ``MalformedTreeError`` there.
+    Each pair is looked up once in the tree's rank index, and every clause
+    runs on the ranks.  The strict order is transitive, so on a layered tree
+    (every valid tree is one) each source is compared only with its nearest
+    proper ancestor in the domain, and a level-preserving pair restricts to
+    the pair of its parents.  On other trees each source's ancestors are
+    walked, as order queries may raise ``MalformedTreeError`` there.
     """
     ps = pairs.pairs if isinstance(pairs, TreeMap) else sorted(set(pairs))
+    index = t._index
+    rank, n, lev, pre, last = index.rank, index.n, index.lev, index.pre, index.last
+    rs = []
     for x, y in ps:
-        if x not in t.nodes or y not in t.nodes:
+        a, b = rank.get(x, n), rank.get(y, n)
+        if a >= n or b >= n:
             raise ValueError(f"pair ({x}, {y}) leaves the tree")
-    targets_of: dict[Ordinal, list[Ordinal]] = {}
-    for x, y in ps:
-        targets_of.setdefault(x, []).append(y)
-    functional = len(targets_of) == len(ps)
-    injective = len({y for _, y in ps}) == len(ps)
-    level_preserving = all(x.height == y.height for x, y in ps)
+        rs.append((a, b))
+    targets_of: dict[int, list[int]] = {}
+    for a, b in rs:
+        targets_of.setdefault(a, []).append(b)
+    functional = len(targets_of) == len(rs)
+    injective = len({b for _, b in rs}) == len(rs)
+    level_preserving = all(lev[a] == lev[b] for a, b in rs)
     layered = t._layered
     if layered:  # nearest ancestors in the domain: a stack of open preorder intervals
-        index, open_, strictly_increasing = t._order(), [], True
-        for a1, ys in sorted(targets_of.items(), key=lambda item: index.enter[item[0]]):
-            while open_ and index.exit[open_[-1]] < index.enter[a1]:
+        open_, strictly_increasing = [], True
+        for a1 in sorted(targets_of, key=pre.__getitem__):
+            while open_ and last[open_[-1]] < pre[a1]:
                 open_.pop()
-            if open_ and not all(t.is_below(b0, b1) for b0 in targets_of[open_[-1]] for b1 in ys):
+            below = targets_of[open_[-1]] if open_ else ()
+            if not all(pre[b0] < pre[b1] <= last[b0] for b0 in below for b1 in targets_of[a1]):
                 strictly_increasing = False
                 break
             open_.append(a1)
     else:
+        if rs:
+            t._order()  # a walk along links that never reach the root raises
         # pairs (a0, b0), (a1, b1) with a0 below a1 need b0 below b1
         strictly_increasing = all(
-            t.is_below(b0, b1)
-            for a1, b1 in ps
-            for a0 in t.chain_down(a1)[1:]
-            if a0 in targets_of and a0.height < a1.height
+            lev[b0] < lev[b1] and pre[b0] < pre[b1] <= last[b0]
+            for a1, b1 in rs
+            for a0 in index.ancestors(a1)
+            if a0 in targets_of and lev[a0] < lev[a1]
             for b0 in targets_of[a0]
         )
     # restrictions compose, so each pair's next lower level stands for all of them
-    pair_set = set(ps)
-    parent = t.parent
+    rank_pairs, par = set(rs), index.par
 
-    def closed_below(x: Ordinal, y: Ordinal) -> bool:
-        if layered and x.height == y.height != ZERO:
-            return (parent[x], parent[y]) in pair_set
-        b = t.level_below(min(x.height, y.height))
-        return (t.restrict(x, b), t.restrict(y, b)) in pair_set
-    downwards_closed = all(closed_below(x, y) for x, y in ps)
-    fixed_point_free = all(x == ZERO for x, y in ps if x == y)
+    def closed_below(a: int, b: int) -> bool:
+        if layered and lev[a] == lev[b] != 0:
+            return (par[a], par[b]) in rank_pairs
+        k = max(min(lev[a], lev[b]) - 1, 0)
+        return (index.drop(a, k), index.drop(b, k)) in rank_pairs
+
+    downwards_closed = all(closed_below(a, b) for a, b in rs)
+    fixed_point_free = all(a == index.root for a, b in rs if a == b)
     return MapFlags(
         functional=functional,
         strictly_increasing=strictly_increasing,

@@ -20,7 +20,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .ordinals import ZERO, Ordinal, height_split, is_limit, node_at
 
@@ -35,49 +35,108 @@ class MalformedTreeError(ValueError):
 
 
 class _TreeIndex:
-    """Structure derived once from a tree's nodes and parent links.
+    """Structure derived once from a tree's nodes and parent links, on ranks.
 
-    The level part (node heights, occupied heights, levels) exists for any
-    node set.  The order part numbers a depth-first walk down from the root
-    (``enter``/``exit``: a node's subtree is the preorder interval between
-    them), so ancestor tests are O(1) and a node's successors on one level
-    are a bisected slice of that level.  Building it is the only walk along
-    parent links; a cycle or a missing link leaves ``fault`` set instead.
+    Each node is numbered by its rank in ``sorted(t.nodes)``: ``labels`` maps
+    rank to label and ``rank`` label to rank, so rank order is ordinal order.
+    A label w*h + k sits on level h, so each level is a run of consecutive
+    ranks: level number k (0 is the root level, k > 0 the height
+    ``heights[k - 1]``) holds the ranks ``starts[k]`` to ``starts[k + 1] - 1``.
+    Per rank, ``lev`` holds the level number and ``par`` the parent's rank
+    (-1 without a link).  The order part numbers a depth-first walk down from
+    the root: ``pre`` and ``last`` bound a rank's subtree as a preorder
+    interval (``pre`` is -1 off the walk), so ancestor tests are O(1) and a
+    node's successors on one level are a bisected slice of that level.
+    Labels that links name outside the node set, the root among them, take
+    the ranks after the ``n`` nodes, so the walk follows the links as they
+    are.  Building it is the only walk along parent links; a cycle or a
+    missing link leaves ``fault`` set instead.
     """
 
-    __slots__ = ("heights", "levels", "enter", "exit", "preorder", "by_level", "fault")
+    __slots__ = ("labels", "rank", "n", "root", "heights", "level_no", "starts", "lev", "par",
+                 "pre", "last", "order", "fault", "_sets", "_by_pre")
 
     def __init__(self, t: "StandardTree"):
-        levels: dict[Ordinal, list[Ordinal]] = {}
+        levels: dict[Ordinal, list[Ordinal]] = {ZERO: []}
         for x in t.nodes:
             levels.setdefault(x.height, []).append(x)
-        self.heights = tuple(sorted(h for h in levels if h != ZERO))
-        self.levels = {h: frozenset(xs) for h, xs in levels.items()}
-        children: dict[Ordinal, list[Ordinal]] = {}
-        for c, p in t.parent.items():
-            if c != ZERO:  # chains stop at the root, whatever link it carries
-                children.setdefault(p, []).append(c)
-        preorder: list[Ordinal] = []
-        stack = [ZERO]
+        hs, labels, starts, lev = sorted(levels), [], [], []
+        for k, h in enumerate(hs):  # sorted level by level, as levels are runs
+            starts.append(len(labels))
+            labels += sorted(levels[h])
+            lev += [k] * (len(labels) - starts[k])
+        self.n = len(labels)
+        starts.append(self.n)
+        rank = dict(zip(labels, range(self.n)))
+        level_no = dict(zip(hs, range(len(hs))))
+        get, parent = rank.get, t.parent
+        links = [(get(c, -1), get(p, -1)) for c, p in parent.items()]
+        # labels the links name outside the node set, the root among them, rank after the nodes
+        if ZERO not in rank or min(map(min, links), default=0) < 0:
+            for x in sorted({ZERO, *parent, *parent.values()} - t.nodes):
+                rank[x] = len(labels)
+                labels.append(x)
+                lev.append(level_no.get(x.height, -1))
+            links = [(rank[c], rank[p]) for c, p in parent.items()]
+        root, m = rank[ZERO], len(labels)
+        par, kids = [-1] * m, [[] for _ in labels]
+        for c, p in links:
+            par[c] = p
+            if c != root:  # chains stop at the root, whatever link it carries
+                kids[p].append(c)
+        order, stack, pre, last = [], [root], [-1] * m, [-1] * m
         while stack:
-            x = stack.pop()
-            preorder.append(x)
-            stack.extend(children.get(x, ()))
-        enter = {x: i for i, x in enumerate(preorder)}
-        size = dict.fromkeys(preorder, 1)
-        for x in reversed(preorder[1:]):
-            size[t.parent[x]] += size[x]
-        self.preorder = preorder
-        self.enter = enter
-        self.exit = {x: enter[x] + size[x] - 1 for x in preorder}
-        self.fault = None
-        lost = [x for x in t.nodes if x not in enter]
-        if lost:
-            self.fault = _link_fault(t, min(lost))
-        self.by_level = {}
-        for h, xs in levels.items():
-            ranked = sorted((enter[x], x) for x in xs if x in enter)
-            self.by_level[h] = ([e for e, _ in ranked], [x for _, x in ranked])
+            r = stack.pop()
+            pre[r] = len(order)
+            order.append(r)
+            stack.extend(kids[r])
+        for r in reversed(order):  # a subtree ends in that of the child walked last
+            last[r] = last[kids[r][0]] if kids[r] else pre[r]
+        self.labels, self.rank, self.root, self.level_no = labels, rank, root, level_no
+        self.heights, self.starts, self.lev, self.par = tuple(hs[1:]), starts, lev, par
+        self.pre, self.last, self.order = pre, last, order
+        self.fault = _link_fault(t, labels[pre.index(-1)]) if -1 in pre[: self.n] else None
+        self._sets, self._by_pre = [None] * len(hs), None
+
+    def reached(self, x: Ordinal) -> int | None:
+        """The rank of x when the walk from the root reaches it."""
+        r = self.rank.get(x)
+        return None if r is None or self.pre[r] < 0 else r
+
+    def ancestors(self, r: int) -> Iterator[int]:
+        """The proper ancestors of rank r along the links, down to the root."""
+        while r != self.root:
+            r = self.par[r]
+            yield r
+
+    def drop(self, x: int, k: int) -> int:
+        """The ancestor of rank x on level k, found along the links."""
+        r = x
+        while self.lev[r] != k:
+            if r == self.root:
+                b = self.heights[k - 1] if k else ZERO
+                raise MalformedTreeError(f"node {self.labels[x]} has no ancestor at level {b}")
+            r = self.par[r]
+        return r
+
+    def level(self, h: Ordinal) -> frozenset[Ordinal]:
+        k = self.level_no.get(h)
+        if k is not None and self._sets[k] is None:  # built on first use
+            self._sets[k] = frozenset(self.labels[self.starts[k] : self.starts[k + 1]])
+        return frozenset() if k is None else self._sets[k]
+
+    def successors_on(self, r: int, k: int) -> list[int]:
+        """The ranks of level k inside rank r's preorder interval; the nodes of
+        each level in walk order, with their preorder numbers, are built once."""
+        if self._by_pre is None:
+            self._by_pre = [([], []) for _ in self._sets]
+            for i, s in enumerate(self.order):
+                if s < self.n:
+                    keys, members = self._by_pre[self.lev[s]]
+                    keys.append(i)
+                    members.append(s)
+        keys, members = self._by_pre[k]
+        return members[bisect_right(keys, self.pre[r]) : bisect_right(keys, self.last[r])]
 
 
 def _link_fault(t: "StandardTree", x: Ordinal) -> str:
@@ -123,11 +182,10 @@ class StandardTree:
     def _layered(self) -> bool:
         """Links reach the root and every non-root node links to a node on the
         previous occupied level, as on every tree that passes ``validate_tree``."""
-        index, parent = self._index, self.parent
-        below = dict(zip(index.heights, (ZERO,) + index.heights[:-1]))
+        index = self._index
+        lev, par, n = index.lev, index.par, index.n
         return index.fault is None and all(
-            parent[x] in self.nodes and below.get(x.height) == parent[x].height
-            for x in self.nodes if x != ZERO
+            par[r] < n and lev[par[r]] == lev[r] - 1 for r in range(n) if r != index.root
         )
 
     def _order(self) -> _TreeIndex:
@@ -148,7 +206,7 @@ class StandardTree:
         return hs[-1] if hs else ZERO
 
     def level(self, h: Ordinal) -> frozenset[Ordinal]:
-        return self._index.levels.get(h, frozenset())
+        return self._index.level(h)
 
     def level_below(self, h: Ordinal) -> Ordinal:
         """Predecessor of h in the occupied heights plus the root level."""
@@ -165,54 +223,45 @@ class StandardTree:
 
     def chain_down(self, x: Ordinal) -> list[Ordinal]:
         """x and its ancestors, from x down to the root."""
-        if x not in self._order().enter:
+        index = self._order()
+        r = index.reached(x)
+        if r is None:
             raise MalformedTreeError(f"node {x} is not in the tree")
-        out = [x]
-        while out[-1] != ZERO:
-            out.append(self.parent[out[-1]])
-        return out
+        return [x, *(index.labels[a] for a in index.ancestors(r))]
 
     def is_below(self, x: Ordinal, y: Ordinal) -> bool:
         """x strictly below y."""
         if not x.height < y.height:
             return False
         index = self._order()
-        ey = index.enter.get(y)
-        if ey is None:
+        ry = index.reached(y)
+        if ry is None:
             raise MalformedTreeError(f"node {y} is not in the tree")
-        ex = index.enter.get(x)
-        return ex is not None and ex < ey <= index.exit[x]
+        rx = index.rank.get(x)
+        return rx is not None and index.pre[rx] < index.pre[ry] <= index.last[rx]
 
     def is_below_eq(self, x: Ordinal, y: Ordinal) -> bool:
         return x == y or self.is_below(x, y)
 
     def order_pairs(self) -> frozenset[tuple[Ordinal, Ordinal]]:
         """All pairs (x, y) with x strictly below y."""
-        self._order()
-        parent = self.parent
-        pairs = set()
-        for y in self.nodes:
-            x = y
-            while x != ZERO:
-                x = parent[x]
-                pairs.add((x, y))
-        return frozenset(pairs)
+        index = self._order()
+        return frozenset(
+            (index.labels[a], y) for y in self.nodes for a in index.ancestors(index.rank[y])
+        )
 
     def restrict(self, x: Ordinal, b: Ordinal) -> Ordinal:
         """Drop-down: the unique ancestor of x at occupied level b <= ht(x)."""
-        if x not in self.nodes:
+        index = self._index
+        r, k = index.rank.get(x, index.n), index.level_no.get(b)
+        if r >= index.n:
             raise ValueError(f"node {x} not in tree")
-        if b != ZERO and b not in self._index.levels:
+        if k is None:
             raise ValueError(f"level {b} is not occupied")
         if x.height < b:
             raise ValueError(f"level {b} is above node {x}")
         self._order()
-        cur = x
-        while cur.height != b:
-            if cur == ZERO:
-                raise MalformedTreeError(f"node {x} has no ancestor at level {b}")
-            cur = self.parent[cur]
-        return cur
+        return index.labels[index.drop(r, k)]
 
     def meet(self, x: Ordinal, y: Ordinal) -> Ordinal:
         """The largest common lower bound of x and y (the root exists, so it does)."""
@@ -225,24 +274,23 @@ class StandardTree:
 
     def successors(self, x: Ordinal) -> frozenset[Ordinal]:
         index = self._order()
-        ex = index.enter.get(x)
-        if ex is None:
+        r = index.reached(x)
+        if r is None:
             return frozenset()
-        hx = x.height
+        hx, labels = x.height, index.labels
         return frozenset(
-            y
-            for y in index.preorder[ex + 1 : index.exit[x] + 1]
-            if y in self.nodes and hx < y.height
+            labels[s]
+            for s in index.order[index.pre[r] + 1 : index.last[r] + 1]
+            if s < index.n and hx < labels[s].height
         )
 
     def successors_at(self, x: Ordinal, h: Ordinal) -> frozenset[Ordinal]:
         """The successors of x on level h."""
         index = self._order()
-        ex = index.enter.get(x)
-        if ex is None or not x.height < h or h not in index.by_level:
+        r, k = index.reached(x), index.level_no.get(h)
+        if r is None or not x.height < h or k is None:
             return frozenset()
-        keys, members = index.by_level[h]
-        return frozenset(members[bisect_right(keys, ex) : bisect_right(keys, index.exit[x])])
+        return frozenset(index.labels[s] for s in index.successors_on(r, k))
 
     def immediate_successors(self, x: Ordinal) -> frozenset[Ordinal]:
         nxt = self.level_above(x.height)
@@ -256,7 +304,12 @@ def validate_tree(t: StandardTree) -> list[str]:
 
     The first three imply the fourth, an ancestor at every occupied lower
     level: links stay in the tree (2), step down one level at a time (3) and
-    end at the root, the only node of height 0 (1)."""
+    end at the root, the only node of height 0 (1).  A layered tree with the
+    root and one link per other node passes them all; the lines are written
+    only when a clause fails."""
+    index = t._index
+    if t._layered and index.root < index.n and len(t.parent) == index.n - 1:
+        return []
     out = []
     if ZERO not in t.nodes:
         out.append("clause 1: the root 0 is missing")
@@ -315,42 +368,50 @@ def is_extension(t: StandardTree, u: StandardTree) -> bool:
     the order of t (extensions are automatically end-extensions); a failure
     of that equality means an input was not a valid tree.
 
-    Linear in the two trees: the order containment reads u's DFS intervals
-    and the end-extension compares ancestor counts.  Neither relies on the
-    heights along the links, so trees that fail validation get the answer
-    of the pairwise comparison of ``order_pairs``.
+    Linear in the two trees, on ranks: each of t's ranks is looked up in u
+    once, the order containment reads u's preorder intervals and the
+    end-extension compares ancestor counts.  Neither relies on the heights
+    along the links, so trees that fail validation get the answer of the
+    pairwise comparison of ``order_pairs``.
     """
+    if t is u:
+        t._order()  # a faulty tree still raises
+        return True
     if not t.nodes <= u.nodes:
         return False
     it, iu = t._order(), u._order()
-    nodes, enter, exit_ = t.nodes, iu.enter, iu.exit
+    n, par = it.n, it.par
+    # u's preorder interval of each of t's ranks; (-1, -1) where u has no such label
+    ranks = [iu.rank.get(x) for x in it.labels]
+    enter = [-1 if r is None else iu.pre[r] for r in ranks]
+    exit_ = [-1 if r is None else iu.last[r] for r in ranks]
     # every t-ancestor x of a node y of t must be a u-ancestor of y: the
     # nodes of t under each link c -> x span the u-preorder keys lo..hi,
     # and x's u-interval must hold them all
-    span: dict[Ordinal, tuple[int, int]] = {}
-    empty = (len(iu.preorder), -1)
-    for c in reversed(it.preorder[1:]):
-        lo, hi = span.get(c, empty)
-        if c in nodes:
-            lo, hi = min(lo, enter[c]), max(hi, enter[c])
-        if hi < 0:
+    lo, hi = [len(iu.order)] * len(ranks), [-1] * len(ranks)
+    for c in reversed(it.order[1:]):
+        if c < n:
+            lo[c], hi[c] = min(lo[c], enter[c]), max(hi[c], enter[c])
+        if hi[c] < 0:
             continue
-        x = t.parent[c]
-        if x not in enter or not enter[x] < lo or exit_[x] < hi:
+        x = par[c]
+        if enter[x] < 0 or not enter[x] < lo[c] or exit_[x] < hi[c]:
             return False
-        xlo, xhi = span.get(x, empty)
-        span[x] = min(xlo, lo), max(xhi, hi)
+        lo[x], hi[x] = min(lo[x], lo[c]), max(hi[x], hi[c])
     # end-extension: y's t-ancestors all lie in t and are exactly its
     # u-ancestors inside t, which, given the containment, is a count
-    depth = {ZERO: 0}
-    for c in it.preorder[1:]:
-        x = t.parent[c]
-        depth[c] = depth[x] + 1 if x in nodes and depth[x] >= 0 else -1
-    inside = {ZERO: 0}
-    for c in iu.preorder[1:]:
-        x = u.parent[c]
-        inside[c] = inside[x] + (x in nodes)
-    if any(depth[y] != inside[y] for y in nodes):
+    depth = [0] * len(ranks)
+    for c in it.order[1:]:
+        x = par[c]
+        depth[c] = depth[x] + 1 if x < n and depth[x] >= 0 else -1
+    in_t = [False] * len(iu.labels)
+    for r in ranks[:n]:
+        in_t[r] = True
+    inside = [0] * len(iu.labels)
+    for c in iu.order[1:]:
+        x = iu.par[c]
+        inside[c] = inside[x] + in_t[x]
+    if any(depth[y] != inside[r] for y, r in enumerate(ranks[:n])):
         raise MalformedTreeError("extension is not an end-extension; inputs are not standard trees")
     return True
 
@@ -445,8 +506,13 @@ def is_normal(t: StandardTree) -> bool:
 
     Every node below the top having an immediate successor is enough: the
     successors of a successor lie inside the node's own DFS interval, so they
-    are the node's successors too, and induction reaches every higher level."""
-    return all(t.immediate_successors(x) for x in t.nodes if x.height < t.max_height())
+    are the node's successors too, and induction reaches every higher level.
+    Read on ranks: the nodes below the top are the ranks before the top level."""
+    index = t._index
+    below = range(index.starts[-2])
+    if below:
+        t._order()  # links that cycle or stop short of the root raise, as successor queries do
+    return all(index.successors_on(r, index.lev[r] + 1) for r in below)
 
 
 def is_hausdorff(t: StandardTree) -> bool:

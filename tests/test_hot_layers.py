@@ -200,7 +200,9 @@ def _ladder_files(tmp_path):
 def test_each_level_decides_on_its_part_of_one_relation_pass(tmp_path):
     """Validation's per-level decision on ``_relations_by_level`` against
     ``decide_rho_separation`` on the level: the same verdict, the oracle asked
-    the same pairs in the same order and left with the same table."""
+    the same pairs in the same order and left with the same table.  The pass
+    and the decision run on the tree's ranks; their nodes are mapped back to
+    labels before they are compared."""
     cases = [lambda seed=seed: gen_condition(seed, GenBounds(max_steps=10)) for seed in range(60)]
     for path in _ladder_files(tmp_path):
         text = Path(path).read_text(encoding="utf-8")
@@ -209,16 +211,18 @@ def test_each_level_decides_on_its_part_of_one_relation_pass(tmp_path):
     for make in cases:
         p, rho = make()
         (rho, calls), (rho_ref, calls_ref) = logged(rho), logged(make()[1])
-        levels = separation._relations_by_level(p.family)
-        assert set(levels) <= {ZERO, *p.tree.heights()}
-        for h in p.tree.heights():
+        levels = separation._relations_by_level(p.tree, p.family)
+        labels = p.tree._index.labels
+        assert set(levels) <= set(range(len(p.tree.heights()) + 1))
+        for k, h in enumerate(p.tree.heights(), 1):
             X = p.tree.level(h)
-            part = levels.get(h, {})
+            ranks = [r for r, x in enumerate(labels) if x in X]
+            part = levels.get(k, {})
             want_rel = relation_index(p.family, X)
-            assert [(x, list(row.items())) for x, row in part.items()] == [
-                (x, list(row.items())) for x, row in want_rel.items()
-            ]
-            got = separation._decide(part, X, rho, h)
+            assert [
+                (labels[x], [(labels[y], rs) for y, rs in row.items()]) for x, row in part.items()
+            ] == [(x, list(row.items())) for x, row in want_rel.items()]
+            got = separation._labelled(separation._decide(part, ranks, rho, h), labels)
             want = decide_rho_separation(p.family, X, rho_ref, h)
             assert got == want
             kinds[type(got).__name__] += 1

@@ -1,0 +1,196 @@
+"""The tree index numbers nodes by their rank in ordinal order.
+
+Each level is a run of consecutive ranks, and every order query that reads
+the ranks must answer as the parent-link walks of ``tests/seed_reference.py``
+do: on generated conditions, on the benchmark's check-ladder files and on
+amalgamation outputs.  Validation names the nodes of its verdicts by their
+labels again, so its lines on the ladder's loop and pair twins are the ones
+the label-keyed index printed.  Trees whose links fail keep their clause
+lines, their fault messages and their exit codes through the CLI.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import re
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from treeforcing import trees
+from treeforcing.cli import main
+from treeforcing.codec import decode_condition
+from treeforcing.forcing import (
+    amalgamate,
+    build_matched_pair,
+    normalize_condition,
+    validate_condition,
+)
+from treeforcing.generate import GenBounds, gen_condition
+from treeforcing.ordinals import ZERO, node_height
+from treeforcing.treemaps import TreeMap, classify_map
+from treeforcing.trees import MalformedTreeError, StandardTree
+
+import seed_reference as ref
+from instances import O
+from test_acceptance import _matched_pair_instance
+from test_hot_layers import _ladder_files
+
+BOUNDS = GenBounds(max_heights=4, max_level_width=6, max_indices=3, max_steps=10)
+
+
+def check_ranks(t: StandardTree) -> None:
+    """Ranks are the sorted labels, and level k holds the ranks starts[k] .. starts[k+1] - 1."""
+    index = t._index
+    assert index.labels == sorted(t.nodes)
+    assert all(index.rank[x] == r for r, x in enumerate(index.labels))
+    for k, h in enumerate((ZERO, *t.heights())):
+        run = range(index.starts[k], index.starts[k + 1])
+        assert [index.labels[r] for r in run] == sorted(x for x in t.nodes if node_height(x) == h)
+        assert all(index.lev[r] == k for r in run)
+    assert index.starts[-1] == len(t.nodes)
+
+
+def check_queries(t: StandardTree) -> None:
+    """Every node and node pair answers as the reference's walks along the links."""
+    nodes = sorted(t.nodes)
+    heights = (ZERO, *t.heights())
+    for x in nodes:
+        above = ref.successors(t, x)
+        assert t.chain_down(x) == ref._chain_down(t, x)
+        for h in heights:
+            assert t.successors_at(x, h) == frozenset(y for y in above if node_height(y) == h)
+            if h <= node_height(x):
+                assert t.restrict(x, h) == ref._restrict(t, x, h)
+        nxt = t.level_above(node_height(x))
+        assert t.immediate_successors(x) == frozenset(y for y in above if node_height(y) == nxt)
+        for y in nodes:
+            assert t.is_below(x, y) == ref._is_below(t, x, y)
+
+
+def check_extension(t: StandardTree, u: StandardTree) -> None:
+    for a, b in ((t, u), (u, t), (t, t), (t, StandardTree(t.nodes, t.parent))):
+        assert trees.is_extension(a, b) == ref.is_extension(a, b)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_ranks_agree_with_labels_on_generated_conditions(seed):
+    p, rho = gen_condition(seed, BOUNDS)
+    q = normalize_condition(p, rho)
+    for t in (p.tree, q.tree):
+        check_ranks(t)
+        check_queries(t)
+    check_extension(p.tree, q.tree)
+
+
+def test_ranks_agree_with_labels_on_the_check_ladder(tmp_path):
+    files = {Path(path).stem: path for path in _ladder_files(tmp_path)}
+    assert len(files) == 64
+    conds = {name: decode_condition(Path(path).read_text(encoding="utf-8"))[0]
+             for name, path in files.items()}
+    for name, cond in conds.items():
+        check_ranks(cond.tree)
+        if len(cond.tree.nodes) <= 64:  # the 128-node rungs alone would double the run
+            check_queries(cond.tree)
+        if name.endswith("-q"):
+            check_extension(conds[name[:-2] + "-p"].tree, cond.tree)
+
+
+def test_ranks_agree_with_labels_on_amalgamation_outputs():
+    glued = 0
+    for seed in range(1, 60):
+        try:
+            p, alpha, beta, x, rho = _matched_pair_instance(seed)
+            mp = build_matched_pair(p, alpha, beta, x, 500, rho)
+        except ValueError:
+            continue
+        out = amalgamate(mp, rho)
+        for t in (mp.pb.tree, out.tree):
+            check_ranks(t)
+            check_queries(t)
+        check_extension(mp.pa.tree, out.tree)
+        check_extension(mp.pb.tree, out.tree)
+        glued += 1
+    assert glued >= 10
+
+
+def test_validation_lines_on_the_ladder_twins_are_the_label_keyed_ones(tmp_path):
+    # the 32 lines, and their digest, as the label-keyed index printed them
+    lines = []
+    for path in _ladder_files(tmp_path):
+        name = Path(path).stem
+        if name.endswith(("-loop", "-pair")):
+            p, rho = decode_condition(Path(path).read_text(encoding="utf-8"))
+            lines += [f"{name}: {line}" for line in validate_condition(p, rho)]
+    assert len(lines) == 32
+    assert lines[:2] == [
+        "flat-n8-k1-loop: clause 3 (separation): level 1: loop: w+3 -> w+2 -> w+4 -> w+3",
+        "flat-n8-k1-pair: clause 3 (separation): level 1: pairwise-violation: w+3 and w+4 "
+        "related by (m=1, index=1) and (m=1, index=2), rho below required level 1",
+    ]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "7fa0569c727c9b9db85d7029c4a8e74bd986541f2d5ec5740c5d84cdf4e3c91c"
+
+
+# -- malformed trees through the CLI, as the label-keyed index answered ----------
+
+EMPTY_MAP = '"indices": [0], "maps": {"0": []}'
+MALFORMED = {
+    "rootless": ('"nodes": ["w", "w+1"], "parents": [["w+1", "w"]]', [
+        "clause 1 (tree): clause 1: the root 0 is missing",
+        "clause 1 (tree): clause 2: non-root nodes without a parent link: w",
+    ], "error: node w has no parent link"),
+    "cycle": ('"nodes": ["0", "w", "w*2"], "parents": [["w", "w*2"], ["w*2", "w"]]', [
+        "clause 1 (tree): clause 3: parent w*2 of w is not lower",
+    ], "error: parent links cycle at w"),
+    "outside": ('"nodes": ["0", "w", "w*2"], "parents": [["w", "0"], ["w*2", "w+5"]]', [
+        "clause 1 (tree): clause 2: link w*2 -> w+5 leaves the node set",
+    ], "error: node w+5 has no parent link"),
+    "skip": ('"nodes": ["0", "w", "w*3"], "parents": [["w", "0"], ["w*3", "0"]]', [
+        "clause 1 (tree): clause 3: parent of w*3 sits at 0, expected the previous level 1",
+    ], None),
+    "finite": ('"nodes": ["0", "5"], "parents": [["5", "0"]]', [
+        "clause 1 (tree): clause 1: node 5 is nonzero with height 0",
+    ], None),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_malformed_trees_keep_their_lines_and_exit_codes(tmp_path, capsys, name):
+    tree, clauses, fault = MALFORMED[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text("{" + tree + ", " + EMPTY_MAP + "}", encoding="utf-8")
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines() == clauses + ["invalid"]
+    t = decode_condition(path.read_text(encoding="utf-8"))[0].tree
+    assert not t._layered
+    if fault is None:
+        assert main(["leq", str(path), str(path)]) == 0
+        assert capsys.readouterr().out == "true\n"
+        assert trees.is_extension(t, t)
+    else:
+        assert main(["leq", str(path), str(path)]) == 2
+        assert capsys.readouterr().err == fault + "\n"
+        # the same tree on both sides still fails its fault check first
+        with pytest.raises(MalformedTreeError, match=f"^{re.escape(fault[len('error: '):])}$"):
+            trees.is_extension(t, t)
+
+
+def test_a_map_contains_itself_and_its_copies():
+    f = TreeMap([(ZERO, ZERO), (O("w"), O("w+1"))])
+    assert f.issubset(f) and f.issubset(TreeMap(f.pairs)) and TreeMap(f.pairs).issubset(f)
+    assert not f.issubset(TreeMap([(ZERO, ZERO)]))
+
+
+def test_classify_on_ranks_refuses_a_target_repeated_up_a_chain():
+    # w lies below w*2 and both go to w*2: not strictly increasing, whichever
+    # other clauses fail with it
+    w, w2 = O("w"), O("w*2")
+    t = StandardTree.make([ZERO, w, w2], {w: ZERO, w2: w})
+    for pairs in ([(ZERO, ZERO), (w, w2), (w2, w2)], [(w, w2), (w2, w2)]):
+        flags = classify_map(t, pairs)
+        assert flags == ref.classify_map(t, pairs)
+        assert not flags.strictly_increasing
