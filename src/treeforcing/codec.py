@@ -5,12 +5,15 @@ is canonical: encode(decode(text)) == text for canonical files and
 decode(encode(value)) == value always.  Ordinals travel as grammar strings.
 
 A document repeats each node label in its nodes, parents and maps, so a
-decode parses each distinct label once: a ``label -> Ordinal`` memo lives
+decode reads each distinct label once: a ``string -> Ordinal`` memo lives
 for one decode only (the two sides of a matched-pair file and its own
-ordinal fields share one).  It keeps only successful parses, so a bad label
-fails, naming its field, wherever it occurs.  Nothing is kept between
-decodes.  A label the memo holds costs one dict lookup: the name of its
-field, such as ``maps[1][0][0]``, is built only when a label fails.
+ordinal fields share one).  The memo holds level heads too: a label
+``head+k`` with k a canonical natural and a head with no finite part is
+built from its head, parsed once per level, and carries the head's height.
+It keeps only successful parses, so a bad label fails, naming its field,
+wherever it occurs.  Nothing is kept between decodes.  A label the memo
+holds costs one dict lookup: the name of its field, such as
+``maps[1][0][0]``, is built only when a label fails.
 """
 
 from __future__ import annotations
@@ -19,7 +22,15 @@ import json
 from typing import Any, Callable
 
 from .forcing import Condition, MatchedPair
-from .ordinals import ZERO, Ordinal, OrdinalParseError, parse_natural, parse_ordinal
+from .ordinals import (
+    ZERO,
+    Ordinal,
+    OrdinalParseError,
+    _normal,
+    is_limit,
+    parse_natural,
+    parse_ordinal,
+)
 from .separation import RhoOracle
 from .treemaps import TreeMap
 from .trees import StandardTree
@@ -44,10 +55,28 @@ def _label(labels: dict[str, Ordinal], value: Any, field: str, *at: int) -> Ordi
     try:
         found = labels.get(value)
         if found is None:
-            found = labels[value] = parse_ordinal(value)
+            found = labels[value] = _parse_label(labels, value)
         return found
     except (TypeError, AttributeError, OrdinalParseError):  # not a string, or not a label
         return _ord(field + "".join(f"[{k}]" for k in at), value)
+
+
+def _parse_label(labels: dict[str, Ordinal], text: str) -> Ordinal:
+    """``parse_ordinal(text)``, reading a label ``head+k`` of a level off its
+    head: with k a canonical natural and the head, parsed through the memo,
+    free of a finite part, ``head + k`` is in normal form on the head's height.
+    Every other string goes to ``parse_ordinal``.  A head that fails to parse
+    fails the whole text, which ``_ord`` then parses for its error."""
+    head, plus, k = text.rpartition("+")
+    if plus and k.isascii() and k.isdigit() and k[0] != "0":
+        base = labels.get(head)
+        if base is None:
+            base = labels[head] = parse_ordinal(head)
+        if is_limit(base):
+            node = _normal(base.terms + ((ZERO, int(k)),))
+            node.__dict__["height"] = base.height
+            return node
+    return parse_ordinal(text)
 
 
 def _labels(labels: dict[str, Ordinal], field: str, value: Any, width: int = 1) -> list:
@@ -146,13 +175,15 @@ def _condition_from_dict(doc: Any, labels: dict[str, Ordinal]) -> tuple[Conditio
         if field not in doc:
             raise CodecError(f"missing field {field!r}")
     nodes = _labels(labels, "nodes", doc["nodes"])
-    if len(set(nodes)) != len(nodes):
+    node_set = frozenset(nodes)
+    if len(node_set) != len(nodes):
         raise CodecError("field 'nodes': duplicate node")
-    parent = {}
-    for k, (c, par) in enumerate(_labels(labels, "parents", doc["parents"], 2)):
-        if c in parent:
-            raise CodecError(f"field 'parents[{k}]': duplicate child {c}")
-        parent[c] = par
+    links = _labels(labels, "parents", doc["parents"], 2)
+    parent = dict(links)
+    if len(parent) != len(links):  # name the first repeated child
+        seen: set[Ordinal] = set()
+        k, c = next((k, c) for k, (c, _) in enumerate(links) if c in seen or seen.add(c))
+        raise CodecError(f"field 'parents[{k}]': duplicate child {c}")
     indices = _list("indices", doc["indices"], _nat)
     if len(set(indices)) != len(indices):
         raise CodecError("field 'indices': duplicate index")
@@ -177,7 +208,7 @@ def _condition_from_dict(doc: Any, labels: dict[str, Ordinal]) -> tuple[Conditio
     for tau in indices:
         family.setdefault(tau, TreeMap())
     rho = RhoOracle.from_entries(_list("rho", doc.get("rho", []), _rho_entry))
-    return Condition(StandardTree(frozenset(nodes), parent), family), rho
+    return Condition(StandardTree(node_set, parent), family), rho
 
 
 def encode_condition(p: Condition, rho: RhoOracle | None = None) -> str:

@@ -300,7 +300,7 @@ def augment(p: Condition, s: int, x: Ordinal, rho: RhoOracle) -> Condition:
         raise ValueError(f"node {x} not in tree")
     f = p.family.get(s, TreeMap())
     fwd, back = dict(f.pairs), dict(f.inverse_pairs())
-    nodes, parent = set(p.tree.nodes), dict(p.tree.parent)
+    nodes, parent = set(p.tree.nodes), p.tree.parent.copy()
     labels = _FreshLabels(p.tree)
     chain = p.tree.chain_down(x)[::-1]
     # the domain pass, then the image pass; each step's parent went into ``have`` just before it
@@ -864,7 +864,7 @@ def amalgamate(mp: MatchedPair, rho: RhoOracle) -> Condition:
     common_top = pa.tree.level_below(alpha)
     chain_heights = [h for h in pa.tree.heights() if h >= alpha]
     nodes = set(pa.tree.nodes)
-    parent = dict(pa.tree.parent)
+    parent = pa.tree.parent.copy()
     labels = _FreshLabels(pa.tree)
     chain_top: dict[Ordinal, Ordinal] = {}
     for y in sorted(pb.tree.level(beta)):
@@ -897,7 +897,7 @@ def amalgamate(mp: MatchedPair, rho: RhoOracle) -> Condition:
     # values; pb has no node on a height from alpha up to (not including) beta;
     # chain_top and support_for split pb's level beta between them.
     support_for = {iso[U.restrict(z, alpha)]: z for z in X_plus}
-    links = {**pb.tree.parent, **U.parent, **chain_top, **support_for}
+    links = {**pb.tree.parent.copy(), **U.parent.copy(), **chain_top, **support_for}
     W = StandardTree(U.nodes | pb.tree.nodes, links)
 
     merged = {**cone.family}

@@ -1,9 +1,10 @@
 """Partial node maps on a tree and the standard-map predicate.
 
 A TreeMap is an immutable set of (source, target) pairs with no source
-repeated; the host tree is supplied per operation.  ``classify_map`` also
-accepts raw pair sets that are not functions, so the characterisations of
-strict increase can be exercised on arbitrary relations.
+repeated; it keeps one preimage per target, or None where several sources
+share the target.  The host tree is supplied per operation.
+``classify_map`` also accepts raw pair sets that are not functions, so the
+characterisations of strict increase can be exercised on arbitrary relations.
 """
 
 from __future__ import annotations
@@ -23,15 +24,19 @@ class TreeMap:
     __slots__ = ("pairs", "_fwd", "_rev")
 
     def __init__(self, pairs: Iterable[Pair] = ()):
-        items = sorted(set(pairs))
-        fwd: dict[Ordinal, Ordinal] = {}
-        for x, y in items:
-            if x in fwd:
-                raise ValueError(f"source {x} mapped twice")
-            fwd[x] = y
-        rev: dict[Ordinal, list[Ordinal]] = {}
-        for x, y in items:
-            rev.setdefault(y, []).append(x)
+        # deduplicated in input order, so pairs that come sorted (a decoded map) sort in one pass
+        items = sorted(dict.fromkeys(pairs))
+        fwd = dict(items)
+        if len(fwd) != len(items):  # sorted, so a repeated source's pairs are adjacent
+            x = next(x for (x, _), (x2, _) in zip(items, items[1:]) if x == x2)
+            raise ValueError(f"source {x} mapped twice")
+        rev: dict[Ordinal, Ordinal | None] = {y: x for x, y in items}
+        if len(rev) != len(items):  # a target that several sources share has no preimage
+            seen: set[Ordinal] = set()
+            for y in fwd.values():
+                if y in seen:
+                    rev[y] = None
+                seen.add(y)
         object.__setattr__(self, "pairs", tuple(items))
         object.__setattr__(self, "_fwd", fwd)
         object.__setattr__(self, "_rev", rev)
@@ -66,12 +71,11 @@ class TreeMap:
 
     def get_inverse(self, y: Ordinal) -> Ordinal | None:
         """The unique preimage of y, or None; ambiguous only on non-injective data."""
-        xs = self._rev.get(y, ())
-        return xs[0] if len(xs) == 1 else None
+        return self._rev.get(y)
 
     def inverse_pairs(self) -> Iterator[Pair]:
         """(y, x) for every image point y with the unique preimage x."""
-        return ((y, xs[0]) for y, xs in self._rev.items() if len(xs) == 1)
+        return ((y, x) for y, x in self._rev.items() if x is not None)
 
     def apply_signed(self, m: int, x: Ordinal) -> Ordinal | None:
         """f(x) for m == 1, the preimage of x for m == -1."""

@@ -483,7 +483,7 @@ def _simple_extend(t: StandardTree, B: frozenset[Ordinal]) -> StandardTree:
     missing = set(t.heights()) - B
     if missing:
         raise ValueError(f"height set drops occupied levels: {_names(missing)}")
-    nodes, parent = set(t.nodes), dict(t.parent)
+    nodes, parent = set(t.nodes), t.parent.copy()
     labels = _FreshLabels(t)
     top = min(t.level(t.max_height()) if t.heights() else {ZERO})
     # in ascending order, the nodes above a level a still link to the level below a
@@ -541,7 +541,7 @@ def _normalize(t: StandardTree) -> StandardTree:
     """``normalize`` without its postcondition check; t itself when already normal."""
     levels = [ZERO, *t.heights()]
     members = {h: set(t.level(h)) for h in levels}
-    parent = dict(t.parent)
+    parent = t.parent.copy()
     labels = _FreshLabels(t)
     added = []
     for lo, hi in zip(levels, levels[1:]):
@@ -599,7 +599,7 @@ def _fan_out(t: StandardTree, X: frozenset[Ordinal], n: int) -> StandardTree:
         )
     b = t.level_above(a)
     nodes = set(t.nodes)
-    parent = dict(t.parent)
+    parent = t.parent.copy()
     labels = _FreshLabels(t)
     for x, k in have.items():
         for _ in range(n - k):

@@ -3,9 +3,12 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from treeforcing.codec import (
     CodecError,
+    _label,
     condition_from_dict,
     decode_condition,
     decode_matched_pair,
@@ -15,7 +18,7 @@ from treeforcing.codec import (
 )
 from treeforcing.forcing import Condition, amalgamate, build_matched_pair, validate_matched_pair
 from treeforcing.generate import GenBounds, gen_condition
-from treeforcing.ordinals import node_at, parse_ordinal
+from treeforcing.ordinals import Ordinal, OrdinalParseError, node_at, parse_ordinal
 from treeforcing.separation import RhoOracle
 from test_amalgamation import base_condition, ALPHA, BETA
 from test_forcing_ops import t1_condition
@@ -73,7 +76,7 @@ def test_reject_bad_ordinal_with_field():
         decode_condition(text)
 
 
-@pytest.mark.parametrize("label", ["w*\u00b2", "w*\u0663"])
+@pytest.mark.parametrize("label", ["w*\u00b2", "w*\u0663", "w+\u00b2", "w+\u0663"])
 def test_reject_non_ascii_digit_with_field(label):
     text = json.dumps({"nodes": ["0", label], "parents": [], "indices": [], "maps": {}})
     with pytest.raises(CodecError, match=r"^field 'nodes\[1\]': expected a natural number at position 2"):
@@ -212,6 +215,53 @@ def test_equal_labels_decode_to_one_object():
     assert all(second[label] is first[label] for label in ("0", "w", "w+1"))
     assert mp.alpha is first["w^w"] and mp.anchor_a is first["w^w"]
     assert all(a is first[str(a)] for a in mp.iso_f)
+
+
+# heights up to w^(w+1)*3+w*2+7, as sums over these exponents with coefficients 0 to 3
+_TALLEST = O("w^(w+1)*3+w*2+7")
+_EXPONENTS = [O(e) for e in ("w+1", "w", "3", "1", "0")]
+_heights = st.lists(st.integers(0, 3), min_size=5, max_size=5).map(
+    lambda cs: Ordinal(tuple((e, c) for e, c in zip(_EXPONENTS, cs) if c))
+).filter(lambda h: h <= _TALLEST)
+_node_labels = st.builds(lambda h, k: str(node_at(h, k)), _heights, st.integers(0, 30))
+_any_text = st.text(alphabet="w0123456789+*^()", max_size=16)
+_digits = st.text(alphabet="0123456789", max_size=3)
+_label_texts = st.one_of(
+    _any_text,
+    _node_labels,
+    st.tuples(_node_labels, _any_text).map("".join),
+    # a head, then a plus and digits: the shape of a label off its level's head
+    st.tuples(st.builds(lambda h: str(node_at(h, 0)), _heights), _digits).map("+".join),
+    st.tuples(st.one_of(_node_labels, _any_text), _digits).map("+".join),
+)
+
+
+@settings(max_examples=400, derandomize=True)
+@given(st.lists(_label_texts, max_size=8))
+@example(["w+01", "w*0+1", "w+w+3", "3+5", "w+", "w*2+0", "w^2+w+3"])
+def test_a_decoded_label_is_the_parsers_label(texts):
+    # one memo across the list, as one decode reads many labels; the second
+    # round reads every label back from the memo
+    labels: dict = {}
+    for k, text in enumerate(texts + texts):
+        try:
+            want = parse_ordinal(text)
+        except OrdinalParseError as exc:
+            with pytest.raises(CodecError) as got:
+                _label(labels, text, "nodes", k)
+            assert str(got.value) == f"field 'nodes[{k}]': {exc}"
+            continue
+        got = _label(labels, text, "nodes", k)
+        assert got == want and got.height == want.height
+    for text in texts:  # and the public decode of a one-node document
+        doc = {"nodes": [text], "parents": [], "indices": [], "maps": {}}
+        try:
+            want = parse_ordinal(text)
+        except OrdinalParseError as exc:
+            assert decode_error(decode_condition, doc) == f"field 'nodes[0]': {exc}"
+            continue
+        (got,) = decode_condition(json.dumps(doc))[0].tree.nodes
+        assert got == want and got.height == want.height
 
 
 def test_decodes_leave_no_module_state():

@@ -73,6 +73,25 @@ def test_treemap_is_immutable():
         assert g == f and g.get(w) == O("w+1") and g.get_inverse(O("w+1")) == w
 
 
+def test_a_target_that_two_sources_share_has_no_preimage():
+    import pickle
+
+    w, w1, w2, w3 = O("w"), O("w+1"), O("w+2"), O("w+3")
+    f = TreeMap([(w2, w), (ZERO, ZERO), (w1, w), (w3, w3)])
+    assert f.get_inverse(w) is None and f.apply_signed(-1, w) is None
+    assert f.get_inverse(w3) == w3 and f.get_inverse(ZERO) == ZERO and f.get_inverse(w1) is None
+    assert list(f.inverse_pairs()) == [(ZERO, ZERO), (w3, w3)]
+    assert f.image == {ZERO, w, w3} and f.domain == {ZERO, w1, w2, w3}
+    assert f.get(w1) == f.get(w2) == w
+    g = TreeMap(reversed(f.pairs))
+    assert g == f and hash(g) == hash(f) == hash(f.pairs)
+    h = pickle.loads(pickle.dumps(f))
+    assert h == f and h.get_inverse(w) is None and list(h.inverse_pairs()) == list(f.inverse_pairs())
+    # the first repeated source in sorted order is named, however the pairs come
+    with pytest.raises(ValueError, match=r"^source w\+1 mapped twice$"):
+        TreeMap([(w2, w3), (w2, w), (w1, w2), (w1, w1), (ZERO, ZERO)])
+
+
 def test_classify_empty_map_is_standard():
     assert classify_map(t1(), []).standard
 
