@@ -57,7 +57,7 @@ def _label(labels: dict[str, Ordinal], value: Any, field: str, *at: int) -> Ordi
         if found is None:
             found = labels[value] = _parse_label(labels, value)
         return found
-    except (TypeError, AttributeError, OrdinalParseError):  # not a string, or not a label
+    except (TypeError, AttributeError, ValueError):  # not a string, or not a label
         return _ord(field + "".join(f"[{k}]" for k in at), value)
 
 

@@ -124,7 +124,8 @@ def validate_condition(p: Condition, rho: RhoOracle) -> list[str]:
     if out:
         return out
     # clause 2 passed, so every map is level-preserving and injective
-    levels, index = _relations_by_level(p.tree, p.family), p.tree._index
+    index = p.tree._index
+    levels = _relations_by_level(p.family, index.rank, index.lev)
     for k, alpha in enumerate(index.heights, 1):
         if k not in levels:  # no relations: any listing witnesses, and rho is not read
             continue
@@ -823,7 +824,7 @@ def _raise_rho_for_copy(pb: Condition, rho: RhoOracle) -> None:
     copies the level alpha + d of p, where two related shared indices would
     need rho >= alpha + d, while the greedy shared block keeps it below alpha.
     """
-    levels = _relations_by_level(pb.tree, pb.family)
+    levels = _relations_by_level(pb.family, pb.tree._index.rank, pb.tree._index.lev)
     for k, level in enumerate(pb.tree.heights(), 1):
         for _, _, (_, t0), (_, t1) in multi_relations(levels.get(k, {})):
             if t0 != t1 and rho.value(t0, t1) < level:

@@ -100,9 +100,7 @@ def random_step(
     elif name == "fan_out_condition":
         if not _node_budget_ok(p, bounds):
             return None
-        alpha = rng.choice(heights[:-1] or [None])
-        if alpha is None:
-            return None
+        alpha = rng.choice(heights[:-1])
         X = frozenset(rng.sample(sorted(p.tree.level(alpha)), 1))
         n = max(len(p.tree.immediate_successors(x)) for x in X) + rng.randint(0, 1)
         args = {"nodes": X, "count": max(n, 1)}

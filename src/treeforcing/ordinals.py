@@ -241,6 +241,13 @@ def _fail(why: str, text: str, pos: int) -> OrdinalParseError:
     return OrdinalParseError(f"{why} at position {pos}: {text!r}")
 
 
+def _int(digits: str, text: str, pos: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # past the interpreter's limit on digits
+        raise _fail("natural number has too many digits", text, pos) from None
+
+
 def _parse_sum(text: str, pos: int, depth: int) -> tuple[Ordinal, int]:
     """The ordinal at pos, inside ``depth`` parentheses, and the position after it."""
     if text.startswith("0", pos):
@@ -254,7 +261,7 @@ def _parse_sum(text: str, pos: int, depth: int) -> tuple[Ordinal, int]:
         pos = head.end()
         finite, nat, omega, paren = head.groups()
         if finite:
-            exp, coeff = ZERO, int(finite)
+            exp, coeff = ZERO, _int(finite, text, head.start())
         else:
             if paren:
                 if depth == MAX_NESTING:
@@ -264,7 +271,7 @@ def _parse_sum(text: str, pos: int, depth: int) -> tuple[Ordinal, int]:
                     raise _fail("expected ')'", text, pos)
                 pos += 1
             elif nat:
-                exp = Ordinal.from_int(int(nat))
+                exp = Ordinal.from_int(_int(nat, text, head.start(2)))
             elif omega:
                 exp = OMEGA
             elif text[pos - 1] == "^":
@@ -276,7 +283,7 @@ def _parse_sum(text: str, pos: int, depth: int) -> tuple[Ordinal, int]:
                 nat = _NAT.match(text, pos + 1)
                 if nat is None:
                     raise _fail("expected a natural number", text, pos + 1)
-                coeff, pos = int(nat.group()), nat.end()
+                coeff, pos = _int(nat.group(), text, pos + 1), nat.end()
         if terms and not exp < terms[-1][0]:
             ordered = False
         terms.append((exp, coeff))

@@ -15,7 +15,9 @@ two axioms and inequality premises are ever consumed here.
 ``relations_between``, ``is_separated_tuple`` and ``is_rho_separated_tuple``
 state the paper's definitions for one pair of nodes and one listing order.
 The library decides through ``decide_rho_separation`` instead; these stay
-as the definitions that decision is tested against.
+as the definitions that decision is tested against.  Every decision, in
+validation, here and in the one-key lift, is made on ranks ordered like the
+ordinals, by ``_decide`` on one ``_relations_by_level`` pass.
 """
 
 from __future__ import annotations
@@ -133,37 +135,24 @@ def relations_between(fam: Family, x: Ordinal, y: Ordinal) -> list[tuple[int, in
     return out
 
 
-Relations = dict[Ordinal, dict[Ordinal, list[tuple[int, int]]]]
+Relations = dict[int, dict[int, list[tuple[int, int]]]]
 
 
-def relation_index(fam: Family, X: frozenset[Ordinal]) -> Relations:
-    """``rel[x][y] == relations_between(fam, x, y)`` for x, y in X, nonempty only.
-
-    Built in one pass over the maps' pairs inside X.  Per index the forward
-    relations go in before the inverse ones, so every list is sorted exactly
-    as ``relations_between`` sorts it.  On injective maps it is symmetric:
-    ``rel[x]`` has y exactly when ``rel[y]`` has x.
-    """
-    rel: Relations = {}
-    for tau in sorted(fam):
-        f = fam[tau]
-        for m, pairs in ((1, f.pairs), (-1, f.inverse_pairs())):
-            for x, y in pairs:
-                if x in X and y in X:
-                    rel.setdefault(x, {}).setdefault(y, []).append((m, tau))
-    return rel
-
-
-def _relations_by_level(t: StandardTree, fam: Family) -> dict[int, Relations]:
-    """``relation_index(fam, X)`` for each level X of the maps' tree t, on the
-    tree's ranks: keyed by level number (0 for the root, k for
-    ``t.heights()[k - 1]``), with each node as its rank.  The maps must be
-    level-preserving, so that each pair relates two nodes of one level, and
-    injective, so that their inverse pairs are their pairs flipped."""
-    rank, lev = t._index.rank, t._index.lev
+def _relations_by_level(
+    fam: Family, rank: Mapping[Ordinal, int], lev: Sequence[int]
+) -> dict[int, Relations]:
+    """``rel[rank[x]][rank[y]] == relations_between(fam, x, y)``, nonempty
+    only, with ``rel`` the part for level number ``lev[rank[x]]``: one pass
+    over the pairs with both ends in ``rank``.  The maps must be injective, so
+    that their inverse pairs are their pairs flipped, and each such pair must
+    relate two nodes of one level.  Per index the forward relations go in
+    before the inverse ones, so every list is sorted as ``relations_between``
+    sorts it, and ``rel[x]`` has y exactly when ``rel[y]`` has x."""
+    get = rank.get
     by_level: dict[int, Relations] = {}
     for tau in sorted(fam):
-        pairs = [(rank[x], rank[y]) for x, y in fam[tau].pairs]
+        ranked = ((get(x), get(y)) for x, y in fam[tau].pairs)
+        pairs = [(x, y) for x, y in ranked if x is not None and y is not None]
         for m, ps in ((1, pairs), (-1, [(y, x) for x, y in pairs])):
             for x, y in ps:
                 row = by_level.setdefault(lev[x], {}).setdefault(x, {})
@@ -171,9 +160,7 @@ def _relations_by_level(t: StandardTree, fam: Family) -> dict[int, Relations]:
     return by_level
 
 
-def multi_relations(
-    rel: Relations,
-) -> Iterator[tuple[Ordinal, Ordinal, tuple[int, int], tuple[int, int]]]:
+def multi_relations(rel: Relations) -> Iterator[tuple[int, int, tuple[int, int], tuple[int, int]]]:
     """(x, y, r, s) for every two relations r listed before s between x <= y,
     (x, y) ascending: the pairs the pairwise clause of rho-separation reads."""
     multi = ((x, y) for x, row in rel.items() for y, rs in row.items() if x <= y and len(rs) > 1)
@@ -262,9 +249,10 @@ def _admissible(triples: Sequence[tuple[int, int, int]], rho: RhoOracle, alpha: 
 
 
 def _indexed_triples(
-    rel: Relations, pos: Mapping[Ordinal, int], x: Ordinal
+    rel: Relations, pos: Mapping[int, int] | Sequence[int], x: int
 ) -> list[tuple[int, int, int]]:
-    """``_triples_to_earlier`` for the listed node x, read off the relation index."""
+    """``_triples_to_earlier`` for the listed node x, read off the relations:
+    ``pos[y]`` is the place of node y in the listing."""
     i = pos[x]
     row = rel.get(x, {})
     return [
@@ -320,28 +308,29 @@ def decide_rho_separation(
     (two relations between one pair with rho below the level) or a Loop (a
     closed relation walk through at least three distinct nodes).
 
-    Every clause reads one relation index of the family inside X, so the
-    work is near-linear in |X| plus the number of map pairs.  The maps must
-    be injective: the least index of one that is not is a ``ValueError``,
-    raised before any rho value is read.
+    X is ranked in ordinal order and decided as level 0 of one relation pass,
+    so the work is near-linear in |X| plus the number of map pairs.  The maps
+    must be injective: the least index of one that is not is a
+    ``ValueError``, raised before any rho value is read.
     """
     _refuse_non_injective(fam)
-    X = frozenset(X)
-    return _decide(relation_index(fam, X), X, rho, alpha)
+    labels = sorted(frozenset(X))
+    rel = _relations_by_level(fam, dict(zip(labels, range(len(labels)))), [0] * len(labels))
+    return _labelled(_decide(rel.get(0, {}), range(len(labels)), rho, alpha), labels)
 
 
 def _decide(rel: Relations, X: Collection, rho: RhoOracle, alpha: Ordinal) -> SeparationVerdict:
-    """``decide_rho_separation`` on ``rel``, the relation index inside X of
-    injective maps.  ``validate_condition``, once its maps passed clause 2,
-    decides each level on its part of one ``_relations_by_level``, with the
-    level's ranks as X, and names the nodes of the verdict by ``_labelled``."""
+    """``decide_rho_separation`` on ranks: ``rel`` is one level's part of a
+    ``_relations_by_level`` pass over injective maps, and X that level's
+    ranks.  Rank order is ordinal order, so ``_labelled`` turns the verdict
+    into the one the labels would give."""
     # clause 1: all multi-relations between a fixed pair need rho >= alpha
     for x, y, r, s in multi_relations(rel):
         if rho.value(r[1], s[1]) < alpha:
             return PairwiseViolation(x, y, r, s, alpha)
     # clause 2: no loops; scan each relation edge once, as x < y, merging member lists
     # only nodes on an edge get entries: the index is symmetric, so they are its keys
-    adjacency: dict[Ordinal, list[Ordinal]] = {x: [] for x in rel}
+    adjacency: dict[int, list[int]] = {x: [] for x in rel}
     component = {x: [x] for x in rel}
     for x, y in sorted((x, y) for x, row in rel.items() for y in row if x < y):
         cx, cy = component[x], component[y]
@@ -356,8 +345,8 @@ def _decide(rel: Relations, X: Collection, rho: RhoOracle, alpha: Ordinal) -> Se
     # separated: build the witness order by segments.  A segment opens with
     # the least unlisted node and grows by the least unlisted node related to
     # one of its members, taken from a min-heap frontier.
-    order: list[Ordinal] = []
-    listed: set[Ordinal] = set()
+    order: list[int] = []
+    listed: set[int] = set()
     for start in sorted(X):
         frontier = [start]
         while frontier:
@@ -385,8 +374,8 @@ def _labelled(verdict: SeparationVerdict, labels: Sequence[Ordinal]) -> Separati
     return WitnessOrder(tuple(labels[r] for r in verdict.order))
 
 
-def _shortest_path(adjacency: dict, x: Ordinal, y: Ordinal) -> list[Ordinal]:
-    prev: dict[Ordinal, Ordinal] = {x: x}
+def _shortest_path(adjacency: dict, x: int, y: int) -> list[int]:
+    prev: dict[int, int] = {x: x}
     queue = deque([x])
     while queue:
         cur = queue.popleft()
@@ -484,21 +473,23 @@ def _one_key_lift(
     Each node lifts along its one relation to an earlier node.  A node with
     none opens a segment and lifts to its least successor, except the opener
     that b's base point reaches down those relations: it lifts to b's image
-    along them.  Totality on the cones makes every step defined."""
-    rel = relation_index(fam, frozenset(order))
-    pos = {x: i for i, x in enumerate(order)}
-    opener, image = t.restrict(b, alpha), b
-    while triples := _indexed_triples(rel, pos, opener):
+    along them.  Totality on the cones makes every step defined.  Nodes are
+    keyed by their positions in the order."""
+    pos = dict(zip(order, range(len(order))))
+    rel = _relations_by_level(fam, pos, [0] * len(order)).get(0, {})
+    places = range(len(order))
+    opener, image = pos[t.restrict(b, alpha)], b
+    while triples := _indexed_triples(rel, places, opener):
         j, m, tau = triples[0]
-        opener, image = order[j], fam[tau].apply_signed(m, image)
+        opener, image = j, fam[tau].apply_signed(m, image)
     lifted: list[Ordinal] = []
-    for x in order:
-        triples = _indexed_triples(rel, pos, x)
+    for i, x in enumerate(order):
+        triples = _indexed_triples(rel, places, i)
         if triples:
             j, m, tau = triples[0]
             lifted.append(fam[tau].apply_signed(-m, lifted[j]))
         else:
-            lifted.append(image if x == opener else min(t.successors_at(x, beta)))
+            lifted.append(image if i == opener else min(t.successors_at(x, beta)))
     return frozenset(lifted)
 
 

@@ -270,6 +270,14 @@ def _broken_pairs():
         "first tree has node labels at or above the second level",
     ]
     short = {x: y for x, y in mp.iso_f.items() if x != u0}
+    # the copy grows a level-1 leaf of its own, made normal: its part below beta
+    # is no longer the common tree, and the matching misses the leaf's cone
+    leafy_pb_tree = StandardTree(mp.pb.tree.nodes | {stray}, {**mp.pb.tree.parent, stray: ZERO})
+    leafy_pb = normalize_condition(Condition(leafy_pb_tree, mp.pb.family), rho)
+    yield "second tree not over the common tree", replace(mp, pb=leafy_pb), rho, [
+        "second tree does not restrict to the common tree",
+        "node matching is not a bijection between the trees",
+    ]
     yield "node matching short", replace(mp, iso_f=short), rho, [
         "node matching is not a bijection between the trees"
     ]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -81,6 +82,24 @@ def test_reject_non_ascii_digit_with_field(label):
     text = json.dumps({"nodes": ["0", label], "parents": [], "indices": [], "maps": {}})
     with pytest.raises(CodecError, match=r"^field 'nodes\[1\]': expected a natural number at position 2"):
         decode_condition(text)
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no integer digit limit"
+)
+@pytest.mark.parametrize("label", ["w+1", "w*1", "w^1", "1", "w^1+w"])
+def test_a_natural_past_the_digit_limit_names_its_field(label):
+    """Past the digit limit ``int`` raises a plain ``ValueError``; the parser
+    turns it into its own error at the natural's position, and the field is
+    named, on the head+k path and through the parser alike."""
+    label = label.replace("1", "1" * (sys.get_int_max_str_digits() + 1), 1)
+    text = json.dumps({"nodes": ["0", "w", label], "parents": [], "indices": [], "maps": {}})
+    at = 0 if label[0] == "1" else 2
+    why = f"natural number has too many digits at position {at}: "
+    with pytest.raises(CodecError, match=rf"^field 'nodes\[2\]': {why}"):
+        decode_condition(text)
+    with pytest.raises(OrdinalParseError, match=f"^{why}"):
+        parse_ordinal(label)
 
 
 def test_reject_undeclared_map_index():

@@ -118,6 +118,31 @@ def test_scenario_expect_failure_flagged():
     assert not trace.ok
 
 
+def test_scenario_final_expect_failure_fails_the_run(tmp_path, capsys):
+    """A failing ``final_expect`` is logged after the last step, and ``run``
+    prints ``failed`` and exits 1."""
+    from treeforcing import cli
+
+    path = tmp_path / "final.json"
+    path.write_text(
+        json.dumps(
+            {
+                "steps": [{"op": "add_index", "args": {"index": 3}}],
+                "final_expect": {"index_count": 9, "normal": True},
+            }
+        )
+    )
+    assert cli.main(["run", str(path)]) == 1
+    assert capsys.readouterr() == (
+        "start: ok\n"
+        "step 0 add_index: ok\n"
+        "  expectation 'index_count': wanted 9, got 2\n"
+        "containment 0,3: ok\n"
+        "failed\n",
+        "",
+    )
+
+
 def test_scenario_rejects_unknown_rho():
     with pytest.raises(CodecError):
         parse_scenario('{"rho": {"kind": "magic"}}')

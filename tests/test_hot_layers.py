@@ -41,7 +41,6 @@ from treeforcing.separation import (
     decide_rho_separation,
     decide_separation,
     is_consistent,
-    relation_index,
     relations_between,
 )
 from treeforcing.treemaps import TreeMap, _downward_close, classify_map
@@ -105,16 +104,22 @@ def refused_unasked(fam, X, make_rho, alpha=ONE) -> None:
     assert rho.entries() == table
 
 
-def test_relation_index_matches_relations_between():
+def test_relation_pass_matches_relations_between():
+    """The rank pass on a level set ranked in ordinal order, as the public
+    decision runs it: every node pair's list is ``relations_between``'s."""
     for seed in range(300):
         rng = random.Random(seed)
         _, fam, X = random_level_family(rng, rng.randint(1, 7), 4)
-        rel = relation_index(fam, X)
+        labels = sorted(X)
+        rank = {x: r for r, x in enumerate(labels)}
+        levels = separation._relations_by_level(fam, rank, [0] * len(labels))
+        assert set(levels) <= {0}
+        rel = levels.get(0, {})
         for x in X:
             for y in X:
-                assert rel.get(x, {}).get(y, []) == relations_between(fam, x, y)
+                assert rel.get(rank[x], {}).get(rank[y], []) == relations_between(fam, x, y)
                 # symmetric on injective maps: the witness order reads it both ways
-                assert (y in rel.get(x, {})) == (x in rel.get(y, {}))
+                assert (rank[y] in rel.get(rank[x], {})) == (rank[x] in rel.get(rank[y], {}))
 
 
 def test_decide_matches_seed_on_random_level_families():
@@ -148,7 +153,7 @@ def test_non_injective_map_has_no_inverse_relation():
     fam = {1: TreeMap([(ZERO, ZERO), (a, c), (b, c)]), 2: TreeMap([(ZERO, ZERO), (c, a)])}
     assert relations_between(fam, c, a) == [(1, 2)]
     assert relations_between(fam, a, c) == [(1, 1), (-1, 2)]
-    # the index built from these is not symmetric, so the decision refuses f
+    # the relations built from these are not symmetric, so the decision refuses f
     for rho in (RhoOracle.zero, lambda: RhoOracle.from_entries([(1, 2, ONE)])):
         refused_unasked(fam, t.level(ONE), rho)
 
@@ -198,11 +203,12 @@ def _ladder_files(tmp_path):
 
 
 def test_each_level_decides_on_its_part_of_one_relation_pass(tmp_path):
-    """Validation's per-level decision on ``_relations_by_level`` against
-    ``decide_rho_separation`` on the level: the same verdict, the oracle asked
-    the same pairs in the same order and left with the same table.  The pass
-    and the decision run on the tree's ranks; their nodes are mapped back to
-    labels before they are compared."""
+    """Validation's per-level decision on ``_relations_by_level`` against the
+    reference decision on the level: the same verdict, the oracle asked the
+    same pairs in the same order and left with the same table.  Each level's
+    part of the pass holds ``relations_between`` for every node pair.  The
+    pass and the decision run on the tree's ranks; their nodes are mapped back
+    to labels before they are compared."""
     cases = [lambda seed=seed: gen_condition(seed, GenBounds(max_steps=10)) for seed in range(60)]
     for path in _ladder_files(tmp_path):
         text = Path(path).read_text(encoding="utf-8")
@@ -211,19 +217,20 @@ def test_each_level_decides_on_its_part_of_one_relation_pass(tmp_path):
     for make in cases:
         p, rho = make()
         (rho, calls), (rho_ref, calls_ref) = logged(rho), logged(make()[1])
-        levels = separation._relations_by_level(p.tree, p.family)
-        labels = p.tree._index.labels
+        index = p.tree._index
+        levels = separation._relations_by_level(p.family, index.rank, index.lev)
+        labels = index.labels
         assert set(levels) <= set(range(len(p.tree.heights()) + 1))
         for k, h in enumerate(p.tree.heights(), 1):
             X = p.tree.level(h)
             ranks = [r for r, x in enumerate(labels) if x in X]
             part = levels.get(k, {})
-            want_rel = relation_index(p.family, X)
-            assert [
-                (labels[x], [(labels[y], rs) for y, rs in row.items()]) for x, row in part.items()
-            ] == [(x, list(row.items())) for x, row in want_rel.items()]
+            for x in ranks:
+                for y in ranks:
+                    want_rs = relations_between(p.family, labels[x], labels[y])
+                    assert part.get(x, {}).get(y, []) == want_rs
             got = separation._labelled(separation._decide(part, ranks, rho, h), labels)
-            want = decide_rho_separation(p.family, X, rho_ref, h)
+            want = ref.decide_rho_separation(p.family, X, rho_ref, h)
             assert got == want
             kinds[type(got).__name__] += 1
         assert calls == calls_ref

@@ -154,11 +154,24 @@ def test_rho_separated_tuple_examples():
     assert not is_rho_separated_tuple(
         fam3, (a0, a1, a2), RhoOracle.constant(O("w")), O("1")
     )
-    # separation always implies rho-separation
-    assert is_separated_tuple(fam, (a0, a1)) or True
     path = {5: close_map(t3, [(a0, a1), (a1, a2)])}
     assert is_separated_tuple(path, (a0, a1, a2))
     assert is_rho_separated_tuple(path, (a0, a1, a2), small, O("1"))
+    # separation implies rho-separation: every separated listing of the
+    # examples is rho-separated under both oracles
+    separated = 0
+    for f, nodes in ((fam, (a0, a1)), (fam3, (a0, a1, a2)), (path, (a0, a1, a2))):
+        for order in itertools.permutations(nodes):
+            if is_separated_tuple(f, order):
+                separated += 1
+                assert is_rho_separated_tuple(f, order, small, O("1"))
+                assert is_rho_separated_tuple(f, order, big, O("1"))
+    # the listings of fam3 and of path with the two-relation node not last
+    assert separated == 8
+    # not conversely: fam is rho-separated under big and separated in no listing
+    for order in ((a0, a1), (a1, a0)):
+        assert is_rho_separated_tuple(fam, order, big, O("1"))
+        assert not is_separated_tuple(fam, order)
 
 
 def test_diagonal_forces_pairwise_violation():
