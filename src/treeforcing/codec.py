@@ -6,7 +6,7 @@ decode(encode(value)) == value always.  Ordinals travel as grammar strings.
 
 A document repeats each node label in its nodes, parents and maps, so a
 decode reads each distinct label once: a ``string -> Ordinal`` memo lives
-for one decode only (the two sides of a matched-pair file and its own
+for one decode only (the first side of a matched-pair file and its own
 ordinal fields share one).  The memo holds level heads too: a label
 ``head+k`` with k a canonical natural and a head with no finite part is
 built from its head, parsed once per level, and carries the head's height.
@@ -131,12 +131,24 @@ def _pairs(field: str, value: Any, item: Callable[[str, Any], Any]) -> list[tupl
     return _list(field, value, lambda name, v: _tuple(name, v, "a pair", item, item))
 
 
+def _function(field: str, pairs: list[tuple], source: str = "source") -> dict:
+    """The dict of ``pairs``; a repeated source is refused by its slot."""
+    out = dict(pairs)
+    if len(out) != len(pairs):  # name the first repeated source
+        seen: set = set()
+        k, a = next((k, a) for k, (a, _) in enumerate(pairs) if a in seen or seen.add(a))
+        raise CodecError(f"field '{field}[{k}]': duplicate {source} {a}")
+    return out
+
+
 def _document(text: str) -> dict:
     """Parse a JSON document whose root must be an object."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CodecError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except ValueError:  # an integer past the interpreter's limit on digits
+        raise CodecError("document holds an integer with too many digits") from None
     except RecursionError:
         raise CodecError("document nests too deeply")
     if not isinstance(doc, dict):
@@ -178,12 +190,7 @@ def _condition_from_dict(doc: Any, labels: dict[str, Ordinal]) -> tuple[Conditio
     node_set = frozenset(nodes)
     if len(node_set) != len(nodes):
         raise CodecError("field 'nodes': duplicate node")
-    links = _labels(labels, "parents", doc["parents"], 2)
-    parent = dict(links)
-    if len(parent) != len(links):  # name the first repeated child
-        seen: set[Ordinal] = set()
-        k, c = next((k, c) for k, (c, _) in enumerate(links) if c in seen or seen.add(c))
-        raise CodecError(f"field 'parents[{k}]': duplicate child {c}")
+    parent = _function("parents", _labels(labels, "parents", doc["parents"], 2), "child")
     indices = _list("indices", doc["indices"], _nat)
     if len(set(indices)) != len(indices):
         raise CodecError("field 'indices': duplicate index")
@@ -224,7 +231,6 @@ def encode_matched_pair(mp: MatchedPair, rho: RhoOracle | None = None) -> str:
         "alpha": str(mp.alpha),
         "beta": str(mp.beta),
         "first": condition_to_dict(mp.pa),
-        "second": condition_to_dict(mp.pb),
         "node_matching": [[str(a), str(b)] for a, b in sorted(mp.iso_f.items())],
         "index_matching": [[i, j] for i, j in sorted(mp.iso_g.items())],
         "anchor_first": str(mp.anchor_a),
@@ -234,27 +240,19 @@ def encode_matched_pair(mp: MatchedPair, rho: RhoOracle | None = None) -> str:
 
 
 def decode_matched_pair(text: str) -> tuple[MatchedPair, RhoOracle]:
+    """A pair from its first side and matchings; the second side is derived,
+    so an older file's ``second`` key is not read."""
     doc = _document(text)
-    for field in (
-        "alpha",
-        "beta",
-        "first",
-        "second",
-        "node_matching",
-        "index_matching",
-        "anchor_first",
-    ):
+    for field in ("alpha", "beta", "first", "node_matching", "index_matching", "anchor_first"):
         if field not in doc:
             raise CodecError(f"missing field {field!r}")
     labels: dict[str, Ordinal] = {}
     pa, _ = _condition_from_dict(doc["first"], labels)
-    pb, _ = _condition_from_dict(doc["second"], labels)
-    iso_f = dict(_labels(labels, "node_matching", doc["node_matching"], 2))
-    iso_g = dict(_pairs("index_matching", doc["index_matching"], _nat))
+    iso_f = _function("node_matching", _labels(labels, "node_matching", doc["node_matching"], 2))
+    iso_g = _function("index_matching", _pairs("index_matching", doc["index_matching"], _nat))
     entries = _list("rho", doc.get("rho", []), _rho_entry)
     mp = MatchedPair(
         pa=pa,
-        pb=pb,
         alpha=_label(labels, doc["alpha"], "alpha"),
         beta=_label(labels, doc["beta"], "beta"),
         iso_f=iso_f,

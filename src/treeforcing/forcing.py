@@ -20,8 +20,10 @@ boundary check against the first side, with the second side's heights as the
 promised ones, and then checks the second side and the anchors.  A pair
 built by ``build_matched_pair`` carries its check (the oracle object and its
 revision), so ``amalgamate`` trusts it while that oracle is unchanged and
-validates every other pair in full.  The node and index matchings of a pair
-are read-only.
+validates every other pair in full.  A pair stores its first side and its
+read-only node and index matchings; the second side is their image, derived
+once the matchings are known to be one to one, so it carries the first
+side's order and maps by construction.
 
 The order's agreement clause disregards the structural root agreement
 (0, 0): any two maps defined at the root fix it, and index augmentation
@@ -32,6 +34,7 @@ information about where two maps genuinely coincide.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from itertools import combinations, product
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -606,17 +609,18 @@ def agreement_containment(trace: Sequence[Condition], g: int, t: int) -> bool:
 
 @dataclass(frozen=True)
 class MatchedPair:
-    """Two isomorphic conditions agreeing below a common level.
+    """A condition and an isomorphic copy agreeing below a common level.
 
-    The common part is the first tree below ``alpha``, and must be the second
-    tree below ``beta``; ``iso_f`` matches the nodes of the two trees and
-    ``iso_g`` the index domains, each the identity on the common part; both are
-    read-only.  ``anchor_a`` and its image ``anchor_b`` are the nodes the
+    The copy ``pb`` is not stored: it is the image of ``pa`` under the node
+    matching ``iso_f`` and the index matching ``iso_g``, built on first read,
+    which validation makes only once both matchings are one to one on ``pa``.
+    The common part is the first tree below ``alpha``, and must be the copy
+    below ``beta``; each matching is the identity on the common part, and both
+    are read-only.  ``anchor_a`` and its image ``anchor_b`` are the nodes the
     amalgamation orders; ``shared`` holds the indices of both sides.
     """
 
     pa: Condition
-    pb: Condition
     alpha: Ordinal
     beta: Ordinal
     iso_f: Mapping[Ordinal, Ordinal]
@@ -629,9 +633,17 @@ class MatchedPair:
         object.__setattr__(self, "iso_f", MappingProxyType(dict(self.iso_f)))
         object.__setattr__(self, "iso_g", MappingProxyType(dict(self.iso_g)))
 
+    @cached_property
+    def pb(self) -> Condition:
+        """The copy: pa's nodes, links and maps carried through the matchings."""
+        f, g, pa = self.iso_f, self.iso_g, self.pa
+        links = {f[c]: f[x] for c, x in pa.tree.parent.items()}
+        maps = {g[tau]: TreeMap((f[a], f[b]) for a, b in m) for tau, m in pa.family.items()}
+        return Condition(StandardTree(frozenset(f.values()), links), maps)
+
     @property
     def shared(self) -> frozenset[int]:
-        return frozenset(self.pa.family.keys() & self.pb.family.keys())
+        return frozenset(self.pa.family.keys() & self.iso_g.values())
 
     @property
     def anchor_b(self) -> Ordinal | None:
@@ -646,15 +658,16 @@ def restrict_tree_below(t: StandardTree, alpha: Ordinal) -> StandardTree:
 
 
 def validate_matched_pair(mp: MatchedPair, rho: RhoOracle) -> list[str]:
-    """The levels, both sides, then the pair clauses; [] means ok."""
+    """The levels and the first side, then the matchings, then the second side
+    they derive, then the pair clauses; [] means ok."""
     out = []
     if not (is_omega_fixed(mp.alpha) and is_omega_fixed(mp.beta)):
         out.append("levels are not fixed under scaling by w")
     if not mp.alpha < mp.beta:
         out.append("first level must lie below the second")
     out.extend(_side_report("first", mp.pa, rho))
-    out.extend(_side_report("second", mp.pb, rho))
-    return out or _pair_report(mp, rho)
+    out = out or _matching_report(mp)
+    return out or _side_report("second", mp.pb, rho) or _pair_report(mp, rho)
 
 
 def _side_report(name: str, cond: Condition, rho: RhoOracle) -> list[str]:
@@ -662,6 +675,18 @@ def _side_report(name: str, cond: Condition, rho: RhoOracle) -> list[str]:
     out = [f"{name} condition: {line}" for line in validate_condition(cond, rho)]
     if not is_normal(cond.tree):
         out.append(f"{name} condition: tree is not normal")
+    return out
+
+
+def _matching_report(mp: MatchedPair) -> list[str]:
+    """Both matchings cover the first side and are one to one, so the second
+    side is their image and the order and maps carry over by construction."""
+    out = []
+    f, g = mp.iso_f, mp.iso_g
+    if f.keys() != mp.pa.tree.nodes or len(set(f.values())) != len(f):
+        out.append("node matching is not a bijection between the trees")
+    if g.keys() != mp.pa.family.keys() or len(set(g.values())) != len(g):
+        out.append("index matching is not a bijection between the domains")
     return out
 
 
@@ -675,33 +700,16 @@ def _pair_report(mp: MatchedPair, rho: RhoOracle) -> list[str]:
         out.append("second tree does not restrict to the common tree")
     if any(x >= mp.beta for x in mp.pa.tree.nodes):
         out.append("first tree has node labels at or above the second level")
-    # node isomorphism: bijective, order-preserving, identity on the common part
-    f = mp.iso_f
-    if set(f) != set(mp.pa.tree.nodes) or set(f.values()) != set(mp.pb.tree.nodes):
-        out.append("node matching is not a bijection between the trees")
-        return out
     for x in common.nodes:
-        if f.get(x) != x:
+        if mp.iso_f[x] != x:
             out.append(f"node matching moves common node {x}")
-    # on valid trees the order is the transitive closure of the parent links
-    if {(f[c], f[x]) for c, x in mp.pa.tree.parent.items()} != set(mp.pb.tree.parent.items()):
-        out.append("node matching does not carry the first order onto the second")
-    if mp.anchor_a not in f:
+    if mp.anchor_a not in mp.iso_f:
         out.append("node matching does not connect the anchors")
     if mp.anchor_a.height < mp.alpha:
         out.append("first anchor sits below the matched level")
-    # index matching: bijective, identity on the shared block
-    gmap = mp.iso_g
-    if set(gmap) != set(mp.pa.family) or set(gmap.values()) != set(mp.pb.family):
-        out.append("index matching is not a bijection between the domains")
-        return out
     shared = sorted(mp.shared)
-    if any(gmap.get(i) != i for i in shared):
+    if any(mp.iso_g[i] != i for i in shared):
         out.append("index matching moves a shared index")
-    for tau in sorted(mp.pa.family):
-        moved = {(f[x], f[y]) for x, y in mp.pa.family[tau]}
-        if moved != set(mp.pb.family[gmap[tau]].pairs):
-            out.append(f"map {tau} is not carried onto its partner")
     # rho premises
     for i, j in combinations(shared, 2):
         if rho.value(i, j) >= mp.alpha:
@@ -738,9 +746,7 @@ def build_matched_pair(
     stay below alpha.  The remaining indices get fresh labels.  The oracle
     is extended so the copy validates and the cross-block premises hold.
     """
-    report = validate_condition(p, rho)
-    if report:
-        raise ValueError(f"input is not a valid condition: {'; '.join(report)}")
+    _blame_input(p, rho, "build_matched_pair")
     if not is_normal(p.tree):
         raise ValueError("input tree is not normal")
     if alpha not in p.tree.heights():
@@ -765,7 +771,6 @@ def build_matched_pair(
     fresh = {zeta: fresh_index_base + k for k, zeta in enumerate(petal)}
     if set(fresh.values()) & set(indices):
         raise ValueError("fresh index labels collide with the existing domain")
-    iso_g = {i: i for i in shared} | fresh
 
     def shift_node(n: Ordinal) -> Ordinal:
         h, offset = height_split(n)
@@ -773,19 +778,17 @@ def build_matched_pair(
             return n
         return node_at(beta + left_subtract(alpha, h), offset)
 
-    iso_f = {n: shift_node(n) for n in p.tree.nodes}
-    b_nodes = frozenset(iso_f.values())
-    b_parent = {iso_f[c]: iso_f[par] for c, par in p.tree.parent.items()}
-    b_tree = StandardTree(b_nodes, b_parent)
-    b_family = {
-        iso_g[tau]: TreeMap((iso_f[a], iso_f[b]) for a, b in p.family[tau])
-        for tau in indices
-    }
-    pb = Condition(b_tree, b_family)
-
+    mp = MatchedPair(
+        pa=p,
+        alpha=alpha,
+        beta=beta,
+        iso_f={n: shift_node(n) for n in p.tree.nodes},
+        iso_g={i: i for i in shared} | fresh,
+        anchor_a=x,
+    )
     # extend the oracle: first whatever the copy's own levels demand of pairs
     # involving a fresh index, then the cross-block floor
-    _raise_rho_for_copy(pb, rho)
+    _raise_rho_for_copy(mp.pb, rho)
     floor = p.tree.level_below(alpha)
     for zeta, tau_fresh in product(petal, fresh.values()):
         need = floor
@@ -793,21 +796,11 @@ def build_matched_pair(
             need = max(need, min(rho.value(zeta, gamma), rho.value(tau_fresh, gamma)))
         if rho.value(zeta, tau_fresh) < need:
             rho.set_value(zeta, tau_fresh, need)
-
-    mp = MatchedPair(
-        pa=p,
-        pb=pb,
-        alpha=alpha,
-        beta=beta,
-        iso_f=iso_f,
-        iso_g=iso_g,
-        anchor_a=x,
-    )
     # the levels and the first side passed the checks above, and the oracle was
     # raised only on pairs with a fresh index, which p does not carry, so p is
-    # still valid: the copy and the pair clauses are what is left to check, and
-    # they fail only through a fault here
-    report = _side_report("second", pb, rho) or _pair_report(mp, rho)
+    # still valid: the matchings, the copy and the pair clauses are what is left
+    # to check, and they fail only through a fault here
+    report = _matching_report(mp) or _side_report("second", mp.pb, rho) or _pair_report(mp, rho)
     if report:
         raise RuntimeError(f"build_matched_pair produced an invalid pair: {'; '.join(report)}")
     object.__setattr__(mp, "_checked", (rho, rho.revision))

@@ -229,7 +229,10 @@ def parse_natural(text: str) -> int:
     rho specification gives."""
     if not (text.isascii() and text.isdigit()):
         raise ValueError(f"expected a natural number, got {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # past the interpreter's limit on digits
+        raise ValueError(f"natural number has too many digits: {len(text)}") from None
 
 
 # a term's head: a natural, or w with an optional exponent: a natural, w or "("

@@ -97,7 +97,7 @@ class TreeMap:
         return TreeMap(self.pairs + tuple(extra))
 
     def issubset(self, other: "TreeMap") -> bool:
-        return self is other or set(self.pairs) <= set(other.pairs)
+        return self is other or all(other._fwd.get(x) == y for x, y in self.pairs)
 
 
 @dataclass(frozen=True)
@@ -223,7 +223,7 @@ def _restrictions(t: StandardTree, S: Iterable[Pair]) -> set[Pair]:
 
 def agreement_pairs(f: TreeMap, g: TreeMap) -> frozenset[Pair]:
     """Pairs (x, y) on which f and g both send x to y."""
-    return frozenset(set(f.pairs) & set(g.pairs))
+    return frozenset(p for p in f.pairs if g._fwd.get(p[0]) == p[1])
 
 
 def tensor_downward_closure(t: StandardTree, S: Iterable[Pair]) -> frozenset[Pair]:

@@ -8,7 +8,6 @@ import pytest
 from treeforcing import forcing
 from treeforcing.forcing import (
     Condition,
-    _pair_report,
     amalgamate,
     build_matched_pair,
     extend_heights,
@@ -18,7 +17,7 @@ from treeforcing.forcing import (
     validate_matched_pair,
     widen_node,
 )
-from treeforcing.ordinals import ZERO, node_at, node_height, parse_ordinal
+from treeforcing.ordinals import ZERO, height_split, node_at, node_height, parse_ordinal
 from treeforcing.separation import RhoOracle
 from treeforcing.treemaps import TreeMap
 from treeforcing.trees import StandardTree
@@ -225,21 +224,41 @@ def built_pairs():
             yield build_matched_pair(p, ALPHA, BETA, u0, 100, rho), rho
 
 
-def test_parent_links_carry_the_order_exactly_when_order_pairs_do():
-    clause = "node matching does not carry the first order onto the second"
-    seen = set()
+def test_a_swap_on_one_level_is_a_matching_or_moves_common_nodes():
+    # swapping the targets of two nodes on one level gives a pair that is no
+    # shift: at or above alpha it validates and amalgamates below both sides,
+    # and below alpha it moves exactly the two common nodes
+    tally = {"matched": 0, "copy changed": 0, "common": 0}
     for mp, rho in built_pairs():
         tree = mp.pa.tree
         for h in tree.heights():
             for x, y in itertools.combinations(sorted(tree.level(h)), 2):
                 f = {**mp.iso_f, x: mp.iso_f[y], y: mp.iso_f[x]}
-                moved = {(f[a], f[b]) for a, b in tree.order_pairs()}
-                carried = moved == mp.pb.tree.order_pairs()
-                report = _pair_report(dataclasses.replace(mp, iso_f=f), rho)
-                assert (clause not in report) == carried, (x, y)
-                seen.add((tree.parent[x] == tree.parent[y], carried))
-    # swaps under different parents break the order; swapped sibling leaves keep it
-    assert {(False, False), (True, True)} <= seen
+                swapped = dataclasses.replace(mp, iso_f=f)
+                report = validate_matched_pair(swapped, rho)
+                if h < ALPHA:
+                    moved = [f"node matching moves common node {z}" for z in (x, y)]
+                    assert sorted(report) == sorted(moved), (x, y)
+                    tally["common"] += 1
+                    continue
+                assert report == [], (x, y)
+                w = amalgamate(swapped, rho)
+                assert leq(w, swapped.pa) and leq(w, swapped.pb), (x, y)
+                assert w.tree.is_below(swapped.anchor_a, swapped.anchor_b), (x, y)
+                tally["matched"] += 1
+                tally["copy changed"] += swapped.pb != mp.pb
+    assert tally == {"matched": 21, "copy changed": 18, "common": 9}
+
+
+def test_pair_equality_ignores_the_derived_copy():
+    rho = RhoOracle.zero()
+    mp = build_matched_pair(base_condition(True), ALPHA, BETA, node_at(ALPHA, 0), 100, rho)
+    assert "pb" not in {f.name for f in dataclasses.fields(mp)}
+    twin = dataclasses.replace(mp)
+    assert "pb" in vars(mp) and "pb" not in vars(twin)
+    assert twin == mp
+    assert twin.pb == mp.pb and twin.pb is not mp.pb
+    assert twin == mp
 
 
 def _broken_pairs():
@@ -270,21 +289,28 @@ def _broken_pairs():
         "first tree has node labels at or above the second level",
     ]
     short = {x: y for x, y in mp.iso_f.items() if x != u0}
-    # the copy grows a level-1 leaf of its own, made normal: its part below beta
-    # is no longer the common tree, and the matching misses the leaf's cone
-    leafy_pb_tree = StandardTree(mp.pb.tree.nodes | {stray}, {**mp.pb.tree.parent, stray: ZERO})
-    leafy_pb = normalize_condition(Condition(leafy_pb_tree, mp.pb.family), rho)
-    yield "second tree not over the common tree", replace(mp, pb=leafy_pb), rho, [
+    # level w^w stays put and level w^w+1 moves onto beta: the copy is a valid
+    # normal tree, but its part below beta is more than the common tree
+    taller = normalize_condition(extend_heights(base_condition(False), {ALPHA + O("1")}, rho), rho)
+    taller_mp = build_matched_pair(taller, ALPHA, BETA, u0, 100, rho)
+    low = {x: node_at(BETA, height_split(x)[1]) if x.height > ALPHA else x for x in taller_mp.iso_f}
+    yield "second tree not over the common tree", replace(taller_mp, iso_f=low), rho, [
         "second tree does not restrict to the common tree",
-        "node matching is not a bijection between the trees",
     ]
     yield "node matching short", replace(mp, iso_f=short), rho, [
         "node matching is not a bijection between the trees"
     ]
+    # a top-level leaf z beside u1, sent where u1 goes: the matching covers the
+    # first tree and carries every parent link and map pair, but is not one to one
+    z = node_at(ALPHA, 2)
+    forked_tree = StandardTree(mp.pa.tree.nodes | {z}, {**mp.pa.tree.parent, z: a1})
+    forked = Condition(forked_tree, mp.pa.family)
+    yield "node matching not one to one", replace(
+        mp, pa=forked, iso_f={**mp.iso_f, z: mp.iso_f[node_at(ALPHA, 1)]}
+    ), rho, ["node matching is not a bijection between the trees"]
     yield "common nodes swapped", replace(mp, iso_f={**mp.iso_f, a0: a1, a1: a0}), rho, [
         f"node matching moves common node {a0}",
         f"node matching moves common node {a1}",
-        "node matching does not carry the first order onto the second",
     ]
     yield "anchor below alpha", replace(mp, anchor_a=a0), rho, [
         "first anchor sits below the matched level"
@@ -292,10 +318,11 @@ def _broken_pairs():
     yield "index matching empty", replace(mp, iso_g={}), rho, [
         "index matching is not a bijection between the domains"
     ]
+    yield "index matching not one to one", replace(petal, iso_g={0: 0, 5: 0}), petal_rho, [
+        "index matching is not a bijection between the domains"
+    ]
     yield "index matching swapped", replace(petal, iso_g={0: 100, 5: 0}), petal_rho, [
         "index matching moves a shared index",
-        "map 0 is not carried onto its partner",
-        "map 5 is not carried onto its partner",
     ]
     # built under zero, 5 joins the shared block; then rho(0, 5) reaches alpha
     shared = build_matched_pair(base_condition(True, 5), ALPHA, BETA, u0, 100, RhoOracle.zero())
@@ -308,8 +335,7 @@ def _broken_pairs():
         "cross pair (5, 100) undercuts its minimum through 0"
     ]
     # index 0 of the copy renamed 7: no index is shared, every cross pair has rho 1
-    pb = Condition(petal.pb.tree, {7: petal.pb.family[0], 100: petal.pb.family[100]})
-    renamed = replace(petal, pb=pb, iso_g={0: 7, 5: 100})
+    renamed = replace(petal, iso_g={0: 7, 5: 100})
     cross = [(0, 5, ALPHA)] + [(i, j, O("1")) for i in (0, 5) for j in (7, 100)]
     yield "index 0 not shared", renamed, RhoOracle.from_entries(cross), ["index 0 must be shared"]
 

@@ -315,6 +315,35 @@ def test_natural_outside_ascii_digits_exits_2(tmp_path, capsys, argv, text):
     assert not out.exists()
 
 
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no integer digit limit"
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["add-index", "FILE", "--index", "LONG"],
+        ["--rho", "seed:LONG", "validate", "FILE"],
+        ["validate", "LONG_FILE"],
+    ],
+    ids=["flag", "rho", "file"],
+)
+def test_a_natural_past_the_digit_limit_exits_2_with_a_named_error(tmp_path, capsys, argv):
+    # past the limit int() raises a plain ValueError with the interpreter's text
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    path, long_file, out = tmp_path / "g3.json", tmp_path / "long.json", tmp_path / "out.json"
+    assert main(["--seed", "3", "--out", str(path), "gen"]) == 0
+    long_file.write_text('{"nodes": ["0"], "parents": [], "indices": [%s], "maps": {}}' % digits)
+    names = {"FILE": str(path), "LONG_FILE": str(long_file)}
+    capsys.readouterr()
+    assert main(["--out", str(out)] + [names.get(a, a.replace("LONG", digits)) for a in argv]) == 2
+    if "LONG_FILE" in argv:
+        want = "error: document holds an integer with too many digits\n"
+    else:
+        want = f"error: natural number has too many digits: {len(digits)}\n"
+    assert capsys.readouterr().err == want
+    assert not out.exists()
+
+
 def test_fresh_base_outside_ascii_digits_exits_2(tmp_path, capsys):
     from test_amalgamation import base_condition
 
@@ -456,6 +485,43 @@ def test_one_key_on_an_invalid_file_blames_the_input_under_its_own_name(tmp_path
     assert main(["one-key", str(path)] + flags) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: lift_with_support: input is not a valid condition")
+
+
+def test_match_pair_on_an_invalid_file_blames_the_input_under_its_own_name(tmp_path, capsys):
+    from test_amalgamation import base_condition
+
+    doc = json.loads(encode_condition(base_condition(with_edge=True)))
+    doc["maps"]["0"].append(["w^w+1", "w^w+1"])  # a fixed point off the root
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    argv = ["match-pair", str(path), "--alpha", "w^w", "--beta", "w^w*2", "--node", "w^w"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: build_matched_pair: input is not a valid condition: clause 2 (maps)")
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("node_matching", ["w^w+1", "w^w*2+7"], "field 'node_matching[5]': duplicate source w^w+1"),
+        ("index_matching", [0, 5], "field 'index_matching[1]': duplicate source 0"),
+    ],
+    ids=["node", "index"],
+)
+def test_amalgamate_refuses_a_matching_with_a_repeated_source(tmp_path, capsys, field, value, message):
+    from test_amalgamation import base_condition
+
+    src, mp_file = tmp_path / "p.json", tmp_path / "mp.json"
+    src.write_text(encode_condition(base_condition(with_edge=True)))
+    argv = ["match-pair", str(src), "--alpha", "w^w", "--beta", "w^w*2", "--node", "w^w"]
+    assert main(["--out", str(mp_file)] + argv) == 0
+    doc = json.loads(mp_file.read_text())
+    assert "second" not in doc
+    doc[field].insert(0, value)
+    mp_file.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["amalgamate", str(mp_file)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 # -- the parser is built once and reused ----------------------------------------

@@ -11,6 +11,7 @@ from treeforcing.codec import (
     CodecError,
     _label,
     condition_from_dict,
+    condition_to_dict,
     decode_condition,
     decode_matched_pair,
     encode_condition,
@@ -102,6 +103,21 @@ def test_a_natural_past_the_digit_limit_names_its_field(label):
         parse_ordinal(label)
 
 
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no integer digit limit"
+)
+def test_an_integer_past_the_digit_limit_outside_a_label_is_a_codec_error():
+    # json.loads raises a plain ValueError, not its JSONDecodeError, on such a number
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    text = '{"nodes": ["0"], "parents": [], "indices": [%s], "maps": {}}' % digits
+    with pytest.raises(CodecError, match="^document holds an integer with too many digits$"):
+        decode_condition(text)
+    # a map key is a string, so it reaches the key check instead
+    text = '{"nodes": ["0"], "parents": [], "indices": [], "maps": {"%s": []}}' % digits
+    with pytest.raises(CodecError, match="^field 'maps': key '1+' is not an index$"):
+        decode_condition(text)
+
+
 def test_reject_undeclared_map_index():
     text = '{"nodes": ["0"], "parents": [], "indices": [], "maps": {"3": []}}'
     with pytest.raises(CodecError, match="not declared"):
@@ -120,13 +136,39 @@ def test_matched_pair_round_trip():
 
 
 def test_a_pair_file_with_the_derived_keys_decodes_as_one_without_them():
-    # a file may still carry the common nodes, the shared indices and the
-    # second anchor, all derived from the rest; the decode does not read them
+    # a file may still carry the common nodes, the shared indices, the second
+    # anchor and the second condition, all derived from the rest; the decode
+    # does not read them
     doc = pair_doc()
+    second = condition_to_dict(decode_matched_pair(json.dumps(doc))[0].pb)
     old = {**doc, "common_nodes": ["0", "w", "w+1"], "shared_indices": [0], "anchor_second": "w^w*2"}
     (mp, rho), (mp_old, rho_old) = (decode_matched_pair(json.dumps(d)) for d in (doc, old))
     assert mp_old == mp
     assert encode_condition(amalgamate(mp_old, rho_old)) == encode_condition(amalgamate(mp, rho))
+    mp_second, rho_second = decode_matched_pair(json.dumps({**doc, "second": second}))
+    assert mp_second == mp and mp_second.pb == mp.pb
+    assert encode_condition(amalgamate(mp_second, rho_second)) == encode_condition(amalgamate(mp, rho))
+    # not read at all: a malformed second condition is no error either
+    assert decode_matched_pair(json.dumps({**doc, "second": {"nodes": 7}}))[0] == mp
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        (
+            "node_matching",
+            ["w^w+1", "w^w*2+7"],
+            "field 'node_matching[5]': duplicate source w^w+1",
+        ),
+        ("index_matching", [0, 5], "field 'index_matching[1]': duplicate source 0"),
+    ],
+    ids=["node", "index"],
+)
+def test_a_matching_refuses_a_repeated_source_by_its_slot(field, value, message):
+    # the first entry is a second image of the source the last entry maps
+    doc = pair_doc()
+    doc[field].insert(0, value)
+    assert decode_error(decode_matched_pair, doc) == message
 
 
 def test_export_dot_trivial():
@@ -183,9 +225,10 @@ def test_a_bad_label_is_named_where_it_first_occurs():
     # w*2 is nodes[3] and recurs in parents[2][0]
     doc = json.loads(json.dumps(t1_doc()).replace('"w*2"', '"w*q"'))
     assert decode_error(decode_condition, doc).startswith("field 'nodes[3]': ")
-    # inside a matched pair: first's nodes[3], second's nodes[3], and a label
-    # first read in node_matching that recurs in anchor_first
-    for label, field in (("w^w", "nodes[3]"), ("w^w*2", "nodes[3]")):
+    # inside a matched pair: first's nodes[3], the copy's w^w*2 first read in
+    # node_matching[3][1], and a label first read in node_matching that recurs
+    # in anchor_first
+    for label, field in (("w^w", "nodes[3]"), ("w^w*2", "node_matching[3][1]")):
         doc = json.loads(json.dumps(pair_doc()).replace(f'"{label}"', '"w^q"'))
         assert decode_error(decode_matched_pair, doc).startswith(f"field {field!r}: ")
     doc = put(pair_doc(), ("node_matching", 3, 0), "w^q")
@@ -203,13 +246,11 @@ def test_a_non_string_where_a_parsed_label_recurs_names_its_field(value):
     cases = [
         (decode_condition, t1_doc, ("parents", 0, 1), parents),
         (decode_condition, t1_doc, ("maps", "1", 0, 0), map_1),
+        (decode_matched_pair, pair_doc, ("node_matching", 1, 0), "'node_matching[1][0]'"),
         (decode_matched_pair, pair_doc, ("node_matching", 1, 1), "'node_matching[1][1]'"),
+        (decode_matched_pair, pair_doc, ("first", "parents", 0, 1), parents),
+        (decode_matched_pair, pair_doc, ("first", "maps", "0", 0, 0), map_0),
     ]
-    for side in ("first", "second"):
-        cases += [
-            (decode_matched_pair, pair_doc, (side, "parents", 0, 1), parents),
-            (decode_matched_pair, pair_doc, (side, "maps", "0", 0, 0), map_0),
-        ]
     for decode, doc, path, field in cases:
         assert decode_error(decode, put(doc(), path, value)) == f"field {field}: {got}"
 
@@ -308,6 +349,7 @@ def test_decodes_leave_no_module_state():
         (lambda d: d["parents"].append(["w*2", "w+1"]), "field 'parents[3]': duplicate child w*2"),
         (lambda d: d["indices"].append(1), "field 'indices': duplicate index"),
         (lambda d: d.update(maps=[]), "field 'maps': expected an object"),
+        (lambda d: d.update(nodes="w"), "field 'nodes': expected a list, got 'w'"),
         (
             lambda d: d["parents"].append(["w*3"]),
             "field 'parents[3]': expected a pair, got ['w*3']",
@@ -317,7 +359,7 @@ def test_decodes_leave_no_module_state():
             "field 'rho[0]': expected [i, j, ordinal], got [0, 1]",
         ),
     ],
-    ids=["parents", "maps", "child", "index", "maps-list", "pair", "rho-entry"],
+    ids=["parents", "maps", "child", "index", "maps-list", "nodes-list", "pair", "rho-entry"],
 )
 def test_condition_field_errors(edit, message):
     doc = t1_doc()
@@ -334,7 +376,7 @@ def test_document_roots_must_be_objects():
     assert decode_error(decode_matched_pair, doc) == "document root must be an object"
 
 
-@pytest.mark.parametrize("field", ["alpha", "second", "index_matching", "anchor_first"])
+@pytest.mark.parametrize("field", ["alpha", "first", "index_matching", "anchor_first"])
 def test_matched_pair_missing_field(field):
     doc = pair_doc()
     del doc[field]
@@ -371,15 +413,19 @@ BAD_SLOTS = {
         MALFORMED: "field 'node_matching[1][1]': expected a natural number at position 2: 'w*q'",
         WIDENED: "field 'node_matching[1]': expected a pair, got ['w', 'w', '0']",
     },
+    ("pair", ("node_matching", 4, 0)): {
+        NUMBER: "field 'node_matching[4][0]': expected an ordinal string, got 7",
+        MALFORMED: "field 'node_matching[4][0]': expected a natural number at position 2: 'w*q'",
+        WIDENED: "field 'node_matching[4]': expected a pair, got ['w^w+1', 'w^w*2+1', '0']",
+    },
 }
-for _side in ("first", "second"):
-    BAD_SLOTS[("pair", (_side, "nodes", 2))] = BAD_SLOTS[("condition", ("nodes", 2))]
-    BAD_SLOTS[("pair", (_side, "parents", 1, 1))] = BAD_SLOTS[("condition", ("parents", 1, 1))]
-    BAD_SLOTS[("pair", (_side, "maps", "0", 1, 0))] = {
-        NUMBER: "field 'maps[0][1][0]': expected an ordinal string, got 7",
-        MALFORMED: "field 'maps[0][1][0]': expected a natural number at position 2: 'w*q'",
-        WIDENED: "field 'maps[0][1]': expected a pair, got ['w', 'w+1', '0']",
-    }
+BAD_SLOTS[("pair", ("first", "nodes", 2))] = BAD_SLOTS[("condition", ("nodes", 2))]
+BAD_SLOTS[("pair", ("first", "parents", 1, 1))] = BAD_SLOTS[("condition", ("parents", 1, 1))]
+BAD_SLOTS[("pair", ("first", "maps", "0", 1, 0))] = {
+    NUMBER: "field 'maps[0][1][0]': expected an ordinal string, got 7",
+    MALFORMED: "field 'maps[0][1][0]': expected a natural number at position 2: 'w*q'",
+    WIDENED: "field 'maps[0][1]': expected a pair, got ['w', 'w+1', '0']",
+}
 
 
 @pytest.mark.parametrize("bad", [NUMBER, MALFORMED, WIDENED])

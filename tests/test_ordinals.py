@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from treeforcing.ordinals import (
     left_subtract,
     node_at,
     omega_mul,
+    parse_natural,
     parse_ordinal,
 )
 
@@ -218,6 +220,19 @@ def test_node_at_trivia():
     assert node_at(ONE, 0) == OMEGA
     assert node_at(O("w"), 5) == omega_mul(O("w")) + O("5")
     assert node_at(O("w"), 5) == O("w^2+5")
+    with pytest.raises(ValueError, match="^offset must be a natural number$"):
+        node_at(ONE, -1)
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no integer digit limit"
+)
+def test_parse_natural_refuses_a_natural_past_the_digit_limit_by_its_length():
+    n = sys.get_int_max_str_digits()
+    assert parse_natural("1" * n) == int("1" * n)
+    with pytest.raises(ValueError) as exc:
+        parse_natural("1" * (n + 1))
+    assert str(exc.value) == f"natural number has too many digits: {n + 1}"
 
 
 def test_height_split_node_at_inverse():

@@ -219,6 +219,18 @@ def test_downward_close_map_identity_extension():
     assert downward_close_map(t, t, f) == f
 
 
+def test_downward_close_map_refuses_its_inputs():
+    t = t1()
+    fixed = TreeMap([(ZERO, ZERO), (O("w"), O("w"))])  # a fixed point off the root
+    with pytest.raises(ValueError, match="^map is not standard on its host tree$"):
+        downward_close_map(t, t, fixed)
+    # dropping w*2 is no extension of t at all
+    smaller = StandardTree.make([ZERO, O("w"), O("w+1")], {O("w"): ZERO, O("w+1"): ZERO})
+    f = TreeMap([(ZERO, ZERO), (O("w"), O("w+1"))])
+    with pytest.raises(ValueError, match="^target tree is not a simple extension of the host$"):
+        downward_close_map(t, smaller, f)
+
+
 def test_downward_close_map_inserted_level():
     t = t1()
     f = TreeMap([(ZERO, ZERO), (O("w"), O("w+1"))])

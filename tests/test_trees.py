@@ -108,6 +108,17 @@ def test_restrict_refusals(x, b, error, message):
     assert type(exc.value) is error and str(exc.value) == message
 
 
+@pytest.mark.parametrize(
+    "query",
+    [lambda t: t.chain_down(O("w*3")), lambda t: t.is_below(O("w"), O("w*3"))],
+    ids=["chain_down", "is_below"],
+)
+def test_order_queries_refuse_a_node_outside_the_tree(query):
+    with pytest.raises(MalformedTreeError) as exc:
+        query(t1())
+    assert str(exc.value) == "node w*3 is not in the tree"
+
+
 def test_meet():
     t = t1()
     assert t.meet(O("w"), O("w")) == O("w")
