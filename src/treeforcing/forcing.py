@@ -635,10 +635,14 @@ class MatchedPair:
 
     @cached_property
     def pb(self) -> Condition:
-        """The copy: pa's nodes, links and maps carried through the matchings."""
+        """The copy: pa's nodes, links and maps carried through the matchings;
+        a matching that misses part of ``pa`` is refused by the matching clauses."""
         f, g, pa = self.iso_f, self.iso_g, self.pa
-        links = {f[c]: f[x] for c, x in pa.tree.parent.items()}
-        maps = {g[tau]: TreeMap((f[a], f[b]) for a, b in m) for tau, m in pa.family.items()}
+        try:
+            links = {f[c]: f[x] for c, x in pa.tree.parent.items()}
+            maps = {g[tau]: TreeMap((f[a], f[b]) for a, b in m) for tau, m in pa.family.items()}
+        except KeyError:
+            raise ValueError("; ".join(_matching_report(self))) from None
         return Condition(StandardTree(frozenset(f.values()), links), maps)
 
     @property
@@ -671,9 +675,10 @@ def validate_matched_pair(mp: MatchedPair, rho: RhoOracle) -> list[str]:
 
 
 def _side_report(name: str, cond: Condition, rho: RhoOracle) -> list[str]:
-    """One side of a matched pair: a valid condition on a normal tree."""
+    """One side of a matched pair: a valid condition on a normal tree; a tree
+    that fails validation is reported by its own lines alone."""
     out = [f"{name} condition: {line}" for line in validate_condition(cond, rho)]
-    if not is_normal(cond.tree):
+    if not validate_tree(cond.tree) and not is_normal(cond.tree):
         out.append(f"{name} condition: tree is not normal")
     return out
 

@@ -21,6 +21,7 @@ from . import forcing
 from .codec import CodecError, _list, _nat, _ord
 from .forcing import Condition, MatchedPair
 from .separation import RhoOracle
+from .trees import MalformedTreeError
 
 # argument kinds: a scenario gives ordinals as grammar strings and sets as lists
 ORDINAL, NATURAL, ORDINALS, NATURALS = "ordinal", "natural", "ordinal set", "natural set"
@@ -110,6 +111,12 @@ def decode(name: Any, args: dict[str, Any], where: str) -> dict[str, Any]:
 def run(name: str, subject: Any, args: Mapping[str, Any], rho: RhoOracle) -> Any:
     """Apply operation ``name`` to subject with decoded args; the function's
     own result, unchanged.  The function is the attribute of ``forcing``,
-    read now."""
+    read now.  A tree that order queries refuse is blamed on a condition
+    input that fails validation."""
     values = [args[key] for key in OPS[name].args]
-    return getattr(forcing, name)(subject, *values, rho)
+    try:
+        return getattr(forcing, name)(subject, *values, rho)
+    except MalformedTreeError:
+        if isinstance(subject, Condition):
+            forcing._blame_input(subject, rho, name)
+        raise

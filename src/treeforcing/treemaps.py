@@ -122,20 +122,19 @@ def classify_map(t: StandardTree, pairs: Iterable[Pair]) -> MapFlags:
     increasing functions this coincides with asking the domain to be closed
     under drop-downs.
 
-    Each pair is looked up once in the tree's rank index, and every clause
-    runs on the ranks.  The strict order is transitive, so on a layered tree
-    (every valid tree is one) each source is compared only with its nearest
-    proper ancestor in the domain, and a level-preserving pair restricts to
-    the pair of its parents.  On other trees each source's ancestors are
-    walked, as order queries may raise ``MalformedTreeError`` there.
+    The tree must be layered, as order queries need.  Each pair is looked up
+    once in the tree's rank index, and every clause runs on the ranks.  The
+    strict order is transitive, so each source is compared only with its
+    nearest proper ancestor in the domain, and a level-preserving pair
+    restricts to the pair of its parents.
     """
     ps = pairs.pairs if isinstance(pairs, TreeMap) else sorted(set(pairs))
-    index = t._index
-    rank, n, lev, pre, last = index.rank, index.n, index.lev, index.pre, index.last
+    index = t._order()
+    rank, lev, pre, last, par = index.rank, index.lev, index.pre, index.last, index.par
     rs = []
     for x, y in ps:
-        a, b = rank.get(x, n), rank.get(y, n)
-        if a >= n or b >= n:
+        a, b = rank.get(x), rank.get(y)
+        if a is None or b is None:
             raise ValueError(f"pair ({x}, {y}) leaves the tree")
         rs.append((a, b))
     targets_of: dict[int, list[int]] = {}
@@ -144,33 +143,21 @@ def classify_map(t: StandardTree, pairs: Iterable[Pair]) -> MapFlags:
     functional = len(targets_of) == len(rs)
     injective = len({b for _, b in rs}) == len(rs)
     level_preserving = all(lev[a] == lev[b] for a, b in rs)
-    layered = t._layered
-    if layered:  # nearest ancestors in the domain: a stack of open preorder intervals
-        open_, strictly_increasing = [], True
-        for a1 in sorted(targets_of, key=pre.__getitem__):
-            while open_ and last[open_[-1]] < pre[a1]:
-                open_.pop()
-            below = targets_of[open_[-1]] if open_ else ()
-            if not all(pre[b0] < pre[b1] <= last[b0] for b0 in below for b1 in targets_of[a1]):
-                strictly_increasing = False
-                break
-            open_.append(a1)
-    else:
-        if rs:
-            t._order()  # a walk along links that never reach the root raises
-        # pairs (a0, b0), (a1, b1) with a0 below a1 need b0 below b1
-        strictly_increasing = all(
-            lev[b0] < lev[b1] and pre[b0] < pre[b1] <= last[b0]
-            for a1, b1 in rs
-            for a0 in index.ancestors(a1)
-            if a0 in targets_of and lev[a0] < lev[a1]
-            for b0 in targets_of[a0]
-        )
+    # nearest ancestors in the domain: a stack of open preorder intervals
+    open_, strictly_increasing = [], True
+    for a1 in sorted(targets_of, key=pre.__getitem__):
+        while open_ and last[open_[-1]] < pre[a1]:
+            open_.pop()
+        below = targets_of[open_[-1]] if open_ else ()
+        if not all(pre[b0] < pre[b1] <= last[b0] for b0 in below for b1 in targets_of[a1]):
+            strictly_increasing = False
+            break
+        open_.append(a1)
     # restrictions compose, so each pair's next lower level stands for all of them
-    rank_pairs, par = set(rs), index.par
+    rank_pairs = set(rs)
 
     def closed_below(a: int, b: int) -> bool:
-        if layered and lev[a] == lev[b] != 0:
+        if lev[a] == lev[b] != 0:
             return (par[a], par[b]) in rank_pairs
         k = max(min(lev[a], lev[b]) - 1, 0)
         return (index.drop(a, k), index.drop(b, k)) in rank_pairs

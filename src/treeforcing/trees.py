@@ -31,7 +31,9 @@ MAX_TREE_NODES = 10_000
 
 
 class MalformedTreeError(ValueError):
-    """Parent links that cycle or break off before the root; order queries need them whole."""
+    """A tree that order queries refuse: its parent links cycle, break off or
+    pass a label outside the node set before the root, or the tree is not
+    layered; the text is the link fault or the first line of ``validate_tree``."""
 
 
 class _TreeIndex:
@@ -43,14 +45,15 @@ class _TreeIndex:
     ranks: level number k (0 is the root level, k > 0 the height
     ``heights[k - 1]``) holds the ranks ``starts[k]`` to ``starts[k + 1] - 1``.
     Per rank, ``lev`` holds the level number and ``par`` the parent's rank
-    (-1 without a link).  The order part numbers a depth-first walk down from
-    the root: ``pre`` and ``last`` bound a rank's subtree as a preorder
-    interval (``pre`` is -1 off the walk), so ancestor tests are O(1) and a
-    node's successors on one level are a bisected slice of that level.
-    Labels that links name outside the node set, the root among them, take
-    the ranks after the ``n`` nodes, so the walk follows the links as they
-    are.  Building it is the only walk along parent links; a cycle or a
-    missing link leaves ``fault`` set instead.
+    (-1 without a link to a node).  The order part numbers a depth-first walk
+    down from the root: ``pre`` and ``last`` bound a rank's subtree as a
+    preorder interval (``pre`` is -1 off the walk), so ancestor tests are O(1)
+    and a node's successors on one level are a bisected slice of that level.
+    Only nodes are ranked: a link from a label outside the node set, or the
+    root's own link, is left out, and a link into one leaves its child off
+    the walk (a tree without the root walks from the nodes linked to 0).
+    Building it is the only walk along parent links; a node off the walk
+    leaves ``fault`` set to why its links never reach the root.
     """
 
     __slots__ = ("labels", "rank", "n", "root", "heights", "level_no", "starts", "lev", "par",
@@ -65,26 +68,21 @@ class _TreeIndex:
             starts.append(len(labels))
             labels += sorted(levels[h])
             lev += [k] * (len(labels) - starts[k])
-        self.n = len(labels)
-        starts.append(self.n)
-        rank = dict(zip(labels, range(self.n)))
-        level_no = dict(zip(hs, range(len(hs))))
-        get, parent = rank.get, t.parent
-        links = [(get(c, -1), get(p, -1)) for c, p in parent.items()]
-        # labels the links name outside the node set, the root among them, rank after the nodes
-        if ZERO not in rank or min(map(min, links), default=0) < 0:
-            for x in sorted({ZERO, *parent, *parent.values()} - t.nodes):
-                rank[x] = len(labels)
-                labels.append(x)
-                lev.append(level_no.get(x.height, -1))
-            links = [(rank[c], rank[p]) for c, p in parent.items()]
-        root, m = rank[ZERO], len(labels)
-        par, kids = [-1] * m, [[] for _ in labels]
-        for c, p in links:
-            par[c] = p
-            if c != root:  # chains stop at the root, whatever link it carries
-                kids[p].append(c)
-        order, stack, pre, last = [], [root], [-1] * m, [-1] * m
+        n = len(labels)
+        starts.append(n)
+        rank = dict(zip(labels, range(n)))
+        root, get = rank.get(ZERO, -1), rank.get
+        par, kids, tops = [-1] * n, [[] for _ in labels], [root] if root >= 0 else []
+        for c, p in t.parent.items():
+            rc, rp = get(c, root), get(p)
+            if rc == root:  # the root's own link, or one from outside the node set
+                continue
+            if rp is not None:
+                par[rc] = rp
+                kids[rp].append(rc)
+            elif p == ZERO:
+                tops.append(rc)
+        order, stack, pre, last = [], tops, [-1] * n, [-1] * n
         while stack:
             r = stack.pop()
             pre[r] = len(order)
@@ -92,16 +90,12 @@ class _TreeIndex:
             stack.extend(kids[r])
         for r in reversed(order):  # a subtree ends in that of the child walked last
             last[r] = last[kids[r][0]] if kids[r] else pre[r]
-        self.labels, self.rank, self.root, self.level_no = labels, rank, root, level_no
-        self.heights, self.starts, self.lev, self.par = tuple(hs[1:]), starts, lev, par
+        self.labels, self.rank, self.n, self.root = labels, rank, n, root
+        self.heights, self.level_no = tuple(hs[1:]), dict(zip(hs, range(len(hs))))
+        self.starts, self.lev, self.par = starts, lev, par
         self.pre, self.last, self.order = pre, last, order
-        self.fault = _link_fault(t, labels[pre.index(-1)]) if -1 in pre[: self.n] else None
+        self.fault = _link_fault(t, labels[pre.index(-1)]) if len(order) < n else None
         self._sets, self._by_pre = [None] * len(hs), None
-
-    def reached(self, x: Ordinal) -> int | None:
-        """The rank of x when the walk from the root reaches it."""
-        r = self.rank.get(x)
-        return None if r is None or self.pre[r] < 0 else r
 
     def ancestors(self, r: int) -> Iterator[int]:
         """The proper ancestors of rank r along the links, down to the root."""
@@ -110,14 +104,12 @@ class _TreeIndex:
             yield r
 
     def drop(self, x: int, k: int) -> int:
-        """The ancestor of rank x on level k, found along the links."""
-        r = x
-        while self.lev[r] != k:
-            if r == self.root:
-                b = self.heights[k - 1] if k else ZERO
-                raise MalformedTreeError(f"node {self.labels[x]} has no ancestor at level {b}")
-            r = self.par[r]
-        return r
+        """The ancestor of rank x on level k at most its own: on a layered
+        tree, lev[x] - k parent steps."""
+        par = self.par
+        for _ in range(self.lev[x] - k):
+            x = par[x]
+        return x
 
     def level(self, h: Ordinal) -> frozenset[Ordinal]:
         k = self.level_no.get(h)
@@ -131,22 +123,23 @@ class _TreeIndex:
         if self._by_pre is None:
             self._by_pre = [([], []) for _ in self._sets]
             for i, s in enumerate(self.order):
-                if s < self.n:
-                    keys, members = self._by_pre[self.lev[s]]
-                    keys.append(i)
-                    members.append(s)
+                keys, members = self._by_pre[self.lev[s]]
+                keys.append(i)
+                members.append(s)
         keys, members = self._by_pre[k]
         return members[bisect_right(keys, self.pre[r]) : bisect_right(keys, self.last[r])]
 
 
 def _link_fault(t: "StandardTree", x: Ordinal) -> str:
-    """Why the parent links from x never reach the root."""
+    """Why the parent links from x never reach the root through the node set."""
     seen = set()
     cur = x
     while cur not in seen:
         seen.add(cur)
         if cur not in t.parent:
             return f"node {cur} has no parent link"
+        if cur not in t.nodes:
+            return f"node {cur} is not in the tree"
         cur = t.parent[cur]
     return f"parent links cycle at {cur}"
 
@@ -183,17 +176,17 @@ class StandardTree:
         """Links reach the root and every non-root node links to a node on the
         previous occupied level, as on every tree that passes ``validate_tree``."""
         index = self._index
-        lev, par, n = index.lev, index.par, index.n
+        lev, par = index.lev, index.par
         return index.fault is None and all(
-            par[r] < n and lev[par[r]] == lev[r] - 1 for r in range(n) if r != index.root
+            par[r] >= 0 and lev[par[r]] == lev[r] - 1 for r in range(index.n) if r != index.root
         )
 
     def _order(self) -> _TreeIndex:
-        """The index, once parent links are known to lead every node to the root."""
-        index = self._index
-        if index.fault is not None:
-            raise MalformedTreeError(index.fault)
-        return index
+        """The index of a layered tree, which every order query needs; any other
+        tree is refused by its link fault or its first validation line."""
+        if not self._layered:
+            raise MalformedTreeError(self._index.fault or validate_tree(self)[0])
+        return self._index
 
     # -- level structure -------------------------------------------------
 
@@ -224,17 +217,17 @@ class StandardTree:
     def chain_down(self, x: Ordinal) -> list[Ordinal]:
         """x and its ancestors, from x down to the root."""
         index = self._order()
-        r = index.reached(x)
+        r = index.rank.get(x)
         if r is None:
             raise MalformedTreeError(f"node {x} is not in the tree")
         return [x, *(index.labels[a] for a in index.ancestors(r))]
 
     def is_below(self, x: Ordinal, y: Ordinal) -> bool:
         """x strictly below y."""
+        index = self._order()
         if not x.height < y.height:
             return False
-        index = self._order()
-        ry = index.reached(y)
+        ry = index.rank.get(y)
         if ry is None:
             raise MalformedTreeError(f"node {y} is not in the tree")
         rx = index.rank.get(x)
@@ -253,15 +246,14 @@ class StandardTree:
     def restrict(self, x: Ordinal, b: Ordinal) -> Ordinal:
         """Drop-down: the unique ancestor of x at occupied level b <= ht(x)."""
         index = self._index
-        r, k = index.rank.get(x, index.n), index.level_no.get(b)
-        if r >= index.n:
+        r, k = index.rank.get(x), index.level_no.get(b)
+        if r is None:
             raise ValueError(f"node {x} not in tree")
         if k is None:
             raise ValueError(f"level {b} is not occupied")
         if x.height < b:
             raise ValueError(f"level {b} is above node {x}")
-        self._order()
-        return index.labels[index.drop(r, k)]
+        return index.labels[self._order().drop(r, k)]
 
     def meet(self, x: Ordinal, y: Ordinal) -> Ordinal:
         """The largest common lower bound of x and y (the root exists, so it does)."""
@@ -274,20 +266,16 @@ class StandardTree:
 
     def successors(self, x: Ordinal) -> frozenset[Ordinal]:
         index = self._order()
-        r = index.reached(x)
+        r = index.rank.get(x)
         if r is None:
             return frozenset()
-        hx, labels = x.height, index.labels
-        return frozenset(
-            labels[s]
-            for s in index.order[index.pre[r] + 1 : index.last[r] + 1]
-            if s < index.n and hx < labels[s].height
-        )
+        labels = index.labels
+        return frozenset(labels[s] for s in index.order[index.pre[r] + 1 : index.last[r] + 1])
 
     def successors_at(self, x: Ordinal, h: Ordinal) -> frozenset[Ordinal]:
         """The successors of x on level h."""
         index = self._order()
-        r, k = index.reached(x), index.level_no.get(h)
+        r, k = index.rank.get(x), index.level_no.get(h)
         if r is None or not x.height < h or k is None:
             return frozenset()
         return frozenset(index.labels[s] for s in index.successors_on(r, k))
@@ -295,6 +283,7 @@ class StandardTree:
     def immediate_successors(self, x: Ordinal) -> frozenset[Ordinal]:
         nxt = self.level_above(x.height)
         if nxt is None:
+            self._order()  # nothing above, yet a malformed tree is still refused
             return frozenset()
         return self.successors_at(x, nxt)
 
@@ -308,7 +297,7 @@ def validate_tree(t: StandardTree) -> list[str]:
     root and one link per other node passes them all; the lines are written
     only when a clause fails."""
     index = t._index
-    if t._layered and index.root < index.n and len(t.parent) == index.n - 1:
+    if t._layered and len(t.parent) == index.n - 1:
         return []
     out = []
     if ZERO not in t.nodes:
@@ -364,56 +353,29 @@ def unique_dropdowns(t: StandardTree, X: Iterable[Ordinal], b: Ordinal) -> bool:
 def is_extension(t: StandardTree, u: StandardTree) -> bool:
     """t's nodes and order are contained in u's.
 
-    When the containment holds, the order of u restricted to t must equal
-    the order of t (extensions are automatically end-extensions); a failure
-    of that equality means an input was not a valid tree.
+    Both trees must be layered, as order queries need.  Then it is enough
+    that each link c -> x of t has x below c in u: the order is the
+    transitive closure of the links.  The containment is then an equality
+    on t's nodes, so every extension is an end-extension: if x and y are in
+    t and x is below y in u, y has a t-ancestor x' on x's level, since t is
+    layered; x' is also a u-ancestor of y on that level, so x' = x.
 
-    Linear in the two trees, on ranks: each of t's ranks is looked up in u
-    once, the order containment reads u's preorder intervals and the
-    end-extension compares ancestor counts.  Neither relies on the heights
-    along the links, so trees that fail validation get the answer of the
-    pairwise comparison of ``order_pairs``.
+    Linear in t, on ranks: each of t's ranks is looked up in u once, and
+    each link reads u's preorder intervals.
     """
     if t is u:
-        t._order()  # a faulty tree still raises
+        t._order()  # a malformed tree still raises
         return True
     if not t.nodes <= u.nodes:
         return False
     it, iu = t._order(), u._order()
-    n, par = it.n, it.par
-    # u's preorder interval of each of t's ranks; (-1, -1) where u has no such label
-    ranks = [iu.rank.get(x) for x in it.labels]
-    enter = [-1 if r is None else iu.pre[r] for r in ranks]
-    exit_ = [-1 if r is None else iu.last[r] for r in ranks]
-    # every t-ancestor x of a node y of t must be a u-ancestor of y: the
-    # nodes of t under each link c -> x span the u-preorder keys lo..hi,
-    # and x's u-interval must hold them all
-    lo, hi = [len(iu.order)] * len(ranks), [-1] * len(ranks)
-    for c in reversed(it.order[1:]):
-        if c < n:
-            lo[c], hi[c] = min(lo[c], enter[c]), max(hi[c], enter[c])
-        if hi[c] < 0:
-            continue
-        x = par[c]
-        if enter[x] < 0 or not enter[x] < lo[c] or exit_[x] < hi[c]:
-            return False
-        lo[x], hi[x] = min(lo[x], lo[c]), max(hi[x], hi[c])
-    # end-extension: y's t-ancestors all lie in t and are exactly its
-    # u-ancestors inside t, which, given the containment, is a count
-    depth = [0] * len(ranks)
-    for c in it.order[1:]:
-        x = par[c]
-        depth[c] = depth[x] + 1 if x < n and depth[x] >= 0 else -1
-    in_t = [False] * len(iu.labels)
-    for r in ranks[:n]:
-        in_t[r] = True
-    inside = [0] * len(iu.labels)
-    for c in iu.order[1:]:
-        x = iu.par[c]
-        inside[c] = inside[x] + in_t[x]
-    if any(depth[y] != inside[r] for y, r in enumerate(ranks[:n])):
-        raise MalformedTreeError("extension is not an end-extension; inputs are not standard trees")
-    return True
+    ranks = list(map(iu.rank.__getitem__, it.labels))
+    par, pre, last = it.par, iu.pre, iu.last
+    return all(
+        pre[ranks[par[c]]] < pre[ranks[c]] <= last[ranks[par[c]]]
+        for c in range(it.n)
+        if c != it.root
+    )
 
 
 def is_simple_extension(t: StandardTree, u: StandardTree) -> bool:
@@ -493,7 +455,7 @@ def _simple_extend(t: StandardTree, B: frozenset[Ordinal]) -> StandardTree:
             nodes.add(z)
             parent[z], top = top, z
             continue
-        t._order()  # links that cycle or stop short of the root raise here
+        t._order()  # a tree that is not layered is refused here
         for x in sorted(t.level(t.level_above(a))):
             z = labels.take(a)
             nodes.add(z)
@@ -511,7 +473,7 @@ def is_normal(t: StandardTree) -> bool:
     index = t._index
     below = range(index.starts[-2])
     if below:
-        t._order()  # links that cycle or stop short of the root raise, as successor queries do
+        t._order()  # a tree that is not layered is refused, as successor queries refuse it
     return all(index.successors_on(r, index.lev[r] + 1) for r in below)
 
 

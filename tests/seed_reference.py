@@ -8,6 +8,7 @@ comparisons recurse through Python methods, and ``ProbingLabels`` the
 fresh-node allocator that probes every offset from 0 upward.
 ``is_normal_per_level`` probes every higher level through the library's
 ``successors_at``, so on malformed links it raises the library's errors.
+``refusal`` names why order queries refuse a tree that is not layered.
 ``simple_extend_per_level`` and ``augment_per_step`` are the extensions that
 build a whole new tree (and, for augmentation, a new map) for every
 inserted level or added node; both return their output unchecked.
@@ -305,6 +306,38 @@ def validate_tree(t):
         if not want <= hit:
             out.append(f"clause 4: node {x} misses ancestors at {_names(want - hit)}")
     return out
+
+
+def _link_fault(t, x):
+    seen, cur = set(), x
+    while cur != ZERO:
+        if cur in seen:
+            return f"parent links cycle at {cur}"
+        seen.add(cur)
+        if cur not in t.parent:
+            return f"node {cur} has no parent link"
+        if cur not in t.nodes:
+            return f"node {cur} is not in the tree"
+        cur = t.parent[cur]
+    return None
+
+
+def refusal(t):
+    """Why order queries refuse t, or None when t is layered: the link fault
+    of the first node whose links never reach the root through the node
+    set, else the first validation line of a tree whose links skip a level."""
+    for x in sorted(t.nodes):
+        fault = _link_fault(t, x)
+        if fault:
+            return fault
+    heights = [ZERO, *sorted({node_height(x) for x in t.nodes} - {ZERO})]
+    below = dict(zip(heights[1:], heights))
+    layered = all(
+        x == ZERO
+        or (t.parent.get(x) in t.nodes and node_height(t.parent[x]) == below.get(node_height(x)))
+        for x in t.nodes
+    )
+    return None if layered else validate_tree(t)[0]
 
 
 def successors(t, x):

@@ -261,6 +261,22 @@ def test_pair_equality_ignores_the_derived_copy():
     assert twin == mp
 
 
+def test_a_copy_through_a_matching_that_misses_part_of_the_first_side_is_refused_by_name():
+    rho = RhoOracle.zero()
+    mp = build_matched_pair(base_condition(True), ALPHA, BETA, node_at(ALPHA, 0), 100, rho)
+    short = dataclasses.replace(mp, iso_f={x: y for x, y in mp.iso_f.items() if x != ALPHA})
+    with pytest.raises(ValueError) as exc:
+        short.pb
+    assert str(exc.value) == "node matching is not a bijection between the trees"
+    both = dataclasses.replace(short, iso_g={})
+    with pytest.raises(ValueError) as exc:
+        both.pb
+    assert str(exc.value) == (
+        "node matching is not a bijection between the trees; "
+        "index matching is not a bijection between the domains"
+    )
+
+
 def _broken_pairs():
     """(name, pair, oracle, report) for each clause of ``validate_matched_pair``,
     each pair a built one with fields replaced."""
@@ -283,6 +299,18 @@ def _broken_pairs():
     ]
     yield "side not normal", replace(mp, pa=Condition(leafy_tree, mp.pa.family)), rho, [
         "first condition: tree is not normal"
+    ]
+    # a malformed first side is reported by its tree lines alone, never raised:
+    # w+1 and w^w+1 link to each other, or w^w+1 links past level 1 to the root
+    u1 = node_at(ALPHA, 1)
+    cyclic = StandardTree(mp.pa.tree.nodes, {**mp.pa.tree.parent, a1: u1})
+    yield "first side cyclic", replace(mp, pa=Condition(cyclic, mp.pa.family)), rho, [
+        "first condition: clause 1 (tree): clause 3: parent w^w+1 of w+1 is not lower"
+    ]
+    skip = StandardTree(mp.pa.tree.nodes, {**mp.pa.tree.parent, u1: ZERO})
+    yield "first side not layered", replace(mp, pa=Condition(skip, mp.pa.family)), rho, [
+        "first condition: clause 1 (tree): clause 3: parent of w^w+1 sits at 0,"
+        " expected the previous level 1"
     ]
     yield "second level too low", replace(tall_mp, beta=BETA), rho, [
         "anchor levels are not occupied",

@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -13,10 +14,10 @@ import treeforcing
 
 from treeforcing.cli import main
 from treeforcing.codec import decode_condition, encode_condition
-from treeforcing.forcing import Condition
+from treeforcing.forcing import Condition, extend_heights, validate_condition
 from treeforcing.ordinals import parse_ordinal
 from treeforcing.separation import RhoOracle
-from treeforcing.trees import MAX_TREE_NODES
+from treeforcing.trees import MAX_TREE_NODES, MalformedTreeError
 
 from test_forcing_ops import t1_condition
 
@@ -245,12 +246,53 @@ def test_leq_on_malformed_links_exits_2(tmp_path, parents, message):
     ids=["cycle", "missing-link"],
 )
 def test_extend_below_malformed_links_exits_2(tmp_path, capsys, parents, message):
-    # level 1 goes in under level 2, whose links must reach the root first
+    # level 1 goes in under level 2, whose links must reach the root first: the
+    # library names the link fault, and the command blames its input
     path = tmp_path / "links.json"
     doc = {"nodes": ["0", "w*2", "w*2+1"], "parents": parents, "indices": [], "maps": {}}
     path.write_text(json.dumps(doc))
+    p, rho = decode_condition(path.read_text())
+    with pytest.raises(MalformedTreeError, match=f"^{re.escape(message)}$"):
+        extend_heights(p, {parse_ordinal("1")}, rho)
     assert main(["extend", str(path), "--heights", "1"]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    report = "; ".join(validate_condition(p, rho))
+    assert capsys.readouterr().err == (
+        f"error: extend_heights: input is not a valid condition: {report}\n"
+    )
+
+
+# a tree whose links cycle, and one whose links skip a level
+_MALFORMED_INPUTS = {
+    "cyclic": [["w", "w*3"], ["w*3", "w"]],
+    "skip": [["w", "0"], ["w*3", "0"]],
+}
+
+
+_ON_W = [
+    (["extend", "--heights", "2"], "extend_heights"),
+    (["widen", "--node", "w", "--count", "2"], "widen_node"),
+    (["grow", "--node", "w", "--height", "3"], "grow_node"),
+    (["fan-out", "--nodes", "w", "--count", "2"], "fan_out_condition"),
+    (["augment", "--index", "0", "--node", "w"], "augment"),
+    (["bijectivize", "--level", "1", "--nodes", "w", "--indices", "0"], "bijectivize_level"),
+]
+
+
+@pytest.mark.parametrize("links", _MALFORMED_INPUTS.values(), ids=_MALFORMED_INPUTS)
+@pytest.mark.parametrize("command, op", _ON_W, ids=[command[0] for command, _ in _ON_W])
+def test_an_operation_blames_a_malformed_tree_on_its_input(tmp_path, capsys, command, op, links):
+    path = tmp_path / "in.json"
+    doc = {"nodes": ["0", "w", "w*3"], "parents": links, "indices": [0], "maps": {"0": []}}
+    path.write_text(json.dumps(doc))
+    p, rho = decode_condition(path.read_text())
+    report = validate_condition(p, rho)
+    assert report and report[0].startswith("clause 1 (tree): ")
+    out = tmp_path / "out.json"
+    assert main(["--out", str(out), command[0], str(path)] + command[1:]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {op}: input is not a valid condition: {'; '.join(report)}\n"
+    )
+    assert not out.exists()
 
 
 def test_check_sep_on_missing_indices_exits_2(tmp_path, capsys):
@@ -773,7 +815,8 @@ def test_an_operation_that_closes_up_an_invalid_input_still_refuses_it(
 
 
 def test_leq_on_trees_that_disagree_on_their_common_order_exits_2(tmp_path, capsys):
-    # w*2 sits on the root in t and on w in u: u's order does not end-extend t's
+    # w*2 sits on the root in t and on w in u: t skips level 1, so it is not
+    # layered, and leq refuses it by its first validation line
     files = {}
     for name, link in (("t", "0"), ("u", "w")):
         doc = {
@@ -786,7 +829,7 @@ def test_leq_on_trees_that_disagree_on_their_common_order_exits_2(tmp_path, caps
         files[name].write_text(json.dumps(doc))
     assert main(["leq", str(files["u"]), str(files["t"])]) == 2
     assert capsys.readouterr().err == (
-        "error: extension is not an end-extension; inputs are not standard trees\n"
+        "error: clause 3: parent of w*2 sits at 0, expected the previous level 1\n"
     )
 
 

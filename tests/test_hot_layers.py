@@ -272,12 +272,13 @@ def _outcome(classify, t, pairs):
 
 
 def test_classify_shortcut_matches_the_ancestor_walk():
-    # on a layered tree classify_map compares each source with its nearest
-    # ancestor in the domain; the same tree marked unlayered walks every
-    # ancestor chain.  Valid trees are layered, and so are trees that fail
-    # validation only by a root link or a link from outside the node set; a
-    # link that skips a level leaves a tree unlayered
-    shortcut = 0
+    # classify_map compares each source with its nearest ancestor in the
+    # domain, which the reference's walk along every ancestor chain must
+    # confirm.  Valid trees are layered, and so are trees that fail validation
+    # only by a root link or a link from outside the node set; a link that
+    # skips a level leaves a tree unlayered, and classify_map refuses it by
+    # its first validation line
+    shortcut = refused = 0
     for seed in range(150):
         rng = random.Random(seed)
         p, _ = gen_condition(seed, GenBounds(max_heights=4, max_level_width=5, max_indices=3))
@@ -289,14 +290,19 @@ def test_classify_shortcut_matches_the_ancestor_walk():
             variants.append(({rng.choice(deep): ZERO}, False))
         for extra, layered in variants:
             u = StandardTree(t.nodes, {**t.parent, **extra})
-            walked = StandardTree(t.nodes, u.parent)
-            walked.__dict__["_layered"] = False
             assert u._layered == layered
             for _ in range(2):
                 pairs = _random_pairs(rng, t, p.family)
-                assert _outcome(classify_map, u, pairs) == _outcome(classify_map, walked, pairs)
-                shortcut += u._layered
-    assert shortcut == 900
+                got = _outcome(classify_map, u, pairs)
+                if layered:
+                    assert got == _outcome(ref.classify_map, u, pairs)
+                    shortcut += 1
+                else:
+                    line = trees.validate_tree(u)[0]
+                    assert line.startswith("clause 3: parent of ")
+                    assert got == (trees.MalformedTreeError, line)
+                    refused += 1
+    assert shortcut == 900 and refused > 200
 
 
 def test_classify_rejects_pairs_off_the_tree_like_the_reference():

@@ -4,7 +4,8 @@ Ordinals compare and hash as tuples; these tests hold them to the
 dataclass ordinal with recursive comparisons (``seed_reference``), hash
 values included, since set iteration orders and so output bytes depend on
 them.  ``is_extension`` must give the pairwise order-set comparison's
-answer or error on valid trees and on corrupted ones.  The benchmark's
+answer on layered trees, and refuse any other tree by its link fault or
+its first validation line, as the reference names it.  The benchmark's
 tracer wraps library names by lookup, so a test installs it here.
 """
 
@@ -253,6 +254,19 @@ def corrupt(rng: random.Random, t: StandardTree) -> StandardTree:
     return StandardTree(frozenset(nodes), parent)
 
 
+def expected_extension(a: StandardTree, b: StandardTree):
+    """The outcome of ``is_extension(a, b)`` that needs no order: False off the
+    node-set subset, else the refusal of the first side that is not layered;
+    None when both sides are layered."""
+    if a is not b and not a.nodes <= b.nodes:
+        return ("value", False)
+    for side in (a, b):
+        why = ref.refusal(side)
+        if why is not None:
+            return ("MalformedTreeError", why)
+    return None
+
+
 def test_is_extension_matches_the_order_pair_comparison():
     rng = random.Random(5)
     kinds = Counter()
@@ -264,37 +278,51 @@ def test_is_extension_matches_the_order_pair_comparison():
             bad_t, bad_u = corrupt(rng, t), corrupt(rng, u)
             cases += [(bad_t, u), (t, bad_u), (corrupt(rng, t), bad_u)]
         for a, b in cases:
-            want = outcome(ref.is_extension, a, b)
+            want = expected_extension(a, b)
+            if want is None:
+                want = outcome(ref.is_extension, a, b)
+                # on two layered trees every extension is an end-extension
+                assert want != ("MalformedTreeError", END), (a, b)
             assert outcome(trees.is_extension, a, b) == want, (a, b)
-            # the end-extension refusal is tallied apart from the trees' own faults
-            if want == ("MalformedTreeError", END):
-                kinds["end-extension"] += 1
-            else:
-                kinds[want[0] if want[0] != "value" else str(want[1])] += 1
+            kinds[want[0] if want[0] != "value" else str(want[1])] += 1
     assert kinds["True"] > 500 and kinds["False"] > 500, kinds
-    assert kinds["end-extension"] > 20 and kinds["MalformedTreeError"] > 100, kinds
+    assert kinds["MalformedTreeError"] > 100, kinds
 
 
 def test_is_extension_on_links_through_a_dropped_node():
     w, w1, w2, w3 = O("w"), O("w+1"), O("w*2"), O("w*3")
     u = StandardTree.make([ZERO, w, w1, w2, w3], {w: ZERO, w1: ZERO, w2: w, w3: w2})
+    # each t reaches the root only through a label outside its node set, which
+    # leaves the node linked to it off the walk, and t is refused by that label
     cases = [
         # t keeps the link w*2 -> w but not the node w
-        (StandardTree.make([ZERO, w2], {w2: w, w: ZERO}), ("MalformedTreeError", END)),
-        # w*3 reaches the root through w*2, outside t, while t holds w, which
-        # u puts under w*3: as many ancestors in t as links, but other ones
+        (StandardTree.make([ZERO, w2], {w2: w, w: ZERO}), "node w is not in the tree"),
+        # w*3 reaches the root through w*2, outside t, while t holds w
         (
             StandardTree.make([ZERO, w, w3], {w3: w2, w2: ZERO, w: ZERO}),
-            ("MalformedTreeError", END),
+            "node w*2 is not in the tree",
         ),
-        (StandardTree.make([ZERO, w2], {w2: w1, w1: ZERO}), ("value", False)),
-        # the chain leaves t through w and w+1, and w+1 is not under w*2 in u
-        (StandardTree.make([ZERO, w2], {w2: w, w: w1, w1: ZERO}), ("value", False)),
+        (StandardTree.make([ZERO, w2], {w2: w1, w1: ZERO}), "node w+1 is not in the tree"),
+        # the chain leaves t through w and then w+1: the first label names it
+        (StandardTree.make([ZERO, w2], {w2: w, w: w1, w1: ZERO}), "node w is not in the tree"),
     ]
-    for t, want in cases:
-        got = outcome(trees.is_extension, t, u)
-        assert got == outcome(ref.is_extension, t, u)
-        assert got[: len(want)] == want
+    for t, message in cases:
+        assert ref.refusal(t) == message
+        assert outcome(trees.is_extension, t, u) == ("MalformedTreeError", message)
+        assert outcome(trees.is_extension, t, t) == ("MalformedTreeError", message)
+
+
+def test_a_tree_without_its_root_walks_from_the_nodes_linked_to_it():
+    # w reaches the root label, so only w+1, without a link, is a link fault;
+    # with every link reaching it, the missing root is the first clause line
+    w, w1 = O("w"), O("w+1")
+    cases = [
+        (StandardTree.make([w, w1], {w: ZERO}), "node w+1 has no parent link"),
+        (StandardTree.make([w, w1], {w: ZERO, w1: ZERO}), "clause 1: the root 0 is missing"),
+    ]
+    for t, message in cases:
+        assert ref.refusal(t) == message
+        assert outcome(trees.is_extension, t, t) == ("MalformedTreeError", message)
 
 
 def test_extension_does_not_list_order_pairs(monkeypatch):

@@ -6,7 +6,8 @@ do: on generated conditions, on the benchmark's check-ladder files and on
 amalgamation outputs.  Validation names the nodes of its verdicts by their
 labels again, so its lines on the ladder's loop and pair twins are the ones
 the label-keyed index printed.  Trees whose links fail keep their clause
-lines, their fault messages and their exit codes through the CLI.
+lines, their fault messages and their exit codes through the CLI; every
+order query refuses a tree that is not layered by its first clause line.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from treeforcing.codec import decode_condition
 from treeforcing.forcing import (
     amalgamate,
     build_matched_pair,
+    leq,
     normalize_condition,
     validate_condition,
 )
@@ -135,7 +137,7 @@ def test_validation_lines_on_the_ladder_twins_are_the_label_keyed_ones(tmp_path)
     assert digest == "7fa0569c727c9b9db85d7029c4a8e74bd986541f2d5ec5740c5d84cdf4e3c91c"
 
 
-# -- malformed trees through the CLI, as the label-keyed index answered ----------
+# -- malformed trees through the CLI: clause lines, and the refusal of leq --------
 
 EMPTY_MAP = '"indices": [0], "maps": {"0": []}'
 MALFORMED = {
@@ -149,12 +151,13 @@ MALFORMED = {
     "outside": ('"nodes": ["0", "w", "w*2"], "parents": [["w", "0"], ["w*2", "w+5"]]', [
         "clause 1 (tree): clause 2: link w*2 -> w+5 leaves the node set",
     ], "error: node w+5 has no parent link"),
+    # links that reach the root but are not layered: refused by the first line
     "skip": ('"nodes": ["0", "w", "w*3"], "parents": [["w", "0"], ["w*3", "0"]]', [
         "clause 1 (tree): clause 3: parent of w*3 sits at 0, expected the previous level 1",
-    ], None),
+    ], "error: clause 3: parent of w*3 sits at 0, expected the previous level 1"),
     "finite": ('"nodes": ["0", "5"], "parents": [["5", "0"]]', [
         "clause 1 (tree): clause 1: node 5 is nonzero with height 0",
-    ], None),
+    ], "error: clause 1: node 5 is nonzero with height 0"),
 }
 
 
@@ -167,16 +170,37 @@ def test_malformed_trees_keep_their_lines_and_exit_codes(tmp_path, capsys, name)
     assert capsys.readouterr().out.splitlines() == clauses + ["invalid"]
     t = decode_condition(path.read_text(encoding="utf-8"))[0].tree
     assert not t._layered
-    if fault is None:
-        assert main(["leq", str(path), str(path)]) == 0
-        assert capsys.readouterr().out == "true\n"
-        assert trees.is_extension(t, t)
-    else:
-        assert main(["leq", str(path), str(path)]) == 2
-        assert capsys.readouterr().err == fault + "\n"
-        # the same tree on both sides still fails its fault check first
-        with pytest.raises(MalformedTreeError, match=f"^{re.escape(fault[len('error: '):])}$"):
-            trees.is_extension(t, t)
+    assert main(["leq", str(path), str(path)]) == 2
+    assert capsys.readouterr().err == fault + "\n"
+    # the same tree on both sides is still refused
+    with pytest.raises(MalformedTreeError, match=f"^{re.escape(fault[len('error: '):])}$"):
+        trees.is_extension(t, t)
+
+
+@pytest.mark.parametrize("name", ["skip", "finite"])
+def test_every_order_query_refuses_a_tree_that_is_not_layered(name):
+    # the links reach the root, but not one occupied level at a time
+    p = decode_condition("{" + MALFORMED[name][0] + ", " + EMPTY_MAP + "}")[0]
+    t, message = p.tree, MALFORMED[name][2][len("error: "):]
+    top = max(t.nodes)
+    queries = [
+        lambda: t.chain_down(top),
+        lambda: t.is_below(ZERO, top),
+        t.order_pairs,
+        lambda: t.restrict(top, ZERO),
+        lambda: t.meet(ZERO, top),
+        lambda: t.successors(ZERO),
+        lambda: t.successors_at(ZERO, node_height(top)),
+        lambda: t.immediate_successors(top),
+        lambda: classify_map(t, [(ZERO, ZERO)]),
+        lambda: trees.is_extension(t, t),
+        lambda: trees.is_extension(t, StandardTree(t.nodes, t.parent)),
+        lambda: leq(p, p),
+    ]
+    for query in queries:
+        with pytest.raises(MalformedTreeError) as exc:
+            query()
+        assert str(exc.value) == message
 
 
 def test_a_map_contains_itself_and_its_copies():

@@ -95,8 +95,14 @@ def test_restrict():
     [
         ("w*3", "1", ValueError, "node w*3 not in tree"),
         ("w*2", "3", ValueError, "level 3 is not occupied"),
-        # w*2 links straight to the root, past the occupied level 1
-        ("w*2", "1", MalformedTreeError, "node w*2 has no ancestor at level 1"),
+        # w*2 links straight to the root, past the occupied level 1: the tree is
+        # not layered, and is refused by its first validation line
+        (
+            "w*2",
+            "1",
+            MalformedTreeError,
+            "clause 3: parent of w*2 sits at 0, expected the previous level 1",
+        ),
     ],
 )
 def test_restrict_refusals(x, b, error, message):
