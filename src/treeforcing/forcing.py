@@ -4,7 +4,9 @@ A condition pairs a tree with a finite indexed family of standard maps that
 is rho-separated on every occupied level.  Every operation here returns a
 new condition below its input in the poset order and checks its own
 postconditions; a failed check raises RuntimeError because it signals a bug,
-not bad input.
+not bad input.  ``validate_condition`` is one pass over ranked pairs: each
+map's pairs are looked up in the tree's rank index once, and the map
+clauses and the per-level separation decisions both read those ranks.
 
 Each constructive operation is an unchecked kernel plus one full check at
 the public boundary.  Operations built from smaller ones (widening is a
@@ -55,15 +57,18 @@ from .separation import (
     _decide,
     _labelled,
     _one_key_lift,
+    _ranked_family,
     _relations_by_level,
     decide_separation,
     multi_relations,
 )
 from .treemaps import (
+    MapFlags,
     TreeMap,
     _downward_close,
+    _map_flags,
+    _rank_pairs,
     agreement_pairs,
-    classify_map,
     tensor_downward_closure,
 )
 from .trees import (
@@ -108,30 +113,38 @@ class Condition:
 def validate_condition(p: Condition, rho: RhoOracle) -> list[str]:
     """Check the three condition clauses; [] means ok.
 
-    Every clause reads the tree's rank index: the tree's links, each map's
-    pairs, and one relation pass keyed by level number and rank, whose
-    levels with relations are decided on ranks.  A failing verdict is named
-    by its labels."""
+    One pass over ranked pairs: each map's pairs are looked up in the tree's
+    rank index once, the map clauses are checked on those ranks, and the
+    same ranks, less the root pair, feed one relation pass keyed by level
+    number and rank, whose levels with relations are decided on ranks.
+    ``MapFlags`` and the failure lines are built only for what fails, and a
+    failing verdict is named by its labels."""
     out = [f"clause 1 (tree): {line}" for line in validate_tree(p.tree)]
     if out:
         return out
+    index = p.tree._index
+    ranked = []
     for tau in p.indices():
         try:
-            flags = classify_map(p.tree, p.family[tau])
+            rs = _rank_pairs(index, p.family[tau].pairs)
         except ValueError as exc:
             out.append(f"clause 2 (maps): map {tau}: {exc}")
             continue
-        if not flags.standard:
-            bad = [c.name for c in fields(flags) if not getattr(flags, c.name)]
-            out.append(f"clause 2 (maps): map {tau} fails {', '.join(bad)}")
+        bits = _map_flags(index, rs)
+        if all(bits):
+            # a standard map, unless empty, holds the root pair, first by source;
+            # the root level is not decided
+            ranked.append((tau, rs[1:]))
+            continue
+        flags = MapFlags(*bits)
+        bad = [c.name for c in fields(flags) if not getattr(flags, c.name)]
+        out.append(f"clause 2 (maps): map {tau} fails {', '.join(bad)}")
     if out:
         return out
     # clause 2 passed, so every map is level-preserving and injective
-    index = p.tree._index
-    levels = _relations_by_level(p.family, index.rank, index.lev)
-    for k, alpha in enumerate(index.heights, 1):
-        if k not in levels:  # no relations: any listing witnesses, and rho is not read
-            continue
+    levels = _relations_by_level(ranked, index.lev)
+    for k in sorted(levels):  # a level without relations is witnessed by any listing
+        alpha = index.heights[k - 1]
         verdict = _decide(levels[k], range(index.starts[k], index.starts[k + 1]), rho, alpha)
         if not isinstance(verdict, WitnessOrder):
             out.append(f"clause 3 (separation): level {alpha}: {_labelled(verdict, index.labels)}")
@@ -822,7 +835,8 @@ def _raise_rho_for_copy(pb: Condition, rho: RhoOracle) -> None:
     copies the level alpha + d of p, where two related shared indices would
     need rho >= alpha + d, while the greedy shared block keeps it below alpha.
     """
-    levels = _relations_by_level(pb.family, pb.tree._index.rank, pb.tree._index.lev)
+    index = pb.tree._index
+    levels = _relations_by_level(_ranked_family(pb.family, index.rank), index.lev)
     for k, level in enumerate(pb.tree.heights(), 1):
         for _, _, (_, t0), (_, t1) in multi_relations(levels.get(k, {})):
             if t0 != t1 and rho.value(t0, t1) < level:

@@ -179,7 +179,14 @@ def node_at(height: Ordinal, offset: int) -> Ordinal:
     """Inverse of height_split: the node label w*height + offset."""
     if offset < 0:
         raise ValueError("offset must be a natural number")
-    node = omega_mul(height) + Ordinal.from_int(offset)
+    # w * (w^e * c) is w^(1+e) * c: 1 + e is e when e is infinite, else e's successor
+    terms = [
+        (e if e[0][0][0][0] else _normal(((ZERO, e[0][0][1] + 1),)), c) if e[0] else (ONE, c)
+        for e, c in height[0]
+    ]
+    if offset:
+        terms.append((ZERO, offset))
+    node = _normal(tuple(terms))
     node.__dict__["height"] = height
     return node
 

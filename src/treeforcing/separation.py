@@ -17,7 +17,13 @@ state the paper's definitions for one pair of nodes and one listing order.
 The library decides through ``decide_rho_separation`` instead; these stay
 as the definitions that decision is tested against.  Every decision, in
 validation, here and in the one-key lift, is made on ranks ordered like the
-ordinals, by ``_decide`` on one ``_relations_by_level`` pass.
+ordinals, by ``_decide`` on one ``_relations_by_level`` pass over each map's
+pairs on ranks.  Validation hands the pass the ranks its map check already
+looked up; ``_ranked_family`` ranks them for the other callers.  ``_decide``
+builds the witness order first and finds no loop when the relation edges
+number the related nodes less the order's segments; it names the first
+loop only when there is one.  Its self-check counts each node's relations
+to earlier nodes.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, replace
 from itertools import combinations
-from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .ordinals import ZERO, Ordinal, parse_natural, parse_ordinal
 from .treemaps import TreeMap, is_standard
@@ -136,27 +142,42 @@ def relations_between(fam: Family, x: Ordinal, y: Ordinal) -> list[tuple[int, in
 
 
 Relations = dict[int, dict[int, list[tuple[int, int]]]]
+RankedFamily = Sequence[tuple[int, Sequence[tuple[int, int]]]]
 
 
-def _relations_by_level(
-    fam: Family, rank: Mapping[Ordinal, int], lev: Sequence[int]
-) -> dict[int, Relations]:
-    """``rel[rank[x]][rank[y]] == relations_between(fam, x, y)``, nonempty
-    only, with ``rel`` the part for level number ``lev[rank[x]]``: one pass
-    over the pairs with both ends in ``rank``.  The maps must be injective, so
-    that their inverse pairs are their pairs flipped, and each such pair must
+def _ranked_family(fam: Family, rank: Mapping[Ordinal, int]) -> RankedFamily:
+    """(index, the map's pairs on ranks) by ascending index, keeping only the
+    pairs with both ends in ``rank``."""
+    get = rank.get
+    out = []
+    for tau in sorted(fam):
+        ranked = ((get(x), get(y)) for x, y in fam[tau].pairs)
+        out.append((tau, [(x, y) for x, y in ranked if x is not None and y is not None]))
+    return out
+
+
+def _relations_by_level(ranked: RankedFamily, lev: Sequence[int]) -> dict[int, Relations]:
+    """``rel[x][y] == relations_between(fam, x, y)`` on ranks, nonempty only,
+    with ``rel`` the part for level number ``lev[x]``: one pass over the rank
+    pairs of each map, given by ascending index.  The maps must be injective,
+    so that their inverse pairs are their pairs flipped, and each pair must
     relate two nodes of one level.  Per index the forward relations go in
     before the inverse ones, so every list is sorted as ``relations_between``
     sorts it, and ``rel[x]`` has y exactly when ``rel[y]`` has x."""
-    get = rank.get
     by_level: dict[int, Relations] = {}
-    for tau in sorted(fam):
-        ranked = ((get(x), get(y)) for x, y in fam[tau].pairs)
-        pairs = [(x, y) for x, y in ranked if x is not None and y is not None]
-        for m, ps in ((1, pairs), (-1, [(y, x) for x, y in pairs])):
+    for tau, pairs in ranked:
+        for r, ps in (((1, tau), pairs), ((-1, tau), [(y, x) for x, y in pairs])):
             for x, y in ps:
-                row = by_level.setdefault(lev[x], {}).setdefault(x, {})
-                row.setdefault(y, []).append((m, tau))
+                rel = by_level.get(lev[x])
+                if rel is None:
+                    rel = by_level[lev[x]] = {}
+                row = rel.get(x)
+                if row is None:
+                    rel[x] = {y: [r]}
+                elif y in row:
+                    row[y].append(r)
+                else:
+                    row[y] = [r]
     return by_level
 
 
@@ -315,54 +336,76 @@ def decide_rho_separation(
     """
     _refuse_non_injective(fam)
     labels = sorted(frozenset(X))
-    rel = _relations_by_level(fam, dict(zip(labels, range(len(labels)))), [0] * len(labels))
-    return _labelled(_decide(rel.get(0, {}), range(len(labels)), rho, alpha), labels)
+    ranked = _ranked_family(fam, dict(zip(labels, range(len(labels)))))
+    rel = _relations_by_level(ranked, [0] * len(labels)).get(0, {})
+    return _labelled(_decide(rel, range(len(labels)), rho, alpha), labels)
 
 
-def _decide(rel: Relations, X: Collection, rho: RhoOracle, alpha: Ordinal) -> SeparationVerdict:
+def _decide(rel: Relations, X: Iterable[int], rho: RhoOracle, alpha: Ordinal) -> SeparationVerdict:
     """``decide_rho_separation`` on ranks: ``rel`` is one level's part of a
     ``_relations_by_level`` pass over injective maps, and X that level's
-    ranks.  Rank order is ordinal order, so ``_labelled`` turns the verdict
-    into the one the labels would give."""
+    ranks in ascending order.  Rank order is ordinal order, so ``_labelled``
+    turns the verdict into the one the labels would give."""
     # clause 1: all multi-relations between a fixed pair need rho >= alpha
     for x, y, r, s in multi_relations(rel):
         if rho.value(r[1], s[1]) < alpha:
             return PairwiseViolation(x, y, r, s, alpha)
-    # clause 2: no loops; scan each relation edge once, as x < y, merging member lists
-    # only nodes on an edge get entries: the index is symmetric, so they are its keys
+    # build the witness order by segments.  A segment opens with the least
+    # unlisted node and grows by the least unlisted node related to one of
+    # its members, taken from a min-heap frontier; a node without relations
+    # is a segment of its own.  ``pos`` holds the place of each related node.
+    order: list[int] = []
+    pos: dict[int, int] = {}
+    segments = 0
+    for start in X:
+        if start not in rel:
+            order.append(start)
+        elif start not in pos:
+            segments += 1
+            frontier = [start]
+            while frontier:
+                x = heapq.heappop(frontier)
+                if x not in pos:
+                    pos[x] = len(order)
+                    order.append(x)
+                    for cand in rel[x]:
+                        if cand not in pos:
+                            heapq.heappush(frontier, cand)
+    # clause 2: no loops.  The relation edges x != y form a forest exactly
+    # when they number the related nodes less the segments, which are their
+    # components; otherwise name the first loop.  The index is symmetric, so
+    # each edge sits in two rows.
+    edges = (sum(map(len, rel.values())) - sum(x in row for x, row in rel.items())) // 2
+    if edges != len(rel) - segments:
+        return _first_loop(rel)
+    # the self-check: each node relates to at most one earlier node, and all
+    # its relations to that node pass the pairwise clause
+    for x, i in pos.items():
+        row = rel[x]
+        earlier = [y for y in row if pos[y] < i]
+        if len(earlier) > 1 or earlier and any(
+            rho.value(r[1], s[1]) < alpha for r, s in combinations(row[earlier[0]], 2)
+        ):
+            raise RuntimeError("witness order fails its own check; decision logic is broken")
+    return WitnessOrder(tuple(order))
+
+
+def _first_loop(rel: Relations) -> Loop:
+    """The loop closed by the first relation edge, in (x, y) order with
+    x < y, whose ends an earlier edge already connects: it runs along the
+    shortest path between them.  ``rel`` must hold a loop."""
     adjacency: dict[int, list[int]] = {x: [] for x in rel}
     component = {x: [x] for x in rel}
     for x, y in sorted((x, y) for x, row in rel.items() for y in row if x < y):
         cx, cy = component[x], component[y]
         if cx is cy:
-            path = _shortest_path(adjacency, x, y)
-            return Loop(tuple(path) + (x,))
+            return Loop(tuple(_shortest_path(adjacency, x, y)) + (x,))
         small, large = (cx, cy) if len(cx) <= len(cy) else (cy, cx)
         large += small
         component.update(dict.fromkeys(small, large))
         adjacency[x].append(y)
         adjacency[y].append(x)
-    # separated: build the witness order by segments.  A segment opens with
-    # the least unlisted node and grows by the least unlisted node related to
-    # one of its members, taken from a min-heap frontier.
-    order: list[int] = []
-    listed: set[int] = set()
-    for start in sorted(X):
-        frontier = [start]
-        while frontier:
-            x = heapq.heappop(frontier)
-            if x in listed:
-                continue
-            listed.add(x)
-            order.append(x)
-            for cand in rel.get(x, ()):
-                if cand not in listed:
-                    heapq.heappush(frontier, cand)
-    pos = {x: i for i, x in enumerate(order)}
-    # a node without relations has no triples to check
-    if not all(_admissible(_indexed_triples(rel, pos, x), rho, alpha) for x in order if x in rel):
-        raise RuntimeError("witness order fails its own check; decision logic is broken")
-    return WitnessOrder(tuple(order))
+    raise RuntimeError("relation edges hold no loop; decision logic is broken")
 
 
 def _labelled(verdict: SeparationVerdict, labels: Sequence[Ordinal]) -> SeparationVerdict:
@@ -476,7 +519,7 @@ def _one_key_lift(
     along them.  Totality on the cones makes every step defined.  Nodes are
     keyed by their positions in the order."""
     pos = dict(zip(order, range(len(order))))
-    rel = _relations_by_level(fam, pos, [0] * len(order)).get(0, {})
+    rel = _relations_by_level(_ranked_family(fam, pos), [0] * len(order)).get(0, {})
     places = range(len(order))
     opener, image = pos[t.restrict(b, alpha)], b
     while triples := _indexed_triples(rel, places, opener):

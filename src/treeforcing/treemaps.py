@@ -5,15 +5,19 @@ repeated; it keeps one preimage per target, or None where several sources
 share the target.  The host tree is supplied per operation.
 ``classify_map`` also accepts raw pair sets that are not functions, so the
 characterisations of strict increase can be exercised on arbitrary relations.
+It ranks the pairs with ``_rank_pairs`` and checks the clauses with
+``_map_flags``; validation calls the same two on each map of a condition and
+builds ``MapFlags`` only for a map that fails.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from operator import eq
+from typing import Iterable, Iterator, Sequence
 
 from .ordinals import Ordinal
-from .trees import StandardTree, is_simple_extension
+from .trees import StandardTree, _TreeIndex, is_simple_extension
 
 Pair = tuple[Ordinal, Ordinal]
 
@@ -122,56 +126,84 @@ def classify_map(t: StandardTree, pairs: Iterable[Pair]) -> MapFlags:
     increasing functions this coincides with asking the domain to be closed
     under drop-downs.
 
-    The tree must be layered, as order queries need.  Each pair is looked up
-    once in the tree's rank index, and every clause runs on the ranks.  The
-    strict order is transitive, so each source is compared only with its
-    nearest proper ancestor in the domain, and a level-preserving pair
-    restricts to the pair of its parents.
+    The tree must be layered, as order queries need.  The pairs are ranked
+    once, by ``_rank_pairs``, and ``_map_flags`` checks every clause on the
+    ranks; validation runs the same two on each map of a condition.
     """
     ps = pairs.pairs if isinstance(pairs, TreeMap) else sorted(set(pairs))
     index = t._order()
-    rank, lev, pre, last, par = index.rank, index.lev, index.pre, index.last, index.par
-    rs = []
-    for x, y in ps:
-        a, b = rank.get(x), rank.get(y)
-        if a is None or b is None:
-            raise ValueError(f"pair ({x}, {y}) leaves the tree")
-        rs.append((a, b))
+    return MapFlags(*_map_flags(index, _rank_pairs(index, ps)))
+
+
+def _rank_pairs(index: _TreeIndex, pairs: Sequence[Pair]) -> list[tuple[int, int]]:
+    """The pairs on the index's ranks, in their own order; the first pair
+    with an end outside the tree is a ``ValueError``."""
+    rank = index.rank
+    try:
+        return [(rank[x], rank[y]) for x, y in pairs]
+    except KeyError:
+        x, y = next((x, y) for x, y in pairs if x not in rank or y not in rank)
+        raise ValueError(f"pair ({x}, {y}) leaves the tree") from None
+
+
+def _map_flags(index: _TreeIndex, rs: Sequence[tuple[int, int]]) -> tuple[bool, ...]:
+    """The ``MapFlags`` fields, in order, of distinct rank pairs on a layered
+    tree's index.
+
+    A level-preserving pair restricts to the pair of its parents, and
+    restrictions compose, so that pair stands for all of them.  A function
+    that is level-preserving and closed that way is strictly increasing: a
+    source's ancestors in its domain are its parents' parents, and they go to
+    its target's.  Otherwise the strict order, being transitive, is checked
+    against each source's nearest proper ancestor in the domain.
+    """
+    if not rs:
+        return (True,) * 6
+    lev, par, root = index.lev, index.par, index.root
+    sources, targets = zip(*rs)
+    functional = len(set(sources)) == len(rs)
+    injective = len(set(targets)) == len(rs)
+    level_preserving = [*map(lev.__getitem__, sources)] == [*map(lev.__getitem__, targets)]
+    rank_pairs = set(rs)
+    if level_preserving:
+        # only the root has no parent, and a level-preserving map sends it to itself
+        parents = set(zip(map(par.__getitem__, sources), map(par.__getitem__, targets)))
+        parents.discard((-1, -1))
+        downwards_closed = parents <= rank_pairs
+    else:
+        downwards_closed = all(_closed_below(index, rank_pairs, a, b) for a, b in rs)
+    strictly_increasing = (
+        functional and level_preserving and downwards_closed
+    ) or _strictly_increasing(index, rs)
+    fixed_points = sum(map(eq, sources, targets))  # pairs are distinct: one can be the root's
+    fixed_point_free = fixed_points == ((root, root) in rank_pairs)
+    return (functional, strictly_increasing, injective, level_preserving, downwards_closed,
+            fixed_point_free)
+
+
+def _closed_below(index: _TreeIndex, rank_pairs: set, a: int, b: int) -> bool:
+    """The restriction of the pair (a, b) to its next lower level is a pair."""
+    lev = index.lev
+    k = max(min(lev[a], lev[b]) - 1, 0)
+    return (index.drop(a, k), index.drop(b, k)) in rank_pairs
+
+
+def _strictly_increasing(index: _TreeIndex, rs: Sequence[tuple[int, int]]) -> bool:
+    """Each source's targets lie strictly above the targets of its nearest
+    proper ancestor in the domain, found on a stack of open preorder intervals."""
+    pre, last = index.pre, index.last
     targets_of: dict[int, list[int]] = {}
     for a, b in rs:
         targets_of.setdefault(a, []).append(b)
-    functional = len(targets_of) == len(rs)
-    injective = len({b for _, b in rs}) == len(rs)
-    level_preserving = all(lev[a] == lev[b] for a, b in rs)
-    # nearest ancestors in the domain: a stack of open preorder intervals
-    open_, strictly_increasing = [], True
+    open_: list[int] = []
     for a1 in sorted(targets_of, key=pre.__getitem__):
         while open_ and last[open_[-1]] < pre[a1]:
             open_.pop()
         below = targets_of[open_[-1]] if open_ else ()
         if not all(pre[b0] < pre[b1] <= last[b0] for b0 in below for b1 in targets_of[a1]):
-            strictly_increasing = False
-            break
+            return False
         open_.append(a1)
-    # restrictions compose, so each pair's next lower level stands for all of them
-    rank_pairs = set(rs)
-
-    def closed_below(a: int, b: int) -> bool:
-        if lev[a] == lev[b] != 0:
-            return (par[a], par[b]) in rank_pairs
-        k = max(min(lev[a], lev[b]) - 1, 0)
-        return (index.drop(a, k), index.drop(b, k)) in rank_pairs
-
-    downwards_closed = all(closed_below(a, b) for a, b in rs)
-    fixed_point_free = all(a == index.root for a, b in rs if a == b)
-    return MapFlags(
-        functional=functional,
-        strictly_increasing=strictly_increasing,
-        injective=injective,
-        level_preserving=level_preserving,
-        downwards_closed=downwards_closed,
-        fixed_point_free_off_root=fixed_point_free,
-    )
+    return True
 
 
 def is_standard(t: StandardTree, f: TreeMap) -> bool:

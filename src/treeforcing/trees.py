@@ -60,15 +60,15 @@ class _TreeIndex:
                  "pre", "last", "order", "fault", "_sets", "_by_pre")
 
     def __init__(self, t: "StandardTree"):
-        levels: dict[Ordinal, list[Ordinal]] = {ZERO: []}
-        for x in t.nodes:
-            levels.setdefault(x.height, []).append(x)
-        hs, labels, starts, lev = sorted(levels), [], [], []
-        for k, h in enumerate(hs):  # sorted level by level, as levels are runs
-            starts.append(len(labels))
-            labels += sorted(levels[h])
-            lev += [k] * (len(labels) - starts[k])
+        # label order is (height, offset) order, so the levels are runs of one sort
+        labels = sorted(t.nodes)
         n = len(labels)
+        hs, starts, lev = [ZERO], [0], []
+        for r, x in enumerate(labels):
+            if x.height != hs[-1]:
+                hs.append(x.height)
+                starts.append(r)
+            lev.append(len(hs) - 1)
         starts.append(n)
         rank = dict(zip(labels, range(n)))
         root, get = rank.get(ZERO, -1), rank.get
@@ -469,12 +469,10 @@ def is_normal(t: StandardTree) -> bool:
     Every node below the top having an immediate successor is enough: the
     successors of a successor lie inside the node's own DFS interval, so they
     are the node's successors too, and induction reaches every higher level.
-    Read on ranks: the nodes below the top are the ranks before the top level."""
-    index = t._index
-    below = range(index.starts[-2])
-    if below:
-        t._order()  # a tree that is not layered is refused, as successor queries refuse it
-    return all(index.successors_on(r, index.lev[r] + 1) for r in below)
+    Read on ranks: the nodes below the top are the ranks before the top level.
+    A tree that is not layered is refused, as every order query refuses it."""
+    index = t._order()
+    return all(index.successors_on(r, index.lev[r] + 1) for r in range(index.starts[-2]))
 
 
 def is_hausdorff(t: StandardTree) -> bool:

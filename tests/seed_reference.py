@@ -9,6 +9,9 @@ fresh-node allocator that probes every offset from 0 upward.
 ``is_normal_per_level`` probes every higher level through the library's
 ``successors_at``, so on malformed links it raises the library's errors.
 ``refusal`` names why order queries refuse a tree that is not layered.
+``index_per_height`` builds the tree index's rank fields as the library did
+before it read the levels off one sort: grouped by height, then each level
+sorted on its own.
 ``simple_extend_per_level`` and ``augment_per_step`` are the extensions that
 build a whole new tree (and, for augmentation, a new map) for every
 inserted level or added node; both return their output unchecked.
@@ -30,6 +33,7 @@ from treeforcing.separation import (
 )
 from treeforcing.treemaps import MapFlags, TreeMap
 from treeforcing.trees import MalformedTreeError, StandardTree, _FreshLabels
+from treeforcing.trees import _link_fault as link_fault
 
 
 # -- ordinals: a frozen dataclass with recursive comparisons -----------------
@@ -338,6 +342,48 @@ def refusal(t):
         for x in t.nodes
     )
     return None if layered else validate_tree(t)[0]
+
+
+def index_per_height(t):
+    """The rank index's labels, rank, starts, heights, lev, par and fault,
+    built by grouping the nodes by height and sorting each level."""
+    levels = {ZERO: []}
+    for x in t.nodes:
+        levels.setdefault(node_height(x), []).append(x)
+    hs, labels, starts, lev = sorted(levels), [], [], []
+    for k, h in enumerate(hs):
+        starts.append(len(labels))
+        labels += sorted(levels[h])
+        lev += [k] * (len(labels) - starts[k])
+    n = len(labels)
+    starts.append(n)
+    rank = dict(zip(labels, range(n)))
+    root = rank.get(ZERO, -1)
+    par, kids, tops = [-1] * n, [[] for _ in labels], [root] if root >= 0 else []
+    for c, p in t.parent.items():
+        rc, rp = rank.get(c, root), rank.get(p)
+        if rc == root:
+            continue
+        if rp is not None:
+            par[rc] = rp
+            kids[rp].append(rc)
+        elif p == ZERO:
+            tops.append(rc)
+    walked, stack = set(), tops
+    while stack:
+        r = stack.pop()
+        walked.add(r)
+        stack.extend(kids[r])
+    off = [labels[r] for r in range(n) if r not in walked]
+    return {
+        "labels": labels,
+        "rank": rank,
+        "starts": starts,
+        "heights": tuple(hs[1:]),
+        "lev": lev,
+        "par": par,
+        "fault": link_fault(t, off[0]) if off else None,
+    }
 
 
 def successors(t, x):

@@ -241,14 +241,15 @@ def test_amalgamate_checks_its_output_once_against_each_side(monkeypatch, taller
 
 
 class Classified:
-    """Records every validate_condition call, and counts classify_map calls
-    inside and outside them."""
+    """Records every validate_condition call, and counts the calls of the map
+    flag kernel, which validation and classify_map share, inside and outside
+    them."""
 
     def __init__(self, monkeypatch):
         self.validated: list[Condition] = []
         self.inside = self.outside = 0
         self.depth = 0
-        validate, classify = forcing.validate_condition, treemaps.classify_map
+        validate, classify = forcing.validate_condition, treemaps._map_flags
 
         def counted_validate(p, rho):
             self.validated.append(p)
@@ -258,16 +259,16 @@ class Classified:
             finally:
                 self.depth -= 1
 
-        def counted_classify(t, f):
+        def counted_classify(index, rs):
             if self.depth:
                 self.inside += 1
             else:
                 self.outside += 1
-            return classify(t, f)
+            return classify(index, rs)
 
         monkeypatch.setattr(forcing, "validate_condition", counted_validate)
         for module in (forcing, treemaps):
-            monkeypatch.setattr(module, "classify_map", counted_classify)
+            monkeypatch.setattr(module, "_map_flags", counted_classify)
 
 
 def test_lift_with_support_classifies_maps_only_in_its_one_validation(monkeypatch):

@@ -112,7 +112,7 @@ def test_relation_pass_matches_relations_between():
         _, fam, X = random_level_family(rng, rng.randint(1, 7), 4)
         labels = sorted(X)
         rank = {x: r for r, x in enumerate(labels)}
-        levels = separation._relations_by_level(fam, rank, [0] * len(labels))
+        levels = separation._relations_by_level(separation._ranked_family(fam, rank), [0] * len(labels))
         assert set(levels) <= {0}
         rel = levels.get(0, {})
         for x in X:
@@ -218,7 +218,9 @@ def test_each_level_decides_on_its_part_of_one_relation_pass(tmp_path):
         p, rho = make()
         (rho, calls), (rho_ref, calls_ref) = logged(rho), logged(make()[1])
         index = p.tree._index
-        levels = separation._relations_by_level(p.family, index.rank, index.lev)
+        levels = separation._relations_by_level(
+            separation._ranked_family(p.family, index.rank), index.lev
+        )
         labels = index.labels
         assert set(levels) <= set(range(len(p.tree.heights()) + 1))
         for k, h in enumerate(p.tree.heights(), 1):

@@ -297,3 +297,20 @@ def test_add_monotone_right(a, b):
 @given(small_ordinal)
 def test_codec_identity(o):
     assert parse_ordinal(str(o)) == o
+
+
+# heights whose exponents are themselves small ordinals: 0, finite or infinite
+height_ordinal = st.lists(st.tuples(small_ordinal, st.integers(1, 9)), max_size=3).map(
+    lambda ts: Ordinal(tuple(sorted({e: c for e, c in ts}.items(), reverse=True)))
+)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(height_ordinal, st.integers(0, 10**6))
+def test_node_at_builds_the_composition_in_one_step(h, k):
+    node = node_at(h, k)
+    assert node == omega_mul(h) + Ordinal.from_int(k)
+    assert str(node) == str(omega_mul(h) + Ordinal.from_int(k))
+    assert type(node) is Ordinal and all(type(e) is Ordinal for e, _ in node.terms)
+    assert vars(node) == {"height": h} and node.height is h
+    assert Ordinal.height.func(node) == h  # the memo holds the height the terms give

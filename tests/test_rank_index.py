@@ -13,6 +13,7 @@ order query refuses a tree that is not layered by its first clause line.
 from __future__ import annotations
 
 import hashlib
+import random
 import re
 from pathlib import Path
 
@@ -39,6 +40,7 @@ import seed_reference as ref
 from instances import O
 from test_acceptance import _matched_pair_instance
 from test_hot_layers import _ladder_files
+from test_trees import _corrupt, random_tree
 
 BOUNDS = GenBounds(max_heights=4, max_level_width=6, max_indices=3, max_steps=10)
 
@@ -218,3 +220,27 @@ def test_classify_on_ranks_refuses_a_target_repeated_up_a_chain():
         flags = classify_map(t, pairs)
         assert flags == ref.classify_map(t, pairs)
         assert not flags.strictly_increasing
+
+
+def test_one_sort_builds_the_index_fields_of_the_per_height_grouping():
+    """The levels read off one sort of the labels give the fields that
+    grouping by height and sorting each level gave, on well-formed trees and
+    on rootless, finite-label and corrupted ones."""
+    w, w1 = O("w"), O("w+1")
+    cases = [
+        StandardTree.make([w], {w: ZERO}),
+        StandardTree.make([w, w1], {w1: w}),
+        StandardTree.make([ZERO, O("5")], {O("5"): ZERO}),
+        StandardTree.make([ZERO, O("3"), w], {O("3"): ZERO, w: O("3")}),
+        StandardTree.root_only(),
+    ]
+    rng = random.Random(5)
+    for seed in range(60):
+        t = random_tree(seed, levels=rng.randint(1, 5), width=rng.randint(1, 4))
+        cases += [t, *(_corrupt(rng, t) for _ in range(3))]
+    faults = 0
+    for t in cases:
+        index, want = t._index, ref.index_per_height(t)
+        assert {name: getattr(index, name) for name in want} == want
+        faults += index.fault is not None
+    assert faults >= 20

@@ -404,7 +404,14 @@ def test_tree_queries_match_parent_walks():
         for _ in range(4):
             bad = _corrupt(rng, t)
             assert validate_tree(bad) == ref.validate_tree(bad)
-            assert _outcome(is_normal, bad) == _outcome(ref.is_normal_per_level, bad)
+            # normality is an order query: a tree that order queries refuse is
+            # refused by name, and any other answers as the reference does
+            refused = _outcome(StandardTree._order, bad)
+            if isinstance(refused, tuple):
+                assert refused[0] is MalformedTreeError
+                assert _outcome(is_normal, bad) == refused
+            else:
+                assert _outcome(is_normal, bad) == _outcome(ref.is_normal_per_level, bad)
 
 
 def _outcome(query, t):
@@ -412,3 +419,14 @@ def _outcome(query, t):
         return query(t)
     except Exception as exc:
         return type(exc), str(exc)
+
+
+def test_is_normal_refuses_a_tree_without_a_level_below_its_top():
+    # nothing lies below the top level of either tree, yet neither is layered
+    w = node_at(O("1"), 0)
+    rootless = StandardTree.make([w], {w: ZERO})
+    finite = StandardTree.make([ZERO, O("5")], {O("5"): ZERO})
+    with pytest.raises(MalformedTreeError, match="^clause 1: the root 0 is missing$"):
+        is_normal(rootless)
+    with pytest.raises(MalformedTreeError, match="^clause 1: node 5 is nonzero with height 0$"):
+        is_normal(finite)
