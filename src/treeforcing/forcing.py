@@ -143,8 +143,9 @@ def validate_condition(p: Condition, rho: RhoOracle) -> list[str]:
         return out
     # clause 2 passed, so every map is level-preserving and injective
     levels = _relations_by_level(ranked, index.lev)
-    for k in sorted(levels):  # a level without relations is witnessed by any listing
-        alpha = index.heights[k - 1]
+    for k, alpha in enumerate(index.heights, 1):
+        if k not in levels:  # a level without relations is witnessed by any listing
+            continue
         verdict = _decide(levels[k], range(index.starts[k], index.starts[k + 1]), rho, alpha)
         if not isinstance(verdict, WitnessOrder):
             out.append(f"clause 3 (separation): level {alpha}: {_labelled(verdict, index.labels)}")

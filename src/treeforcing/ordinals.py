@@ -147,7 +147,7 @@ def _term_str(exp: Ordinal, coeff: int) -> str:
 
 def omega_mul(a: Ordinal) -> Ordinal:
     """w * a.  Each exponent e becomes 1 + e (left distributivity over the sum)."""
-    return _normal(tuple((ONE + e, c) for e, c in a.terms))
+    return _normal(tuple([(_exp_succ(e), c) for e, c in a[0]]))
 
 
 def is_limit(a: Ordinal) -> bool:
@@ -169,6 +169,14 @@ def height_split(g: Ordinal) -> tuple[Ordinal, int]:
     return g.height, terms[-1][1] if terms and terms[-1][0] == ZERO else 0
 
 
+def _exp_succ(e: Ordinal) -> Ordinal:
+    # 1 + e: 1 for e == 0, e for infinite e, else e's successor
+    if not e[0]:
+        return ONE
+    lead, c = e[0][0]
+    return e if lead[0] else _normal(((ZERO, c + 1),))
+
+
 def _exp_pred(e: Ordinal) -> Ordinal:
     # unique x with 1 + x == e; e >= 1 here, so e is finite iff its leading exponent is 0
     lead, c = e[0][0]
@@ -179,14 +187,9 @@ def node_at(height: Ordinal, offset: int) -> Ordinal:
     """Inverse of height_split: the node label w*height + offset."""
     if offset < 0:
         raise ValueError("offset must be a natural number")
-    # w * (w^e * c) is w^(1+e) * c: 1 + e is e when e is infinite, else e's successor
-    terms = [
-        (e if e[0][0][0][0] else _normal(((ZERO, e[0][0][1] + 1),)), c) if e[0] else (ONE, c)
-        for e, c in height[0]
-    ]
+    node = omega_mul(height)  # a fresh ordinal, so its memo is its own
     if offset:
-        terms.append((ZERO, offset))
-    node = _normal(tuple(terms))
+        node = _normal(node[0] + ((ZERO, offset),))
     node.__dict__["height"] = height
     return node
 

@@ -20,10 +20,8 @@ validation, here and in the one-key lift, is made on ranks ordered like the
 ordinals, by ``_decide`` on one ``_relations_by_level`` pass over each map's
 pairs on ranks.  Validation hands the pass the ranks its map check already
 looked up; ``_ranked_family`` ranks them for the other callers.  ``_decide``
-builds the witness order first and finds no loop when the relation edges
-number the related nodes less the order's segments; it names the first
-loop only when there is one.  Its self-check counts each node's relations
-to earlier nodes.
+names the first loop its union-find meets, else builds the witness order,
+whose self-check counts each node's relations to earlier nodes.
 """
 
 from __future__ import annotations
@@ -168,16 +166,8 @@ def _relations_by_level(ranked: RankedFamily, lev: Sequence[int]) -> dict[int, R
     for tau, pairs in ranked:
         for r, ps in (((1, tau), pairs), ((-1, tau), [(y, x) for x, y in pairs])):
             for x, y in ps:
-                rel = by_level.get(lev[x])
-                if rel is None:
-                    rel = by_level[lev[x]] = {}
-                row = rel.get(x)
-                if row is None:
-                    rel[x] = {y: [r]}
-                elif y in row:
-                    row[y].append(r)
-                else:
-                    row[y] = [r]
+                row = by_level.setdefault(lev[x], {}).setdefault(x, {})
+                row.setdefault(y, []).append(r)
     return by_level
 
 
@@ -350,18 +340,31 @@ def _decide(rel: Relations, X: Iterable[int], rho: RhoOracle, alpha: Ordinal) ->
     for x, y, r, s in multi_relations(rel):
         if rho.value(r[1], s[1]) < alpha:
             return PairwiseViolation(x, y, r, s, alpha)
-    # build the witness order by segments.  A segment opens with the least
-    # unlisted node and grows by the least unlisted node related to one of
-    # its members, taken from a min-heap frontier; a node without relations
-    # is a segment of its own.  ``pos`` holds the place of each related node.
+    # clause 2: no loops; scan each relation edge once, as x < y, merging member lists
+    # only nodes on an edge get entries: the index is symmetric, so they are its keys
+    adjacency: dict[int, list[int]] = {x: [] for x in rel}
+    component = {x: [x] for x in rel}
+    for x, y in sorted((x, y) for x, row in rel.items() for y in row if x < y):
+        cx, cy = component[x], component[y]
+        if cx is cy:
+            path = _shortest_path(adjacency, x, y)
+            return Loop(tuple(path) + (x,))
+        small, large = (cx, cy) if len(cx) <= len(cy) else (cy, cx)
+        large += small
+        component.update(dict.fromkeys(small, large))
+        adjacency[x].append(y)
+        adjacency[y].append(x)
+    # separated: build the witness order by segments.  A segment opens with
+    # the least unlisted node and grows by the least unlisted node related to
+    # one of its members, taken from a min-heap frontier; a node without
+    # relations is a segment of its own.  ``pos`` holds the place of each
+    # related node.
     order: list[int] = []
     pos: dict[int, int] = {}
-    segments = 0
     for start in X:
         if start not in rel:
             order.append(start)
         elif start not in pos:
-            segments += 1
             frontier = [start]
             while frontier:
                 x = heapq.heappop(frontier)
@@ -371,13 +374,6 @@ def _decide(rel: Relations, X: Iterable[int], rho: RhoOracle, alpha: Ordinal) ->
                     for cand in rel[x]:
                         if cand not in pos:
                             heapq.heappush(frontier, cand)
-    # clause 2: no loops.  The relation edges x != y form a forest exactly
-    # when they number the related nodes less the segments, which are their
-    # components; otherwise name the first loop.  The index is symmetric, so
-    # each edge sits in two rows.
-    edges = (sum(map(len, rel.values())) - sum(x in row for x, row in rel.items())) // 2
-    if edges != len(rel) - segments:
-        return _first_loop(rel)
     # the self-check: each node relates to at most one earlier node, and all
     # its relations to that node pass the pairwise clause
     for x, i in pos.items():
@@ -388,24 +384,6 @@ def _decide(rel: Relations, X: Iterable[int], rho: RhoOracle, alpha: Ordinal) ->
         ):
             raise RuntimeError("witness order fails its own check; decision logic is broken")
     return WitnessOrder(tuple(order))
-
-
-def _first_loop(rel: Relations) -> Loop:
-    """The loop closed by the first relation edge, in (x, y) order with
-    x < y, whose ends an earlier edge already connects: it runs along the
-    shortest path between them.  ``rel`` must hold a loop."""
-    adjacency: dict[int, list[int]] = {x: [] for x in rel}
-    component = {x: [x] for x in rel}
-    for x, y in sorted((x, y) for x, row in rel.items() for y in row if x < y):
-        cx, cy = component[x], component[y]
-        if cx is cy:
-            return Loop(tuple(_shortest_path(adjacency, x, y)) + (x,))
-        small, large = (cx, cy) if len(cx) <= len(cy) else (cy, cx)
-        large += small
-        component.update(dict.fromkeys(small, large))
-        adjacency[x].append(y)
-        adjacency[y].append(x)
-    raise RuntimeError("relation edges hold no loop; decision logic is broken")
 
 
 def _labelled(verdict: SeparationVerdict, labels: Sequence[Ordinal]) -> SeparationVerdict:

@@ -27,6 +27,7 @@ from treeforcing.ordinals import (
     is_omega_fixed,
     left_subtract,
     node_at,
+    _exp_succ,
     omega_mul,
     parse_natural,
     parse_ordinal,
@@ -314,3 +315,10 @@ def test_node_at_builds_the_composition_in_one_step(h, k):
     assert type(node) is Ordinal and all(type(e) is Ordinal for e, _ in node.terms)
     assert vars(node) == {"height": h} and node.height is h
     assert Ordinal.height.func(node) == h  # the memo holds the height the terms give
+
+
+@settings(max_examples=300, derandomize=True)
+@given(height_ordinal)
+def test_omega_mul_takes_each_exponent_to_its_left_successor(h):
+    assert all(_exp_succ(e) == ONE + e for e, _ in h.terms)
+    assert omega_mul(h) == Ordinal(tuple((ONE + e, c) for e, c in h.terms))
