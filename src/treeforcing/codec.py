@@ -163,7 +163,7 @@ def _rho_table(rho: RhoOracle | None) -> list[list]:
 
 def condition_to_dict(p: Condition, rho: RhoOracle | None = None) -> dict:
     doc = {
-        "nodes": [str(x) for x in sorted(p.tree.nodes)],
+        "nodes": [str(x) for x in p.tree.sorted_nodes()],
         "parents": [[str(c), str(par)] for c, par in sorted(p.tree.parent.items())],
         "indices": sorted(p.family),
         "maps": {
@@ -187,8 +187,7 @@ def _condition_from_dict(doc: Any, labels: dict[str, Ordinal]) -> tuple[Conditio
         if field not in doc:
             raise CodecError(f"missing field {field!r}")
     nodes = _labels(labels, "nodes", doc["nodes"])
-    node_set = frozenset(nodes)
-    if len(node_set) != len(nodes):
+    if len(set(nodes)) != len(nodes):
         raise CodecError("field 'nodes': duplicate node")
     parent = _function("parents", _labels(labels, "parents", doc["parents"], 2), "child")
     indices = _list("indices", doc["indices"], _nat)
@@ -215,7 +214,8 @@ def _condition_from_dict(doc: Any, labels: dict[str, Ordinal]) -> tuple[Conditio
     for tau in indices:
         family.setdefault(tau, TreeMap())
     rho = RhoOracle.from_entries(_list("rho", doc.get("rho", []), _rho_entry))
-    return Condition(StandardTree(node_set, parent), family), rho
+    # the list, not the set: a file's nodes come sorted, so the index sorts them in one pass
+    return Condition(StandardTree(nodes, parent), family), rho
 
 
 def encode_condition(p: Condition, rho: RhoOracle | None = None) -> str:
@@ -266,10 +266,9 @@ def export_dot(p: Condition) -> str:
     """A deterministic DOT digraph: solid tree edges, dashed labelled map edges,
     one rank per level."""
     lines = ["digraph condition {", "  rankdir=BT;", '  node [shape=box, fontname="monospace"];']
-    levels = [p.tree.level(h) for h in (p.tree.heights())]
     lines.append('  { rank=same; "0"; }')
-    for level in levels:
-        names = "; ".join(f'"{x}"' for x in sorted(level))
+    for h in p.tree.heights():
+        names = "; ".join(f'"{x}"' for x in p.tree.sorted_level(h))
         lines.append(f"  {{ rank=same; {names}; }}")
     for c, par in sorted(p.tree.parent.items()):
         lines.append(f'  "{par}" -> "{c}" [style=solid];')

@@ -35,6 +35,7 @@ information about where two maps genuinely coincide.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import combinations, product
@@ -157,7 +158,8 @@ def leq(q: Condition, p: Condition) -> bool:
 
     The agreement clause: wherever two of p's indices agree in q outside the
     root, some node of p above the agreement already carried an agreement of
-    the same two maps in p.
+    the same two maps in p.  A pair of indices whose maps q shares with p is
+    skipped: its agreements in q are those in p, each its own anchor.
     """
     if not is_extension(p.tree, q.tree):
         return False
@@ -165,6 +167,8 @@ def leq(q: Condition, p: Condition) -> bool:
         if tau not in q.family or not p.family[tau].issubset(q.family[tau]):
             return False
     for g, t in combinations(p.indices(), 2):
+        if q.family[g] is p.family[g] and q.family[t] is p.family[t]:
+            continue
         anchors = {x for x, _ in agreement_pairs(p.family[g], p.family[t])}
         for x, _ in agreement_pairs(q.family[g], q.family[t]) - {ROOT_PAIR}:
             if not any(q.tree.is_below_eq(x, z) for z in anchors):
@@ -220,7 +224,8 @@ def _check_extend(
         raise RuntimeError(f"{op} produced a non-simple extension")
     nodes = p.tree.nodes
     for tau, f in p.family.items():
-        if TreeMap(pair for pair in q.family[tau] if pair[0] in nodes) != f:
+        # a map's pairs are sorted and distinct, so its restriction is too
+        if tuple(pair for pair in q.family[tau] if pair[0] in nodes) != f.pairs:
             _blame_input(p, rho, op)
             raise RuntimeError(f"{op} changed map {tau} on the old nodes")
     return q
@@ -318,7 +323,7 @@ def augment(p: Condition, s: int, x: Ordinal, rho: RhoOracle) -> Condition:
         raise ValueError(f"node {x} not in tree")
     f = p.family.get(s, TreeMap())
     fwd, back = dict(f.pairs), dict(f.inverse_pairs())
-    nodes, parent = set(p.tree.nodes), p.tree.parent.copy()
+    nodes, parent = p.tree.sorted_nodes(), p.tree.parent.copy()
     labels = _FreshLabels(p.tree)
     chain = p.tree.chain_down(x)[::-1]
     # the domain pass, then the image pass; each step's parent went into ``have`` just before it
@@ -329,10 +334,10 @@ def augment(p: Condition, s: int, x: Ordinal, rho: RhoOracle) -> Condition:
             z = ZERO
             if step != ZERO:
                 z = labels.take(step.height)
-                nodes.add(z)
+                nodes.append(z)
                 parent[z] = have[parent[step]]
             have[step], other[z] = z, step
-    q = Condition(StandardTree(frozenset(nodes), parent), {**p.family, s: TreeMap(fwd.items())})
+    q = Condition(StandardTree(nodes, parent), {**p.family, s: TreeMap(fwd.items())})
     return _check_step(p, q, rho, "augment")
 
 
@@ -393,8 +398,7 @@ def bijectivize_level_with_record(
     X = frozenset(X)
     A = frozenset(A)
     out, record = _bijectivize_level(p, alpha, X, A)
-    widths = [record.block_size * len(record.order)]
-    _check_bijectivize(p, out, X, A, widths, rho, "bijectivize_level")
+    _check_bijectivize(p, out, X, A, [record], rho, "bijectivize_level")
     return out, record
 
 
@@ -477,15 +481,16 @@ def _check_bijectivize(
     out: Condition,
     X: frozenset[Ordinal],
     A: frozenset[int],
-    widths: Sequence[int],
+    records: Sequence[LevelBijectivization],
     rho: RhoOracle,
     op: str,
 ) -> None:
     """The boundary check of the level and cone constructions: out is valid
-    and below p; on each level grown from X (one per width) every node has
-    ``width`` immediate successors, and the maps of A are separated on the
-    fans and total and surjective across them (for standard maps, fan by fan
-    is the whole cone); new nodes and map pairs lie inside the fans."""
+    and below p; on each level grown from X (one per level record) every node
+    has the record's fan width of immediate successors, and the maps of A are
+    separated on the fans and total and surjective across them (for standard
+    maps, fan by fan is the whole cone); new nodes and map pairs lie inside
+    the fans."""
     _check_step(p, out, rho, op)
     t, u = p.tree, out.tree
     if set(p.family) != set(out.family):
@@ -494,7 +499,7 @@ def _check_bijectivize(
     sets = [(g, g.domain, g.image) for g in restricted.values()]  # built once per map
     grown: frozenset[Ordinal] = frozenset()
     level_set = X
-    for width in widths:
+    for width in (record.block_size * len(record.order) for record in records):
         if any(len(u.immediate_successors(x)) != width for x in level_set):
             raise RuntimeError(f"{op} missed a fan width")
         fans = frozenset().union(*(u.immediate_successors(x) for x in level_set))
@@ -526,28 +531,29 @@ def bijectivize_cone(
     """Iterate the level construction through every level above alpha."""
     X = frozenset(X)
     A = frozenset(A)
-    out, widths = _bijectivize_cone(p, alpha, X, A)
-    _check_bijectivize(p, out, X, A, widths, rho, "bijectivize_cone")
+    out, records = _bijectivize_cone(p, alpha, X, A)
+    _check_bijectivize(p, out, X, A, records, rho, "bijectivize_cone")
     return out
 
 
 def _bijectivize_cone(
     p: Condition, alpha: Ordinal, X: frozenset[Ordinal], A: frozenset[int]
-) -> tuple[Condition, list[int]]:
-    """``bijectivize_cone`` without its check; also the fan width of each level."""
+) -> tuple[Condition, list[LevelBijectivization]]:
+    """``bijectivize_cone`` without its check; also the record of each level,
+    the first of which holds the witness order of X."""
     heights = p.tree.heights()
     if alpha not in heights:
         raise ValueError("level must be occupied")
     _check_selection(p, alpha, X, A)
     cur, cur_set = p, X
-    widths = []
+    records = []
     for level in [h for h in heights if alpha <= h < p.tree.max_height()]:
         cur, record = _bijectivize_level(cur, level, cur_set, A)
-        widths.append(record.block_size * len(record.order))
+        records.append(record)
         cur_set = frozenset().union(
             *(cur.tree.immediate_successors(x) for x in cur_set)
         )
-    return cur, widths
+    return cur, records
 
 
 def lift_with_support(
@@ -568,14 +574,15 @@ def lift_with_support(
     top = p.tree.max_height()
     if b.height != top or p.tree.restrict(b, alpha) not in X:
         raise ValueError("anchor node must sit on the top level over the node set")
-    cone, widths = _bijectivize_cone(p, alpha, X, A)
-    _check_bijectivize(p, cone, X, A, widths, rho, "lift_with_support")
+    cone, records = _bijectivize_cone(p, alpha, X, A)
+    _check_bijectivize(p, cone, X, A, records, rho, "lift_with_support")
     if not is_normal(cone.tree):
         raise ValueError("tree is not normal")
     if alpha == top:
         raise ValueError("levels must be occupied with alpha below beta")
+    # the cone adds map pairs only above alpha, so X's witness order still holds
     fam = {tau: cone.family[tau] for tau in sorted(A)}
-    Y = _one_key_lift(cone.tree, fam, decide_separation(fam, X).order, alpha, top, b)
+    Y = _one_key_lift(cone.tree, fam, records[0].order, alpha, top, b)
     _check_lift(cone.tree, fam, X, alpha, b, Y)
     return cone, Y
 
@@ -657,7 +664,7 @@ class MatchedPair:
             maps = {g[tau]: TreeMap((f[a], f[b]) for a, b in m) for tau, m in pa.family.items()}
         except KeyError:
             raise ValueError("; ".join(_matching_report(self))) from None
-        return Condition(StandardTree(frozenset(f.values()), links), maps)
+        return Condition(StandardTree(list(f.values()), links), maps)
 
     @property
     def shared(self) -> frozenset[int]:
@@ -666,13 +673,6 @@ class MatchedPair:
     @property
     def anchor_b(self) -> Ordinal | None:
         return self.iso_f.get(self.anchor_a)
-
-
-def restrict_tree_below(t: StandardTree, alpha: Ordinal) -> StandardTree:
-    """The downward-closed part of t strictly below level alpha."""
-    nodes = frozenset(x for x in t.nodes if x.height < alpha)
-    parent = {x: p for x, p in t.parent.items() if x in nodes}
-    return StandardTree(nodes, parent)
 
 
 def validate_matched_pair(mp: MatchedPair, rho: RhoOracle) -> list[str]:
@@ -714,12 +714,17 @@ def _pair_report(mp: MatchedPair, rho: RhoOracle) -> list[str]:
     out = []
     if mp.alpha not in mp.pa.tree.heights() or mp.beta not in mp.pb.tree.heights():
         out.append("anchor levels are not occupied")
-    common = restrict_tree_below(mp.pa.tree, mp.alpha)
-    if restrict_tree_below(mp.pb.tree, mp.beta) != common:
+    # the common tree: the first tree's nodes below alpha, with their links,
+    # which the second tree must have below beta
+    ta, tb = mp.pa.tree, mp.pb.tree
+    common = frozenset(x for x in ta.nodes if x.height < mp.alpha)
+    if frozenset(x for x in tb.nodes if x.height < mp.beta) != common or any(
+        ta.parent.get(x) != tb.parent.get(x) for x in common
+    ):
         out.append("second tree does not restrict to the common tree")
-    if any(x >= mp.beta for x in mp.pa.tree.nodes):
+    if any(x >= mp.beta for x in ta.nodes):
         out.append("first tree has node labels at or above the second level")
-    for x in common.nodes:
+    for x in common:
         if mp.iso_f[x] != x:
             out.append(f"node matching moves common node {x}")
     if mp.anchor_a not in mp.iso_f:
@@ -791,17 +796,20 @@ def build_matched_pair(
     if set(fresh.values()) & set(indices):
         raise ValueError("fresh index labels collide with the existing domain")
 
-    def shift_node(n: Ordinal) -> Ordinal:
-        h, offset = height_split(n)
+    # level by level in ascending order, so the copy's nodes come in order too
+    iso_f = {}
+    for h in (ZERO, *p.tree.heights()):
+        level = p.tree.sorted_level(h)
         if h < alpha:
-            return n
-        return node_at(beta + left_subtract(alpha, h), offset)
-
+            iso_f.update(zip(level, level))
+        else:
+            g = beta + left_subtract(alpha, h)
+            iso_f.update((n, node_at(g, height_split(n)[1])) for n in level)
     mp = MatchedPair(
         pa=p,
         alpha=alpha,
         beta=beta,
-        iso_f={n: shift_node(n) for n in p.tree.nodes},
+        iso_f=iso_f,
         iso_g={i: i for i in shared} | fresh,
         anchor_a=x,
     )
@@ -877,42 +885,45 @@ def amalgamate(mp: MatchedPair, rho: RhoOracle) -> Condition:
     # fresh chains under every unmatched top node of the copy
     common_top = pa.tree.level_below(alpha)
     chain_heights = [h for h in pa.tree.heights() if h >= alpha]
-    nodes = set(pa.tree.nodes)
+    nodes = pa.tree.sorted_nodes()
     parent = pa.tree.parent.copy()
     labels = _FreshLabels(pa.tree)
     chain_top: dict[Ordinal, Ordinal] = {}
-    for y in sorted(pb.tree.level(beta)):
+    for y in pb.tree.sorted_level(beta):
         if y in X_b:
             continue
         prev = pb.tree.restrict(y, common_top)
         for h in chain_heights:
             z = labels.take(h)
-            nodes.add(z)
+            nodes.append(z)
             parent[z] = prev
             prev = z
         chain_top[y] = prev
-    t_plus = StandardTree(frozenset(nodes), parent)
+    t_plus = StandardTree(nodes, parent)
     p_plus = Condition(t_plus, pa.family)
 
     # bijectivize the cones over X_a, then a top-level support through a top
-    # node over the anchor: the one-key lift of ``lift_with_support``
-    cone, _ = _bijectivize_cone(p_plus, alpha, frozenset(X_a), frozenset(A))
+    # node over the anchor: the one-key lift of ``lift_with_support``, on the
+    # witness order of X_a that the cone's first level decided
+    cone, records = _bijectivize_cone(p_plus, alpha, frozenset(X_a), frozenset(A))
     if alpha == top_a:
         X_plus = frozenset(X_a)
     else:
         z_alpha = min(pa.tree.successors_at(mp.anchor_a, top_a) or {mp.anchor_a})
         shared_maps = {tau: cone.family[tau] for tau in A}
-        order = decide_separation(shared_maps, X_a).order
-        X_plus = _one_key_lift(cone.tree, shared_maps, order, alpha, top_a, z_alpha)
+        X_plus = _one_key_lift(cone.tree, shared_maps, records[0].order, alpha, top_a, z_alpha)
     U = cone.tree
 
     # plant the copy: matched top nodes onto the support, the rest onto chains,
     # in one union of links. U and pb share only the common links, with equal
     # values; pb has no node on a height from alpha up to (not including) beta;
     # chain_top and support_for split pb's level beta between them.
+    # below beta the copy is the common tree, which U holds, and every label of
+    # U lies below beta: W's nodes are U's and then the copy's from beta up, in order
     support_for = {iso[U.restrict(z, alpha)]: z for z in X_plus}
     links = {**pb.tree.parent.copy(), **U.parent.copy(), **chain_top, **support_for}
-    W = StandardTree(U.nodes | pb.tree.nodes, links)
+    upper = pb.tree.sorted_nodes()
+    W = StandardTree(U.sorted_nodes() + upper[bisect_left(upper, beta) :], links)
 
     merged = {**cone.family}
     for tau in sorted(pb.family):

@@ -34,7 +34,7 @@ class GenBounds:
 
 
 def _node_budget_ok(p: Condition, bounds: GenBounds) -> bool:
-    return all(len(p.tree.level(h)) < bounds.max_level_width for h in p.tree.heights())
+    return all(size < bounds.max_level_width for size in p.tree.level_sizes())
 
 
 def random_step(
@@ -46,7 +46,7 @@ def random_step(
     inapplicable under the bounds; an operation that refuses the drawn
     arguments raises ``ValueError``.  Either way the caller just draws again.
     """
-    nodes = sorted(p.tree.nodes)
+    nodes = p.tree.sorted_nodes()
     heights = p.tree.heights()
     name = rng.choice(WALK_OPS if len(heights) >= 2 else WALK_OPS[:-2])
 
@@ -101,13 +101,13 @@ def random_step(
         if not _node_budget_ok(p, bounds):
             return None
         alpha = rng.choice(heights[:-1])
-        X = frozenset(rng.sample(sorted(p.tree.level(alpha)), 1))
+        X = frozenset(rng.sample(p.tree.sorted_level(alpha), 1))
         n = max(len(p.tree.immediate_successors(x)) for x in X) + rng.randint(0, 1)
         args = {"nodes": X, "count": max(n, 1)}
 
     else:  # bijectivize_level
         alpha = heights[-2]
-        level = sorted(p.tree.level(alpha))
+        level = p.tree.sorted_level(alpha)
         X = frozenset(rng.sample(level, min(len(level), rng.randint(1, 2))))
         A = frozenset(rng.sample(sorted(p.family), min(len(p.family), 2)))
         size = len(X) * max(

@@ -342,18 +342,16 @@ def _decide(rel: Relations, X: Iterable[int], rho: RhoOracle, alpha: Ordinal) ->
             return PairwiseViolation(x, y, r, s, alpha)
     # clause 2: no loops; scan each relation edge once, as x < y, merging member lists
     # only nodes on an edge get entries: the index is symmetric, so they are its keys
-    adjacency: dict[int, list[int]] = {x: [] for x in rel}
     component = {x: [x] for x in rel}
-    for x, y in sorted((x, y) for x, row in rel.items() for y in row if x < y):
+    edges = sorted((x, y) for x, row in rel.items() for y in row if x < y)
+    for i, (x, y) in enumerate(edges):
         cx, cy = component[x], component[y]
-        if cx is cy:
-            path = _shortest_path(adjacency, x, y)
+        if cx is cy:  # the edges before this one were all merged: the loop runs through them
+            path = _shortest_path(_adjacency(edges[:i]), x, y)
             return Loop(tuple(path) + (x,))
         small, large = (cx, cy) if len(cx) <= len(cy) else (cy, cx)
         large += small
         component.update(dict.fromkeys(small, large))
-        adjacency[x].append(y)
-        adjacency[y].append(x)
     # separated: build the witness order by segments.  A segment opens with
     # the least unlisted node and grows by the least unlisted node related to
     # one of its members, taken from a min-heap frontier; a node without
@@ -393,6 +391,15 @@ def _labelled(verdict: SeparationVerdict, labels: Sequence[Ordinal]) -> Separati
     if isinstance(verdict, PairwiseViolation):
         return replace(verdict, x=labels[verdict.x], y=labels[verdict.y])
     return WitnessOrder(tuple(labels[r] for r in verdict.order))
+
+
+def _adjacency(edges: Sequence[tuple[int, int]]) -> dict[int, list[int]]:
+    """Each node's neighbours along the edges, in edge order."""
+    adjacency: dict[int, list[int]] = {}
+    for x, y in edges:
+        adjacency.setdefault(x, []).append(y)
+        adjacency.setdefault(y, []).append(x)
+    return adjacency
 
 
 def _shortest_path(adjacency: dict, x: int, y: int) -> list[int]:

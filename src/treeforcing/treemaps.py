@@ -28,12 +28,15 @@ class TreeMap:
     __slots__ = ("pairs", "_fwd", "_rev")
 
     def __init__(self, pairs: Iterable[Pair] = ()):
-        # deduplicated in input order, so pairs that come sorted (a decoded map) sort in one pass
-        items = sorted(dict.fromkeys(pairs))
-        fwd = dict(items)
-        if len(fwd) != len(items):  # sorted, so a repeated source's pairs are adjacent
-            x = next(x for (x, _), (x2, _) in zip(items, items[1:]) if x == x2)
-            raise ValueError(f"source {x} mapped twice")
+        pairs = tuple(pairs)
+        fwd = dict(pairs)
+        if len(fwd) == len(pairs):  # distinct sources; pairs that come sorted sort in one pass
+            items = sorted(fwd.items())
+        else:  # a repeated pair, or a repeated source
+            items = sorted(dict.fromkeys(pairs))
+            if len(fwd) != len(items):  # sorted, so a repeated source's pairs are adjacent
+                x = next(x for (x, _), (x2, _) in zip(items, items[1:]) if x == x2)
+                raise ValueError(f"source {x} mapped twice")
         rev: dict[Ordinal, Ordinal | None] = {y: x for x, y in items}
         if len(rev) != len(items):  # a target that several sources share has no preimage
             seen: set[Ordinal] = set()

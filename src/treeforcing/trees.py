@@ -8,7 +8,12 @@ their own postconditions.  Each builder is split into an unchecked kernel
 (``_simple_extend``, ``_normalize``, ``_fan_out``) and the public function,
 which runs the kernel and then the full check; the forcing operations call
 the kernels and check the condition they build once, at their own boundary.
-Each builder collects its nodes and links and makes its tree once.
+A tree's shape has one home, its rank index: one sort of the labels and one
+walk along the links, which also decides whether the tree is layered and
+normal.  Readers that need the nodes or a level in order take them from the
+index.  Each builder collects its nodes and links and makes its tree once,
+listing the input's nodes in order and then its fresh ones, so the new
+index sorts a list that is nearly in order.
 Every construction that adds nodes labels them through one allocator,
 ``_FreshLabels``, built once per construction, and no fan-out grows a
 tree beyond ``MAX_TREE_NODES``.
@@ -17,7 +22,7 @@ tree beyond ``MAX_TREE_NODES``.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
@@ -52,16 +57,21 @@ class _TreeIndex:
     Only nodes are ranked: a link from a label outside the node set, or the
     root's own link, is left out, and a link into one leaves its child off
     the walk (a tree without the root walks from the nodes linked to 0).
-    Building it is the only walk along parent links; a node off the walk
-    leaves ``fault`` set to why its links never reach the root.
+    Building it is the only walk along parent links, and that walk decides
+    the tree's shape: a node off the walk leaves ``fault`` set to why its
+    links never reach the root; ``layered`` holds when there is no fault and
+    every non-root rank links to a rank one level down, as order queries
+    need; ``normal`` holds when every rank below the top level has a child,
+    which on a layered tree is normality.
     """
 
     __slots__ = ("labels", "rank", "n", "root", "heights", "level_no", "starts", "lev", "par",
-                 "pre", "last", "order", "fault", "_sets", "_by_pre")
+                 "pre", "last", "order", "fault", "layered", "normal", "_sets", "_by_pre")
 
     def __init__(self, t: "StandardTree"):
-        # label order is (height, offset) order, so the levels are runs of one sort
-        labels = sorted(t.nodes)
+        # label order is (height, offset) order, so the levels are runs of one
+        # sort; nodes given as a sequence in order sort in one linear pass
+        labels = sorted(t.nodes if t._seq is None else t._seq)
         n = len(labels)
         hs, starts, lev = [ZERO], [0], []
         for r, x in enumerate(labels):
@@ -73,6 +83,7 @@ class _TreeIndex:
         rank = dict(zip(labels, range(n)))
         root, get = rank.get(ZERO, -1), rank.get
         par, kids, tops = [-1] * n, [[] for _ in labels], [root] if root >= 0 else []
+        stepped = 0  # non-root ranks linked to a rank one level down
         for c, p in t.parent.items():
             rc, rp = get(c, root), get(p)
             if rc == root:  # the root's own link, or one from outside the node set
@@ -80,6 +91,7 @@ class _TreeIndex:
             if rp is not None:
                 par[rc] = rp
                 kids[rp].append(rc)
+                stepped += lev[rp] == lev[rc] - 1
             elif p == ZERO:
                 tops.append(rc)
         order, stack, pre, last = [], tops, [-1] * n, [-1] * n
@@ -95,6 +107,8 @@ class _TreeIndex:
         self.starts, self.lev, self.par = starts, lev, par
         self.pre, self.last, self.order = pre, last, order
         self.fault = _link_fault(t, labels[pre.index(-1)]) if len(order) < n else None
+        self.layered = self.fault is None and stepped == n - (root >= 0)
+        self.normal = all(kids[: starts[-2]])
         self._sets, self._by_pre = [None] * len(hs), None
 
     def ancestors(self, r: int) -> Iterator[int]:
@@ -150,13 +164,23 @@ class StandardTree:
 
     ``nodes`` and ``parent`` are private frozen copies of the arguments, so
     derived structure, built once on first use, stays true for the tree.
+    Nodes given as a list or tuple without repeats are also kept in that
+    order, for the index to sort: a builder that lists an indexed tree's
+    nodes in order, then its fresh ones, costs the sort a linear pass.
+    Equality ignores that order.
     """
 
     nodes: frozenset[Ordinal]
     parent: Mapping[Ordinal, Ordinal]
+    _seq: tuple[Ordinal, ...] | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "nodes", frozenset(self.nodes))
+        nodes = self.nodes
+        if isinstance(nodes, (list, tuple)):
+            seq, nodes = tuple(nodes), frozenset(nodes)
+            if len(seq) == len(nodes):
+                object.__setattr__(self, "_seq", seq)
+        object.__setattr__(self, "nodes", frozenset(nodes))
         object.__setattr__(self, "parent", MappingProxyType(dict(self.parent)))
 
     @staticmethod
@@ -171,22 +195,13 @@ class StandardTree:
     def _index(self) -> _TreeIndex:
         return _TreeIndex(self)
 
-    @cached_property
-    def _layered(self) -> bool:
-        """Links reach the root and every non-root node links to a node on the
-        previous occupied level, as on every tree that passes ``validate_tree``."""
-        index = self._index
-        lev, par = index.lev, index.par
-        return index.fault is None and all(
-            par[r] >= 0 and lev[par[r]] == lev[r] - 1 for r in range(index.n) if r != index.root
-        )
-
     def _order(self) -> _TreeIndex:
         """The index of a layered tree, which every order query needs; any other
         tree is refused by its link fault or its first validation line."""
-        if not self._layered:
-            raise MalformedTreeError(self._index.fault or validate_tree(self)[0])
-        return self._index
+        index = self._index
+        if not index.layered:
+            raise MalformedTreeError(index.fault or validate_tree(self)[0])
+        return index
 
     # -- level structure -------------------------------------------------
 
@@ -200,6 +215,21 @@ class StandardTree:
 
     def level(self, h: Ordinal) -> frozenset[Ordinal]:
         return self._index.level(h)
+
+    def sorted_nodes(self) -> list[Ordinal]:
+        """The nodes in ascending order, as a new list."""
+        return self._index.labels[:]
+
+    def sorted_level(self, h: Ordinal) -> list[Ordinal]:
+        """The nodes of level h in ascending order; [] when h is not occupied."""
+        index = self._index
+        k = index.level_no.get(h)
+        return [] if k is None else index.labels[index.starts[k] : index.starts[k + 1]]
+
+    def level_sizes(self) -> list[int]:
+        """The node count of each occupied nonzero height, ascending."""
+        starts = self._index.starts
+        return [b - a for a, b in zip(starts[1:], starts[2:])]
 
     def level_below(self, h: Ordinal) -> Ordinal:
         """Predecessor of h in the occupied heights plus the root level."""
@@ -297,7 +327,7 @@ def validate_tree(t: StandardTree) -> list[str]:
     root and one link per other node passes them all; the lines are written
     only when a clause fails."""
     index = t._index
-    if t._layered and len(t.parent) == index.n - 1:
+    if index.layered and len(t.parent) == index.n - 1:
         return []
     out = []
     if ZERO not in t.nodes:
@@ -445,22 +475,22 @@ def _simple_extend(t: StandardTree, B: frozenset[Ordinal]) -> StandardTree:
     missing = set(t.heights()) - B
     if missing:
         raise ValueError(f"height set drops occupied levels: {_names(missing)}")
-    nodes, parent = set(t.nodes), t.parent.copy()
+    nodes, parent = t.sorted_nodes(), t.parent.copy()
     labels = _FreshLabels(t)
-    top = min(t.level(t.max_height()) if t.heights() else {ZERO})
+    top = t.sorted_level(t.max_height())[0] if t.heights() else ZERO
     # in ascending order, the nodes above a level a still link to the level below a
     for a in sorted(B - set(t.heights())):
         if a > t.max_height():
             z = labels.take(a)
-            nodes.add(z)
+            nodes.append(z)
             parent[z], top = top, z
             continue
         t._order()  # a tree that is not layered is refused here
-        for x in sorted(t.level(t.level_above(a))):
+        for x in t.sorted_level(t.level_above(a)):
             z = labels.take(a)
-            nodes.add(z)
+            nodes.append(z)
             parent[z], parent[x] = parent[x], z
-    return StandardTree(frozenset(nodes), parent)
+    return StandardTree(nodes, parent)
 
 
 def is_normal(t: StandardTree) -> bool:
@@ -469,10 +499,10 @@ def is_normal(t: StandardTree) -> bool:
     Every node below the top having an immediate successor is enough: the
     successors of a successor lie inside the node's own DFS interval, so they
     are the node's successors too, and induction reaches every higher level.
-    Read on ranks: the nodes below the top are the ranks before the top level.
-    A tree that is not layered is refused, as every order query refuses it."""
-    index = t._order()
-    return all(index.successors_on(r, index.lev[r] + 1) for r in range(index.starts[-2]))
+    On a layered tree the immediate successors are the children, so the
+    index's walk has decided it.  A tree that is not layered is refused, as
+    every order query refuses it."""
+    return t._order().normal
 
 
 def is_hausdorff(t: StandardTree) -> bool:
@@ -514,7 +544,7 @@ def _normalize(t: StandardTree) -> StandardTree:
                 added.append(z)
     if not added:
         return t
-    return StandardTree(t.nodes.union(added), parent)
+    return StandardTree(t.sorted_nodes() + added, parent)
 
 
 def fan_out(t: StandardTree, X: Iterable[Ordinal], n: int) -> StandardTree:
@@ -558,12 +588,12 @@ def _fan_out(t: StandardTree, X: frozenset[Ordinal], n: int) -> StandardTree:
             f" above the bound of {MAX_TREE_NODES}"
         )
     b = t.level_above(a)
-    nodes = set(t.nodes)
+    nodes = t.sorted_nodes()
     parent = t.parent.copy()
     labels = _FreshLabels(t)
     for x, k in have.items():
         for _ in range(n - k):
             z = labels.take(b)
-            nodes.add(z)
+            nodes.append(z)
             parent[z] = x
-    return StandardTree(frozenset(nodes), parent)
+    return StandardTree(nodes, parent)

@@ -9,6 +9,10 @@ fresh-node allocator that probes every offset from 0 upward.
 ``is_normal_per_level`` probes every higher level through the library's
 ``successors_at``, so on malformed links it raises the library's errors.
 ``refusal`` names why order queries refuse a tree that is not layered.
+``layered`` and ``normal`` decide a tree's shape in two passes, as the
+library did before its index's walk decided both: the link faults first,
+then a second pass over every rank.  ``leq_every_pair`` is the poset order
+that checks the agreements of every pair of indices, shared maps included.
 ``index_per_height`` builds the tree index's rank fields as the library did
 before it read the levels off one sort: grouped by height, then each level
 sorted on its own.
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import combinations
 
 from treeforcing.forcing import ROOT_PAIR, Condition
 from treeforcing.ordinals import ZERO, node_at, node_height
@@ -31,8 +36,9 @@ from treeforcing.separation import (
     is_rho_separated_tuple,
     relations_between,
 )
-from treeforcing.treemaps import MapFlags, TreeMap
+from treeforcing.treemaps import MapFlags, TreeMap, agreement_pairs
 from treeforcing.trees import MalformedTreeError, StandardTree, _FreshLabels
+from treeforcing.trees import is_extension as tree_extension
 from treeforcing.trees import _link_fault as link_fault
 
 
@@ -386,6 +392,23 @@ def index_per_height(t):
     }
 
 
+def layered(t):
+    """No link fault, then, rank by rank, a link to a rank one level down."""
+    index = index_per_height(t)
+    lev, par, root = index["lev"], index["par"], index["rank"].get(ZERO, -1)
+    return index["fault"] is None and all(
+        par[r] >= 0 and lev[par[r]] == lev[r] - 1 for r in range(len(lev)) if r != root
+    )
+
+
+def normal(t):
+    """Rank by rank below the top level, some rank links to it: on a layered
+    tree, every node below the top has an immediate successor."""
+    index = index_per_height(t)
+    parents = set(index["par"])
+    return all(r in parents for r in range(index["starts"][-2]))
+
+
 def successors(t, x):
     return frozenset(y for y in t.nodes if _is_below(t, x, y))
 
@@ -510,3 +533,22 @@ def augment_per_step(p, s, x):
             new_pair = (step, z) if ensure_domain else (z, step)
             q = Condition(tree, {**q.family, s: f.with_pairs([new_pair])})
     return q
+
+
+# -- the poset order: the agreements of every pair of indices ----------------
+
+
+def leq_every_pair(q, p):
+    """``forcing.leq`` without its skip of the index pairs whose maps q
+    shares with p."""
+    if not tree_extension(p.tree, q.tree):
+        return False
+    for tau in p.indices():
+        if tau not in q.family or not p.family[tau].issubset(q.family[tau]):
+            return False
+    for g, t in combinations(p.indices(), 2):
+        anchors = {x for x, _ in agreement_pairs(p.family[g], p.family[t])}
+        for x, _ in agreement_pairs(q.family[g], q.family[t]) - {ROOT_PAIR}:
+            if not any(q.tree.is_below_eq(x, z) for z in anchors):
+                return False
+    return True

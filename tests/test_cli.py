@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -775,7 +776,7 @@ def test_a_key_error_in_a_scenario_step_is_not_a_failed_step(tmp_path, monkeypat
         raise KeyError(9)
 
     monkeypatch.setattr(treeforcing.forcing, "augment", broken)
-    scenario = parse_scenario(open(_scenario_file(tmp_path)).read())
+    scenario = parse_scenario(Path(_scenario_file(tmp_path)).read_text(encoding="utf-8"))
     with pytest.raises(KeyError):
         run_scenario(scenario)
 
@@ -852,7 +853,7 @@ def test_extend_to_height_zero_exits_2(t1_file, capsys):
 
 
 def test_validate_reads_stdin_for_a_dash(t1_file, monkeypatch, capsys):
-    monkeypatch.setattr(sys, "stdin", io.StringIO(open(t1_file).read()))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(Path(t1_file).read_text(encoding="utf-8")))
     assert main(["validate", "-"]) == 0
     assert capsys.readouterr().out == "ok\n"
     monkeypatch.setattr(sys, "stdin", io.StringIO("[]"))

@@ -1,17 +1,20 @@
 from __future__ import annotations
 
 import json
+import random
 import re
 from dataclasses import replace
 
 import pytest
 
+import seed_reference as ref
+
 from treeforcing.codec import CodecError
 from treeforcing.ordinals import parse_ordinal
-from treeforcing.forcing import leq, validate_condition
+from treeforcing.forcing import Condition, leq, validate_condition
 from treeforcing.generate import GenBounds, gen_condition, random_step
 from treeforcing.scenario import Scenario, Step, parse_scenario, run_scenario
-from treeforcing.separation import oracle_from_spec
+from treeforcing.separation import RhoOracle, oracle_from_spec
 
 
 def test_gen_condition_deterministic():
@@ -273,3 +276,36 @@ def test_scenario_amalgamate_before_any_pair_fails_the_step():
         "start: ok",
         "step 0 amalgamate: failed: no matched pair was built before amalgamate",
     ]
+
+
+def _walk(seed: int, bounds: GenBounds = GenBounds()) -> list[Condition]:
+    """Every condition of ``gen_condition(seed, bounds)``'s walk, in order."""
+    rng, rho = random.Random(seed), RhoOracle.zero()
+    walk = [Condition.trivial()]
+    steps, attempts = rng.randint(2, bounds.max_steps), 0
+    while len(walk) <= steps and attempts < 6 * bounds.max_steps:
+        attempts += 1
+        try:
+            result = random_step(rng, walk[-1], rho, bounds)
+        except ValueError:
+            continue
+        if result is not None:
+            walk.append(result[1])
+    return walk
+
+
+def test_leq_skips_only_index_pairs_whose_agreements_it_knows():
+    # leq passes over an index pair whose two maps q shares with p; on every
+    # step of 200 walks, against the start, and against the previous walk's
+    # end (rarely below), it answers as the order that checks every pair
+    verdicts, previous = set(), Condition.trivial()
+    for seed in range(200):
+        walk = _walk(seed)
+        assert walk[-1] == gen_condition(seed)[0]
+        for p, q in zip(walk, walk[1:]):
+            for a, b in ((q, p), (p, q), (q, walk[0]), (walk[0], q), (q, previous), (previous, q)):
+                verdict = leq(a, b)
+                assert verdict == ref.leq_every_pair(a, b)
+                verdicts.add(verdict)
+        previous = walk[-1]
+    assert verdicts == {True, False}

@@ -292,7 +292,7 @@ def test_classify_shortcut_matches_the_ancestor_walk():
             variants.append(({rng.choice(deep): ZERO}, False))
         for extra, layered in variants:
             u = StandardTree(t.nodes, {**t.parent, **extra})
-            assert u._layered == layered
+            assert u._index.layered == layered
             for _ in range(2):
                 pairs = _random_pairs(rng, t, p.family)
                 got = _outcome(classify_map, u, pairs)

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import json
-import os
 import re
+from pathlib import Path
 
 import pytest
 
@@ -236,7 +236,7 @@ def test_generator_draws_table_entries():
 
 
 def test_readme_lists_every_table_entry():
-    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8").read()
+    readme = Path(__file__).resolve().parent.parent.joinpath("README.md").read_text(encoding="utf-8")
     rows = {line.split("|")[1].strip(" `"): line for line in readme.splitlines() if line.startswith("| `")}
     for name, op in OPS.items():
         assert name in rows, name

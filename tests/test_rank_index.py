@@ -90,6 +90,16 @@ def test_ranks_agree_with_labels_on_generated_conditions(seed):
     check_extension(p.tree, q.tree)
 
 
+def test_the_walk_decides_the_shape_of_the_check_ladder(tmp_path):
+    # every ladder file is a condition, so its tree is layered; normality and
+    # the ranks are read off the index, as the two-pass reference reads them
+    for path in _ladder_files(tmp_path):
+        t = decode_condition(Path(path).read_text(encoding="utf-8"))[0].tree
+        assert t._index.layered and ref.layered(t)
+        assert trees.is_normal(t) == ref.normal(t) == ref.is_normal(t)
+        assert t._index.labels == sorted(t.nodes)
+
+
 def test_ranks_agree_with_labels_on_the_check_ladder(tmp_path):
     files = {Path(path).stem: path for path in _ladder_files(tmp_path)}
     assert len(files) == 64
@@ -171,7 +181,7 @@ def test_malformed_trees_keep_their_lines_and_exit_codes(tmp_path, capsys, name)
     assert main(["validate", str(path)]) == 1
     assert capsys.readouterr().out.splitlines() == clauses + ["invalid"]
     t = decode_condition(path.read_text(encoding="utf-8"))[0].tree
-    assert not t._layered
+    assert not t._index.layered
     assert main(["leq", str(path), str(path)]) == 2
     assert capsys.readouterr().err == fault + "\n"
     # the same tree on both sides is still refused

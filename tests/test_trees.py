@@ -400,18 +400,40 @@ def test_tree_queries_match_parent_walks():
             for y in nodes:
                 assert t.is_below(x, y) == ref._is_below(t, x, y)
         assert t.order_pairs() == ref.order_pairs(t)
-        assert is_normal(t) == ref.is_normal(t) == ref.is_normal_per_level(t)
+        assert t._index.layered and ref.layered(t)
+        assert is_normal(t) == ref.is_normal(t) == ref.is_normal_per_level(t) == ref.normal(t)
         for _ in range(4):
             bad = _corrupt(rng, t)
             assert validate_tree(bad) == ref.validate_tree(bad)
+            # the index's one walk decides the shape as the two passes do
+            assert bad._index.layered == ref.layered(bad) == (ref.refusal(bad) is None)
             # normality is an order query: a tree that order queries refuse is
             # refused by name, and any other answers as the reference does
             refused = _outcome(StandardTree._order, bad)
             if isinstance(refused, tuple):
-                assert refused[0] is MalformedTreeError
+                assert refused == (MalformedTreeError, ref.refusal(bad))
                 assert _outcome(is_normal, bad) == refused
             else:
                 assert _outcome(is_normal, bad) == _outcome(ref.is_normal_per_level, bad)
+                assert is_normal(bad) == ref.normal(bad)
+
+
+def test_the_index_sorts_the_nodes_it_was_given():
+    # in order, shuffled, with repeats, or a caller's list changed afterwards:
+    # the ranks are the sorted labels, and the tree equals the one built from the set
+    t = random_tree(5, levels=5, width=3)
+    nodes = sorted(t.nodes)
+    shuffled = nodes[:]
+    random.Random(5).shuffle(shuffled)
+    mutable = nodes[:]
+    given = [nodes, tuple(shuffled), nodes + nodes[::2], mutable]
+    built = [StandardTree(seq, t.parent) for seq in given]
+    mutable.reverse()
+    mutable.append(node_at(t.max_height() + O("1"), 0))
+    for u in built:
+        assert u == t
+        assert u._index.labels == sorted(u.nodes) == nodes
+        assert validate_tree(u) == []
 
 
 def _outcome(query, t):
