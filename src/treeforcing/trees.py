@@ -175,12 +175,10 @@ class StandardTree:
     _seq: tuple[Ordinal, ...] | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        nodes = self.nodes
-        if isinstance(nodes, (list, tuple)):
-            seq, nodes = tuple(nodes), frozenset(nodes)
-            if len(seq) == len(nodes):
-                object.__setattr__(self, "_seq", seq)
-        object.__setattr__(self, "nodes", frozenset(nodes))
+        nodes = frozenset(self.nodes)
+        if isinstance(self.nodes, (list, tuple)) and len(self.nodes) == len(nodes):
+            object.__setattr__(self, "_seq", tuple(self.nodes))
+        object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "parent", MappingProxyType(dict(self.parent)))
 
     @staticmethod

@@ -294,16 +294,28 @@ def _walk(seed: int, bounds: GenBounds = GenBounds()) -> list[Condition]:
     return walk
 
 
+def _agreeing(q: Condition, g: int, t: int) -> Condition:
+    """q with map t also sending every source of map g off t's domain where g
+    does: t keeps its pairs, and the two maps agree afresh."""
+    f = q.family[t]
+    extra = [(x, y) for x, y in q.family[g] if f.get(x) is None]
+    return Condition(q.tree, {**q.family, t: f.with_pairs(extra)})
+
+
 def test_leq_skips_only_index_pairs_whose_agreements_it_knows():
     # leq passes over an index pair whose two maps q shares with p; on every
-    # step of 200 walks, against the start, and against the previous walk's
-    # end (rarely below), it answers as the order that checks every pair
+    # step of 200 walks, against the start, against the previous walk's end
+    # (rarely below), and with one map of the step grown onto another's
+    # pairs, it answers as the order that checks every pair
     verdicts, previous = set(), Condition.trivial()
     for seed in range(200):
         walk = _walk(seed)
         assert walk[-1] == gen_condition(seed)[0]
         for p, q in zip(walk, walk[1:]):
-            for a, b in ((q, p), (p, q), (q, walk[0]), (walk[0], q), (q, previous), (previous, q)):
+            cases = [(q, p), (p, q), (q, walk[0]), (walk[0], q), (q, previous), (previous, q)]
+            for g, t in zip(p.indices(), p.indices()[1:]):
+                cases += [(_agreeing(q, g, t), p), (_agreeing(q, t, g), p)]
+            for a, b in cases:
                 verdict = leq(a, b)
                 assert verdict == ref.leq_every_pair(a, b)
                 verdicts.add(verdict)
