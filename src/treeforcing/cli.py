@@ -10,7 +10,7 @@ invalid input is never written back out.
 
 Exit codes: 0 for ok / property true, 1 for a checked property that turned
 out false, 2 for errors (bad input, unsatisfiable preconditions), 3 for an
-internal fault (a failed postcondition).
+internal fault (a failed postcondition, or any exception of another type).
 
 The argument parser is built once per process, on the first call of
 ``main``, and reused by every later call: parsing reads it and leaves it
@@ -146,6 +146,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except RuntimeError as exc:  # a failed postcondition: a fault in the library
         print(f"internal error: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:  # any other fault in the library, never "property false"
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

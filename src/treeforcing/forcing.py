@@ -260,13 +260,13 @@ def widen_node(p: Condition, x: Ordinal, k: int, rho: RhoOracle) -> Condition:
         raise ValueError("successor count must be positive")
     nxt = x.height + Ordinal.from_int(1)
     q = _extend_heights(p, frozenset({nxt}))
-    if len(q.tree.immediate_successors(x)) < k:
+    if len(q.tree.immediate_successors(x)) < k:  # else q already has the count
         q = _fan_out_condition(q, frozenset({x}), k)
+        if len(q.tree.immediate_successors(x)) < k:
+            raise RuntimeError("widen_node missed the successor count")
     if q is p:
         return p
     _check_step(p, q, rho, "widen_node", {nxt})
-    if len(q.tree.immediate_successors(x)) < k:
-        raise RuntimeError("widen_node missed the successor count")
     return q
 
 

@@ -194,10 +194,6 @@ def node_at(height: Ordinal, offset: int) -> Ordinal:
     return node
 
 
-def node_height(g: Ordinal) -> Ordinal:
-    return g.height
-
-
 def left_subtract(a: Ordinal, b: Ordinal) -> Ordinal:
     """The unique c with a + c == b; requires a <= b."""
     if b < a:

@@ -12,10 +12,8 @@ The oracle rho is an ambient symmetric ordinal pairing on indices with zero
 diagonal; it abstracts a square-sequence-derived pairing, of which only the
 two axioms and inequality premises are ever consumed here.
 
-``relations_between``, ``is_separated_tuple`` and ``is_rho_separated_tuple``
-state the paper's definitions for one pair of nodes and one listing order.
-The library decides through ``decide_rho_separation`` instead; these stay
-as the definitions that decision is tested against.  Every decision, in
+The paper's definitions, for one pair of nodes and one listing order, live
+with the tests, which check the decision against them.  Every decision, in
 validation, here and in the one-key lift, is made on ranks ordered like the
 ordinals, by ``_decide`` on one ``_relations_by_level`` pass over each map's
 pairs on ranks.  Validation hands the pass the ranks its map check already
@@ -128,17 +126,6 @@ def oracle_from_spec(spec: str) -> RhoOracle:
     raise ValueError(f"unknown rho specification {spec!r}")
 
 
-def relations_between(fam: Family, x: Ordinal, y: Ordinal) -> list[tuple[int, int]]:
-    """All (direction, index) with f_index^direction(x) == y, sorted."""
-    out = []
-    for tau in sorted(fam):
-        if fam[tau].get(x) == y:
-            out.append((1, tau))
-        if fam[tau].get_inverse(x) == y:
-            out.append((-1, tau))
-    return out
-
-
 Relations = dict[int, dict[int, list[tuple[int, int]]]]
 RankedFamily = Sequence[tuple[int, Sequence[tuple[int, int]]]]
 
@@ -155,13 +142,13 @@ def _ranked_family(fam: Family, rank: Mapping[Ordinal, int]) -> RankedFamily:
 
 
 def _relations_by_level(ranked: RankedFamily, lev: Sequence[int]) -> dict[int, Relations]:
-    """``rel[x][y] == relations_between(fam, x, y)`` on ranks, nonempty only,
-    with ``rel`` the part for level number ``lev[x]``: one pass over the rank
-    pairs of each map, given by ascending index.  The maps must be injective,
-    so that their inverse pairs are their pairs flipped, and each pair must
-    relate two nodes of one level.  Per index the forward relations go in
-    before the inverse ones, so every list is sorted as ``relations_between``
-    sorts it, and ``rel[x]`` has y exactly when ``rel[y]`` has x."""
+    """``rel[x][y]`` lists the relations (m, tau) with f_tau^m(x) = y, on
+    ranks, nonempty only, with ``rel`` the part for level number ``lev[x]``:
+    one pass over the rank pairs of each map, given by ascending index.  The
+    maps must be injective, so that their inverse pairs are their pairs
+    flipped, and each pair must relate two nodes of one level.  Per index the
+    forward relation goes in before the inverse one, so every list is ordered
+    by index, +1 before -1, and ``rel[x]`` has y exactly when ``rel[y]`` has x."""
     by_level: dict[int, Relations] = {}
     for tau, pairs in ranked:
         for r, ps in (((1, tau), pairs), ((-1, tau), [(y, x) for x, y in pairs])):
@@ -225,45 +212,13 @@ class Loop:
 SeparationVerdict = WitnessOrder | PairwiseViolation | Loop
 
 
-# -- tuple-level predicates ------------------------------------------------
-
-
-def _triples_to_earlier(fam: Family, order: Sequence[Ordinal], i: int) -> list[tuple[int, int, int]]:
-    out = []
-    for j in range(i):
-        for m, tau in relations_between(fam, order[i], order[j]):
-            out.append((j, m, tau))
-    return out
-
-
-def is_separated_tuple(fam: Family, order: Sequence[Ordinal]) -> bool:
-    """At most one relation from each element to the earlier part of the listing."""
-    return all(len(_triples_to_earlier(fam, order, i)) <= 1 for i in range(len(order)))
-
-
-def is_rho_separated_tuple(
-    fam: Family, order: Sequence[Ordinal], rho: RhoOracle, alpha: Ordinal
-) -> bool:
-    """Distinct relations to the earlier part must share their target and have rho >= alpha."""
-    return all(
-        _admissible(_triples_to_earlier(fam, order, i), rho, alpha) for i in range(len(order))
-    )
-
-
-def _admissible(triples: Sequence[tuple[int, int, int]], rho: RhoOracle, alpha: Ordinal) -> bool:
-    for a in range(len(triples)):
-        for b in range(a + 1, len(triples)):
-            (j0, _, t0), (j1, _, t1) = triples[a], triples[b]
-            if j0 != j1 or rho.value(t0, t1) < alpha:
-                return False
-    return True
-
-
 def _indexed_triples(
     rel: Relations, pos: Mapping[int, int] | Sequence[int], x: int
 ) -> list[tuple[int, int, int]]:
-    """``_triples_to_earlier`` for the listed node x, read off the relations:
-    ``pos[y]`` is the place of node y in the listing."""
+    """The triples (j, m, tau) relating the listed node x to earlier nodes,
+    with j the earlier node's place: ``pos[y]`` is the place of node y in the
+    listing.  Earlier nodes come by place, each one's relations in ``rel``
+    order."""
     i = pos[x]
     row = rel.get(x, {})
     return [

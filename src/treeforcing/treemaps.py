@@ -17,7 +17,7 @@ from operator import eq
 from typing import Iterable, Iterator, Sequence
 
 from .ordinals import Ordinal
-from .trees import StandardTree, _TreeIndex, is_simple_extension
+from .trees import StandardTree, _TreeIndex
 
 Pair = tuple[Ordinal, Ordinal]
 
@@ -213,26 +213,10 @@ def is_standard(t: StandardTree, f: TreeMap) -> bool:
     return classify_map(t, f).standard
 
 
-def downward_close_map(t: StandardTree, u: StandardTree, f: TreeMap) -> TreeMap:
-    """The downward closure of f in a simple extension u of its host t.
-
-    The closure is again standard, restricts back to f on t, and at an
-    inserted level relates exactly the drop-downs of related next-level nodes.
-    """
-    if not is_standard(t, f):
-        raise ValueError("map is not standard on its host tree")
-    if not is_simple_extension(t, u):
-        raise ValueError("target tree is not a simple extension of the host")
-    out = _downward_close(u, f)
-    if not is_standard(u, out):
-        raise RuntimeError("downward closure is not standard on the extension")
-    if TreeMap(p for p in out if p[0] in t.nodes) != f:
-        raise RuntimeError("downward closure does not restrict back to the input")
-    return out
-
-
 def _downward_close(u: StandardTree, f: TreeMap) -> TreeMap:
-    """``downward_close_map`` without its input and output checks."""
+    """The downward closure of f into u, a simple extension of f's host: it
+    is standard, restricts back to f, and at an inserted level relates exactly
+    the drop-downs of related next-level nodes."""
     return TreeMap(_restrictions(u, f))
 
 

@@ -3,11 +3,10 @@
 A tree is a finite set of ordinals containing the root 0; every non-root
 node has height >= 1 (so its label is >= w).  Only the link to the ancestor
 at the previous occupied level is stored; the full strict order is derived
-from those links.  All construction operations return new trees and check
-their own postconditions.  Each builder is split into an unchecked kernel
-(``_simple_extend``, ``_normalize``, ``_fan_out``) and the public function,
-which runs the kernel and then the full check; the forcing operations call
-the kernels and check the condition they build once, at their own boundary.
+from those links.  Construction operations return new trees.  The builders
+(``_simple_extend``, ``_normalize``, ``_fan_out``) do not check their
+output: the forcing operations call them and check the condition they build
+once, at their own boundary.
 A tree's shape has one home, its rank index: one sort of the labels and one
 walk along the links, which also decides whether the tree is layered and
 normal.  Readers that need the nodes or a level in order take them from the
@@ -180,10 +179,6 @@ class StandardTree:
             object.__setattr__(self, "_seq", tuple(self.nodes))
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "parent", MappingProxyType(dict(self.parent)))
-
-    @staticmethod
-    def make(nodes: Iterable[Ordinal], parent: Mapping[Ordinal, Ordinal]) -> "StandardTree":
-        return StandardTree(frozenset(nodes), parent)
 
     @staticmethod
     def root_only() -> "StandardTree":
@@ -406,13 +401,10 @@ def is_extension(t: StandardTree, u: StandardTree) -> bool:
     )
 
 
-def is_simple_extension(t: StandardTree, u: StandardTree) -> bool:
-    """Extension adding nodes only on new levels, with unique drop-downs onto them."""
-    return is_extension(t, u) and _adds_simply(t, u)
-
-
 def _adds_simply(t: StandardTree, u: StandardTree) -> bool:
-    """The clauses of ``is_simple_extension`` beyond the extension itself.
+    """The clauses of a simple extension beyond the extension itself: u adds
+    nodes only on new levels, and each new level below t's top has unique
+    drop-downs from the next level up.
 
     u must already be known to be a valid tree extending t.
     """
@@ -452,22 +444,13 @@ class _FreshLabels:
         return node_at(height, k)
 
 
-def simple_extend(t: StandardTree, B: Iterable[Ordinal]) -> StandardTree:
+def _simple_extend(t: StandardTree, B: frozenset[Ordinal]) -> StandardTree:
     """A simple extension with occupied heights exactly B (B must cover ht[t]).
 
     New levels are inserted one at a time.  A level above the current top
     grows a chain over a top node; an intermediate level gets one fresh node
     per node of the next existing level, injectively, so drop-downs stay unique.
     """
-    B = frozenset(B)
-    out = _simple_extend(t, B)
-    if validate_tree(out) or not is_simple_extension(t, out) or set(out.heights()) != B:
-        raise RuntimeError("simple_extend produced a non-simple extension")
-    return out
-
-
-def _simple_extend(t: StandardTree, B: frozenset[Ordinal]) -> StandardTree:
-    """``simple_extend`` without its postcondition check."""
     if ZERO in B:
         raise ValueError("0 cannot be an occupied height")
     missing = set(t.heights()) - B
@@ -513,20 +496,8 @@ def is_hausdorff(t: StandardTree) -> bool:
     return True
 
 
-def normalize(t: StandardTree) -> StandardTree:
-    """A normal extension on the same height set, adding immediate successors."""
-    out = _normalize(t)
-    if out is t:
-        return t
-    if validate_tree(out) or not is_normal(out) or not is_extension(t, out):
-        raise RuntimeError("normalize produced an invalid tree")
-    if set(out.heights()) != set(t.heights()):
-        raise RuntimeError("normalize changed the height set")
-    return out
-
-
 def _normalize(t: StandardTree) -> StandardTree:
-    """``normalize`` without its postcondition check; t itself when already normal."""
+    """A normal extension on the same heights; t itself when already normal."""
     levels = [ZERO, *t.heights()]
     members = {h: set(t.level(h)) for h in levels}
     parent = t.parent.copy()
@@ -545,27 +516,10 @@ def _normalize(t: StandardTree) -> StandardTree:
     return StandardTree(t.sorted_nodes() + added, parent)
 
 
-def fan_out(t: StandardTree, X: Iterable[Ordinal], n: int) -> StandardTree:
-    """Give every node of X exactly n immediate successors; new nodes only there.
-
-    X must sit on one occupied level below the top, and no member may already
-    have more than n immediate successors.
-    """
-    X = frozenset(X)
-    out = _fan_out(t, X, n)
-    if out is t:
-        return t
-    if validate_tree(out) or not is_extension(t, out):
-        raise RuntimeError("fan_out produced an invalid tree")
-    if any(len(out.immediate_successors(x)) != n for x in X):
-        raise RuntimeError("fan_out missed the successor count")
-    if set(out.heights()) != set(t.heights()):
-        raise RuntimeError("fan_out changed the height set")
-    return out
-
-
 def _fan_out(t: StandardTree, X: frozenset[Ordinal], n: int) -> StandardTree:
-    """``fan_out`` without its postcondition check; t itself when X is empty."""
+    """Give every node of X, on one occupied level below the top, exactly n
+    immediate successors, new nodes only there; t itself when X is empty.
+    No member may already have more than n immediate successors."""
     if n < 1:
         raise ValueError("successor count must be positive")
     a = _level_of(X)

@@ -23,7 +23,7 @@ ONE = O("1")
 
 def level_tree(n: int) -> StandardTree:
     nodes = [node_at(ONE, k) for k in range(n)]
-    return StandardTree.make([ZERO] + nodes, {x: ZERO for x in nodes})
+    return StandardTree([ZERO] + nodes, {x: ZERO for x in nodes})
 
 
 def partial_fpf_injections(nodes: list[Ordinal]) -> list[tuple]:
@@ -72,7 +72,7 @@ def fibred_family(
     for x, ys in highs.items():
         for y in ys:
             parent[y] = x
-    t = StandardTree.make([ZERO] + lows + [y for ys in highs.values() for y in ys], parent)
+    t = StandardTree([ZERO] + lows + [y for ys in highs.values() for y in ys], parent)
     fam = {}
     for tau in rng.sample(range(1, 12 * max_indices), rng.randint(1, max_indices)):
         srcs = rng.sample(lows, rng.randint(0, width))

@@ -19,6 +19,11 @@ sorted on its own.
 ``simple_extend_per_level`` and ``augment_per_step`` are the extensions that
 build a whole new tree (and, for augmentation, a new map) for every
 inserted level or added node; both return their output unchecked.
+
+The paper's definitions live here too, stated on labels and left out of the
+library, which decides them on ranks: ``relations_between`` for one pair of
+nodes, ``is_separated_tuple`` and ``is_rho_separated_tuple`` for one listing
+order, and ``is_simple_extension`` for two trees.
 """
 
 from __future__ import annotations
@@ -28,14 +33,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from treeforcing.forcing import ROOT_PAIR, Condition
-from treeforcing.ordinals import ZERO, node_at, node_height
-from treeforcing.separation import (
-    Loop,
-    PairwiseViolation,
-    WitnessOrder,
-    is_rho_separated_tuple,
-    relations_between,
-)
+from treeforcing.ordinals import ZERO, node_at
+from treeforcing.separation import Loop, PairwiseViolation, WitnessOrder
 from treeforcing.treemaps import MapFlags, TreeMap, agreement_pairs
 from treeforcing.trees import MalformedTreeError, StandardTree, _FreshLabels
 from treeforcing.trees import is_extension as tree_extension
@@ -73,6 +72,49 @@ class SeedOrdinal:
 def seed_ordinal(a):
     """The SeedOrdinal with the same terms as the library ordinal a."""
     return SeedOrdinal(tuple((seed_ordinal(e), c) for e, c in a.terms))
+
+
+# -- separation: the definitions, on labels ----------------------------------
+
+
+def relations_between(fam, x, y):
+    """All (direction, index) with f_index^direction(x) == y, sorted."""
+    out = []
+    for tau in sorted(fam):
+        if fam[tau].get(x) == y:
+            out.append((1, tau))
+        if fam[tau].get_inverse(x) == y:
+            out.append((-1, tau))
+    return out
+
+
+def _triples_to_earlier(fam, order, i):
+    out = []
+    for j in range(i):
+        for m, tau in relations_between(fam, order[i], order[j]):
+            out.append((j, m, tau))
+    return out
+
+
+def is_separated_tuple(fam, order):
+    """At most one relation from each element to the earlier part of the listing."""
+    return all(len(_triples_to_earlier(fam, order, i)) <= 1 for i in range(len(order)))
+
+
+def is_rho_separated_tuple(fam, order, rho, alpha):
+    """Distinct relations to the earlier part must share their target and have rho >= alpha."""
+    return all(
+        _admissible(_triples_to_earlier(fam, order, i), rho, alpha) for i in range(len(order))
+    )
+
+
+def _admissible(triples, rho, alpha):
+    for a in range(len(triples)):
+        for b in range(a + 1, len(triples)):
+            (j0, _, t0), (j1, _, t1) = triples[a], triples[b]
+            if j0 != j1 or rho.value(t0, t1) < alpha:
+                return False
+    return True
 
 
 # -- separation: every clause scans all node pairs -------------------------
@@ -179,12 +221,12 @@ def _chain_down(t, x):
 
 
 def _is_below(t, x, y):
-    return node_height(x) < node_height(y) and x in _chain_down(t, y)[1:]
+    return x.height < y.height and x in _chain_down(t, y)[1:]
 
 
 def _restrict(t, x, b):
     cur = x
-    while node_height(cur) != b:
+    while cur.height != b:
         cur = t.parent[cur]
     return cur
 
@@ -196,11 +238,11 @@ def classify_map(t, pairs):
             raise ValueError(f"pair ({x}, {y}) leaves the tree")
     sources = [x for x, _ in ps]
     targets = [y for _, y in ps]
-    heights = sorted({node_height(x) for x in t.nodes} - {ZERO})
+    heights = sorted({x.height for x in t.nodes} - {ZERO})
     pair_set = set(ps)
     downwards_closed = True
     for x, y in ps:
-        h = min(node_height(x), node_height(y))
+        h = min(x.height, y.height)
         for b in [ZERO] + [g for g in heights if g < h]:
             if (_restrict(t, x, b), _restrict(t, y, b)) not in pair_set:
                 downwards_closed = False
@@ -213,7 +255,7 @@ def classify_map(t, pairs):
             if _is_below(t, a0, a1)
         ),
         injective=len(set(targets)) == len(ps),
-        level_preserving=all(node_height(x) == node_height(y) for x, y in ps),
+        level_preserving=all(x.height == y.height for x, y in ps),
         downwards_closed=downwards_closed,
         fixed_point_free_off_root=all(x == ZERO for x, y in ps if x == y),
     )
@@ -226,7 +268,7 @@ def is_consistent(t, f, X, b):
     X = frozenset(X)
     if not X:
         return True
-    levels = {node_height(x) for x in X}
+    levels = {x.height for x in X}
     if len(levels) > 1:
         raise ValueError("node set spans several levels")
     (alpha,) = levels
@@ -278,7 +320,7 @@ def validate_tree(t):
     if ZERO not in t.nodes:
         out.append("clause 1: the root 0 is missing")
     for x in sorted(t.nodes):
-        if x != ZERO and node_height(x) == ZERO:
+        if x != ZERO and x.height == ZERO:
             out.append(f"clause 1: node {x} is nonzero with height 0")
     roots = t.nodes - set(t.parent)
     if roots - {ZERO}:
@@ -290,9 +332,9 @@ def validate_tree(t):
             out.append("clause 2: the root has a parent link")
     if out:
         return out
-    heights = sorted({node_height(x) for x in t.nodes} - {ZERO})
+    heights = sorted({x.height for x in t.nodes} - {ZERO})
     for x, p in sorted(t.parent.items()):
-        hx, hp = node_height(x), node_height(p)
+        hx, hp = x.height, p.height
         if not hp < hx:
             out.append(f"clause 3: parent {p} of {x} is not lower")
             continue
@@ -311,8 +353,8 @@ def validate_tree(t):
             if cur in seen:
                 return out + [f"clause 2: parent links cycle at {cur}"]
             seen.add(cur)
-        hit = {node_height(y) for y in seen}
-        want = {g for g in heights if g < node_height(x)} | {ZERO}
+        hit = {y.height for y in seen}
+        want = {g for g in heights if g < x.height} | {ZERO}
         if not want <= hit:
             out.append(f"clause 4: node {x} misses ancestors at {_names(want - hit)}")
     return out
@@ -340,11 +382,11 @@ def refusal(t):
         fault = _link_fault(t, x)
         if fault:
             return fault
-    heights = [ZERO, *sorted({node_height(x) for x in t.nodes} - {ZERO})]
+    heights = [ZERO, *sorted({x.height for x in t.nodes} - {ZERO})]
     below = dict(zip(heights[1:], heights))
     layered = all(
         x == ZERO
-        or (t.parent.get(x) in t.nodes and node_height(t.parent[x]) == below.get(node_height(x)))
+        or (t.parent.get(x) in t.nodes and t.parent[x].height == below.get(x.height))
         for x in t.nodes
     )
     return None if layered else validate_tree(t)[0]
@@ -355,7 +397,7 @@ def index_per_height(t):
     built by grouping the nodes by height and sorting each level."""
     levels = {ZERO: []}
     for x in t.nodes:
-        levels.setdefault(node_height(x), []).append(x)
+        levels.setdefault(x.height, []).append(x)
     hs, labels, starts, lev = sorted(levels), [], [], []
     for k, h in enumerate(hs):
         starts.append(len(labels))
@@ -414,10 +456,10 @@ def successors(t, x):
 
 
 def is_normal(t):
-    heights = sorted({node_height(x) for x in t.nodes} - {ZERO})
+    heights = sorted({x.height for x in t.nodes} - {ZERO})
     for x in t.nodes:
-        above = {node_height(y) for y in successors(t, x)}
-        if any(g > node_height(x) and g not in above for g in heights):
+        above = {y.height for y in successors(t, x)}
+        if any(g > x.height and g not in above for g in heights):
             return False
     return True
 
@@ -427,7 +469,7 @@ def is_normal_per_level(t):
     own ``successors_at``."""
     heights = t.heights()
     for x in t.nodes:
-        for g in heights[bisect_right(heights, node_height(x)) :]:
+        for g in heights[bisect_right(heights, x.height) :]:
             if not t.successors_at(x, g):
                 return False
     return True
@@ -451,6 +493,24 @@ def is_extension(t, u):
     restricted = {(x, y) for (x, y) in pu if x in t.nodes and y in t.nodes}
     if restricted != pt:
         raise MalformedTreeError("extension is not an end-extension; inputs are not standard trees")
+    return True
+
+
+def is_simple_extension(t, u):
+    """u extends t, adds nodes only on heights t leaves empty, and each new
+    height a below t's top has unique drop-downs: the nodes of u on t's
+    least height above a drop down to distinct nodes on a."""
+    if not is_extension(t, u):
+        return False
+    old = {x.height for x in t.nodes}
+    if any(x.height in old for x in u.nodes - t.nodes):
+        return False
+    for a in {x.height for x in u.nodes} - old:
+        above = [h for h in old if a < h]
+        if above:
+            level = [x for x in u.nodes if x.height == min(above)]
+            if len({_restrict(u, x, a) for x in level}) != len(level):
+                return False
     return True
 
 
@@ -528,7 +588,7 @@ def augment_per_step(p, s, x):
             mate = f.get(anchor) if ensure_domain else f.get_inverse(anchor)
             if mate is None:
                 raise RuntimeError("augmentation lost the parent link")
-            z = labels.take(node_height(step))
+            z = labels.take(step.height)
             tree = StandardTree(q.tree.nodes | {z}, {**q.tree.parent, z: mate})
             new_pair = (step, z) if ensure_domain else (z, step)
             q = Condition(tree, {**q.family, s: f.with_pairs([new_pair])})

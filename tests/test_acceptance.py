@@ -29,7 +29,6 @@ from treeforcing.ordinals import (
     Ordinal,
     height_split,
     node_at,
-    node_height,
     omega_mul,
     parse_ordinal,
 )
@@ -41,12 +40,10 @@ from treeforcing.separation import (
     decide_separation,
     is_consistent,
     one_key_lift,
-    relations_between,
 )
-from treeforcing.treemaps import TreeMap, classify_map, downward_close_map
+from treeforcing.treemaps import TreeMap, classify_map
 from treeforcing.trees import (
     is_normal,
-    simple_extend,
     unique_dropdowns,
     validate_tree,
 )
@@ -63,7 +60,10 @@ from instances import (
     separated_subset,
 )
 from test_ordinals import oracle_add, oracle_omega_mul, random_small, to_list
+from seed_reference import relations_between
 from test_separation import brute_force_rho_separated
+from test_treemaps import downward_close_map
+from test_trees import simple_extend
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -229,7 +229,7 @@ def test_criterion_3_structural_laws():
     # on downward-closed relations that need not be functions
     from test_treemaps import random_closed_relation
     from test_trees import random_tree
-    from treeforcing.trees import normalize as normalize_tree
+    from test_trees import normalize as normalize_tree
 
     count = truthy = 0
     for seed in range(500):
@@ -239,7 +239,7 @@ def test_criterion_3_structural_laws():
         flags = classify_map(t, rel)
         lhs = flags.functional and flags.strictly_increasing
         rhs = all(
-            node_height(t.meet(a0, a1)) <= node_height(t.meet(b0, b1))
+            t.meet(a0, a1).height <= t.meet(b0, b1).height
             for a0, b0 in rel
             for a1, b1 in rel
         )
@@ -260,9 +260,7 @@ def test_criterion_3_structural_laws():
         f = random_standard_map(t, rng, tries=8)
         for a0 in sorted(f.domain):
             for a1 in sorted(f.domain):
-                assert node_height(t.meet(a0, a1)) == node_height(
-                    t.meet(f.get(a0), f.get(a1))
-                )
+                assert t.meet(a0, a1).height == t.meet(f.get(a0), f.get(a1)).height
         count += 1
     batches.append(("meet-height preservation", count))
 
@@ -373,7 +371,7 @@ def test_criterion_4_lift_pipeline():
         A = frozenset(rng.sample(sorted(fam), min(len(fam), rng.randint(1, 2))))
         x0 = rng.choice(sorted(X))
         top = p.tree.max_height()
-        b = min(y for y in p.tree.successors(x0) if node_height(y) == top)
+        b = min(y for y in p.tree.successors(x0) if y.height == top)
         try:
             q, Y = lift_with_support(p, alpha, X, A, b, rho)
         except ValueError:
@@ -494,7 +492,7 @@ def _matched_pair_instance(seed: int):
     others = [i for i in sorted(fam) if i != 0]
     if others and rng.random() < 0.5:
         rho.set_value(0, others[0], alpha)
-    x = rng.choice([n for n in sorted(p.tree.nodes) if node_height(n) >= alpha])
+    x = rng.choice([n for n in sorted(p.tree.nodes) if n.height >= alpha])
     return p, alpha, beta, x, rho
 
 

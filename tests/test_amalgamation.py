@@ -17,7 +17,7 @@ from treeforcing.forcing import (
     validate_matched_pair,
     widen_node,
 )
-from treeforcing.ordinals import ZERO, height_split, node_at, node_height, parse_ordinal
+from treeforcing.ordinals import ZERO, height_split, node_at, parse_ordinal
 from treeforcing.separation import RhoOracle
 from treeforcing.treemaps import TreeMap
 from treeforcing.trees import StandardTree
@@ -31,7 +31,7 @@ def base_condition(with_edge: bool, petal_index: int | None = None) -> Condition
     """A normal condition with levels {1, w^w} and maps on index 0 (and maybe one more)."""
     a0, a1 = node_at(O("1"), 0), node_at(O("1"), 1)
     u0, u1 = node_at(ALPHA, 0), node_at(ALPHA, 1)
-    tree = StandardTree.make(
+    tree = StandardTree(
         [ZERO, a0, a1, u0, u1], {a0: ZERO, a1: ZERO, u0: a0, u1: a1}
     )
     if with_edge:
@@ -158,7 +158,7 @@ def test_amalgamate_anchor_above_alpha():
     x = min(
         y
         for y in p.tree.successors(node_at(ALPHA, 0))
-        if node_height(y) == ALPHA + O("1")
+        if y.height == ALPHA + O("1")
     )
     mp = build_matched_pair(p, ALPHA, BETA, x, 100, rho)
     w = amalgamate(mp, rho)

@@ -12,7 +12,7 @@ from treeforcing.forcing import (
     validate_condition,
     leq,
 )
-from treeforcing.ordinals import ZERO, node_at, node_height, parse_ordinal
+from treeforcing.ordinals import ZERO, node_at, parse_ordinal
 from treeforcing.separation import RhoOracle, is_consistent
 from treeforcing.treemaps import TreeMap
 from treeforcing.trees import StandardTree, unique_dropdowns
@@ -25,7 +25,7 @@ def two_level_pair() -> Condition:
     """Levels {1, 2}; a0 -> a1 and b0 -> b1 under map 7; one successor each."""
     a0, a1 = node_at(O("1"), 0), node_at(O("1"), 1)
     b0, b1 = node_at(O("2"), 0), node_at(O("2"), 1)
-    tree = StandardTree.make(
+    tree = StandardTree(
         [ZERO, a0, a1, b0, b1], {a0: ZERO, a1: ZERO, b0: a0, b1: a1}
     )
     fam = {7: TreeMap([(ZERO, ZERO), (a0, a1), (b0, b1)])}
@@ -39,7 +39,7 @@ def chain_three() -> Condition:
     a = [node_at(O("1"), k) for k in range(3)]
     b = [node_at(O("2"), k) for k in range(3)]
     parent = {x: ZERO for x in a} | {b[i]: a[i] for i in range(3)}
-    tree = StandardTree.make([ZERO] + a + b, parent)
+    tree = StandardTree([ZERO] + a + b, parent)
     fam = {
         3: TreeMap([(ZERO, ZERO), (a[0], a[1])]),
         8: TreeMap([(ZERO, ZERO), (a[1], a[2])]),
@@ -157,7 +157,7 @@ def test_lift_with_support_full_pipeline():
     p = extend_heights(p, {O("3")}, RHO)
     p = normalize_condition(p, RHO)
     X = frozenset(node_at(O("1"), k) for k in range(3))
-    b = min(y for y in p.tree.successors(node_at(O("1"), 1)) if node_height(y) == O("3"))
+    b = min(y for y in p.tree.successors(node_at(O("1"), 1)) if y.height == O("3"))
     q, Y = lift_with_support(p, O("1"), X, {3, 8}, b, RHO)
     assert leq(q, p)
     assert b in Y

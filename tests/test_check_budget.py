@@ -37,7 +37,7 @@ from treeforcing.forcing import (
     widen_node,
 )
 from treeforcing.generate import GenBounds, gen_condition, random_step
-from treeforcing.ordinals import ZERO, is_limit, node_at, node_height, parse_ordinal
+from treeforcing.ordinals import ZERO, is_limit, node_at, parse_ordinal
 from treeforcing.scenario import parse_scenario, run_scenario
 from treeforcing.separation import RhoOracle
 from treeforcing.treemaps import TreeMap
@@ -167,7 +167,7 @@ def matched_pair(taller: bool):
     rho = RhoOracle.zero()
     a0, a1 = node_at(O("1"), 0), node_at(O("1"), 1)
     u0, u1 = node_at(ALPHA, 0), node_at(ALPHA, 1)
-    tree = StandardTree.make([ZERO, a0, a1, u0, u1], {a0: ZERO, a1: ZERO, u0: a0, u1: a1})
+    tree = StandardTree([ZERO, a0, a1, u0, u1], {a0: ZERO, a1: ZERO, u0: a0, u1: a1})
     p = Condition(tree, {0: TreeMap([(ZERO, ZERO), (a0, a1), (u0, u1)])})
     if taller:
         p = normalize_condition(extend_heights(p, {ALPHA + O("1")}, rho), rho)
@@ -364,7 +364,7 @@ def without_index(q: Condition) -> Condition:
 
 def with_leaf(q: Condition, x) -> Condition:
     """q with one fresh immediate successor of x: valid and below q's input."""
-    h = q.tree.level_above(node_height(x))
+    h = q.tree.level_above(x.height)
     z = trees._FreshLabels(q.tree).take(h)
     return Condition(StandardTree(q.tree.nodes | {z}, {**q.tree.parent, z: x}), q.family)
 
@@ -469,6 +469,17 @@ def test_broken_kernels_fail_the_clauses_validation_does_not_cover(monkeypatch):
             patch_kernel(patch, kernel, corrupt)
             with pytest.raises(RuntimeError, match=message):
                 run()
+
+
+def test_widen_node_counts_successors_when_nothing_was_added(monkeypatch):
+    # the root's next height is occupied, so the height extension returns its
+    # input; a fan-out that returns its input too must not pass as a widening
+    p, rho = gen_condition(0)
+    k = len(p.tree.immediate_successors(ZERO)) + 2
+    assert p.tree.level_above(ZERO) == O("1")
+    monkeypatch.setattr(forcing, "_fan_out_condition", lambda q, X, n: q)
+    with pytest.raises(RuntimeError, match="^widen_node missed the successor count$"):
+        widen_node(p, ZERO, k, rho)
 
 
 def with_new_top(q: Condition) -> Condition:

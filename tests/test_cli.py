@@ -157,14 +157,14 @@ def test_amalgamate_refuses_an_anchor_outside_the_node_matching(tmp_path, capsys
 def test_one_key_cli(tmp_path, capsys):
     from test_bijectivize import chain_three
     from treeforcing.forcing import extend_heights, normalize_condition
-    from treeforcing.ordinals import node_at, node_height
+    from treeforcing.ordinals import node_at
 
     rho = RhoOracle.zero()
     p = chain_three()
     p = extend_heights(p, {O("3")}, rho)
     p = normalize_condition(p, rho)
     b = min(
-        y for y in p.tree.successors(node_at(O("1"), 1)) if node_height(y) == O("3")
+        y for y in p.tree.successors(node_at(O("1"), 1)) if y.height == O("3")
     )
     src = tmp_path / "p.json"
     src.write_text(encode_condition(p))
@@ -779,6 +779,29 @@ def test_a_key_error_in_a_scenario_step_is_not_a_failed_step(tmp_path, monkeypat
     scenario = parse_scenario(Path(_scenario_file(tmp_path)).read_text(encoding="utf-8"))
     with pytest.raises(KeyError):
         run_scenario(scenario)
+
+
+@pytest.mark.parametrize("command", ["augment", "run"])
+def test_an_exception_of_any_other_type_exits_3_without_a_traceback(
+    tmp_path, t1_file, capsys, monkeypatch, command
+):
+    def broken(*args):
+        raise KeyError(9)
+
+    monkeypatch.setattr(treeforcing.forcing, "augment", broken)
+    if command == "run":
+        argv = ["run", _scenario_file(tmp_path)]
+    else:
+        argv = ["augment", t1_file, "--index", "5", "--node", "0"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: KeyError: 9\n"
+    # input errors keep their exit code, and argparse's own exit is not caught
+    assert main(["augment", t1_file, "--index", "-1", "--node", "0"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    with pytest.raises(SystemExit):
+        main(["augment", t1_file])
 
 
 _OPEN_MAP = {

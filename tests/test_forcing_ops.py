@@ -19,7 +19,7 @@ from treeforcing.forcing import (
     validate_condition,
     widen_node,
 )
-from treeforcing.ordinals import ZERO, node_at, node_height, parse_ordinal
+from treeforcing.ordinals import ZERO, node_at, parse_ordinal
 from treeforcing.separation import RhoOracle
 from treeforcing.treemaps import TreeMap
 from treeforcing.trees import StandardTree, is_hausdorff, is_normal, validate_tree
@@ -50,7 +50,7 @@ def test_validate_flags_fixed_point():
 
 def test_validate_reports_an_invalid_tree_before_its_maps():
     # w*2 links straight to the root; the fixed point of map 5 goes unread
-    tree = StandardTree.make(t1().nodes, {**t1().parent, O("w*2"): ZERO})
+    tree = StandardTree(t1().nodes, {**t1().parent, O("w*2"): ZERO})
     p = Condition(tree, {5: TreeMap([(ZERO, ZERO), (O("w"), O("w"))])})
     report = validate_condition(p, RHO)
     assert report and report == [f"clause 1 (tree): {line}" for line in validate_tree(tree)]
@@ -127,7 +127,7 @@ def test_extend_heights_closes_maps_downward():
     # a map pair on level 4 must gain its drop-down on an inserted level 3
     tree = t1()
     a4, b4 = node_at(O("4"), 0), node_at(O("4"), 1)
-    tree = StandardTree.make(
+    tree = StandardTree(
         list(tree.nodes) + [a4, b4],
         {**dict(tree.parent), a4: O("w*2"), b4: O("w*2")},
     )
@@ -139,7 +139,7 @@ def test_extend_heights_closes_maps_downward():
     r = extend_heights(q, {O("3")}, RHO)
     assert validate_condition(r, RHO) == []
     f = r.family[5]
-    inserted = [x for x in f.domain if node_height(x) == O("3")]
+    inserted = [x for x in f.domain if x.height == O("3")]
     assert inserted, "downward closure must reach the inserted level"
 
 
@@ -174,9 +174,9 @@ def test_normalize_condition():
 def test_grow_node():
     p = t1_condition()
     q = grow_node(p, O("w+1"), O("2"), RHO)
-    assert any(node_height(y) == O("2") for y in q.tree.successors(O("w+1")))
+    assert any(y.height == O("2") for y in q.tree.successors(O("w+1")))
     r = grow_node(p, O("w"), O("w"), RHO)  # a limit level
-    assert any(node_height(y) == O("w") for y in r.tree.successors(O("w")))
+    assert any(y.height == O("w") for y in r.tree.successors(O("w")))
     assert leq(r, p)
     # already satisfied: unchanged
     assert grow_node(p, O("w"), O("2"), RHO) is p
@@ -204,7 +204,7 @@ def test_augment_fresh_index_level_one():
     f = q.family[11]
     assert O("w") in f.domain and O("w") in f.image
     z = f.get(O("w"))
-    assert node_height(z) == O("1") and z not in p.tree.nodes
+    assert z.height == O("1") and z not in p.tree.nodes
     assert leq(q, p)
     assert validate_condition(q, RHO) == []
 
@@ -225,7 +225,7 @@ def test_augment_existing_map_reuses_links():
     q = augment(p, 5, O("w*2"), RHO)
     f = q.family[5]
     assert f.get(O("w")) == O("w+1")  # untouched
-    assert node_height(f.get(O("w*2"))) == O("2")
+    assert f.get(O("w*2")).height == O("2")
     assert q.tree.is_below(O("w+1"), f.get(O("w*2")))
     assert validate_condition(q, RHO) == []
 
@@ -299,7 +299,7 @@ def test_strong_ad_containment_negative_control():
 def test_tree_only_extension_preserves_conditionhood():
     # growing the tree without touching heights up to the old top keeps the
     # family intact and the result below the input
-    from treeforcing.trees import fan_out, simple_extend
+    from test_trees import fan_out, simple_extend
     from treeforcing.generate import gen_condition
 
     for seed in range(100):

@@ -31,7 +31,7 @@ from test_hot_layers import _ladder_files, _random_pairs, logged
 TWO = O("2")
 A = [node_at(ONE, k) for k in range(3)]  # level 1, under the root
 B = [node_at(TWO, k) for k in range(3)]  # level 2, B[k] under A[k]
-TREE = StandardTree.make([ZERO, *A, *B], {**{a: ZERO for a in A}, **dict(zip(B, A))})
+TREE = StandardTree([ZERO, *A, *B], {**{a: ZERO for a in A}, **dict(zip(B, A))})
 
 
 def reference_lines(p: Condition, rho: RhoOracle) -> list[str]:
@@ -144,7 +144,7 @@ HAND_BUILT = {
         [],
     ),
     "rootless tree": (
-        on_tree({0: TreeMap()}, tree=StandardTree.make([A[0]], {A[0]: ZERO})),
+        on_tree({0: TreeMap()}, tree=StandardTree([A[0]], {A[0]: ZERO})),
         [
             "clause 1 (tree): clause 1: the root 0 is missing",
             "clause 1 (tree): clause 2: link w -> 0 leaves the node set",

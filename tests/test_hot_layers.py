@@ -35,13 +35,12 @@ from treeforcing.forcing import (
     validate_condition,
 )
 from treeforcing.generate import GenBounds, gen_condition, random_step
-from treeforcing.ordinals import ZERO, node_at, node_height
+from treeforcing.ordinals import ZERO, node_at
 from treeforcing.separation import (
     RhoOracle,
     decide_rho_separation,
     decide_separation,
     is_consistent,
-    relations_between,
 )
 from treeforcing.treemaps import TreeMap, _downward_close, classify_map
 from treeforcing.trees import StandardTree
@@ -56,6 +55,7 @@ from instances import (
     random_level_family,
 )
 from test_acceptance import _matched_pair_instance
+from test_trees import fan_out
 
 W = O("w")
 LIBRARY_MODULES = (
@@ -117,7 +117,7 @@ def test_relation_pass_matches_relations_between():
         rel = levels.get(0, {})
         for x in X:
             for y in X:
-                assert rel.get(rank[x], {}).get(rank[y], []) == relations_between(fam, x, y)
+                assert rel.get(rank[x], {}).get(rank[y], []) == ref.relations_between(fam, x, y)
                 # symmetric on injective maps: the witness order reads it both ways
                 assert (rank[y] in rel.get(rank[x], {})) == (rank[x] in rel.get(rank[y], {}))
 
@@ -137,7 +137,7 @@ def test_fixed_point_gives_both_directions_on_one_pair():
     t = level_tree(3)
     a, b, c = sorted(t.level(ONE))
     fam = {4: TreeMap([(ZERO, ZERO), (a, a), (b, c)])}
-    assert relations_between(fam, a, a) == [(1, 4), (-1, 4)]
+    assert ref.relations_between(fam, a, a) == [(1, 4), (-1, 4)]
     verdict = same_decision(fam, t.level(ONE), RhoOracle.zero)
     assert verdict.startswith("pairwise-violation: w and w related by (m=1, index=4)")
     # a second index on the same fixed point, with rho at the level, still
@@ -151,8 +151,8 @@ def test_non_injective_map_has_no_inverse_relation():
     a, b, c = sorted(t.level(ONE))
     # f sends a and b to c, so c has no unique preimage; g sends c back to a
     fam = {1: TreeMap([(ZERO, ZERO), (a, c), (b, c)]), 2: TreeMap([(ZERO, ZERO), (c, a)])}
-    assert relations_between(fam, c, a) == [(1, 2)]
-    assert relations_between(fam, a, c) == [(1, 1), (-1, 2)]
+    assert ref.relations_between(fam, c, a) == [(1, 2)]
+    assert ref.relations_between(fam, a, c) == [(1, 1), (-1, 2)]
     # the relations built from these are not symmetric, so the decision refuses f
     for rho in (RhoOracle.zero, lambda: RhoOracle.from_entries([(1, 2, ONE)])):
         refused_unasked(fam, t.level(ONE), rho)
@@ -229,7 +229,7 @@ def test_each_level_decides_on_its_part_of_one_relation_pass(tmp_path):
             part = levels.get(k, {})
             for x in ranks:
                 for y in ranks:
-                    want_rs = relations_between(p.family, labels[x], labels[y])
+                    want_rs = ref.relations_between(p.family, labels[x], labels[y])
                     assert part.get(x, {}).get(y, []) == want_rs
             got = separation._labelled(separation._decide(part, ranks, rho, h), labels)
             want = ref.decide_rho_separation(p.family, X, rho_ref, h)
@@ -246,7 +246,7 @@ def _random_pairs(rng: random.Random, t, fam) -> list:
     pairs = [pair for f in fam.values() for pair in f.pairs if rng.random() < 0.7]
     for _ in range(rng.randint(0, 6)):
         x = rng.choice(nodes)
-        same_level = sorted(t.level(node_height(x)))
+        same_level = sorted(t.level(x.height))
         pairs.append((x, rng.choice(same_level if rng.random() < 0.7 else nodes)))
     return pairs
 
@@ -286,7 +286,7 @@ def test_classify_shortcut_matches_the_ancestor_walk():
         p, _ = gen_condition(seed, GenBounds(max_heights=4, max_level_width=5, max_indices=3))
         t = p.tree
         top = max(t.nodes)
-        deep = [x for x in t.nodes if t.level_below(node_height(x)) != ZERO]
+        deep = [x for x in t.nodes if t.level_below(x.height) != ZERO]
         variants = [({}, True), ({ZERO: top}, True), ({O("w^(w^w)"): top}, True)]
         if deep:
             variants.append(({rng.choice(deep): ZERO}, False))
@@ -378,7 +378,7 @@ def _petal_twins(width: int, k: int):
     low = [node_at(ONE, i) for i in range(width)]
     high = [node_at(alpha, i) for i in range(width)]
     links = {**{x: ZERO for x in low}, **dict(zip(high, low))}
-    tree = StandardTree.make([ZERO] + low + high, links)
+    tree = StandardTree([ZERO] + low + high, links)
     pairs = [(ZERO, ZERO), (low[0], low[1]), (high[0], high[1])]
     p = Condition(tree, {i: TreeMap(pairs) for i in range(k + 1)})
     entries = [(i, j, alpha) for i in range(k + 1) for j in range(i + 1, k + 1)]
@@ -472,7 +472,7 @@ def test_fresh_labels_match_the_probing_allocator():
     for _ in range(400):
         # gaps and several heights; labels parsed anew carry no height memo
         used = {node_at(rng.choice(heights), rng.randrange(12)) for _ in range(rng.randrange(30))}
-        used = StandardTree.make((O(str(x)) if rng.random() < 0.5 else x for x in used), {})
+        used = StandardTree((O(str(x)) if rng.random() < 0.5 else x for x in used), {})
         labels, probing = trees._FreshLabels(used), ref.ProbingLabels(used)
         h = rng.choice(heights)
         assert trees._FreshLabels(used).take(h) == ref.ProbingLabels(used).take(h)
@@ -494,9 +494,9 @@ def counting_node_at(monkeypatch, module) -> Counter:
 
 def test_a_fan_out_builds_one_label_per_added_node(monkeypatch):
     x = node_at(ONE, 0)
-    t = StandardTree.make([ZERO, x, node_at(W, 0)], {x: ZERO, node_at(W, 0): x})
+    t = StandardTree([ZERO, x, node_at(W, 0)], {x: ZERO, node_at(W, 0): x})
     calls = counting_node_at(monkeypatch, trees)
-    u = trees.fan_out(t, {ZERO}, 2000)
+    u = fan_out(t, {ZERO}, 2000)
     assert len(u.nodes) == 2002 and calls == {ONE: 1999}
 
 
@@ -591,7 +591,7 @@ def chain_condition(levels: int) -> tuple[Condition, RhoOracle]:
     heights = [O(str(2 * k)) for k in range(1, levels + 1)]
     a, b = [node_at(h, 0) for h in heights], [node_at(h, 1) for h in heights]
     parent = {**dict(zip(a, [ZERO, *a])), **dict(zip(b, [ZERO, *b]))}
-    p = Condition(StandardTree.make([ZERO, *a, *b], parent), {1: TreeMap([ROOT_PAIR, *zip(a, b)])})
+    p = Condition(StandardTree([ZERO, *a, *b], parent), {1: TreeMap([ROOT_PAIR, *zip(a, b)])})
     return p, RhoOracle()
 
 

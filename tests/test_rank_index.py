@@ -32,7 +32,7 @@ from treeforcing.forcing import (
     validate_condition,
 )
 from treeforcing.generate import GenBounds, gen_condition
-from treeforcing.ordinals import ZERO, node_height
+from treeforcing.ordinals import ZERO
 from treeforcing.treemaps import TreeMap, classify_map
 from treeforcing.trees import MalformedTreeError, StandardTree
 
@@ -52,7 +52,7 @@ def check_ranks(t: StandardTree) -> None:
     assert all(index.rank[x] == r for r, x in enumerate(index.labels))
     for k, h in enumerate((ZERO, *t.heights())):
         run = range(index.starts[k], index.starts[k + 1])
-        assert [index.labels[r] for r in run] == sorted(x for x in t.nodes if node_height(x) == h)
+        assert [index.labels[r] for r in run] == sorted(x for x in t.nodes if x.height == h)
         assert all(index.lev[r] == k for r in run)
     assert index.starts[-1] == len(t.nodes)
 
@@ -65,11 +65,11 @@ def check_queries(t: StandardTree) -> None:
         above = ref.successors(t, x)
         assert t.chain_down(x) == ref._chain_down(t, x)
         for h in heights:
-            assert t.successors_at(x, h) == frozenset(y for y in above if node_height(y) == h)
-            if h <= node_height(x):
+            assert t.successors_at(x, h) == frozenset(y for y in above if y.height == h)
+            if h <= x.height:
                 assert t.restrict(x, h) == ref._restrict(t, x, h)
-        nxt = t.level_above(node_height(x))
-        assert t.immediate_successors(x) == frozenset(y for y in above if node_height(y) == nxt)
+        nxt = t.level_above(x.height)
+        assert t.immediate_successors(x) == frozenset(y for y in above if y.height == nxt)
         for y in nodes:
             assert t.is_below(x, y) == ref._is_below(t, x, y)
 
@@ -202,7 +202,7 @@ def test_every_order_query_refuses_a_tree_that_is_not_layered(name):
         lambda: t.restrict(top, ZERO),
         lambda: t.meet(ZERO, top),
         lambda: t.successors(ZERO),
-        lambda: t.successors_at(ZERO, node_height(top)),
+        lambda: t.successors_at(ZERO, top.height),
         lambda: t.immediate_successors(top),
         lambda: classify_map(t, [(ZERO, ZERO)]),
         lambda: trees.is_extension(t, t),
@@ -225,7 +225,7 @@ def test_classify_on_ranks_refuses_a_target_repeated_up_a_chain():
     # w lies below w*2 and both go to w*2: not strictly increasing, whichever
     # other clauses fail with it
     w, w2 = O("w"), O("w*2")
-    t = StandardTree.make([ZERO, w, w2], {w: ZERO, w2: w})
+    t = StandardTree([ZERO, w, w2], {w: ZERO, w2: w})
     for pairs in ([(ZERO, ZERO), (w, w2), (w2, w2)], [(w, w2), (w2, w2)]):
         flags = classify_map(t, pairs)
         assert flags == ref.classify_map(t, pairs)
@@ -238,10 +238,10 @@ def test_one_sort_builds_the_index_fields_of_the_per_height_grouping():
     on rootless, finite-label and corrupted ones."""
     w, w1 = O("w"), O("w+1")
     cases = [
-        StandardTree.make([w], {w: ZERO}),
-        StandardTree.make([w, w1], {w1: w}),
-        StandardTree.make([ZERO, O("5")], {O("5"): ZERO}),
-        StandardTree.make([ZERO, O("3"), w], {O("3"): ZERO, w: O("3")}),
+        StandardTree([w], {w: ZERO}),
+        StandardTree([w, w1], {w1: w}),
+        StandardTree([ZERO, O("5")], {O("5"): ZERO}),
+        StandardTree([ZERO, O("3"), w], {O("3"): ZERO, w: O("3")}),
         StandardTree.root_only(),
     ]
     rng = random.Random(5)

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from treeforcing.ordinals import ZERO, node_at, node_height, parse_ordinal
+from treeforcing.ordinals import ZERO, node_at, parse_ordinal
 from treeforcing.separation import (
     Loop,
     PairwiseViolation,
@@ -14,20 +14,15 @@ from treeforcing.separation import (
     decide_rho_separation,
     decide_separation,
     is_consistent,
-    is_rho_separated_tuple,
-    is_separated_tuple,
     one_key_lift,
     oracle_from_spec,
-    relations_between,
 )
 from treeforcing.treemaps import TreeMap, is_standard
-from treeforcing.trees import (
-    StandardTree,
-    normalize,
-    simple_extend,
-    unique_dropdowns,
-    validate_tree,
-)
+from treeforcing.trees import StandardTree, unique_dropdowns, validate_tree
+
+from seed_reference import is_rho_separated_tuple, is_separated_tuple, relations_between
+from test_treemaps import downward_close_map
+from test_trees import normalize, simple_extend
 
 O = parse_ordinal
 
@@ -36,14 +31,14 @@ def level_tree(n: int, height: str = "1") -> StandardTree:
     """Root plus n nodes on a single level."""
     h = O(height)
     nodes = [node_at(h, k) for k in range(n)]
-    return StandardTree.make([ZERO] + nodes, {x: ZERO for x in nodes})
+    return StandardTree([ZERO] + nodes, {x: ZERO for x in nodes})
 
 
 def close_map(t: StandardTree, pairs) -> TreeMap:
     """Close same-level links downward so the map is standard."""
     closed = set()
     for a, b in pairs:
-        for c in [ZERO] + [g for g in t.heights() if g <= node_height(a)]:
+        for c in [ZERO] + [g for g in t.heights() if g <= a.height]:
             closed.add((t.restrict(a, c), t.restrict(b, c)))
     return TreeMap(closed)
 
@@ -275,7 +270,7 @@ def test_witness_order_relation_uniqueness():
 
 def consistency_fixture():
     # two levels; f maps the level-1 chain and level-2 fibres coherently
-    t = StandardTree.make(
+    t = StandardTree(
         [ZERO, O("w"), O("w+1"), O("w*2"), O("w*2+1")],
         {O("w"): ZERO, O("w+1"): ZERO, O("w*2"): O("w"), O("w*2+1"): O("w+1")},
     )
@@ -306,7 +301,7 @@ def one_key_fixture(chain_len: int):
     parent = {x: ZERO for x in lows}
     for i, y in enumerate(highs):
         parent[y] = lows[i % chain_len]
-    t = StandardTree.make([ZERO] + lows + highs, parent)
+    t = StandardTree([ZERO] + lows + highs, parent)
     # one map chaining low_0 -> low_1 -> ... and matching fibres above
     pairs = [(ZERO, ZERO)]
     for i in range(chain_len - 1):
@@ -326,7 +321,7 @@ def test_one_key_lift_singleton():
     t2 = simple_extend(t, [O("1"), O("2")])
     t2 = normalize(t2)
     x = node_at(O("1"), 0)
-    b = min(y for y in t2.successors(x) if node_height(y) == O("2"))
+    b = min(y for y in t2.successors(x) if y.height == O("2"))
     Y = one_key_lift(t2, {}, {x}, O("1"), O("2"), b)
     assert Y == {b}
 
@@ -366,7 +361,7 @@ def test_one_key_lift_rejects_unseparated_family():
         5: close_map(t, [(a0, a1)]),
         9: close_map(t, [(a0, a1)]),
     }
-    b = min(y for y in t.successors(a0) if node_height(y) == O("2"))
+    b = min(y for y in t.successors(a0) if y.height == O("2"))
     with pytest.raises(ValueError, match="not separated"):
         one_key_lift(t, fam, {a0, a1}, O("1"), O("2"), b)
 
@@ -382,7 +377,7 @@ def _one_key_refusals():
     # low_0 carries one successor and low_1 two: a map total on the first
     # cannot cover the second
     kept = [ZERO, *lows, highs[0], highs[1], highs[3]]
-    lop = StandardTree.make(kept, {x: t.parent[x] for x in kept[1:]})
+    lop = StandardTree(kept, {x: t.parent[x] for x in kept[1:]})
     partial = TreeMap([(ZERO, ZERO), (lows[0], lows[1]), (highs[0], highs[1])])
     yield leafy, {7: f}, X, h1, h2, highs[1], "tree is not normal"
     yield t, {7: f}, X, O("3"), h2, highs[1], "levels must be occupied with alpha below beta"
@@ -408,8 +403,6 @@ def test_one_key_lift_refusals(t, fam, X, alpha, beta, b, message):
 def test_consistency_propagates_to_intermediate_levels():
     # X consistent with its drop-downs to b stays consistent at levels between
     from instances import fibred_family
-    from treeforcing.trees import simple_extend
-    from treeforcing.treemaps import downward_close_map
 
     hits = 0
     for seed in range(200):
@@ -435,8 +428,6 @@ def test_downward_closures_consistent_at_inserted_level():
     # the closure of a map into a simple extension transfers the next level
     # faithfully onto an inserted one
     from instances import fibred_family
-    from treeforcing.trees import simple_extend
-    from treeforcing.treemaps import downward_close_map
 
     for seed in range(200):
         rng = random.Random(95_000 + seed)

@@ -4,17 +4,17 @@ import random
 
 import pytest
 
-from treeforcing.ordinals import ZERO, node_at, node_height, parse_ordinal
+from treeforcing.ordinals import ZERO, node_at, parse_ordinal
 from treeforcing.trees import (
     MalformedTreeError,
     StandardTree,
-    fan_out,
+    _adds_simply,
+    _fan_out,
+    _normalize,
+    _simple_extend,
     is_extension,
     is_hausdorff,
     is_normal,
-    is_simple_extension,
-    normalize,
-    simple_extend,
     unique_dropdowns,
     validate_tree,
 )
@@ -31,9 +31,51 @@ def downward_closure(t: StandardTree, Y) -> frozenset:
     return frozenset(out)
 
 
+def is_simple_extension(t: StandardTree, u: StandardTree) -> bool:
+    """The definition's verdict, which the library's ``_adds_simply`` must
+    share on every extension."""
+    verdict = ref.is_simple_extension(t, u)
+    assert verdict == (is_extension(t, u) and _adds_simply(t, u))
+    return verdict
+
+
+def simple_extend(t: StandardTree, B) -> StandardTree:
+    """``_simple_extend`` and its postconditions: a valid tree, a simple
+    extension of t, and exactly the heights B."""
+    u = _simple_extend(t, frozenset(B))
+    assert validate_tree(u) == []
+    assert is_simple_extension(t, u)
+    assert set(u.heights()) == set(B)
+    return u
+
+
+def normalize(t: StandardTree) -> StandardTree:
+    """``_normalize`` and its postconditions: t itself, or a valid normal
+    extension of t on the same heights."""
+    u = _normalize(t)
+    if u is not t:
+        assert validate_tree(u) == []
+        assert is_normal(u) and is_extension(t, u)
+        assert u.heights() == t.heights()
+    return u
+
+
+def fan_out(t: StandardTree, X, n: int) -> StandardTree:
+    """``_fan_out`` and its postconditions: t itself, or a valid extension
+    of t on the same heights in which every node of X has n immediate
+    successors."""
+    u = _fan_out(t, frozenset(X), n)
+    if u is not t:
+        assert validate_tree(u) == []
+        assert is_extension(t, u)
+        assert all(len(u.immediate_successors(x)) == n for x in X)
+        assert u.heights() == t.heights()
+    return u
+
+
 def t1() -> StandardTree:
     # 0 at the root; w, w+1 at level 1; w*2 at level 2 above w
-    return StandardTree.make(
+    return StandardTree(
         [ZERO, O("w"), O("w+1"), O("w*2")],
         {O("w"): ZERO, O("w+1"): ZERO, O("w*2"): O("w")},
     )
@@ -48,7 +90,7 @@ def random_tree(seed: int, levels: int = 3, width: int = 3) -> StandardTree:
     t = simple_extend(t, heights)
     for _ in range(rng.randint(0, 2 * width)):
         x = rng.choice(sorted(t.nodes))
-        above = [g for g in t.heights() if g > node_height(x)]
+        above = [g for g in t.heights() if g > x.height]
         if not above:
             continue
         t = fan_out(t, {x}, min(width, len(t.immediate_successors(x)) + 1))
@@ -68,7 +110,7 @@ def test_validate_t1_and_level_structure():
 
 def test_validate_flags_level_gap():
     # reparent w*2 directly to the root: its parent must sit at level 1
-    bad = StandardTree.make(
+    bad = StandardTree(
         [ZERO, O("w"), O("w+1"), O("w*2")],
         {O("w"): ZERO, O("w+1"): ZERO, O("w*2"): ZERO},
     )
@@ -77,7 +119,7 @@ def test_validate_flags_level_gap():
 
 
 def test_validate_flags_low_node():
-    bad = StandardTree.make([ZERO, O("5")], {O("5"): ZERO})
+    bad = StandardTree([ZERO, O("5")], {O("5"): ZERO})
     assert any("clause 1" in line for line in validate_tree(bad))
 
 
@@ -108,7 +150,7 @@ def test_restrict():
 def test_restrict_refusals(x, b, error, message):
     t = t1()
     if error is MalformedTreeError:
-        t = StandardTree.make(t.nodes, {**t.parent, O("w*2"): ZERO})
+        t = StandardTree(t.nodes, {**t.parent, O("w*2"): ZERO})
     with pytest.raises(error) as exc:
         t.restrict(O(x), O(b))
     assert type(exc.value) is error and str(exc.value) == message
@@ -157,7 +199,7 @@ def test_is_extension():
     assert is_extension(t, t)
     u = fan_out(t, {O("w+1")}, 1)
     assert is_extension(t, u)
-    rerouted = StandardTree.make(
+    rerouted = StandardTree(
         [ZERO, O("w"), O("w+1"), O("w*2")],
         {O("w"): ZERO, O("w+1"): ZERO, O("w*2"): O("w+1")},
     )
@@ -216,14 +258,14 @@ def test_hausdorff_failure_at_limit_level():
     # level w above level 1, both level-w nodes above the same level-1 node
     w1 = node_at(O("w"), 0)
     w2 = node_at(O("w"), 1)
-    t = StandardTree.make(
+    t = StandardTree(
         [ZERO, O("w"), w1, w2],
         {O("w"): ZERO, w1: O("w"), w2: O("w")},
     )
     assert validate_tree(t) == []
     assert not is_hausdorff(t)
     # separating the drop-downs restores the property
-    u = StandardTree.make(
+    u = StandardTree(
         [ZERO, O("w"), O("w+1"), w1, w2],
         {O("w"): ZERO, O("w+1"): ZERO, w1: O("w"), w2: O("w+1")},
     )
@@ -320,7 +362,7 @@ def test_restrict_monotone_and_closure_idempotent():
     for seed in range(20):
         t = random_tree(seed)
         for x in sorted(t.nodes):
-            for b in [ZERO] + [g for g in t.heights() if g <= node_height(x)]:
+            for b in [ZERO] + [g for g in t.heights() if g <= x.height]:
                 assert t.is_below_eq(t.restrict(x, b), x)
         Y = set(sorted(t.nodes)[: max(1, len(t.nodes) // 2)])
         c = downward_closure(t, Y)
@@ -336,7 +378,7 @@ def test_parent_links_are_read_only():
     links[O("w+1")] = O("w")  # the tree keeps its own copy
     assert t.parent[O("w+1")] == ZERO
     assert t == StandardTree(frozenset(t.nodes), dict(t.parent))
-    assert t == StandardTree.make(t.nodes, {O("w+1"): ZERO, O("w"): ZERO})
+    assert t == StandardTree(t.nodes, {O("w+1"): ZERO, O("w"): ZERO})
     assert t != t1()
 
 
@@ -352,7 +394,7 @@ def test_node_set_is_read_only():
 
 def test_cyclic_links_are_reported_not_followed():
     w, w1 = O("w"), O("w+1")
-    t = StandardTree.make([ZERO, w, w1], {w: w1, w1: w})
+    t = StandardTree([ZERO, w, w1], {w: w1, w1: w})
     assert validate_tree(t) == ref.validate_tree(t)
     assert validate_tree(t)[0].startswith("clause 3")
     for query in (t.order_pairs, lambda: t.chain_down(w), lambda: t.successors(ZERO)):
@@ -361,7 +403,7 @@ def test_cyclic_links_are_reported_not_followed():
 
 
 def test_missing_link_is_a_named_error():
-    t = StandardTree.make([ZERO, O("w"), O("w*2")], {O("w*2"): O("w")})
+    t = StandardTree([ZERO, O("w"), O("w*2")], {O("w*2"): O("w")})
     assert validate_tree(t) == ["clause 2: non-root nodes without a parent link: w"]
     with pytest.raises(MalformedTreeError, match="node w has no parent link"):
         t.is_below(ZERO, O("w*2"))
@@ -382,7 +424,7 @@ def _corrupt(rng: random.Random, t: StandardTree) -> StandardTree:
     elif kind == 3:
         nodes.discard(rng.choice(sorted(nodes)))
     else:
-        nodes.add(node_at(node_height(victim) + O("1"), 7))
+        nodes.add(node_at(victim.height + O("1"), 7))
     return StandardTree(frozenset(nodes), parent)
 
 
@@ -394,8 +436,8 @@ def test_tree_queries_match_parent_walks():
         nodes = sorted(t.nodes)
         for x in nodes:
             assert t.successors(x) == ref.successors(t, x)
-            nxt = t.level_above(node_height(x))
-            want = frozenset(y for y in ref.successors(t, x) if node_height(y) == nxt)
+            nxt = t.level_above(x.height)
+            want = frozenset(y for y in ref.successors(t, x) if y.height == nxt)
             assert t.immediate_successors(x) == want
             for y in nodes:
                 assert t.is_below(x, y) == ref._is_below(t, x, y)
@@ -446,8 +488,8 @@ def _outcome(query, t):
 def test_is_normal_refuses_a_tree_without_a_level_below_its_top():
     # nothing lies below the top level of either tree, yet neither is layered
     w = node_at(O("1"), 0)
-    rootless = StandardTree.make([w], {w: ZERO})
-    finite = StandardTree.make([ZERO, O("5")], {O("5"): ZERO})
+    rootless = StandardTree([w], {w: ZERO})
+    finite = StandardTree([ZERO, O("5")], {O("5"): ZERO})
     with pytest.raises(MalformedTreeError, match="^clause 1: the root 0 is missing$"):
         is_normal(rootless)
     with pytest.raises(MalformedTreeError, match="^clause 1: node 5 is nonzero with height 0$"):
