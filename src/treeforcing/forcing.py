@@ -715,18 +715,21 @@ def _pair_report(mp: MatchedPair, rho: RhoOracle) -> list[str]:
     if mp.alpha not in mp.pa.tree.heights() or mp.beta not in mp.pb.tree.heights():
         out.append("anchor levels are not occupied")
     # the common tree: the first tree's nodes below alpha, with their links,
-    # which the second tree must have below beta
+    # which the second tree must have below beta; on valid sides each is a
+    # run of labels at the start of its index, and the largest label is last
     ta, tb = mp.pa.tree, mp.pb.tree
-    common = frozenset(x for x in ta.nodes if x.height < mp.alpha)
-    if frozenset(x for x in tb.nodes if x.height < mp.beta) != common or any(
+    common = _labels_below(ta, mp.alpha)
+    if _labels_below(tb, mp.beta) != common or any(
         ta.parent.get(x) != tb.parent.get(x) for x in common
     ):
         out.append("second tree does not restrict to the common tree")
-    if any(x >= mp.beta for x in ta.nodes):
+    if ta._index.labels[-1] >= mp.beta:
         out.append("first tree has node labels at or above the second level")
-    for x in common:
-        if mp.iso_f[x] != x:
-            out.append(f"node matching moves common node {x}")
+    if any(mp.iso_f[x] != x for x in common):
+        # named in the order of the set of common nodes
+        for x in frozenset(x for x in ta.nodes if x.height < mp.alpha):
+            if mp.iso_f[x] != x:
+                out.append(f"node matching moves common node {x}")
     if mp.anchor_a not in mp.iso_f:
         out.append("node matching does not connect the anchors")
     if mp.anchor_a.height < mp.alpha:
@@ -751,6 +754,13 @@ def _pair_report(mp: MatchedPair, rho: RhoOracle) -> list[str]:
     if 0 not in shared:
         out.append("index 0 must be shared")
     return out
+
+
+def _labels_below(t: StandardTree, h: Ordinal) -> list[Ordinal]:
+    """The nodes of t on heights below h, ascending: a run of its index's
+    labels, which holds the root level when h is above 0."""
+    index = t._index
+    return index.labels[: index.starts[bisect_left(index.heights, h) + 1]] if h else []
 
 
 def build_matched_pair(
@@ -779,7 +789,7 @@ def build_matched_pair(
         raise ValueError("both levels must be fixed under scaling by w")
     if not alpha < beta:
         raise ValueError("levels must be ordered")
-    if any(n >= beta for n in p.tree.nodes):
+    if p.tree._index.labels[-1] >= beta:  # the largest label
         raise ValueError("node labels must stay below the second level")
     if 0 not in p.family:
         raise ValueError("index 0 must be present")

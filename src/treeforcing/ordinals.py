@@ -4,6 +4,10 @@ Ordinals play two roles here: they label tree nodes, and they index tree
 levels.  A node label g determines its level through the decomposition
 g = w*h + k with k finite; h is the *height* of g, ``g.height``, kept in g's
 instance dict after the first read (``node_at`` fills it for its labels).
+``node_at`` keeps the terms of w*h in h's instance dict in turn, so the
+labels of one level share one ``omega_mul``.  Both memos are values the
+terms determine, so equality, hashing, printing, copying and pickling are
+unchanged by them.
 
 A value is a finite sum of terms w^e * c with strictly decreasing ordinal
 exponents e and positive integer coefficients c.  The empty sum is 0.
@@ -184,12 +188,18 @@ def _exp_pred(e: Ordinal) -> Ordinal:
 
 
 def node_at(height: Ordinal, offset: int) -> Ordinal:
-    """Inverse of height_split: the node label w*height + offset."""
+    """Inverse of height_split: the node label w*height + offset.
+
+    The terms of w*height are kept in height's instance dict after the first
+    call, so a level's labels share one ``omega_mul``; each call still builds
+    a fresh label, whose memo is its own."""
     if offset < 0:
         raise ValueError("offset must be a natural number")
-    node = omega_mul(height)  # a fresh ordinal, so its memo is its own
-    if offset:
-        node = _normal(node[0] + ((ZERO, offset),))
+    memo = height.__dict__
+    head = memo.get("_omega_mul")
+    if head is None:
+        head = memo["_omega_mul"] = omega_mul(height)[0]
+    node = _normal(head + ((ZERO, offset),) if offset else head)
     node.__dict__["height"] = height
     return node
 

@@ -2,14 +2,16 @@
 
 Each step names an entry of the operation table (``treeforcing.ops``) and
 is decoded through its schema when made: a malformed step is a
-``CodecError`` naming its field.  A step runs through ``ops.run``, which
-reads the operation off ``forcing`` at that moment, as for the CLI.  A
-scenario folds its steps over the trivial starting condition, which is valid
-under every oracle.  Every operation validates its own output and checks it
-against its input, so each later snapshot is checked against the previous
-one exactly once; the runner adds only ``leq`` for an ``amalgamate`` whose
-matched pair was built from an earlier snapshot, so that the trace still
-descends.  The final report runs the almost-disjointness containment check
+``CodecError`` naming its field.  The steps of one script read their labels
+through one memo, which keeps only successful parses, as a codec decode
+does, so a label the script repeats is parsed once.  A step runs through
+``ops.run``, which reads the operation off ``forcing`` at that moment, as
+for the CLI.  A scenario folds its steps over the trivial starting
+condition, which is valid under every oracle.  Every operation validates
+its own output and checks it against its input, so each later snapshot is
+checked against the previous one exactly once; the runner adds only ``leq``
+for an ``amalgamate`` whose matched pair was built from an earlier snapshot,
+so that the trace still descends.  The final report runs the almost-disjointness containment check
 over every pair of indices that ever share a condition.
 A step that fails with a ``ValueError`` stops the run and leaves the trace up
 to that point, with a diagnostic; a fault propagates, naming its step.
@@ -33,17 +35,20 @@ from .trees import is_hausdorff, is_normal
 class Step:
     """One step: ``args`` are given as JSON values and hold them decoded
     through the operation's schema; ``expect`` keys must be in ``_EXPECT``;
-    ``where`` names the step in errors.  Both are kept as read-only copies,
-    so a step stays as checked."""
+    ``where`` names the step in errors; ``labels`` is the label memo of the
+    script the step is read from, and a step made alone reads through its
+    own.  Both are kept as read-only copies, so a step stays as checked."""
 
     op: str
     args: Mapping[str, Any] = field(default_factory=dict)
     expect: Mapping[str, Any] = field(default_factory=dict)
     where: InitVar[str] = "step"
+    labels: InitVar[dict | None] = None
 
-    def __post_init__(self, where: str) -> None:
+    def __post_init__(self, where: str, labels: dict | None) -> None:
         object.__setattr__(self, "expect", _expect(f"{where}.expect", self.expect))
-        object.__setattr__(self, "args", MappingProxyType(ops.decode(self.op, self.args, where)))
+        args = ops.decode(self.op, self.args, where, labels)
+        object.__setattr__(self, "args", MappingProxyType(args))
 
 
 @dataclass(frozen=True)
@@ -87,23 +92,25 @@ def parse_scenario(text: str) -> Scenario:
         entries = _list("rho.entries", rho_doc.get("entries", []), _rho_entry)
     else:
         raise CodecError(f"field 'rho.kind': unknown kind {kind!r}")
+    labels: dict[str, Ordinal] = {}  # the script's label memo, shared by its steps
     return Scenario(
         rho_spec=spec,
         rho_entries=tuple(entries),
-        steps=tuple(_list("steps", doc.get("steps", []), _step)),
+        steps=tuple(_list("steps", doc.get("steps", []), lambda w, v: _step(w, v, labels))),
         final_expect=doc.get("final_expect", {}),
     )
 
 
-def _step(where: str, item: Any) -> Step:
+def _step(where: str, item: Any, labels: dict[str, Ordinal]) -> Step:
     if not isinstance(item, dict) or "op" not in item:
         raise CodecError(f"field {where!r}: expected an object with an 'op'")
     args = _object(f"{where}.args", item.get("args", {}))
-    return Step(item["op"], args, item.get("expect", {}), where=where)
+    return Step(item["op"], args, item.get("expect", {}), where=where, labels=labels)
 
 
 def _object(name: str, value: Any) -> Mapping[str, Any]:
-    if not isinstance(value, Mapping):
+    # a JSON object is a dict, which passes without the ABC check
+    if type(value) is not dict and not isinstance(value, Mapping):
         raise CodecError(f"field '{name}': expected an object")
     return value
 
@@ -118,8 +125,15 @@ _EXPECT = {
 }
 
 
+# the read-only copy of every empty expect block
+_NO_EXPECT: Mapping[str, Any] = MappingProxyType({})
+
+
 def _expect(name: str, value: Any) -> Mapping[str, Any]:
-    """A read-only copy of an expect block whose keys are all in ``_EXPECT``."""
+    """A read-only copy of an expect block whose keys are all in ``_EXPECT``;
+    every empty block shares one."""
+    if type(value) is dict and not value:
+        return _NO_EXPECT
     unknown = sorted(_object(name, value).keys() - _EXPECT.keys())
     if unknown:
         raise CodecError(f"field '{name}': unknown key {unknown[0]!r}")

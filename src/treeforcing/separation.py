@@ -162,6 +162,13 @@ def multi_relations(rel: Relations) -> Iterator[tuple[int, int, tuple[int, int],
     """(x, y, r, s) for every two relations r listed before s between x <= y,
     (x, y) ascending: the pairs the pairwise clause of rho-separation reads."""
     multi = ((x, y) for x, row in rel.items() for y, rs in row.items() if x <= y and len(rs) > 1)
+    return _relations_on(rel, multi)
+
+
+def _relations_on(
+    rel: Relations, multi: Iterable[tuple[int, int]]
+) -> Iterator[tuple[int, int, tuple[int, int], tuple[int, int]]]:
+    """``multi_relations`` on its node pairs, ``multi``, given in any order."""
     for x, y in sorted(multi):
         for r, s in combinations(rel[x][y], 2):
             yield x, y, r, s
@@ -291,14 +298,23 @@ def _decide(rel: Relations, X: Iterable[int], rho: RhoOracle, alpha: Ordinal) ->
     ``_relations_by_level`` pass over injective maps, and X that level's
     ranks in ascending order.  Rank order is ordinal order, so ``_labelled``
     turns the verdict into the one the labels would give."""
+    # one scan of the index: the relation edges, as x < y, and the node pairs
+    # x <= y that carry several relations, the only ones clause 1 reads
+    edges, multi = [], []
+    for x, row in rel.items():
+        for y, rs in row.items():
+            if x < y:
+                edges.append((x, y))
+            if x <= y and len(rs) > 1:
+                multi.append((x, y))
     # clause 1: all multi-relations between a fixed pair need rho >= alpha
-    for x, y, r, s in multi_relations(rel):
+    for x, y, r, s in _relations_on(rel, multi):
         if rho.value(r[1], s[1]) < alpha:
             return PairwiseViolation(x, y, r, s, alpha)
-    # clause 2: no loops; scan each relation edge once, as x < y, merging member lists
+    # clause 2: no loops; scan each relation edge once, merging member lists
     # only nodes on an edge get entries: the index is symmetric, so they are its keys
     component = {x: [x] for x in rel}
-    edges = sorted((x, y) for x, row in rel.items() for y in row if x < y)
+    edges.sort()
     for i, (x, y) in enumerate(edges):
         cx, cy = component[x], component[y]
         if cx is cy:  # the edges before this one were all merged: the loop runs through them
@@ -306,7 +322,8 @@ def _decide(rel: Relations, X: Iterable[int], rho: RhoOracle, alpha: Ordinal) ->
             return Loop(tuple(path) + (x,))
         small, large = (cx, cy) if len(cx) <= len(cy) else (cy, cx)
         large += small
-        component.update(dict.fromkeys(small, large))
+        for z in small:
+            component[z] = large
     # separated: build the witness order by segments.  A segment opens with
     # the least unlisted node and grows by the least unlisted node related to
     # one of its members, taken from a min-heap frontier; a node without

@@ -8,16 +8,20 @@ characterisations of strict increase can be exercised on arbitrary relations.
 It ranks the pairs with ``_rank_pairs`` and checks the clauses with
 ``_map_flags``; validation calls the same two on each map of a condition and
 builds ``MapFlags`` only for a map that fails.
+Downward closures (``_downward_close``, ``tensor_downward_closure``) close
+on ranks too: ``_restrictions`` steps a same-level pair to the pair of its
+parents until it meets the root or a pair it already closed, so each output
+pair costs two parent reads, and it hands the pairs back in ascending order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import eq
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .ordinals import Ordinal
-from .trees import StandardTree, _TreeIndex
+from .trees import MalformedTreeError, StandardTree, _TreeIndex
 
 Pair = tuple[Ordinal, Ordinal]
 
@@ -216,15 +220,42 @@ def is_standard(t: StandardTree, f: TreeMap) -> bool:
 def _downward_close(u: StandardTree, f: TreeMap) -> TreeMap:
     """The downward closure of f into u, a simple extension of f's host: it
     is standard, restricts back to f, and at an inserted level relates exactly
-    the drop-downs of related next-level nodes."""
+    the drop-downs of related next-level nodes.  The closure comes in rank
+    order, which is the order ``TreeMap`` sorts into, so its sort is one run."""
     return TreeMap(_restrictions(u, f))
 
 
-def _restrictions(t: StandardTree, S: Iterable[Pair]) -> set[Pair]:
-    """Each pair of S and its drop-downs to every lower level, read off its two
-    ancestor chains side by side; a pair whose chains differ in length stays alone."""
-    chains = ((t.chain_down(x), t.chain_down(y)) for x, y in S)
-    return {p for a, b in chains for p in (zip(a, b) if len(a) == len(b) else [(a[0], b[0])])}
+def _restrictions(t: StandardTree, S: Collection[Pair]) -> list[Pair]:
+    """Each pair of S and its drop-downs to every lower level, in ascending
+    order: the closure of S under stepping a same-level pair of ranks to the
+    pair of its parents.  A walk stops at the root or at a pair already
+    closed, whose drop-downs are in, so each output pair costs two parent
+    reads; a pair whose ends sit on different levels stays alone.
+
+    An empty S needs no order, so it does not read the tree's; each pair's
+    ends are looked up x before y."""
+    if not S:
+        return []
+    index = t._order()
+    rank, lev, par, root = index.rank, index.lev, index.par, index.root
+    closed: set[tuple[int, int]] = set()
+    for x, y in S:
+        a = rank.get(x)
+        if a is None:
+            raise MalformedTreeError(f"node {x} is not in the tree")
+        b = rank.get(y)
+        if b is None:
+            raise MalformedTreeError(f"node {y} is not in the tree")
+        if lev[a] != lev[b]:
+            closed.add((a, b))
+            continue
+        while (a, b) not in closed:
+            closed.add((a, b))
+            if a == root:
+                break
+            a, b = par[a], par[b]
+    labels = index.labels
+    return [(labels[a], labels[b]) for a, b in sorted(closed)]
 
 
 def agreement_pairs(f: TreeMap, g: TreeMap) -> frozenset[Pair]:
@@ -233,7 +264,8 @@ def agreement_pairs(f: TreeMap, g: TreeMap) -> frozenset[Pair]:
 
 
 def tensor_downward_closure(t: StandardTree, S: Iterable[Pair]) -> frozenset[Pair]:
-    """All same-level pairs lying componentwise below a pair of S."""
+    """All same-level pairs lying componentwise below a pair of S: the pairs
+    of S closed on ranks under stepping both ends to their parents."""
     S = tuple(S)
     for a, b in S:
         if a.height != b.height:

@@ -424,23 +424,26 @@ def _adds_simply(t: StandardTree, u: StandardTree) -> bool:
 
 class _FreshLabels:
     """The fresh-node allocator: each take is the least label on its height not
-    in the tree it was built from and not taken before.  The first take of a
-    height reads only that level of the tree into taken offsets, and each
-    height keeps its next free offset, so a take costs O(1) amortised."""
+    in the tree it was built from and not taken before.  Each height has one
+    state entry, made at its first take: the offsets that level of the tree
+    holds, and the next offset to try.  So a take is one dict lookup and
+    O(1) amortised probing, and its label comes from ``node_at``, which keeps
+    w*height on the height."""
 
-    __slots__ = ("_tree", "_taken", "_next")
+    __slots__ = ("_tree", "_state")
 
     def __init__(self, t: StandardTree):
-        self._tree, self._taken, self._next = t, {}, {}
+        self._tree, self._state = t, {}
 
     def take(self, height: Ordinal) -> Ordinal:
-        taken = self._taken.get(height)
-        if taken is None:
-            taken = self._taken[height] = {height_split(x)[1] for x in self._tree.level(height)}
-        k = self._next.get(height, 0)
+        state = self._state.get(height)
+        if state is None:
+            taken = {height_split(x)[1] for x in self._tree.level(height)}
+            state = self._state[height] = [taken, 0]
+        taken, k = state
         while k in taken:
             k += 1
-        self._next[height] = k + 1
+        state[1] = k + 1
         return node_at(height, k)
 
 
@@ -497,7 +500,14 @@ def is_hausdorff(t: StandardTree) -> bool:
 
 
 def _normalize(t: StandardTree) -> StandardTree:
-    """A normal extension on the same heights; t itself when already normal."""
+    """A normal extension on the same heights; t itself when already normal.
+
+    On a layered tree the index's one walk has decided normality, so a normal
+    one comes back at once.  Every other tree takes the level pass: each node
+    below the top without a child on the next occupied level gets a fresh one."""
+    index = t._index
+    if index.layered and index.normal:
+        return t
     levels = [ZERO, *t.heights()]
     members = {h: set(t.level(h)) for h in levels}
     parent = t.parent.copy()

@@ -7,8 +7,10 @@ the operations under test wherever an oracle comparison is at stake.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import random
+from pathlib import Path
 
 from treeforcing.forcing import Condition, normalize_condition, validate_condition
 from treeforcing.generate import GenBounds, gen_condition
@@ -19,6 +21,16 @@ from treeforcing.trees import StandardTree
 
 O = parse_ordinal
 ONE = O("1")
+
+
+def benchmark_workloads():
+    """The benchmark's workload module, ``perfbench/workloads.py``, whose
+    ``build_ladder_condition`` and ``Rung`` build the check ladder."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 def level_tree(n: int) -> StandardTree:

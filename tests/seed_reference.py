@@ -5,7 +5,8 @@ flags, validation reports and oracle tables to these.  Tree order queries
 here walk the parent links directly, so the references do not lean on the
 library's tree index.  ``SeedOrdinal`` is the dataclass ordinal whose
 comparisons recurse through Python methods, and ``ProbingLabels`` the
-fresh-node allocator that probes every offset from 0 upward.
+fresh-node allocator that probes every offset from 0 upward, on labels
+from ``node_at``, which builds w*h + k from its definition.
 ``is_normal_per_level`` probes every higher level through the library's
 ``successors_at``, so on malformed links it raises the library's errors.
 ``refusal`` names why order queries refuse a tree that is not layered.
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from treeforcing.forcing import ROOT_PAIR, Condition
-from treeforcing.ordinals import ZERO, node_at
+from treeforcing.ordinals import ZERO, Ordinal
 from treeforcing.separation import Loop, PairwiseViolation, WitnessOrder
 from treeforcing.treemaps import MapFlags, TreeMap, agreement_pairs
 from treeforcing.trees import MalformedTreeError, StandardTree, _FreshLabels
@@ -515,6 +516,16 @@ def is_simple_extension(t, u):
 
 
 # -- fresh labels: probe offsets 0, 1, 2, ... on every take ------------------
+
+
+def node_at(height, offset):
+    """The label w*height + offset from the definition: w times a sum of
+    terms w^e*c is, by left distributivity, the sum of the terms w^(1+e)*c."""
+    one = Ordinal.from_int(1)
+    node = ZERO
+    for e, c in height.terms:
+        node = node + Ordinal(((one + e, c),))
+    return node + Ordinal.from_int(offset)
 
 
 class ProbingLabels:

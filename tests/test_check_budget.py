@@ -19,7 +19,7 @@ import random
 import pytest
 
 from treeforcing import forcing, scenario, treemaps, trees
-from treeforcing.codec import decode_matched_pair, encode_matched_pair
+from treeforcing.codec import decode_condition, decode_matched_pair, encode_matched_pair
 from treeforcing.forcing import (
     Condition,
     add_index,
@@ -397,6 +397,37 @@ def patch_kernel(patch, name: str, corrupt) -> None:
         return corrupt(out)
 
     patch.setattr(forcing, name, broken)
+
+
+def refuse_fresh_labels(t):
+    raise AssertionError("a normal tree needs no fresh label")
+
+
+def test_normalizing_a_normal_condition_returns_it_as_its_index_decided(monkeypatch):
+    # the index's walk has decided that a layered tree is normal, so no pass
+    # over its levels runs, and no fresh-label allocator is made
+    conditions = [normal_layered_condition(seed) for seed in range(20)]
+    monkeypatch.setattr(trees, "_FreshLabels", refuse_fresh_labels)
+    for p, rho in conditions:
+        assert normalize_condition(p, rho) is p
+
+
+@pytest.mark.parametrize(
+    "nodes, parents, line",
+    [
+        (["0", "w", "w*3"], [["w", "0"], ["w*3", "0"]],
+         "clause 3: parent of w*3 sits at 0, expected the previous level 1"),
+        (["0", "w", "w*2"], [["w", "w*2"], ["w*2", "w"]], "clause 3: parent w*2 of w is not lower"),
+    ],
+)
+def test_normalizing_a_tree_that_is_not_layered_blames_the_input(nodes, parents, line):
+    doc = {"nodes": nodes, "parents": parents, "indices": [0], "maps": {"0": []}}
+    p, rho = decode_condition(json.dumps(doc))
+    assert not p.tree._index.layered
+    message = f"normalize_condition: input is not a valid condition: clause 1 (tree): {line}"
+    with pytest.raises(ValueError) as exc:
+        normalize_condition(p, rho)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("corrupt", [with_fixed_point, without_index])

@@ -9,6 +9,7 @@ import pytest
 
 import seed_reference as ref
 
+from treeforcing import codec
 from treeforcing.codec import CodecError
 from treeforcing.ordinals import parse_ordinal
 from treeforcing.forcing import Condition, leq, validate_condition
@@ -249,6 +250,47 @@ def test_steps_and_scenarios_stay_as_checked():
     assert replace(s, steps=()).final_expect == {"index_count": 1}
     with pytest.raises(CodecError, match=re.escape("field 'final_expect': unknown key 'nodes'")):
         replace(s, final_expect={**s.final_expect, "nodes": 1})
+
+
+def test_a_script_parses_each_label_once(monkeypatch):
+    # step 1 parses w*2, step 3 reads it from the script's memo, and step 4
+    # carries a bad label, which fails naming its own field
+    parsed = []
+    parse = codec.parse_ordinal
+    monkeypatch.setattr(codec, "parse_ordinal", lambda text: parsed.append(text) or parse(text))
+    steps = [
+        {"op": "extend_heights", "args": {"heights": ["1", "2"]}},
+        {"op": "widen_node", "args": {"node": "w*2", "count": 1}},
+        {"op": "add_index", "args": {"index": 1}},
+        {"op": "augment", "args": {"index": 1, "node": "w*2"}},
+        {"op": "grow_node", "args": {"node": "w*q", "height": "2"}},
+    ]
+    with pytest.raises(CodecError) as exc:
+        parse_scenario(json.dumps({"steps": steps}))
+    assert str(exc.value) == "field 'steps[4].args.node': expected a natural number at position 2: 'w*q'"
+    assert parsed.count("w*2") == 1
+    del steps[4]
+    s = parse_scenario(json.dumps({"steps": steps}))
+    assert s.steps[1].args["node"] == s.steps[3].args["node"] == parse_ordinal("w*2")
+    assert parsed.count("w*2") == 2  # a new script has a new memo
+
+
+def test_a_bad_label_is_not_kept_and_fails_at_its_first_step():
+    # the memo keeps only successful parses, so the label fails again where it
+    # first occurs, with the parser's own message
+    steps = [
+        {"op": "extend_heights", "args": {"heights": ["1"]}},
+        {"op": "widen_node", "args": {"node": "w+01", "count": 1}},
+        {"op": "add_index", "args": {"index": 1}},
+        {"op": "augment", "args": {"index": 1, "node": "w+01"}},
+    ]
+    with pytest.raises(CodecError) as exc:
+        parse_scenario(json.dumps({"steps": steps}))
+    assert str(exc.value) == "field 'steps[1].args.node': expected a natural number at position 2: 'w+01'"
+    steps[1]["args"]["node"] = "w"
+    with pytest.raises(CodecError) as exc:
+        parse_scenario(json.dumps({"steps": steps}))
+    assert str(exc.value) == "field 'steps[3].args.node': expected a natural number at position 2: 'w+01'"
 
 
 @pytest.mark.parametrize("rho", [{}, {"value": "w"}, 3, ["zero"]])

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import hashlib
 import importlib
-import importlib.util
 import random
 from collections import Counter
 from pathlib import Path
@@ -49,6 +48,7 @@ import seed_reference as ref
 from instances import (
     O,
     ONE,
+    benchmark_workloads,
     condition_pool,
     level_tree,
     normal_layered_condition,
@@ -192,11 +192,7 @@ def test_untouched_nodes_in_the_level_set():
 def _ladder_files(tmp_path):
     """The benchmark's check ladder: each rung's base and upper conditions and
     its loop and pair twins, as files."""
-    root = Path(__file__).resolve().parent.parent
-    path = root / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = benchmark_workloads()
     rng = random.Random("check:0")
     for shape, size, k in workloads.LADDER:
         yield from workloads.Rung(shape, size, k, rng, str(tmp_path)).files.values()

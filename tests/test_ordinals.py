@@ -7,8 +7,10 @@ deliberately separate from the package implementation.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import itertools
+import pickle
 import random
 import sys
 
@@ -32,6 +34,8 @@ from treeforcing.ordinals import (
     parse_natural,
     parse_ordinal,
 )
+
+from seed_reference import node_at as reference_node_at
 
 O = parse_ordinal
 
@@ -315,6 +319,24 @@ def test_node_at_builds_the_composition_in_one_step(h, k):
     assert type(node) is Ordinal and all(type(e) is Ordinal for e, _ in node.terms)
     assert vars(node) == {"height": h} and node.height is h
     assert Ordinal.height.func(node) == h  # the memo holds the height the terms give
+
+
+@settings(max_examples=300, derandomize=True)
+@given(height_ordinal, st.lists(st.integers(0, 10**6), min_size=1, max_size=4))
+def test_node_at_reads_w_times_the_height_from_a_memo_on_it(h, offsets):
+    twin = Ordinal(h.terms)  # equal to h, with nothing memoised
+    key, text = hash(h), str(h)
+    node_at(h, offsets[0])  # fills the memo on h
+    for k in offsets:
+        node = node_at(h, k)
+        assert node == reference_node_at(h, k) and str(node) == str(reference_node_at(h, k))
+        assert node is not node_at(h, k)
+        assert vars(node) == {"height": h} and node.height is h
+    assert h == twin and twin == h and hash(h) == key == hash(twin) and str(h) == text
+    for copied in (copy.copy(h), copy.deepcopy(h), pickle.loads(pickle.dumps(h))):
+        assert type(copied) is Ordinal and copied == h and hash(copied) == key
+        assert str(copied) == text
+        assert node_at(copied, offsets[-1]) == reference_node_at(h, offsets[-1])
 
 
 @settings(max_examples=300, derandomize=True)

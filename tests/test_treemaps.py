@@ -4,7 +4,10 @@ import random
 
 import pytest
 
-from treeforcing.ordinals import ZERO, node_at, parse_ordinal
+from treeforcing import trees
+from treeforcing.forcing import extend_heights
+from treeforcing.ordinals import ZERO, Ordinal, node_at, parse_ordinal
+from treeforcing.separation import RhoOracle
 from treeforcing.treemaps import (
     TreeMap,
     _downward_close,
@@ -15,6 +18,7 @@ from treeforcing.treemaps import (
 )
 from treeforcing.trees import StandardTree, is_extension
 
+from instances import benchmark_workloads
 from test_trees import fan_out, normalize, random_tree, simple_extend, t1
 
 O = parse_ordinal
@@ -278,7 +282,20 @@ def test_downward_close_map_third_bullet_equivalence():
         assert is_extension(t, u)
 
 
-def test_closing_a_tall_map_reads_two_chains_per_pair(monkeypatch):
+class CountedParents(list):
+    """A rank index's ``par`` list that counts its reads in ``reads``, a
+    one-item list that several indexes may share."""
+
+    def __init__(self, par, reads):
+        super().__init__(par)
+        self.reads = reads
+
+    def __getitem__(self, r):
+        self.reads[0] += 1
+        return list.__getitem__(self, r)
+
+
+def test_closing_a_tall_map_reads_two_parents_per_pair(monkeypatch):
     # two branches of 32 levels each, related by S on every third level
     heights = [O(str(h)) for h in range(1, 33)]
     nodes, parent = [ZERO], {}
@@ -290,13 +307,36 @@ def test_closing_a_tall_map_reads_two_chains_per_pair(monkeypatch):
             parent[x], below = below, x
     t = StandardTree(nodes, parent)
     S = [(node_at(h, 0), node_at(h, 1)) for h in heights[::3]]
-    calls = []
-    chain_down = StandardTree.chain_down
-    monkeypatch.setattr(StandardTree, "chain_down", lambda t, x: calls.append(x) or chain_down(t, x))
+    reads = [0]
+    t._index.par = CountedParents(t._index.par, reads)
     monkeypatch.setattr(StandardTree, "restrict", lambda *a: pytest.fail("restrict was called"))
     closed = tensor_downward_closure(t, S)
-    assert len(calls) == 2 * len(S)
+    # each pair closed steps once to its parents; reading the two whole
+    # chains of every pair of S would take 352 reads here
+    assert reads[0] <= 2 * len(closed) + len(S)
     assert closed == {(ZERO, ZERO)} | {(node_at(h, 0), node_at(h, 1)) for h in heights[:31]}
+
+
+def test_extending_a_tall_ladder_reads_parents_linearly(monkeypatch):
+    # extend_heights to a new top level on ladders of 32, 64 and 128 levels of
+    # 8 nodes: every rank index built counts its parent reads, and each
+    # doubling of the tree at most a little more than doubles them
+    workloads = benchmark_workloads()
+    built = trees._TreeIndex.__init__
+    reads = [0]
+
+    def counted(index, t):
+        built(index, t)
+        index.par = CountedParents(index.par, reads)
+
+    monkeypatch.setattr(trees._TreeIndex, "__init__", counted)
+    counts = []
+    for levels in (32, 64, 128):
+        p, _, _ = workloads.build_ladder_condition((8,) * levels, 4, random.Random(levels))
+        reads[0] = 0
+        extend_heights(p, {Ordinal.from_int(levels + 1)}, RhoOracle.zero())
+        counts.append(reads[0])
+    assert all(b <= 2.2 * a for a, b in zip(counts, counts[1:])), counts
 
 
 def test_chain_reading_gives_every_drop_down():
