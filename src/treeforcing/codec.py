@@ -53,19 +53,12 @@ def _label(labels: dict[str, Ordinal], value: Any, field: str, *at: int) -> Ordi
     """``_ord`` through the memo ``labels``, which keeps each successful parse;
     on a failure ``_ord`` names ``field`` followed by the positions ``at``."""
     try:
-        return _memo_label(labels, value)
+        found = labels.get(value)
+        if found is None:
+            found = labels[value] = _parse_label(labels, value)
+        return found
     except (TypeError, AttributeError, ValueError):  # not a string, or not a label
         return _ord(field + "".join(f"[{k}]" for k in at), value)
-
-
-def _memo_label(labels: dict[str, Ordinal], value: Any) -> Ordinal:
-    """The label ``value`` through the memo ``labels``, which keeps each
-    successful parse; a value that is not a label string raises a
-    ``TypeError``, ``AttributeError`` or ``ValueError`` that names nothing."""
-    found = labels.get(value)
-    if found is None:
-        found = labels[value] = _parse_label(labels, value)
-    return found
 
 
 def _parse_label(labels: dict[str, Ordinal], text: str) -> Ordinal:

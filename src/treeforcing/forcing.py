@@ -338,7 +338,10 @@ def augment(p: Condition, s: int, x: Ordinal, rho: RhoOracle) -> Condition:
                 parent[z] = have[parent[step]]
             have[step], other[z] = z, step
     q = Condition(StandardTree(nodes, parent), {**p.family, s: TreeMap(fwd.items())})
-    return _check_step(p, q, rho, "augment")
+    _check_step(p, q, rho, "augment")
+    if q.family[s].get(x) is None or q.family[s].get_inverse(x) is None:
+        raise RuntimeError(f"augment left {x} out of map {s}")
+    return q
 
 
 def fan_out_condition(

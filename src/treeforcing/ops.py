@@ -18,7 +18,7 @@ from types import MappingProxyType
 from typing import Any, Callable, Mapping
 
 from . import forcing
-from .codec import CodecError, _list, _memo_label, _nat, _ord
+from .codec import CodecError, _label, _labels, _list, _nat
 from .forcing import Condition, MatchedPair
 from .ordinals import Ordinal
 from .separation import RhoOracle
@@ -27,36 +27,13 @@ from .trees import MalformedTreeError
 # argument kinds: a scenario gives ordinals as grammar strings and sets as lists
 ORDINAL, NATURAL, ORDINALS, NATURALS = "ordinal", "natural", "ordinal set", "natural set"
 
-
-def _natural(labels: dict[str, Ordinal], value: Any) -> int:
-    """``_nat`` in the shape of the memo decoders; it reads no label."""
-    return _nat("", value)
-
-
-def _set_of(item: Callable[[dict[str, Ordinal], Any], Any]) -> Callable:
-    """The decoder of a set kind, a JSON list of items that ``item`` decodes."""
-
-    def decode_set(labels: dict[str, Ordinal], value: Any) -> frozenset:
-        if not isinstance(value, list):
-            raise TypeError("expected a list")
-        return frozenset([item(labels, v) for v in value])
-
-    return decode_set
-
-
-# each kind's decoder, reading labels through a memo; it names no field, so a
-# value it refuses is decoded again through ``_NAMED``, whose error names it
-_DECODE: dict[str, Callable[[dict[str, Ordinal], Any], Any]] = {
-    ORDINAL: _memo_label,
-    NATURAL: _natural,
-    ORDINALS: _set_of(_memo_label),
-    NATURALS: _set_of(_natural),
-}
-_NAMED: dict[str, Callable[[str, Any], Any]] = {
-    ORDINAL: _ord,
-    NATURAL: _nat,
-    ORDINALS: lambda name, value: frozenset(_list(name, value, _ord)),
-    NATURALS: lambda name, value: frozenset(_list(name, value, _nat)),
+# each kind's decoder, one of the codec's: it reads labels through the memo
+# ``labels`` and puts ``field`` (with an item's position) only into an error
+_DECODE: dict[str, Callable[[dict[str, Ordinal], str, Any], Any]] = {
+    ORDINAL: lambda labels, field, value: _label(labels, value, field),
+    NATURAL: lambda labels, field, value: _nat(field, value),
+    ORDINALS: lambda labels, field, value: frozenset(_labels(labels, field, value)),
+    NATURALS: lambda labels, field, value: frozenset(_list(field, value, _nat)),
 }
 
 
@@ -118,29 +95,24 @@ OPS: dict[str, Op] = {
 
 
 def decode(
-    name: Any, args: Mapping[str, Any], where: str, labels: dict[str, Ordinal] | None = None
+    name: Any, args: Mapping[str, Any], where: str, labels: dict[str, Ordinal]
 ) -> dict[str, Any]:
     """A step's JSON arguments decoded through its operation's schema.
 
-    Labels are read through the memo ``labels`` (a fresh one by default),
-    which keeps only successful parses, as a codec decode does.  Errors name
-    their field under ``where``, as in ``steps[2].args.heights``; the name is
-    built only for a value that fails.  Keys the operation does not take are
-    ignored.
+    Each argument is decoded once, by the codec's decoder of its kind, with
+    labels read through the memo ``labels``, which keeps only successful
+    parses, as a codec decode does.  Errors name their field under
+    ``where``, as in ``steps[2].args.heights[1]``.  Keys the operation does
+    not take are ignored.
     """
     if not isinstance(name, str) or name not in OPS:
         raise CodecError(f"field '{where}.op': unknown operation {name!r}")
-    if labels is None:
-        labels = {}
     out = {}
     for key, kind in OPS[name].args.items():
-        try:
-            out[key] = _DECODE[kind](labels, args[key])
-        except (KeyError, TypeError, AttributeError, ValueError):
-            path = f"{where}.args.{key}"
-            if key not in args:
-                raise CodecError(f"field {path!r}: missing") from None
-            out[key] = _NAMED[kind](path, args[key])  # raises, naming the field
+        field = f"{where}.args.{key}"
+        if key not in args:
+            raise CodecError(f"field {field!r}: missing")
+        out[key] = _DECODE[kind](labels, field, args[key])
     return out
 
 

@@ -1,18 +1,19 @@
 """Scenario scripts: a rho specification plus a list of operation steps.
 
 Each step names an entry of the operation table (``treeforcing.ops``) and
-is decoded through its schema when made: a malformed step is a
-``CodecError`` naming its field.  The steps of one script read their labels
-through one memo, which keeps only successful parses, as a codec decode
-does, so a label the script repeats is parsed once.  A step runs through
-``ops.run``, which reads the operation off ``forcing`` at that moment, as
-for the CLI.  A scenario folds its steps over the trivial starting
-condition, which is valid under every oracle.  Every operation validates
-its own output and checks it against its input, so each later snapshot is
-checked against the previous one exactly once; the runner adds only ``leq``
-for an ``amalgamate`` whose matched pair was built from an earlier snapshot,
-so that the trace still descends.  The final report runs the almost-disjointness containment check
-over every pair of indices that ever share a condition.
+is decoded through its schema when made, by the codec's own field decoders:
+a malformed step is a ``CodecError`` naming its field.  The steps of one
+script feed those decoders one label memo, which keeps only successful
+parses, as a codec decode does, so a label the script repeats is parsed
+once.  A step runs through ``ops.run``, which reads the operation off
+``forcing`` at that moment, as for the CLI.  A scenario folds its steps over
+the trivial starting condition, which is valid under every oracle.  Every
+operation validates its own output and checks it against its input, so each
+later snapshot is checked against the previous one exactly once; the runner
+adds only ``leq`` for an ``amalgamate`` whose matched pair was built from an
+earlier snapshot, so that the trace still descends.  The final report runs
+the almost-disjointness containment check over every pair of indices that
+ever share a condition.
 A step that fails with a ``ValueError`` stops the run and leaves the trace up
 to that point, with a diagnostic; a fault propagates, naming its step.
 """
@@ -20,6 +21,7 @@ to that point, with a diagnostic; a fault propagates, naming its step.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
+from itertools import combinations
 from types import MappingProxyType
 from typing import Any, Mapping
 
@@ -47,7 +49,7 @@ class Step:
 
     def __post_init__(self, where: str, labels: dict | None) -> None:
         object.__setattr__(self, "expect", _expect(f"{where}.expect", self.expect))
-        args = ops.decode(self.op, self.args, where, labels)
+        args = ops.decode(self.op, self.args, where, {} if labels is None else labels)
         object.__setattr__(self, "args", MappingProxyType(args))
 
 
@@ -194,12 +196,10 @@ def run_scenario(s: Scenario) -> RunTrace:
     if not _check_expect(p, s.final_expect, trace.log):
         trace.ok = False
     # final report: containment for every pair of indices ever co-present;
-    # every step's output was checked against its input, so the trace descends
-    pairs = set()
-    for cond in trace.conditions:
-        idx = sorted(cond.family)
-        pairs.update((g, t) for g in idx for t in idx if g < t)
-    for g, t in sorted(pairs):
+    # every step's output was checked against its input, so the trace
+    # descends and only adds indices, and any two are co-present at its end
+    indices = sorted(set().union(*(c.family for c in trace.conditions)))
+    for g, t in combinations(indices, 2):
         held = agreement_containment(trace.conditions, g, t)
         trace.log.append(f"containment {g},{t}: {'ok' if held else 'VIOLATED'}")
         if not held:

@@ -219,20 +219,12 @@ class Loop:
 SeparationVerdict = WitnessOrder | PairwiseViolation | Loop
 
 
-def _indexed_triples(
-    rel: Relations, pos: Mapping[int, int] | Sequence[int], x: int
-) -> list[tuple[int, int, int]]:
-    """The triples (j, m, tau) relating the listed node x to earlier nodes,
-    with j the earlier node's place: ``pos[y]`` is the place of node y in the
-    listing.  Earlier nodes come by place, each one's relations in ``rel``
-    order."""
-    i = pos[x]
+def _indexed_triples(rel: Relations, x: int) -> list[tuple[int, int, int]]:
+    """The triples (j, m, tau) relating node x of a listing to the earlier
+    node j, nodes being their places in the listing.  Earlier nodes come in
+    order, each one's relations in ``rel`` order."""
     row = rel.get(x, {})
-    return [
-        (pos[y], m, tau)
-        for y in sorted((y for y in row if pos[y] < i), key=pos.__getitem__)
-        for m, tau in row[y]
-    ]
+    return [(y, m, tau) for y in sorted(y for y in row if y < x) for m, tau in row[y]]
 
 
 # -- consistency ------------------------------------------------------------
@@ -477,14 +469,13 @@ def _one_key_lift(
     keyed by their positions in the order."""
     pos = dict(zip(order, range(len(order))))
     rel = _relations_by_level(_ranked_family(fam, pos), [0] * len(order)).get(0, {})
-    places = range(len(order))
     opener, image = pos[t.restrict(b, alpha)], b
-    while triples := _indexed_triples(rel, places, opener):
+    while triples := _indexed_triples(rel, opener):
         j, m, tau = triples[0]
         opener, image = j, fam[tau].apply_signed(m, image)
     lifted: list[Ordinal] = []
     for i, x in enumerate(order):
-        triples = _indexed_triples(rel, places, i)
+        triples = _indexed_triples(rel, i)
         if triples:
             j, m, tau = triples[0]
             lifted.append(fam[tau].apply_signed(-m, lifted[j]))

@@ -804,6 +804,18 @@ def test_an_exception_of_any_other_type_exits_3_without_a_traceback(
         main(["augment", t1_file])
 
 
+def test_augment_refuses_to_leave_its_node_out_of_the_map(t1_file, capsys, monkeypatch):
+    # a builder that walks no chain leaves a valid condition below its input,
+    # so only augment's own promise catches it: w must enter map 3 both ways
+    monkeypatch.setattr(treeforcing.trees.StandardTree, "chain_down", lambda self, x: [])
+    with pytest.raises(RuntimeError, match=re.escape("augment left w out of map 3")):
+        treeforcing.forcing.augment(t1_condition(), 3, O("w"), RhoOracle.zero())
+    assert main(["augment", t1_file, "--index", "3", "--node", "w"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: augment left w out of map 3\n"
+
+
 _OPEN_MAP = {
     # map 0 relates w to w+1 without the root pair: not downward closed
     "nodes": ["0", "w", "w+1"],

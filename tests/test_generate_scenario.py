@@ -8,6 +8,7 @@ from dataclasses import replace
 import pytest
 
 import seed_reference as ref
+from instances import benchmark_workloads
 
 from treeforcing import codec
 from treeforcing.codec import CodecError
@@ -291,6 +292,19 @@ def test_a_bad_label_is_not_kept_and_fails_at_its_first_step():
     with pytest.raises(CodecError) as exc:
         parse_scenario(json.dumps({"steps": steps}))
     assert str(exc.value) == "field 'steps[3].args.node': expected a natural number at position 2: 'w+01'"
+
+
+def test_the_final_report_covers_exactly_the_pairs_ever_co_present():
+    # the report reads the trace's indices once; the reference is the
+    # definition, every pair of indices that share some condition, ascending
+    for text in benchmark_workloads().ScenarioWorkload(0).texts:
+        trace = run_scenario(parse_scenario(text))
+        assert trace.ok
+        pairs = sorted(
+            {(g, t) for c in trace.conditions for g in c.family for t in c.family if g < t}
+        )
+        lines = [line for line in trace.log if line.startswith("containment ")]
+        assert [line.split(":")[0] for line in lines] == [f"containment {g},{t}" for g, t in pairs]
 
 
 @pytest.mark.parametrize("rho", [{}, {"value": "w"}, 3, ["zero"]])

@@ -153,6 +153,11 @@ def test_internal_fault_exits_3(gen_files, monkeypatch, capsys):
 # -- scenario steps and rho objects are decoded through a schema --------------------------
 
 
+BAD_INDICES = {"op": "bijectivize_level", "args": {"level": "1", "nodes": ["w"], "indices": [0, -1]}}
+BAD_COUNT = {"op": "widen_node", "args": {"node": "0", "count": True}}
+BAD_HEIGHTS = {"op": "extend_heights", "args": {"heights": [["1"]]}}
+
+
 def assert_named(tmp_path, capsys, doc, field):
     with pytest.raises(CodecError, match=re.escape(f"field '{field}'")):
         parse_scenario(json.dumps(doc))
@@ -173,10 +178,40 @@ def assert_named(tmp_path, capsys, doc, field):
         ({"op": "extend_heights", "args": {"heights": ["1", 2]}}, "steps[1].args.heights[1]"),
         ({"op": "augment", "args": {"index": -1, "node": "0"}}, "steps[1].args.index"),
         ({"op": "widen_node", "args": {"node": "w+", "count": 1}}, "steps[1].args.node"),
+        (BAD_INDICES, "steps[1].args.indices[1]"),
+        (BAD_COUNT, "steps[1].args.count"),
+        (BAD_HEIGHTS, "steps[1].args.heights[0]"),
     ],
 )
 def test_malformed_steps_name_their_field(tmp_path, capsys, step, field):
     assert_named(tmp_path, capsys, {"steps": [{"op": "add_index", "args": {"index": 1}}, step]}, field)
+
+
+@pytest.mark.parametrize(
+    "steps, line",
+    [
+        (
+            [
+                {"op": "add_index", "args": {"index": 1}},
+                {"op": "extend_heights", "args": {"heights": ["1", "w*q"]}},
+            ],
+            "error: field 'steps[1].args.heights[1]': expected a natural number at position 2: 'w*q'",
+        ),
+        ([{"op": "add_index", "args": {}}], "error: field 'steps[0].args.index': missing"),
+        (
+            [{"op": "add_index", "args": {"index": 1}}, BAD_INDICES],
+            "error: field 'steps[1].args.indices[1]': expected a natural number, got -1",
+        ),
+        ([BAD_COUNT], "error: field 'steps[0].args.count': expected a natural number, got True"),
+        ([BAD_HEIGHTS], "error: field 'steps[0].args.heights[0]': expected an ordinal string, got ['1']"),
+    ],
+)
+def test_malformed_step_arguments_print_one_exact_line(tmp_path, capsys, steps, line):
+    # the scripts and lines of the CI step that runs them through python -m
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"steps": steps}))
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == line + "\n"
 
 
 @pytest.mark.parametrize("steps, field", [(5, "steps"), ("w", "steps"), ([["add_index"]], "steps[0]")])
