@@ -10,10 +10,14 @@ for one decode only (the first side of a matched-pair file and its own
 ordinal fields share one).  The memo holds level heads too: a label
 ``head+k`` with k a canonical natural and a head with no finite part is
 built from its head, parsed once per level, and carries the head's height.
-It keeps only successful parses, so a bad label fails, naming its field,
-wherever it occurs.  Nothing is kept between decodes.  A label the memo
-holds costs one dict lookup: the name of its field, such as
-``maps[1][0][0]``, is built only when a label fails.
+Every label is read by ``_read``, in one loop over a list such as a file's
+nodes (a single label is a list of one): the loop keeps the last head it
+built a label from, so the rest of that level's run costs no call but
+``_normal``.  A rho table reads its values through the same memo, so each
+distinct value is parsed once.  The memo keeps only successful parses, so
+a bad label fails, naming its field, wherever it occurs.  Nothing is kept
+between decodes.  A label the memo holds costs one dict lookup: the name
+of its field, such as ``maps[1][0][0]``, is built only when a label fails.
 """
 
 from __future__ import annotations
@@ -50,33 +54,47 @@ def _ord(field: str, value: Any) -> Ordinal:
 
 
 def _label(labels: dict[str, Ordinal], value: Any, field: str, *at: int) -> Ordinal:
-    """``_ord`` through the memo ``labels``, which keeps each successful parse;
-    on a failure ``_ord`` names ``field`` followed by the positions ``at``."""
+    """One label through the memo ``labels``, by ``_read`` when the memo lacks
+    it; on a failure ``_ord`` names ``field`` followed by the positions ``at``."""
     try:
-        found = labels.get(value)
-        if found is None:
-            found = labels[value] = _parse_label(labels, value)
-        return found
-    except (TypeError, AttributeError, ValueError):  # not a string, or not a label
-        return _ord(field + "".join(f"[{k}]" for k in at), value)
+        return labels[value]
+    except (KeyError, TypeError):  # not read yet, or not a string
+        return _read(labels, [value], lambda _: field + "".join(f"[{k}]" for k in at))[0]
 
 
-def _parse_label(labels: dict[str, Ordinal], text: str) -> Ordinal:
-    """``parse_ordinal(text)``, reading a label ``head+k`` of a level off its
-    head: with k a canonical natural and the head, parsed through the memo,
-    free of a finite part, ``head + k`` is in normal form on the head's height.
-    Every other string goes to ``parse_ordinal``.  A head that fails to parse
-    fails the whole text, which ``_ord`` then parses for its error."""
-    head, plus, k = text.rpartition("+")
-    if plus and k.isascii() and k.isdigit() and k[0] != "0":
-        base = labels.get(head)
-        if base is None:
-            base = labels[head] = parse_ordinal(head)
-        if is_limit(base):
-            node = _normal(base.terms + ((ZERO, int(k)),))
-            node.__dict__["height"] = base.height
-            return node
-    return parse_ordinal(text)
+def _read(labels: dict[str, Ordinal], values: list, name: Callable[[int], str]) -> list[Ordinal]:
+    """``values`` parsed through the memo ``labels``, which keeps each
+    successful parse; value k, if it fails, is named ``name(k)`` by ``_ord``.
+
+    A label ``head+k`` with k a canonical natural and a head, parsed through
+    the memo, free of a finite part is ``head + k`` in normal form on the
+    head's height.  The loop keeps the last such head, its terms and height,
+    so the rest of a level's run is built with no call but ``_normal``.  A
+    head that fails to parse fails the whole text, which ``_ord`` then parses
+    for its error."""
+    out = []
+    run = terms = height = None
+    for k, v in enumerate(values):
+        try:
+            node = labels.get(v)
+            if node is None:
+                head, plus, n = v.rpartition("+")
+                if plus and n.isascii() and n.isdigit() and n[0] != "0":
+                    if head != run:
+                        base = labels.get(head)
+                        if base is None:
+                            base = labels[head] = parse_ordinal(head)
+                        if is_limit(base):
+                            run, terms, height = head, base[0], base.height
+                    if head == run:
+                        node = labels[v] = _normal(terms + ((ZERO, int(n)),))
+                        node.__dict__["height"] = height
+                if node is None:
+                    node = labels[v] = parse_ordinal(v)
+        except (TypeError, AttributeError, ValueError):  # not a string, or not a label
+            node = _ord(name(k), v)
+        out.append(node)
+    return out
 
 
 def _labels(labels: dict[str, Ordinal], field: str, value: Any, width: int = 1) -> list:
@@ -85,7 +103,7 @@ def _labels(labels: dict[str, Ordinal], field: str, value: Any, width: int = 1) 
     if not isinstance(value, list):
         raise CodecError(f"field {field!r}: expected a list, got {value!r}")
     if width == 1:
-        return [_label(labels, v, field, k) for k, v in enumerate(value)]
+        return _read(labels, value, lambda k: f"{field}[{k}]")
     out = []
     for k, v in enumerate(value):
         if not isinstance(v, list) or len(v) != 2:
@@ -118,12 +136,18 @@ def _tuple(field: str, value: Any, shape: str, *items: Callable[[str, Any], Any]
     return tuple(item(f"{field}[{k}]", v) for k, (item, v) in enumerate(zip(items, value)))
 
 
-def _rho_entry(field: str, value: Any) -> tuple[int, int, Ordinal]:
-    """One rho table entry ``[i, j, ordinal]``; the diagonal must be zero."""
-    i, j, v = _tuple(field, value, "[i, j, ordinal]", _nat, _nat, _ord)
-    if i == j and v != ZERO:
-        raise CodecError(f"field {field!r}: the diagonal of rho is zero")
-    return i, j, v
+def _rho_entries(labels: dict[str, Ordinal], field: str, value: Any) -> list[tuple]:
+    """A rho table: entries ``[i, j, ordinal]`` with a zero diagonal, decoded
+    item by item, each ordinal read through the memo ``labels``."""
+    read = lambda name, v: _label(labels, v, name)
+
+    def entry(name: str, e: Any) -> tuple[int, int, Ordinal]:
+        i, j, v = _tuple(name, e, "[i, j, ordinal]", _nat, _nat, read)
+        if i == j and v != ZERO:
+            raise CodecError(f"field {name!r}: the diagonal of rho is zero")
+        return i, j, v
+
+    return _list(field, value, entry)
 
 
 def _pairs(field: str, value: Any, item: Callable[[str, Any], Any]) -> list[tuple]:
@@ -187,9 +211,16 @@ def _condition_from_dict(doc: Any, labels: dict[str, Ordinal]) -> tuple[Conditio
         if field not in doc:
             raise CodecError(f"missing field {field!r}")
     nodes = _labels(labels, "nodes", doc["nodes"])
-    if len(set(nodes)) != len(nodes):
+    try:
+        parent = _function("parents", _labels(labels, "parents", doc["parents"], 2), "child")
+    except CodecError:  # a duplicate node is reported before any later fault
+        if len(set(nodes)) != len(nodes):
+            raise CodecError("field 'nodes': duplicate node") from None
+        raise
+    # the list, not the set: a file's nodes come sorted, so the index sorts them in one pass
+    tree = StandardTree(nodes, parent)
+    if len(tree.nodes) != len(nodes):
         raise CodecError("field 'nodes': duplicate node")
-    parent = _function("parents", _labels(labels, "parents", doc["parents"], 2), "child")
     indices = _list("indices", doc["indices"], _nat)
     if len(set(indices)) != len(indices):
         raise CodecError("field 'indices': duplicate index")
@@ -213,9 +244,8 @@ def _condition_from_dict(doc: Any, labels: dict[str, Ordinal]) -> tuple[Conditio
             raise CodecError(f"field 'maps[{key}]': {exc}")
     for tau in indices:
         family.setdefault(tau, TreeMap())
-    rho = RhoOracle.from_entries(_list("rho", doc.get("rho", []), _rho_entry))
-    # the list, not the set: a file's nodes come sorted, so the index sorts them in one pass
-    return Condition(StandardTree(nodes, parent), family), rho
+    rho = RhoOracle.from_entries(_rho_entries(labels, "rho", doc.get("rho", [])))
+    return Condition(tree, family), rho
 
 
 def encode_condition(p: Condition, rho: RhoOracle | None = None) -> str:
@@ -250,7 +280,7 @@ def decode_matched_pair(text: str) -> tuple[MatchedPair, RhoOracle]:
     pa, _ = _condition_from_dict(doc["first"], labels)
     iso_f = _function("node_matching", _labels(labels, "node_matching", doc["node_matching"], 2))
     iso_g = _function("index_matching", _pairs("index_matching", doc["index_matching"], _nat))
-    entries = _list("rho", doc.get("rho", []), _rho_entry)
+    entries = _rho_entries(labels, "rho", doc.get("rho", []))
     mp = MatchedPair(
         pa=pa,
         alpha=_label(labels, doc["alpha"], "alpha"),

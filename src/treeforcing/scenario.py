@@ -2,8 +2,8 @@
 
 Each step names an entry of the operation table (``treeforcing.ops``) and
 is decoded through its schema when made, by the codec's own field decoders:
-a malformed step is a ``CodecError`` naming its field.  The steps of one
-script feed those decoders one label memo, which keeps only successful
+a malformed step is a ``CodecError`` naming its field.  The rho table and
+steps of one script share one label memo, which keeps only successful
 parses, as a codec decode does, so a label the script repeats is parsed
 once.  A step runs through ``ops.run``, which reads the operation off
 ``forcing`` at that moment, as for the CLI.  A scenario folds its steps over
@@ -26,7 +26,7 @@ from types import MappingProxyType
 from typing import Any, Mapping
 
 from . import ops
-from .codec import CodecError, _document, _list, _nat, _ord, _rho_entry
+from .codec import CodecError, _document, _list, _nat, _ord, _rho_entries
 from .forcing import Condition, MatchedPair, agreement_containment, leq
 from .ordinals import Ordinal
 from .separation import RhoOracle, oracle_from_spec
@@ -77,6 +77,7 @@ def parse_scenario(text: str) -> Scenario:
     if not isinstance(rho_doc, dict) or "kind" not in rho_doc:
         raise CodecError("field 'rho': expected an object with a 'kind'")
     kind = rho_doc["kind"]
+    labels: dict[str, Ordinal] = {}  # the script's label memo, shared by its table and steps
     entries: list[tuple[int, int, Ordinal]] = []
     if kind == "zero":
         spec = "zero"
@@ -91,10 +92,9 @@ def parse_scenario(text: str) -> Scenario:
         spec = f"seed:{_nat('rho.seed', rho_doc.get('seed', 0))}:{','.join(values)}"
     elif kind == "table":
         spec = "zero"
-        entries = _list("rho.entries", rho_doc.get("entries", []), _rho_entry)
+        entries = _rho_entries(labels, "rho.entries", rho_doc.get("entries", []))
     else:
         raise CodecError(f"field 'rho.kind': unknown kind {kind!r}")
-    labels: dict[str, Ordinal] = {}  # the script's label memo, shared by its steps
     return Scenario(
         rho_spec=spec,
         rho_entries=tuple(entries),

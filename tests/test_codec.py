@@ -7,9 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from treeforcing import codec
 from treeforcing.codec import (
     CodecError,
     _label,
+    _labels,
     condition_from_dict,
     condition_to_dict,
     decode_condition,
@@ -21,6 +23,7 @@ from treeforcing.codec import (
 from treeforcing.forcing import Condition, amalgamate, build_matched_pair, validate_matched_pair
 from treeforcing.generate import GenBounds, gen_condition
 from treeforcing.ordinals import Ordinal, OrdinalParseError, node_at, parse_ordinal
+from treeforcing.scenario import parse_scenario
 from treeforcing.separation import RhoOracle
 from test_amalgamation import base_condition, ALPHA, BETA
 from test_forcing_ops import t1_condition
@@ -60,6 +63,22 @@ def test_duplicate_node_rejected():
     broken = text.replace('"w+1"', '"w"', 1)
     with pytest.raises(CodecError, match="duplicate"):
         decode_condition(broken)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: put(d, ("parents", 0, 1), "w*q"),
+        lambda d: d.update(indices=[-1]),
+        lambda d: put(d, ("nodes", 2), "w*1"),
+    ],
+    ids=["bad-parent", "bad-index", "aliased-label"],
+)
+def test_a_duplicate_node_is_reported_before_any_later_fault(edit):
+    # nodes 0, w, w+1, w*2 with w+1 turned into a second w: either spelling of w
+    doc = put(t1_doc(), ("nodes", 2), "w")
+    edit(doc)
+    assert decode_error(decode_condition, doc) == "field 'nodes': duplicate node"
 
 
 def test_reject_malformed_json_with_position():
@@ -296,9 +315,22 @@ _label_texts = st.one_of(
 )
 
 
+# a run of one level: its head, then that head with a plus and digits, as a file lists it
+_runs = st.tuples(st.builds(lambda h: str(node_at(h, 0)), _heights), st.lists(_digits, max_size=4))
+_chunks = st.one_of(
+    _label_texts.map(lambda text: [text]),
+    _runs.map(lambda run: [run[0]] + [f"{run[0]}+{d}" for d in run[1]]),
+)
+
+
 @settings(max_examples=400, derandomize=True)
-@given(st.lists(_label_texts, max_size=8))
+@given(st.lists(_chunks, max_size=8).map(lambda chunks: sum(chunks, [])))
 @example(["w+01", "w*0+1", "w+w+3", "3+5", "w+", "w*2+0", "w^2+w+3"])
+@example(["w^1", "w^1+3", "w+3"])
+@example(["w*2+1", "w*2+2", "w*2+02"])
+@example(["3", "3+5"])
+@example(["w^2+w", "w^2+w+3", "w^2+w+4"])
+@example(["w+1", "w+1"])
 def test_a_decoded_label_is_the_parsers_label(texts):
     # one memo across the list, as one decode reads many labels; the second
     # round reads every label back from the memo
@@ -322,6 +354,20 @@ def test_a_decoded_label_is_the_parsers_label(texts):
             continue
         (got,) = decode_condition(json.dumps(doc))[0].tree.nodes
         assert got == want and got.height == want.height
+    # and as one list, as a file's nodes are read: a level's run is built off
+    # its head, and a repeat comes back from the memo
+    wants = []
+    for k, text in enumerate(texts):
+        try:
+            wants.append(parse_ordinal(text))
+        except OrdinalParseError as exc:
+            with pytest.raises(CodecError) as got:
+                _labels({}, "nodes", texts + texts)
+            assert str(got.value) == f"field 'nodes[{k}]': {exc}"
+            return
+    got = _labels({}, "nodes", texts + texts)
+    assert got == wants + wants
+    assert [x.height for x in got] == [x.height for x in wants + wants]
 
 
 def test_decodes_leave_no_module_state():
@@ -365,6 +411,71 @@ def test_condition_field_errors(edit, message):
     doc = t1_doc()
     edit(doc)
     assert decode_error(decode_condition, doc) == message
+
+
+# -- a rho table reads its values through the label memo --------------------------------
+
+RHO_VALUES = ["0", "1", "w", "w+1", "w*2", "w^2", "w^w"]
+
+
+def rho_doc(entries: list) -> dict:
+    return {"nodes": ["0"], "parents": [], "indices": [], "maps": {}, "rho": entries}
+
+
+def test_a_rho_table_parses_each_distinct_value_once(monkeypatch):
+    calls = []
+
+    def counted(text):
+        calls.append(text)
+        return parse_ordinal(text)
+
+    monkeypatch.setattr(codec, "parse_ordinal", counted)
+    entries = [[k, k + 1, RHO_VALUES[k % 7]] for k in range(2000)]
+    _, rho = decode_condition(json.dumps(rho_doc(entries)))
+    assert rho.entries() == [(i, j, O(v)) for i, j, v in entries]
+    # "0" is read for the nodes, and "w+1" is read off the head "w"
+    assert len(calls) <= 8
+
+
+def test_a_level_parses_only_its_head(monkeypatch):
+    # each head is parsed once; the rest of its run, and a return to an
+    # earlier head, are built off the memo
+    calls = []
+
+    def counted(text):
+        calls.append(text)
+        return parse_ordinal(text)
+
+    monkeypatch.setattr(codec, "parse_ordinal", counted)
+    texts = ["0", "w", "w+1", "w+2", "w*2", "w*2+1", "w*2+2", "w+3"]
+    got = _labels({}, "nodes", texts)
+    assert got == [O(t) for t in texts]
+    assert calls == ["0", "w", "w*2"]
+
+
+RHO_FAULTS = {
+    (0, 0, "1"): "'rho[1500]': the diagonal of rho is zero",
+    (0, -1, "w"): "'rho[1500][1]': expected a natural number, got -1",
+    (0, 1, "w*q"): "'rho[1500][2]': expected a natural number at position 2: 'w*q'",
+    (0, 1): "'rho[1500]': expected [i, j, ordinal], got [0, 1]",
+    (True, 1, "w"): "'rho[1500][0]': expected a natural number, got True",
+}
+
+
+@pytest.mark.parametrize("entry", RHO_FAULTS, ids=lambda e: repr(list(e)))
+@pytest.mark.parametrize("kind", ["condition", "pair", "scenario"])
+def test_a_bad_rho_entry_names_its_field(kind, entry):
+    # 1,500 entries, each value read before the bad one, so the memo holds it
+    entries = [[k, k + 1, RHO_VALUES[k % 7]] for k in range(1500)] + [list(entry)]
+    message = f"field {RHO_FAULTS[entry]}"
+    if kind == "condition":
+        assert decode_error(decode_condition, rho_doc(entries)) == message
+    elif kind == "pair":
+        assert decode_error(decode_matched_pair, {**pair_doc(), "rho": entries}) == message
+    else:
+        doc = {"rho": {"kind": "table", "entries": entries}, "steps": []}
+        want = message.replace("'rho[", "'rho.entries[")
+        assert decode_error(parse_scenario, doc) == want
 
 
 def test_document_roots_must_be_objects():
